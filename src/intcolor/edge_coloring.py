@@ -281,12 +281,6 @@ class EulerSplit:
     right: tuple[int, ...]
     imbalanced_vertices: tuple[int, ...]
 
-    def left_subgraph(self) -> tuple[Multigraph, tuple[int, ...]]:
-        return self.graph.subgraph(self.left)
-
-    def right_subgraph(self) -> tuple[Multigraph, tuple[int, ...]]:
-        return self.graph.subgraph(self.right)
-
 
 def euler_split(g: Multigraph) -> EulerSplit:
     """Alternate the edges of an Eulerian circuit of each component into two halves."""

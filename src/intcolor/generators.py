@@ -61,10 +61,6 @@ class GeneratedGraph:
 # ---------------------------------------------------------------------------
 # Plain builders (shared by other modules).
 
-def path_graph(n_edges: int) -> Multigraph:
-    return build_graph(n_edges + 1, [(i, i + 1) for i in range(n_edges)])
-
-
 def cycle_graph(n: int) -> Multigraph:
     if n < 2:
         raise InfeasibleSpec("cycles need at least 2 vertices")

@@ -57,24 +57,31 @@ def coloring_from_json(obj: Any, g: Multigraph) -> EdgeColoring:
 
 
 def decomposition_to_json(d: Decomposition) -> dict[str, Any]:
-    certs: list[list[int] | None] = []
-    for i in range(d.part_count):
-        cert = d.certificates[i] if d.certificates else None
-        certs.append(list(cert.colors) if cert is not None else None)
+    """Wire format: the part of every edge, then per part its colors by ascending edge id."""
+    certs: list[list[int]] = [[] for _ in range(d.part_count)]
+    for p, c in zip(d.parts, d.colors):
+        certs[p].append(c)
     return {"part": list(d.parts), "certificates": certs}
 
 
 def decomposition_from_json(obj: dict[str, Any], g: Multigraph) -> Decomposition:
+    """Inverse of decomposition_to_json; every nonempty part needs a certificate
+    with one color per edge of the part."""
     parts = tuple(int(p) for p in obj["part"])
-    d = Decomposition(g, parts)
-    certs: list[EdgeColoring | None] = []
-    for i, raw in enumerate(obj.get("certificates", [])):
-        if raw is None:
-            certs.append(None)
-        else:
-            sub, _ = g.subgraph([eid for eid, p in enumerate(parts) if p == i])
-            certs.append(EdgeColoring(sub, tuple(int(x) for x in raw)))
-    return Decomposition(g, parts, tuple(certs))
+    certs = obj.get("certificates")
+    if not isinstance(certs, list):
+        raise GraphError("decomposition JSON needs a list of certificates")
+    members: dict[int, list[int]] = {}
+    for eid, p in enumerate(parts):
+        members.setdefault(p, []).append(eid)
+    colors = [0] * len(parts)
+    for p, eids in members.items():
+        raw = certs[p] if 0 <= p < len(certs) else None
+        if not isinstance(raw, list) or len(raw) != len(eids):
+            raise GraphError(f"part {p} needs a certificate of {len(eids)} colors")
+        for eid, c in zip(eids, raw):
+            colors[eid] = int(c)
+    return Decomposition(g, parts, tuple(colors))
 
 
 def dumps(obj: Any) -> str:

@@ -5,7 +5,7 @@ so parallel edges are first class.  All values are immutable after construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -97,18 +97,24 @@ class Multigraph:
         return out
 
     def subgraph(self, edge_ids: Iterable[int]) -> tuple["Multigraph", tuple[int, ...]]:
-        """Canonical subgraph on a subset of edges.
+        """Subgraph on a subset of edges, without the vertices it leaves isolated.
 
-        Keeps the full vertex set; edges are relabelled densely in ascending
-        host-edge-id order.  Returns the subgraph and the host ids in that order.
+        Edges are relabelled densely in ascending host-edge-id order.  The endpoints
+        of the chosen edges are renumbered 0..k-1 in ascending host-vertex order, so
+        a tie broken by vertex id falls the same way in host and subgraph, and an
+        edge set touching every vertex keeps the host's vertex ids.  Returns the
+        subgraph and the host edge ids in that order.
         """
         ids = tuple(sorted(set(edge_ids)))
         for eid in ids:
             if not 0 <= eid < self.edge_count:
                 raise GraphError(f"unknown edge id {eid}")
-        sub = Multigraph(self.vertex_count, tuple(self.edges[eid] for eid in ids),
-                         allows_loops=self.allows_loops)
-        return sub, ids
+        edges = tuple(self.edges[eid] for eid in ids)
+        kept = sorted({v for edge in edges for v in edge})
+        if len(kept) < self.vertex_count:
+            new_id = {v: i for i, v in enumerate(kept)}
+            edges = tuple((new_id[u], new_id[v]) for u, v in edges)
+        return Multigraph(len(kept), edges, allows_loops=self.allows_loops), ids
 
 
 def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]],
@@ -195,6 +201,14 @@ def normalize(c: EdgeColoring) -> EdgeColoring:
     return EdgeColoring(c.graph, tuple(x + shift for x in c.colors))
 
 
+def _clashing_edges(eids: Iterable[int], colors: Sequence[int]) -> list[int]:
+    """The edges among eids that share their color with another of them."""
+    by_color: dict[int, list[int]] = {}
+    for eid in eids:
+        by_color.setdefault(colors[eid], []).append(eid)
+    return [eid for group in by_color.values() if len(group) > 1 for eid in group]
+
+
 def _is_consecutive(sorted_vals: list[int]) -> bool:
     return all(b == a + 1 for a, b in zip(sorted_vals, sorted_vals[1:]))
 
@@ -264,12 +278,7 @@ def verify(g: Multigraph, c: EdgeColoring, mode: str = "interval",
         if mode == "cyclic":
             cyclic = bool(cyclic) and bool(v_cyclic)
         if not v_proper:
-            by_color: dict[int, list[int]] = {}
-            for eid in g.incidence[v]:
-                by_color.setdefault(c.colors[eid], []).append(eid)
-            for eids in by_color.values():
-                if len(eids) > 1:
-                    bad_edges.update(eids)
+            bad_edges.update(_clashing_edges(g.incidence[v], c.colors))
         failed = {"proper": not v_proper, "interval": not v_interval,
                   "cyclic": not bool(v_cyclic) if v_cyclic is not None else False}[mode]
         if failed:
@@ -282,22 +291,21 @@ def verify(g: Multigraph, c: EdgeColoring, mode: str = "interval",
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Partition of a graph's edges into parts, each with an interval-coloring certificate.
+    """Edge labelling by part and color: a partition into interval colorable parts.
 
-    ``parts[eid]`` is the part index of that edge; ``certificates[i]`` colors part i's
-    canonical subgraph (see Multigraph.subgraph) and may be None until certified.
+    ``parts[eid]`` is the part of that edge (a day of a timetable) and
+    ``colors[eid]`` its color within the part (a period).  The decomposers shift
+    each part's colors so that its smallest is 1.
     """
     graph: Multigraph
     parts: tuple[int, ...]
-    certificates: tuple[EdgeColoring | None, ...] = field(default=())
+    colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.parts) != self.graph.edge_count:
-            raise GraphError("decomposition must assign a part to every edge")
+        if len(self.parts) != self.graph.edge_count or len(self.colors) != self.graph.edge_count:
+            raise GraphError("decomposition must assign a part and a color to every edge")
         if any(p < 0 for p in self.parts):
             raise GraphError("part indices must lie in [0, k)")
-        if self.certificates and len(self.certificates) != self.part_count:
-            raise GraphError("expected one certificate slot per part")
 
     @property
     def part_count(self) -> int:
@@ -306,40 +314,33 @@ class Decomposition:
     def part_edges(self, i: int) -> list[int]:
         return [eid for eid, p in enumerate(self.parts) if p == i]
 
-    def part_subgraph(self, i: int) -> tuple[Multigraph, tuple[int, ...]]:
-        return self.graph.subgraph(self.part_edges(i))
-
-    def color_of(self, eid: int) -> tuple[int, int]:
-        """(part, certificate color) of a host edge."""
-        p = self.parts[eid]
-        cert = self.certificates[p] if self.certificates else None
-        if cert is None:
-            raise GraphError(f"part {p} has no certificate")
-        _, ids = self.part_subgraph(p)
-        return p, cert.colors[ids.index(eid)]
-
 
 def verify_decomposition(g: Multigraph, d: Decomposition) -> VerifyReport:
-    """True iff the parts partition E(g) and every certificate is interval on its part."""
+    """True iff every part's coloring is interval: at each vertex, the colors of each
+    part's edges are distinct and consecutive (a loop counts its color twice).
+
+    The offending lists name the failing vertices and the edges of a color clash.
+    """
     if d.graph is not g and d.graph != g:
         raise GraphError("decomposition belongs to a different graph")
-    ok = True
-    bad_vertices: set[int] = set()
+    bad_vertices: list[int] = []
     bad_edges: set[int] = set()
-    for i in range(d.part_count):
-        sub, ids = d.part_subgraph(i)
-        if not ids:
-            continue
-        cert = d.certificates[i] if d.certificates else None
-        if cert is None:
-            raise GraphError(f"nonempty part {i} is missing its certificate")
-        if cert.graph.edge_count != sub.edge_count or cert.graph.edges != sub.edges:
-            raise GraphError(f"certificate of part {i} does not match the part subgraph")
-        rep = verify(sub, cert, mode="interval")
-        if not rep.interval:
-            ok = False
-            bad_vertices.update(rep.offending_vertices)
-            bad_edges.update(ids[e] for e in rep.offending_edges)
+    for v, inc in enumerate(g.incidence):
+        by_part: dict[int, list[int]] = {}
+        for eid in inc:
+            by_part.setdefault(d.parts[eid], []).append(eid)
+        v_ok = True
+        for eids in by_part.values():
+            pal = sorted([d.colors[e] for e in eids]
+                         + [d.colors[e] for e in eids if g.edges[e][0] == g.edges[e][1]])
+            if len(set(pal)) != len(pal):
+                v_ok = False
+                bad_edges.update(_clashing_edges(eids, d.colors))
+            elif not _is_consecutive(pal):
+                v_ok = False
+        if not v_ok:
+            bad_vertices.append(v)
+    ok = not bad_vertices
     return VerifyReport(proper=ok, interval=ok, cyclic_interval=None,
-                        offending_vertices=tuple(sorted(bad_vertices)),
+                        offending_vertices=tuple(bad_vertices),
                         offending_edges=tuple(sorted(bad_edges)))

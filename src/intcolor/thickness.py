@@ -1,14 +1,15 @@
 """Upper-bound decompositions into interval colorable subgraphs, plus a dispatcher.
 
-Every decomposer assembles a fully certified Decomposition: each part carries an
-interval coloring of its subgraph and the whole object is re-checked before it
-is returned.
+Every decomposer returns a certified Decomposition: each edge carries its part
+and its color within the part, and verify_decomposition checks the whole
+labelling before it is returned.
 """
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .edge_coloring import (BudgetExceeded, equalized_bipartite_color, euler_split,
                             exact_chromatic_index, konig_color,
@@ -40,33 +41,43 @@ class BoundTrace:
                 "certified": self.certified}
 
 
-def _assemble(g: Multigraph, part_color_dicts: list[dict[int, int]]) -> Decomposition:
-    """Build a certified Decomposition from per-part host-edge color maps."""
-    nonempty = [d for d in part_color_dicts if d]
-    owner: dict[int, int] = {}
-    for i, d in enumerate(nonempty):
-        for eid in d:
-            if eid in owner:
-                raise AssertionError(f"edge {eid} assigned to two parts")
-            owner[eid] = i
-    if len(owner) != g.edge_count:
-        raise AssertionError("parts do not cover every edge")
-    parts = tuple(owner[e] for e in range(g.edge_count))
-    certs = []
-    for i, d in enumerate(nonempty):
-        sub, ids = g.subgraph(d.keys())
-        certs.append(normalize(EdgeColoring(sub, tuple(d[e] for e in ids))))
-    decomp = Decomposition(g, parts, tuple(certs))
-    rep = verify_decomposition(g, decomp)
+def _certified(d: Decomposition) -> Decomposition:
+    rep = verify_decomposition(d.graph, d)
     if not rep.interval:
         raise AssertionError(f"decomposition failed certification at vertices {rep.offending_vertices}")
-    return decomp
+    return d
 
 
-def _coloring_as_dict(col: EdgeColoring, ids: tuple[int, ...] | None = None) -> dict[int, int]:
-    if ids is None:
-        ids = tuple(range(col.graph.edge_count))
-    return {eid: col.colors[pos] for pos, eid in enumerate(ids)}
+def _assemble(g: Multigraph, part_color_dicts: list[dict[int, int]]) -> Decomposition:
+    """Certified Decomposition from per-part host-edge color maps.
+
+    Empty parts are dropped and each part's colors are shifted so its smallest is 1.
+    """
+    parts = [-1] * g.edge_count
+    colors = [0] * g.edge_count
+    for i, d in enumerate(d for d in part_color_dicts if d):
+        shift = 1 - min(d.values())
+        for eid, c in d.items():
+            if parts[eid] != -1:
+                raise AssertionError(f"edge {eid} assigned to two parts")
+            parts[eid] = i
+            colors[eid] = c + shift
+    if -1 in parts:
+        raise AssertionError("parts do not cover every edge")
+    return _certified(Decomposition(g, tuple(parts), tuple(colors)))
+
+
+def _one_part(col: EdgeColoring) -> Decomposition:
+    """The whole graph as a single certified part colored by col."""
+    g = col.graph
+    return _certified(Decomposition(g, (0,) * g.edge_count, normalize(col).colors))
+
+
+def _lift(g: Multigraph, eids: list[int],
+          color: Callable[[Multigraph], EdgeColoring]) -> dict[int, int]:
+    """Color the subgraph on eids with color(sub); the colors keyed by host edge id."""
+    sub, ids = g.subgraph(eids)
+    return dict(zip(ids, color(sub).colors))
 
 
 def _edge_components(g: Multigraph, eids: list[int]) -> list[list[int]]:
@@ -151,10 +162,9 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
     host = IncrementalHost(g)
     if f0:
         sub, ids = g.subgraph(f0)
-        c3 = EdgeColoring(sub, tuple(coloring.colors[e] for e in ids))
-        colored = color_subcubic(sub, c3)
-        for pos, eid in enumerate(ids):
-            host.add_colored(eid, colored.colors[pos])
+        colored = color_subcubic(sub, EdgeColoring(sub, tuple(coloring.colors[e] for e in ids)))
+        for eid, c in zip(ids, colored.colors):
+            host.add_colored(eid, c)
 
     h_avail = set(h_edges)
     h_inc: dict[int, list[int]] = defaultdict(list)
@@ -321,9 +331,7 @@ def _require_cert(g: Multigraph, cert: BipartitionCert | None) -> BipartitionCer
 
 
 def _subcubic_bipartite_colors(g: Multigraph, eids: list[int]) -> dict[int, int]:
-    sub, ids = g.subgraph(eids)
-    col = color_subcubic(sub, konig_color(sub))
-    return {eid: col.colors[pos] for pos, eid in enumerate(ids)}
+    return _lift(g, eids, lambda sub: color_subcubic(sub, konig_color(sub)))
 
 
 def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
@@ -424,22 +432,12 @@ def decompose_biregular(g: Multigraph, cert: BipartitionCert | None = None) -> D
         raise GraphError(f"degrees ({d0},{d1}) are not of (k,kr) shape with k>=3, r>=2")
     r = big // k
 
-    def low_even_colors(eids: list[int]) -> dict[int, int]:
-        sub, ids = g.subgraph(eids)
-        col = color_low_even_bipartite(sub)
-        return {eid: col.colors[pos] for pos, eid in enumerate(ids)}
-
-    def forest_colors(eids: list[int]) -> dict[int, int]:
-        sub, ids = g.subgraph(eids)
-        col = color_forest(sub)
-        return {eid: col.colors[pos] for pos, eid in enumerate(ids)}
-
     parts: list[dict[int, int]] = []
     eids = list(range(g.edge_count))
     k_cur = k
     while k_cur >= 5:
         star = _star_matching(g, eids, xs, ys, k_cur, r)
-        parts.append(forest_colors(star))
+        parts.append(_lift(g, star, color_forest))
         eids = sorted(set(eids) - set(star))
         k_cur -= 1
     if k_cur == 4:
@@ -447,12 +445,12 @@ def decompose_biregular(g: Multigraph, cert: BipartitionCert | None = None) -> D
         es = euler_split(sub)
         if es.imbalanced_vertices:
             raise AssertionError("biregular component trails must have even length")
-        parts.append(low_even_colors([ids[e] for e in es.left]))
-        parts.append(low_even_colors([ids[e] for e in es.right]))
+        parts.append(_lift(g, [ids[e] for e in es.left], color_low_even_bipartite))
+        parts.append(_lift(g, [ids[e] for e in es.right], color_low_even_bipartite))
     else:
         star = _star_matching(g, eids, xs, ys, 3, r)
-        parts.append(forest_colors(star))
-        parts.append(low_even_colors(sorted(set(eids) - set(star))))
+        parts.append(_lift(g, star, color_forest))
+        parts.append(_lift(g, sorted(set(eids) - set(star)), color_low_even_bipartite))
     return _assemble(g, parts)
 
 
@@ -484,9 +482,7 @@ def decompose_star_peel(g: Multigraph, cert: BipartitionCert | None = None) -> D
             for z in (u, w):
                 if z in deg:
                     deg[z] -= 1
-        sub, ids = g.subgraph(star)
-        col = color_forest(sub)
-        parts.append({eid: col.colors[pos] for pos, eid in enumerate(ids)})
+        parts.append(_lift(g, star, color_forest))
     return _assemble(g, parts)
 
 
@@ -603,7 +599,7 @@ def decompose_forest_peel(g: Multigraph) -> Decomposition:
                 while ptr < len(g.incidence[v]):
                     e = g.incidence[v][ptr]
                     ptr += 1
-                    if e not in remaining or e in forest:
+                    if e not in remaining:
                         continue
                     w = g.other_end(e, v)
                     if seen[w]:
@@ -617,9 +613,7 @@ def decompose_forest_peel(g: Multigraph) -> Decomposition:
                 if not moved:
                     stack.pop()
         remaining -= set(forest)
-        sub, ids = g.subgraph(forest)
-        col = color_forest(sub)
-        parts.append({eid: col.colors[pos] for pos, eid in enumerate(ids)})
+        parts.append(_lift(g, forest, color_forest))
     return _assemble(g, parts)
 
 
@@ -634,7 +628,7 @@ def split_cyclic(g: Multigraph, c: EdgeColoring, t: int) -> Decomposition:
     if t < 2 * g.max_degree - 2:
         raise GraphError(f"need t >= 2*Delta-2 = {2 * g.max_degree - 2}, got {t}")
     if rep.interval:
-        return _assemble(g, [_coloring_as_dict(c)])
+        return _one_part(c)
     k_star = l_star = 0
     for v in range(g.vertex_count):
         pal = set(c.palette(v))
@@ -688,20 +682,17 @@ def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
     return parts
 
 
-def _remap_parts(host: Multigraph, canon: Decomposition, vmap: list[int]) -> list[dict[int, int]]:
+def _remap_parts(host: Multigraph, canon: Decomposition, vmap: list[int]) -> Decomposition:
     """Pull a decomposition of an isomorphic canonical graph back onto host edges."""
     host_eid = {(min(u, v), max(u, v)): e for e, (u, v) in enumerate(host.edges)}
-    out: list[dict[int, int]] = []
-    for p in range(canon.part_count):
-        cert = canon.certificates[p]
-        _, ids = canon.part_subgraph(p)
-        d: dict[int, int] = {}
-        for pos, ce in enumerate(ids):
-            a, b = canon.graph.edges[ce]
-            ha, hb = vmap[a], vmap[b]
-            d[host_eid[(min(ha, hb), max(ha, hb))]] = cert.colors[pos]
-        out.append(d)
-    return out
+    parts = [0] * host.edge_count
+    colors = [0] * host.edge_count
+    for ce, (a, b) in enumerate(canon.graph.edges):
+        ha, hb = vmap[a], vmap[b]
+        e = host_eid[(min(ha, hb), max(ha, hb))]
+        parts[e] = canon.parts[ce]
+        colors[e] = canon.colors[ce]
+    return _certified(Decomposition(host, tuple(parts), tuple(colors)))
 
 
 def _general_coloring(g: Multigraph, cert: BipartitionCert | None) -> EdgeColoring:
@@ -715,23 +706,23 @@ def _general_coloring(g: Multigraph, cert: BipartitionCert | None) -> EdgeColori
 
 
 def _dispatch_componentwise(g: Multigraph, comps: list[list[int]]) -> tuple[Decomposition, BoundTrace]:
-    merged: list[dict[int, int]] = []
+    """Dispatch each component's compact subgraph; part i of every component goes
+    into part i of the whole."""
+    parts = [0] * g.edge_count
+    colors = [0] * g.edge_count
     worst: BoundTrace | None = None
     for comp in comps:
         sub, ids = g.subgraph(comp)
         d_sub, t_sub = dispatch_theta_upper(sub)
-        for p in range(d_sub.part_count):
-            cert = d_sub.certificates[p]
-            _, sids = d_sub.part_subgraph(p)
-            colors = {ids[e]: cert.colors[pos] for pos, e in enumerate(sids)}
-            if p < len(merged):
-                merged[p].update(colors)
-            else:
-                merged.append(colors)
+        for pos, eid in enumerate(ids):
+            parts[eid] = d_sub.parts[pos]
+            colors[eid] = d_sub.colors[pos]
         if worst is None or t_sub.parts > worst.parts:
             worst = t_sub
-    decomp = _assemble(g, merged)
+    decomp = _certified(Decomposition(g, tuple(parts), tuple(colors)))
     assert worst is not None
+    if len(comps) == 1:
+        return decomp, worst
     trace = BoundTrace("componentwise",
                        f"max over {len(comps)} components: {worst.method} [{worst.bound_formula}]",
                        worst.bound_value, decomp.part_count, True)
@@ -743,12 +734,14 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     decomposition with its trace.
 
     Disconnected graphs are dispatched one component at a time and the parts are
-    merged, since interval colorability is decided component by component."""
+    merged, since interval colorability is decided component by component.  A
+    graph with isolated vertices is dispatched without them, so they never
+    change the answer."""
     if g.edge_count == 0:
         return _assemble(g, []), BoundTrace("empty", "no edges", 0, 0, True)
 
     comps = _edge_components(g, list(range(g.edge_count)))
-    if len(comps) > 1:
+    if len(comps) > 1 or 0 in g.degrees:
         return _dispatch_componentwise(g, comps)
 
     cert = bipartition(g)
@@ -770,7 +763,7 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
 
     def run_forest():
         col = color_forest(g)
-        return _assemble(g, [_coloring_as_dict(col)]), 1, "forest: 1"
+        return _one_part(col), 1, "forest: 1"
 
     def run_subcubic():
         if delta > 3:
@@ -784,11 +777,11 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
         else:
             return None
         col = color_subcubic(g, c3)
-        return _assemble(g, [_coloring_as_dict(col)]), 1, "3-colorable subcubic: 1"
+        return _one_part(col), 1, "3-colorable subcubic: 1"
 
     def run_cactus():
         col = color_cactus(g)
-        return _assemble(g, [_coloring_as_dict(col)]), 1, "cactus: 1"
+        return _one_part(col), 1, "cactus: 1"
 
     def run_oracle_witness():
         from .oracles import INTERVAL_BUDGET, exact_interval_colorable
@@ -797,13 +790,13 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
         witness = exact_interval_colorable(g)
         if witness is None:
             return None
-        return _assemble(g, [_coloring_as_dict(witness)]), 1, "interval witness (exact search): 1"
+        return _one_part(witness), 1, "interval witness (exact search): 1"
 
     def run_low_even():
         if cert is None or delta < 2 or delta % 2:
             return None
         col = color_low_even_bipartite(g)
-        return _assemble(g, [_coloring_as_dict(col)]), 1, "degrees {1,2,2r} bipartite: 1"
+        return _one_part(col), 1, "degrees {1,2,2r} bipartite: 1"
 
     def run_eulerian():
         if cert is None or any(g.degree(v) % 2 for v in range(g.vertex_count)):
@@ -840,12 +833,7 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
 
     def run_forest_peel():
         decomp = decompose_forest_peel(g)
-        note = f"forests peeled: {decomp.part_count}"
-        if g.vertex_count <= 14 and not g.has_loop():
-            from .oracles import nash_williams_arboricity
-            gamma = nash_williams_arboricity(g)
-            note += f"; exact arboricity {gamma} (gap {decomp.part_count - gamma})"
-        return decomp, decomp.part_count, note
+        return decomp, decomp.part_count, f"forests peeled: {decomp.part_count}"
 
     consider(1, "forest", run_forest)
     consider(2, "subcubic", run_subcubic)
@@ -865,13 +853,13 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
             vmap = [v for part in parts for v in part]
             if n == 1 and r % 2:
                 canon = decompose_balanced_family((r - 1) // 2, 0, "odd_complete")
-                return (_assemble(g, _remap_parts(g, canon, vmap)), 2,
+                return (_remap_parts(g, canon, vmap), 2,
                         f"odd complete K_{r}: 2")
             if n * r % 2 == 0 and r % 2 and complete_multipartite_graph([n] * r).edge_count > 20:
                 return None
             canon = decompose_balanced_family(n, r, "balanced")
             bound = 1 if (n * r) % 2 == 0 else 2
-            return (_assemble(g, _remap_parts(g, canon, vmap)), bound,
+            return (_remap_parts(g, canon, vmap), bound,
                     f"balanced K_{{{n}*{r}}}: {'1 (nr even)' if bound == 1 else '2 (nr odd)'}")
 
         def run_semiregular():
@@ -884,7 +872,7 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
             ordered = sorted(parts, key=len)
             vmap = [v for part in ordered for v in part]
             bound = 1 if (n * rr) % 2 == 0 else 3
-            return (_assemble(g, _remap_parts(g, canon, vmap)), bound,
+            return (_remap_parts(g, canon, vmap), bound,
                     f"K_{{{n}*{rr},{n * rr}}}: {bound}")
 
         def run_multipartite():

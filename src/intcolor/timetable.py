@@ -88,31 +88,27 @@ def decomposition_to_timetable(B: RequirementMatrix, d: Decomposition) -> Timeta
     if not verify_decomposition(g, d).interval:
         raise GraphError("decomposition is not certified")
     n = B.n_classes
-    days = []
-    for part in range(d.part_count):
-        _, ids = d.part_subgraph(part)
-        cert = d.certificates[part]
-        periods = cert.max_color() if cert.colors else 0
-        grid: list[list[int | None]] = [[None] * periods for _ in range(n)]
-        for pos, eid in enumerate(ids):
-            u, v = g.edges[eid]
-            i, j = (u, v - n) if u < n else (v, u - n)
-            h = cert.colors[pos]
-            if grid[i][h - 1] is not None:
-                raise AssertionError("two lectures in one period for one class")
-            grid[i][h - 1] = j
-        days.append(tuple(tuple(row) for row in grid))
-    return Timetable(tuple(days))
+    periods = [0] * d.part_count
+    for part, h in zip(d.parts, d.colors):
+        periods[part] = max(periods[part], h)
+    grids: list[list[list[int | None]]] = [[[None] * k for _ in range(n)] for k in periods]
+    for eid, (u, v) in enumerate(g.edges):
+        i, j = (u, v - n) if u < n else (v, u - n)
+        row, h = grids[d.parts[eid]][i], d.colors[eid]
+        if row[h - 1] is not None:
+            raise AssertionError("two lectures in one period for one class")
+        row[h - 1] = j
+    return Timetable(tuple(tuple(tuple(row) for row in grid) for grid in grids))
 
 
 def timetable_to_decomposition(B: RequirementMatrix, S: Timetable) -> Decomposition:
     """Inverse translation; parallel (i,j) lectures consume edge ids in order."""
     g, _ = build_requirement_graph(B)
     n = B.n_classes
-    pool: dict[tuple[int, int], list[int]] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        pool.setdefault((u, v - n), []).append(eid)
-    queues = {key: list(reversed(ids)) for key, ids in pool.items()}
+    queues: dict[tuple[int, int], list[int]] = {}
+    for eid in reversed(range(g.edge_count)):
+        u, v = g.edges[eid]
+        queues.setdefault((u, v - n), []).append(eid)
     part_dicts: list[dict[int, int]] = []
     for day in S.days:
         colors: dict[int, int] = {}

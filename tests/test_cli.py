@@ -176,3 +176,15 @@ def test_subcubic_color_rejects_class2(tmp_path, capsys):
     gpath = tmp_path / "c5.json"
     main(["gen", "fixture(name=c5)", "--out", str(gpath)])
     assert main(["color", str(gpath), "--method", "subcubic"]) == 2
+
+
+@pytest.mark.parametrize("certificates", [None, [[1, 2], None], [[1], [1]]])
+def test_verify_decomposition_with_bad_certificate_exit_code(tmp_path, capsys, certificates):
+    gpath = tmp_path / "k3.json"
+    dpath = tmp_path / "d.json"
+    main(["gen", "fixture(name=k3)", "--out", str(gpath)])
+    obj = {"part": [0, 0, 1]}
+    if certificates is not None:
+        obj["certificates"] = certificates
+    dpath.write_text(json.dumps(obj))
+    assert main(["verify", str(gpath), str(dpath)]) == 2

@@ -35,12 +35,27 @@ def test_coloring_round_trip():
 
 def test_decomposition_round_trip():
     g = complete_graph(3)
-    sub0, _ = g.subgraph([0, 1])
-    sub1, _ = g.subgraph([2])
-    d = Decomposition(g, (0, 0, 1),
-                      (EdgeColoring(sub0, (1, 2)), EdgeColoring(sub1, (1,))))
+    d = Decomposition(g, (0, 0, 1), (1, 2, 1))
     back = graphio.decomposition_from_json(graphio.decomposition_to_json(d), g)
     assert back == d
+
+
+def test_decomposition_wire_format_is_pinned():
+    # K_3 edges (0,1), (0,2), (1,2): the path 1-0-2 colored 1, 2, then edge (1,2)
+    d = Decomposition(complete_graph(3), (0, 0, 1), (1, 2, 1))
+    assert graphio.decomposition_to_json(d) == {"part": [0, 0, 1],
+                                                "certificates": [[1, 2], [1]]}
+
+
+@pytest.mark.parametrize("certificates", [
+    None, [[1, 2]], [[1, 2], None], [[1], [1]], [[1, 2], []],
+])
+def test_decomposition_json_rejects_bad_certificates(certificates):
+    obj = {"part": [0, 0, 1]}
+    if certificates is not None:
+        obj["certificates"] = certificates
+    with pytest.raises(GraphError):
+        graphio.decomposition_from_json(obj, complete_graph(3))
 
 
 def test_json_rejects_sparse_edge_ids():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,17 +88,13 @@ def test_normalize_shift_and_identity():
 
 def test_decomposition_k3_path_plus_edge():
     g = complete_graph(3)
-    sub0, _ = g.subgraph([0, 1])
-    sub1, _ = g.subgraph([2])
-    d = Decomposition(g, (0, 0, 1),
-                      (EdgeColoring(sub0, (1, 2)), EdgeColoring(sub1, (1,))))
+    d = Decomposition(g, (0, 0, 1), (1, 2, 1))
     assert verify_decomposition(g, d).interval
 
 
 def test_decomposition_k3_single_part_fails():
     g = complete_graph(3)
-    sub, _ = g.subgraph([0, 1, 2])
-    d = Decomposition(g, (0, 0, 0), (EdgeColoring(sub, (1, 2, 3)),))
+    d = Decomposition(g, (0, 0, 0), (1, 2, 3))
     assert not verify_decomposition(g, d).interval
 
 
@@ -108,9 +106,8 @@ def test_decomposition_empty_graph():
 
 def test_decomposition_missing_certificate():
     g = complete_graph(3)
-    d = Decomposition(g, (0, 0, 0), (None,))
     with pytest.raises(GraphError):
-        verify_decomposition(g, d)
+        Decomposition(g, (0, 0, 0), (1, 2))
 
 
 @st.composite
@@ -170,17 +167,78 @@ def test_cyclic_consecutive_matches_rotation_bruteforce(vals, t):
 
 
 def test_decomposition_color_lookup():
-    g = complete_graph(3)
-    sub0, _ = g.subgraph([0, 1])
-    sub1, _ = g.subgraph([2])
-    d = Decomposition(g, (0, 0, 1),
-                      (EdgeColoring(sub0, (1, 2)), EdgeColoring(sub1, (1,))))
-    assert d.color_of(0) == (0, 1)
-    assert d.color_of(1) == (0, 2)
-    assert d.color_of(2) == (1, 1)
+    d = Decomposition(complete_graph(3), (1, 0, 0), (1, 2, 1))
+    assert [(d.parts[e], d.colors[e]) for e in range(3)] == [(1, 1), (0, 2), (0, 1)]
+    assert d.part_edges(0) == [1, 2] and d.part_edges(1) == [0]
+
+
+def test_subgraph_keeps_only_endpoints_in_host_order():
+    g = build_graph(4, [(0, 1), (2, 3), (1, 2), (3, 3)], allows_loops=True)
+    sub, ids = g.subgraph([3, 1, 2])
+    assert ids == (1, 2, 3)
+    assert sub.vertex_count == 3 and sub.edges == ((1, 2), (0, 1), (2, 2))
+    spanning, _ = g.subgraph([0, 1])
+    assert spanning.vertex_count == 4 and spanning.edges == g.edges[:2]
 
 
 def test_subgraph_rejects_unknown_edge():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(GraphError):
         g.subgraph([5])
+
+
+def _per_part_reference(g, d):
+    """Interval verdict and offenders of d from verify on each part's subgraph."""
+    ok, bad_vertices, bad_edges = True, set(), set()
+    for p in range(d.part_count):
+        sub, ids = g.subgraph(d.part_edges(p))
+        if not ids:
+            continue
+        host_vertex = sorted({v for e in ids for v in g.edges[e]})
+        rep = verify(sub, EdgeColoring(sub, tuple(d.colors[e] for e in ids)))
+        ok &= rep.interval
+        bad_vertices.update(host_vertex[v] for v in rep.offending_vertices)
+        bad_edges.update(ids[e] for e in rep.offending_edges)
+    return ok, tuple(sorted(bad_vertices)), tuple(sorted(bad_edges))
+
+
+def _assert_matches_reference(g, d):
+    rep = verify_decomposition(g, d)
+    assert (rep.interval, rep.offending_vertices, rep.offending_edges) == _per_part_reference(g, d)
+
+
+@st.composite
+def labelled_multigraph(draw):
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    m = len(edges)
+    parts = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    colors = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+    g = build_graph(n, edges, allows_loops=True)
+    return g, Decomposition(g, tuple(parts), tuple(colors))
+
+
+@given(labelled_multigraph())
+def test_verify_decomposition_matches_per_part_verify(gd):
+    _assert_matches_reference(*gd)
+
+
+@given(st.integers(0, 100_000))
+def test_verify_decomposition_catches_corruption_like_per_part_verify(seed):
+    from intcolor.thickness import dispatch_theta_upper
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    edges = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                 for _ in range(rng.randint(1, 14))) if u != v]
+    g = build_graph(n, edges)
+    d, _ = dispatch_theta_upper(g)
+    _assert_matches_reference(g, d)
+    if not edges:
+        return
+    parts, colors = list(d.parts), list(d.colors)
+    e = rng.randrange(len(edges))
+    if rng.random() < 0.5:
+        parts[e] = rng.randrange(d.part_count + 1)
+    else:
+        colors[e] += rng.choice([-2, -1, 1, 2])
+    _assert_matches_reference(g, Decomposition(g, tuple(parts), tuple(colors)))

@@ -26,8 +26,7 @@ def _certified(d):
 
 
 def _part_degree(d, part, v):
-    sub, _ = d.part_subgraph(part)
-    return sub.degree(v)
+    return sum(d.parts[e] == part for e in d.graph.incidence[v])
 
 
 # -- general five-class bound ------------------------------------------------------
@@ -136,7 +135,7 @@ def test_bipartite_balance_property(seed):
 def test_eulerian_k44_single_part():
     d = decompose_eulerian_bipartite(complete_bipartite_graph(4, 4))
     assert _certified(d) and d.part_count == 1
-    cert = d.certificates[0]
+    cert = EdgeColoring(d.graph, d.colors)
     assert all(sorted(cert.palette(v)) == [1, 2, 3, 4] for v in range(8))
 
 
@@ -249,7 +248,7 @@ def test_odd_complete_k5_is_k4_plus_star():
 def test_semiregular_even_full_palettes():
     d = decompose_balanced_family(2, 2, "semiregular")
     assert _certified(d) and d.part_count == 1
-    cert = d.certificates[0]
+    cert = EdgeColoring(d.graph, d.colors)
     for v in range(4):
         assert sorted(cert.palette(v)) == [1, 2, 3, 4, 5, 6]
 
@@ -394,12 +393,45 @@ def test_decomposers_are_deterministic():
 
 
 def test_dispatch_disconnected_is_componentwise():
-    # K_{7,7} needs 3 parts, K_3 needs 2: the merge needs 3, not the 4 a global
-    # proper-coloring route would give
+    # K_{7,7} is interval colorable (1 part) and K_3 needs 2: the merge needs 2
     k77 = complete_bipartite_graph(7, 7)
     edges = list(k77.edges) + [(14, 15), (15, 16), (16, 14)]
     g = build_graph(17, edges)
     d, trace = dispatch_theta_upper(g)
     assert _certified(d)
-    assert d.part_count == 3
+    assert d.part_count == 2
     assert trace.method == "componentwise"
+
+
+def test_dispatch_ignores_isolated_vertex():
+    k77 = complete_bipartite_graph(7, 7)
+    g = build_graph(15, list(k77.edges))
+    d, trace = dispatch_theta_upper(g)
+    assert _certified(d)
+    assert d.part_count == 1
+    assert trace == dispatch_theta_upper(k77)[1]
+
+
+def _small_random_graph(rng):
+    n = rng.randint(2, 7)
+    edges = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                 for _ in range(rng.randint(1, 12))) if u != v]
+    return build_graph(n, edges)
+
+
+@given(st.integers(0, 100_000), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_dispatch_union_takes_max_of_components(seed, isolated):
+    rng = random.Random(seed)
+    pieces = [_small_random_graph(rng) for _ in range(rng.randint(2, 3))]
+    pieces = [p for p in pieces if p.edge_count]
+    if not pieces:
+        return
+    edges, offset = [], 0
+    for p in pieces:
+        edges.extend((u + offset, v + offset) for u, v in p.edges)
+        offset += p.vertex_count
+    g = build_graph(offset + isolated, edges)
+    d, _ = dispatch_theta_upper(g)
+    assert _certified(d)
+    assert d.part_count == max(dispatch_theta_upper(p)[0].part_count for p in pieces)
