@@ -2,7 +2,10 @@
 """Scan random small graphs for gaps between the dispatcher's certified part
 count and the exact thickness, and report any instance where a constructive
 bound is not tight.  Useful for probing whether thickness 3 shows up anywhere
-in a family (none is known among planar graphs)."""
+in a family (none is known among planar graphs).
+
+Exits 1 when the dispatcher certifies fewer parts than the exact thickness on
+any trial: one of the two verifiers is then wrong."""
 import argparse
 import random
 import sys
@@ -52,6 +55,9 @@ def main() -> int:
     print(f"largest exact thickness seen: {max_theta}")
     for gap, edges, method in worst[:10]:
         print(f"  gap {gap} via {method}: edges {list(edges)}")
+    if min(gaps) < 0:
+        print("dispatcher beat the exact thickness: a verifier is wrong", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -6,6 +6,7 @@ labelling before it is returned.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -285,7 +286,8 @@ def _class_splits(classes: list[int]) -> list[tuple[set[int], set[int]]]:
 
 
 def decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
-    """At most 2*ceil(t/5) certified parts from a proper t-coloring.
+    """At most 2*ceil(t/5) certified parts from a proper t-coloring, one fewer
+    when t % 5 is 1 or 2.
 
     Classes are taken five at a time; within each group the last three classes
     form a subcubic side whose odd cycles are absorbed with paths from the
@@ -316,6 +318,18 @@ def decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
                 raise GraphError("no class split absorbed every odd cycle of a component")
         part_dicts.extend([a_side, b_side])
     return _assemble(g, part_dicts)
+
+
+def _general_bound(t: int) -> tuple[int, str]:
+    """decompose_general's part bound from a proper t-coloring, with its formula.
+
+    Each full group of five classes gives two parts.  A last group of one or two
+    classes gives one: its three-class side is empty and two proper classes
+    hold no odd cycle.  A last group of three or four gives two."""
+    bound = 2 * (t // 5) + (0, 1, 1, 2, 2)[t % 5]
+    if t % 5 in (1, 2):
+        return bound, f"2*floor({t}/5) + 1 = {bound}"
+    return bound, f"2*ceil({t}/5) = {bound}"
 
 
 # ---------------------------------------------------------------------------
@@ -730,13 +744,20 @@ def _dispatch_componentwise(g: Multigraph, comps: list[list[int]]) -> tuple[Deco
 
 
 def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
-    """Try every applicable bound in priority order; return the smallest certified
-    decomposition with its trace.
+    """The fewest certified parts any candidate bound reaches, with its trace.
+
+    Candidates run in priority order and a later one replaces the best so far
+    only with strictly fewer parts.  A candidate is skipped once the best has
+    at most max(lower, floor) parts, where lower is a lower bound on theta_int
+    (2 for a regular graph of odd order, else 1) and floor a proven lower bound
+    on that candidate's own part count.  The skip is exact: a skipped candidate
+    could at best tie, and ties go to the earlier candidate.
 
     Disconnected graphs are dispatched one component at a time and the parts are
     merged, since interval colorability is decided component by component.  A
     graph with isolated vertices is dispatched without them, so they never
-    change the answer."""
+    change the answer.  A certification failure inside a candidate is a bug and
+    propagates."""
     if g.edge_count == 0:
         return _assemble(g, []), BoundTrace("empty", "no edges", 0, 0, True)
 
@@ -746,20 +767,11 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
 
     cert = bipartition(g)
     delta = g.max_degree
-    candidates: list[tuple[int, int, Decomposition, BoundTrace]] = []
-
-    def consider(priority: int, method: str, runner) -> None:
-        try:
-            got = runner()
-        except (GraphError, BudgetExceeded, InfeasibleSpec, AssertionError, RecursionError):
-            return
-        if got is None:
-            return
-        decomp, bound, formula = got
-        if decomp.part_count > bound:
-            return
-        candidates.append((decomp.part_count, priority,
-                           decomp, BoundTrace(method, formula, bound, decomp.part_count, True)))
+    # an interval coloring of an r-regular graph, taken mod r, is a proper
+    # r-coloring, which a graph of odd order does not have
+    lower = 2 if g.vertex_count % 2 and len(set(g.degrees)) == 1 else 1
+    min_side_max = lower if cert is None else min(
+        max(g.degree(v) for v in cert.side_vertices(s)) for s in (0, 1))
 
     def run_forest():
         col = color_forest(g)
@@ -821,80 +833,100 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     def run_star_peel():
         if cert is None:
             return None
-        bound = min(max((g.degree(v) for v in cert.side_vertices(s)), default=0)
-                    for s in (0, 1))
-        return decompose_star_peel(g, cert), max(1, bound), f"min-side max degree = {bound}"
+        return (decompose_star_peel(g, cert), max(1, min_side_max),
+                f"min-side max degree = {min_side_max}")
 
     def run_general():
         coloring = _general_coloring(g, cert)
-        t = coloring.colors_used()
-        bound = 2 * -(-t // 5)
-        return decompose_general(g, coloring), bound, f"2*ceil({t}/5) = {bound}"
+        bound, formula = _general_bound(coloring.colors_used())
+        return decompose_general(g, coloring), bound, formula
 
     def run_forest_peel():
         decomp = decompose_forest_peel(g)
         return decomp, decomp.part_count, f"forests peeled: {decomp.part_count}"
 
-    consider(1, "forest", run_forest)
-    consider(2, "subcubic", run_subcubic)
-    consider(3, "cactus", run_cactus)
-    consider(3, "low-even-bipartite", run_low_even)
-    consider(3, "interval-oracle", run_oracle_witness)
+    multipartite = functools.cache(lambda: detect_complete_multipartite(g))
 
-    parts = detect_complete_multipartite(g)
-    if parts is not None:
+    def run_balanced():
+        parts = multipartite()
+        if parts is None or len({len(p) for p in parts}) != 1:
+            return None
+        n, r = len(parts[0]), len(parts)
+        vmap = [v for part in parts for v in part]
+        if n == 1 and r % 2:
+            canon = decompose_balanced_family((r - 1) // 2, 0, "odd_complete")
+            return (_remap_parts(g, canon, vmap), 2,
+                    f"odd complete K_{r}: 2")
+        if n * r % 2 == 0 and r % 2 and complete_multipartite_graph([n] * r).edge_count > 20:
+            return None
+        canon = decompose_balanced_family(n, r, "balanced")
+        bound = 1 if (n * r) % 2 == 0 else 2
+        return (_remap_parts(g, canon, vmap), bound,
+                f"balanced K_{{{n}*{r}}}: {'1 (nr even)' if bound == 1 else '2 (nr odd)'}")
+
+    def run_semiregular():
+        parts = multipartite()
+        if parts is None:
+            return None
         sizes = sorted(len(p) for p in parts)
         r = len(parts)
+        if r < 3 or len(set(sizes[:-1])) != 1 or sizes[-1] != sizes[0] * (r - 1):
+            return None
+        n, rr = sizes[0], r - 1
+        if n * rr % 2 == 0 and rr % 2 and complete_multipartite_graph([n] * rr).edge_count > 20:
+            return None
+        canon = decompose_balanced_family(n, rr, "semiregular")
+        ordered = sorted(parts, key=len)
+        vmap = [v for part in ordered for v in part]
+        bound = 1 if (n * rr) % 2 == 0 else 3
+        return (_remap_parts(g, canon, vmap), bound,
+                f"K_{{{n}*{rr},{n * rr}}}: {bound}")
 
-        def run_balanced():
-            if len(set(sizes)) != 1:
-                return None
-            n = sizes[0]
-            vmap = [v for part in parts for v in part]
-            if n == 1 and r % 2:
-                canon = decompose_balanced_family((r - 1) // 2, 0, "odd_complete")
-                return (_remap_parts(g, canon, vmap), 2,
-                        f"odd complete K_{r}: 2")
-            if n * r % 2 == 0 and r % 2 and complete_multipartite_graph([n] * r).edge_count > 20:
-                return None
-            canon = decompose_balanced_family(n, r, "balanced")
-            bound = 1 if (n * r) % 2 == 0 else 2
-            return (_remap_parts(g, canon, vmap), bound,
-                    f"balanced K_{{{n}*{r}}}: {'1 (nr even)' if bound == 1 else '2 (nr odd)'}")
+    def run_multipartite():
+        parts = multipartite()
+        if parts is None:
+            return None
+        r = len(parts)
+        bound = multipartite_part_count(r)
+        return (_assemble(g, _multipartite_dicts(g, parts)), bound,
+                f"T({r}) = {bound}")
 
-        def run_semiregular():
-            if r < 3 or len(set(sizes[:-1])) != 1 or sizes[-1] != sizes[0] * (r - 1):
-                return None
-            n, rr = sizes[0], r - 1
-            if n * rr % 2 == 0 and rr % 2 and complete_multipartite_graph([n] * rr).edge_count > 20:
-                return None
-            canon = decompose_balanced_family(n, rr, "semiregular")
-            ordered = sorted(parts, key=len)
-            vmap = [v for part in ordered for v in part]
-            bound = 1 if (n * rr) % 2 == 0 else 3
-            return (_remap_parts(g, canon, vmap), bound,
-                    f"K_{{{n}*{rr},{n * rr}}}: {bound}")
-
-        def run_multipartite():
-            bound = multipartite_part_count(r)
-            return (_assemble(g, _multipartite_dicts(g, parts)), bound,
-                    f"T({r}) = {bound}")
-
-        consider(4, "balanced-multipartite", run_balanced)
-        consider(4, "semiregular-multipartite", run_semiregular)
-        consider(5, "complete-multipartite", run_multipartite)
-
-    consider(6, "biregular", run_biregular)
-    consider(7, "eulerian-bipartite", run_eulerian)
-    consider(8, "bipartite-thirds", run_bipartite)
-    consider(9, "star-peel", run_star_peel)
-    consider(10, "five-class-general", run_general)
-    consider(11, "forest-peel", run_forest_peel)
-
-    if not candidates:
+    # (method, floor, runner) in priority order.  Floors: each star-peel round
+    # lowers the peeled side's maximum degree by exactly one; equalized classes
+    # are all non-empty at a vertex of degree Delta >= 4; a forest on V vertices
+    # has at most V-1 edges.
+    rows = (
+        ("forest", lower, run_forest),
+        ("subcubic", lower, run_subcubic),
+        ("cactus", lower, run_cactus),
+        ("low-even-bipartite", lower, run_low_even),
+        ("interval-oracle", lower, run_oracle_witness),
+        ("balanced-multipartite", lower, run_balanced),
+        ("semiregular-multipartite", lower, run_semiregular),
+        ("complete-multipartite", lower, run_multipartite),
+        ("biregular", lower, run_biregular),
+        ("eulerian-bipartite", lower, run_eulerian),
+        ("bipartite-thirds", max(1, -(-delta // 3)), run_bipartite),
+        ("star-peel", min_side_max, run_star_peel),
+        ("five-class-general", lower, run_general),
+        ("forest-peel", -(-g.edge_count // (g.vertex_count - 1)), run_forest_peel),
+    )
+    best: tuple[Decomposition, BoundTrace] | None = None
+    for method, floor, runner in rows:
+        if best is not None and best[0].part_count <= max(lower, floor):
+            continue
+        try:
+            got = runner()
+        except (GraphError, BudgetExceeded, InfeasibleSpec):
+            continue
+        if got is None:
+            continue
+        decomp, bound, formula = got
+        if decomp.part_count <= bound and (best is None or decomp.part_count < best[0].part_count):
+            best = decomp, BoundTrace(method, formula, bound, decomp.part_count, True)
+    if best is None:
         raise AssertionError("no decomposition method certified")
-    best = min(candidates, key=lambda c: (c[0], c[1]))
-    return best[2], best[3]
+    return best
 
 
 METHOD_RUNNERS = {
@@ -914,9 +946,8 @@ def run_named_method(g: Multigraph, method: str) -> tuple[Decomposition, BoundTr
     if method == "general":
         coloring = _general_coloring(g, bipartition(g))
         d = decompose_general(g, coloring)
-        t = coloring.colors_used()
-        return d, BoundTrace("five-class-general", f"2*ceil({t}/5) = {2 * -(-t // 5)}",
-                             2 * -(-t // 5), d.part_count, True)
+        bound, formula = _general_bound(coloring.colors_used())
+        return d, BoundTrace("five-class-general", formula, bound, d.part_count, True)
     if method not in METHOD_RUNNERS or METHOD_RUNNERS[method] is None:
         raise GraphError(f"unknown method {method!r}; have {sorted(METHOD_RUNNERS)} and 'general'")
     d = METHOD_RUNNERS[method](g)

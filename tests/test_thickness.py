@@ -4,11 +4,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intcolor import thickness
 from intcolor.edge_coloring import exact_chromatic_index, vizing_color
 from intcolor.generators import (FIXTURES, complete_bipartite_graph, complete_graph,
                                  circular_complete_graph, cycle_graph,
                                  random_bipartite, random_biregular,
-                                 random_eulerian_bipartite)
+                                 random_eulerian_bipartite, random_tree)
 from intcolor.multigraph import (EdgeColoring, GraphError, bipartition, build_graph,
                                  verify_decomposition)
 from intcolor.oracles import exact_cyclic_interval_coloring, exact_theta
@@ -17,7 +18,8 @@ from intcolor.thickness import (decompose_balanced_family, decompose_bipartite,
                                 decompose_eulerian_bipartite, decompose_forest_peel,
                                 decompose_general, decompose_star_peel,
                                 detect_complete_multipartite, dispatch_theta_upper,
-                                multipartite_part_count, split_cyclic)
+                                multipartite_part_count, run_named_method,
+                                split_cyclic)
 from intcolor.timetable import build_requirement_graph
 
 
@@ -27,6 +29,23 @@ def _certified(d):
 
 def _part_degree(d, part, v):
     return sum(d.parts[e] == part for e in d.graph.incidence[v])
+
+
+def _random_connected(rng, bipartite):
+    """A random connected multigraph on 2-12 vertices and the side of each vertex
+    in a spanning tree; with bipartite=True every edge joins the two sides."""
+    n = rng.randint(2, 12)
+    side = [0] * n
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        side[v] = 1 - side[u]
+        edges.append((u, v))
+    for _ in range(rng.randint(0, 30)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and (side[u] != side[v] or not bipartite):
+            edges.append((u, v))
+    return build_graph(n, edges), side
 
 
 # -- general five-class bound ------------------------------------------------------
@@ -90,6 +109,23 @@ def test_general_random_simple(seed):
     t = coloring.colors_used()
     assert _certified(d)
     assert d.part_count <= 2 * -(-t // 5)
+
+
+def test_named_general_reports_last_group_bound():
+    # the doubled triangle needs 6 colors: one full group of five gives 2 parts
+    # and the single class left over gives 1 more, not 2
+    g = build_graph(3, [(0, 1), (1, 2), (2, 0)] * 2)
+    d, trace = run_named_method(g, "general")
+    assert trace.bound_value == 3 and trace.bound_formula == "2*floor(6/5) + 1 = 3"
+    assert _certified(d) and d.part_count <= 3
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=30, deadline=None)
+def test_named_general_within_reported_bound(seed):
+    g, _ = _random_connected(random.Random(seed), bipartite=False)
+    d, trace = run_named_method(g, "general")
+    assert _certified(d) and d.part_count <= trace.bound_value
 
 
 # -- bipartite thirds -----------------------------------------------------------------
@@ -390,6 +426,41 @@ def test_decomposers_are_deterministic():
     d1, t1 = dispatch_theta_upper(g)
     d2, t2 = dispatch_theta_upper(g)
     assert d1 == d2 and t1 == t2
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=40, deadline=None)
+def test_dispatch_floors_bound_their_decomposers(seed):
+    rng = random.Random(seed)
+    g, side = _random_connected(rng, bipartite=True)
+    side_max = [max(g.degree(v) for v in range(g.vertex_count) if side[v] == s)
+                for s in (0, 1)]
+    assert decompose_star_peel(g).part_count == min(side_max)
+    assert decompose_bipartite(g).part_count == max(1, -(-g.max_degree // 3))
+    for h in (g, _random_connected(rng, bipartite=False)[0]):
+        assert decompose_forest_peel(h).part_count >= -(-h.edge_count // (h.vertex_count - 1))
+
+
+def test_dispatch_skips_candidates_that_cannot_win(monkeypatch):
+    def must_be_skipped(*args, **kwargs):
+        raise RuntimeError("ran a candidate that cannot beat the best so far")
+
+    monkeypatch.setattr(thickness, "decompose_general", must_be_skipped)
+    monkeypatch.setattr(thickness, "decompose_forest_peel", must_be_skipped)
+    assert dispatch_theta_upper(random_tree(2000, random.Random(3)))[0].part_count == 1
+    assert dispatch_theta_upper(cycle_graph(8))[0].part_count == 1
+    # K_7 is 6-regular of odd order, so 2 parts is already a lower bound
+    d, trace = dispatch_theta_upper(complete_graph(7))
+    assert d.part_count == 2 and trace.method == "balanced-multipartite"
+
+
+def test_dispatch_propagates_internal_faults(monkeypatch):
+    def broken(g):
+        raise AssertionError("broken kernel")
+
+    monkeypatch.setattr(thickness, "color_cactus", broken)
+    with pytest.raises(AssertionError, match="broken kernel"):
+        dispatch_theta_upper(cycle_graph(5))
 
 
 def test_dispatch_disconnected_is_componentwise():
