@@ -186,7 +186,7 @@ def _fan_color(g: Multigraph, k: int) -> EdgeColoring:
 
 def vizing_color(g: Multigraph) -> EdgeColoring:
     """Proper coloring of a simple graph with at most max_degree + 1 colors."""
-    if not g.is_simple():
+    if not g.is_simple:
         raise GraphError("vizing_color requires a simple graph")
     delta = g.max_degree
     k = min(delta + 1, max(3 * delta // 2, 1)) if delta else 0

@@ -18,10 +18,13 @@ def graph_from_text(text: str) -> Multigraph:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise GraphError("expected header line 'V E'")
-    n, m = int(rows[0][0]), int(rows[0][1])
+    try:
+        n, m = int(rows[0][0]), int(rows[0][1])
+    except ValueError:
+        raise GraphError(f"header line must be two integers 'V E', got {' '.join(rows[0])!r}") from None
     if len(rows) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(rows) - 1}")
-    return build_graph(n, [(int(r[0]), int(r[1])) for r in rows[1:]])
+    return build_graph(n, rows[1:])
 
 
 def graph_to_json(g: Multigraph) -> dict[str, Any]:
@@ -32,17 +35,17 @@ def graph_to_json(g: Multigraph) -> dict[str, Any]:
     }
 
 
-def graph_from_json(obj: dict[str, Any]) -> Multigraph:
-    raw = obj["edges"]
-    pairs: list[tuple[int, int]] = []
-    for i, e in enumerate(raw):
+def graph_from_json(obj: Any) -> Multigraph:
+    if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
+        raise GraphError("graph JSON needs 'vertex_count' and a list of 'edges'")
+    pairs = []
+    for i, e in enumerate(obj["edges"]):
         if isinstance(e, dict):
             if e.get("id", i) != i:
                 raise GraphError("edge ids must be dense and in order")
-            pairs.append((e["u"], e["v"]))
-        else:
-            pairs.append((e[0], e[1]))
-    return build_graph(obj["vertex_count"], pairs, allows_loops=obj.get("allows_loops", False))
+            e = (e.get("u"), e.get("v"))
+        pairs.append(e)
+    return build_graph(obj.get("vertex_count"), pairs, allows_loops=obj.get("allows_loops", False))
 
 
 def coloring_to_json(c: EdgeColoring) -> list[int]:

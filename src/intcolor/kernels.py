@@ -32,9 +32,10 @@ def walk_degree_two(g: Multigraph, eids: list[int]) -> list[tuple[list[int], lis
     Returns (vertex_seq, edge_seq, is_cycle) triples; for cycles the vertex
     sequence closes back on its first entry.
     """
+    edges = g.edges
     inc: dict[int, list[int]] = defaultdict(list)
     for e in eids:
-        u, v = g.edges[e]
+        u, v = edges[e]
         if u == v:
             raise GraphError("degree-two walks do not accept loops")
         inc[u].append(e)
@@ -46,23 +47,31 @@ def walk_degree_two(g: Multigraph, eids: list[int]) -> list[tuple[list[int], lis
     comps: list[tuple[list[int], list[int], bool]] = []
 
     def walk(start: int) -> tuple[list[int], list[int]]:
+        # at most two edges meet at a vertex, so the next step is the first
+        # unseen one of them
         vseq, eseq = [start], []
         cur = start
         while True:
-            nxt = next((e for e in inc[cur] if e not in seen), None)
-            if nxt is None:
-                return vseq, eseq
-            seen.add(nxt)
-            eseq.append(nxt)
-            cur = g.other_end(nxt, cur)
+            at = inc[cur]
+            e = at[0]
+            if e in seen:
+                if len(at) == 1 or at[1] in seen:
+                    return vseq, eseq
+                e = at[1]
+            seen.add(e)
+            eseq.append(e)
+            a, b = edges[e]
+            cur = b if a == cur else a
             vseq.append(cur)
 
-    for v in sorted(inc):
+    order = sorted(inc)
+    for v in order:
         if len(inc[v]) == 1 and inc[v][0] not in seen:
             vseq, eseq = walk(v)
             comps.append((vseq, eseq, False))
-    for v in sorted(inc):
-        if any(e not in seen for e in inc[v]):
+    # every path is walked by now, so an unseen edge lies on an unwalked cycle
+    for v in order:
+        if inc[v][0] not in seen:
             vseq, eseq = walk(v)
             if vseq[0] != vseq[-1]:
                 raise AssertionError("cycle walk did not close")

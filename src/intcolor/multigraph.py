@@ -44,16 +44,16 @@ class Multigraph:
         return tuple(tuple(x) for x in inc)
 
     def degree(self, v: int) -> int:
-        # a loop contributes 2 to the degree
-        d = 0
-        for eid in self.incidence[v]:
-            a, b = self.edges[eid]
-            d += 2 if a == b else 1
-        return d
+        return self.degrees[v]
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(self.degree(v) for v in range(self.vertex_count))
+        """Degree of every vertex; a loop contributes 2."""
+        deg = [0] * self.vertex_count
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     @property
     def max_degree(self) -> int:
@@ -66,17 +66,16 @@ class Multigraph:
     def has_loop(self) -> bool:
         return any(u == v for u, v in self.edges)
 
+    @cached_property
     def is_simple(self) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            key = (min(u, v), max(u, v))
-            if u == v or key in seen:
-                return False
-            seen.add(key)
-        return True
+        """No loops and no parallel edges."""
+        n = self.vertex_count
+        keys = {u * n + v if u < v else v * n + u for u, v in self.edges}
+        return len(keys) == self.edge_count and not (self.allows_loops and self.has_loop())
 
     def components(self) -> list[list[int]]:
         """Vertex sets of connected components (isolated vertices included)."""
+        edges, incidence = self.edges, self.incidence
         seen = [False] * self.vertex_count
         out: list[list[int]] = []
         for s in range(self.vertex_count):
@@ -87,8 +86,10 @@ class Multigraph:
             stack = [s]
             while stack:
                 v = stack.pop()
-                for eid in self.incidence[v]:
-                    w = self.other_end(eid, v)
+                for eid in incidence[v]:
+                    a, w = edges[eid]
+                    if w == v:
+                        w = a
                     if not seen[w]:
                         seen[w] = True
                         comp.append(w)
@@ -120,8 +121,12 @@ class Multigraph:
 def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]],
                 allows_loops: bool = False) -> Multigraph:
     """Multigraph with dense edge ids in input order."""
-    return Multigraph(vertex_count, tuple((int(u), int(v)) for u, v in edge_pairs),
-                      allows_loops=allows_loops)
+    try:
+        n = int(vertex_count)
+        edges = tuple((int(u), int(v)) for u, v in edge_pairs)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"expected an integer vertex count and integer pairs: {exc}") from None
+    return Multigraph(n, edges, allows_loops=allows_loops)
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,7 @@ class BipartitionCert:
 
 def bipartition(g: Multigraph) -> BipartitionCert | None:
     """2-color the vertices if possible; None when some cycle is odd (or a loop exists)."""
+    edges, incidence = g.edges, g.incidence
     side = [-1] * g.vertex_count
     for s in range(g.vertex_count):
         if side[s] != -1:
@@ -152,14 +158,17 @@ def bipartition(g: Multigraph) -> BipartitionCert | None:
         queue = [s]
         while queue:
             v = queue.pop()
-            for eid in g.incidence[v]:
-                w = g.other_end(eid, v)
-                if w == v:
+            sv = side[v]
+            for eid in incidence[v]:
+                a, w = edges[eid]
+                if a == w:
                     return None
+                if w == v:
+                    w = a
                 if side[w] == -1:
-                    side[w] = 1 - side[v]
+                    side[w] = 1 - sv
                     queue.append(w)
-                elif side[w] == side[v]:
+                elif side[w] == sv:
                     return None
     return BipartitionCert(tuple(side))
 
@@ -209,10 +218,6 @@ def _clashing_edges(eids: Iterable[int], colors: Sequence[int]) -> list[int]:
     return [eid for group in by_color.values() if len(group) > 1 for eid in group]
 
 
-def _is_consecutive(sorted_vals: list[int]) -> bool:
-    return all(b == a + 1 for a, b in zip(sorted_vals, sorted_vals[1:]))
-
-
 def _is_cyclically_consecutive(vals: set[int], t: int) -> bool:
     # a set is a cyclic interval mod t iff at most one cyclic gap exceeds 1
     if len(vals) <= 1 or len(vals) == t:
@@ -252,36 +257,43 @@ def verify(g: Multigraph, c: EdgeColoring, mode: str = "interval",
         raise GraphError("coloring belongs to a different graph")
     if mode not in ("proper", "interval", "cyclic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "cyclic":
+    cyclic_mode = mode == "cyclic"
+    if cyclic_mode:
         if t is None or t < 1:
-            raise ValueError("cyclic mode requires a period t >= 1")
+            raise GraphError("cyclic mode requires a period t >= 1")
         for eid, col in enumerate(c.colors):
             if not 1 <= col <= t:
-                raise ValueError(f"cyclic mode: edge {eid} colored {col} outside [1, {t}]")
+                raise GraphError(f"cyclic mode: edge {eid} colored {col} outside [1, {t}]")
 
     proper = True
     interval = True
-    cyclic: bool | None = True if mode == "cyclic" else None
+    cyclic: bool | None = True if cyclic_mode else None
     bad_vertices: list[int] = []
     bad_edges: set[int] = set()
+    colors = c.colors
+    color_of = colors.__getitem__
+    degrees = g.degrees
 
-    for v in range(g.vertex_count):
-        pal = c.palette(v)
-        if not pal:
+    # a vertex's n colors (a loop counted twice) are distinct and consecutive
+    # iff their set has n members and max - min + 1 == n
+    for v, inc in enumerate(g.incidence):
+        n = degrees[v]
+        if n < 2:
             continue
-        spal = sorted(pal)
-        v_proper = len(set(spal)) == len(spal)
-        v_interval = v_proper and _is_consecutive(spal)
-        v_cyclic = v_proper and _is_cyclically_consecutive(set(spal), t) if mode == "cyclic" else None
+        pal = set(map(color_of, inc))
+        v_proper = len(pal) == n
+        if v_proper and max(pal) - min(pal) + 1 == n:
+            continue
+        interval = False
         proper &= v_proper
-        interval &= v_interval
-        if mode == "cyclic":
-            cyclic = bool(cyclic) and bool(v_cyclic)
         if not v_proper:
-            bad_edges.update(_clashing_edges(g.incidence[v], c.colors))
-        failed = {"proper": not v_proper, "interval": not v_interval,
-                  "cyclic": not bool(v_cyclic) if v_cyclic is not None else False}[mode]
-        if failed:
+            bad_edges.update(_clashing_edges(inc, colors))
+        if cyclic_mode:
+            v_cyclic = v_proper and _is_cyclically_consecutive(pal, t)
+            cyclic = cyclic and v_cyclic
+            if not v_cyclic:
+                bad_vertices.append(v)
+        elif mode == "interval" or not v_proper:
             bad_vertices.append(v)
 
     return VerifyReport(proper=proper, interval=interval, cyclic_interval=cyclic,
@@ -323,23 +335,34 @@ def verify_decomposition(g: Multigraph, d: Decomposition) -> VerifyReport:
     """
     if d.graph is not g and d.graph != g:
         raise GraphError("decomposition belongs to a different graph")
+    edges, parts, colors = g.edges, d.parts, d.colors
+    # key = part * span + color - lo puts each part's colors in a run of its own
+    # with a gap of at least 2 to the next part's, so at a vertex whose keys
+    # (loops counted twice) are distinct, every part's colors are consecutive
+    # iff exactly one key per part has no predecessor among them
+    lo = min(colors, default=0)
+    span = max(colors, default=0) - lo + 2
+    key = [p * span + c - lo for p, c in zip(parts, colors)]
+    key_of, succ_of = key.__getitem__, [k + 1 for k in key].__getitem__
+    part_of = parts.__getitem__
+    degrees = g.degrees
     bad_vertices: list[int] = []
     bad_edges: set[int] = set()
     for v, inc in enumerate(g.incidence):
+        n = degrees[v]
+        if n < 2:
+            continue
+        keys = set(map(key_of, inc))
+        if len(keys) == n and len(keys.difference(map(succ_of, inc))) == len(set(map(part_of, inc))):
+            continue
+        bad_vertices.append(v)
         by_part: dict[int, list[int]] = {}
         for eid in inc:
-            by_part.setdefault(d.parts[eid], []).append(eid)
-        v_ok = True
+            by_part.setdefault(parts[eid], []).append(eid)
         for eids in by_part.values():
-            pal = sorted([d.colors[e] for e in eids]
-                         + [d.colors[e] for e in eids if g.edges[e][0] == g.edges[e][1]])
-            if len(set(pal)) != len(pal):
-                v_ok = False
-                bad_edges.update(_clashing_edges(eids, d.colors))
-            elif not _is_consecutive(pal):
-                v_ok = False
-        if not v_ok:
-            bad_vertices.append(v)
+            if (len({colors[e] for e in eids}) != len(eids)
+                    or any(edges[e][0] == edges[e][1] for e in eids)):
+                bad_edges.update(_clashing_edges(eids, colors))
     ok = not bad_vertices
     return VerifyReport(proper=ok, interval=ok, cyclic_interval=None,
                         offending_vertices=tuple(bad_vertices),

@@ -42,6 +42,12 @@ class BoundTrace:
                 "certified": self.certified}
 
 
+def _reject_loops(g: Multigraph) -> None:
+    # a loop repeats its color at its vertex, so no part holding it is interval colorable
+    if g.allows_loops and g.has_loop():
+        raise GraphError("a graph with a loop has no decomposition into interval colorable parts")
+
+
 def _certified(d: Decomposition) -> Decomposition:
     rep = verify_decomposition(d.graph, d)
     if not rep.interval:
@@ -82,33 +88,27 @@ def _lift(g: Multigraph, eids: list[int],
 
 
 def _edge_components(g: Multigraph, eids: list[int]) -> list[list[int]]:
-    """Connected components of an edge subset, as edge-id lists."""
-    inc: dict[int, list[int]] = defaultdict(list)
+    """Connected components of an edge subset, as ascending edge-id lists, in the
+    order of their first edge in eids."""
+    edges = g.edges
+    root: dict[int, int] = {}       # union-find with path halving
     for e in eids:
-        u, v = g.edges[e]
-        inc[u].append(e)
-        inc[v].append(e)
-    seen_e: set[int] = set()
-    out: list[list[int]] = []
-    for e0 in eids:
-        if e0 in seen_e:
-            continue
-        comp = [e0]
-        seen_e.add(e0)
-        frontier = list(g.edges[e0])
-        seen_v = set(frontier)
-        while frontier:
-            v = frontier.pop()
-            for e in inc[v]:
-                if e not in seen_e:
-                    seen_e.add(e)
-                    comp.append(e)
-                w = g.other_end(e, v)
-                if w not in seen_v:
-                    seen_v.add(w)
-                    frontier.append(w)
-        out.append(sorted(comp))
-    return out
+        u, v = edges[e]
+        ru = root.setdefault(u, u)
+        while ru != root[ru]:
+            root[ru] = ru = root[root[ru]]
+        rv = root.setdefault(v, v)
+        while rv != root[rv]:
+            root[rv] = rv = root[root[rv]]
+        if ru != rv:
+            root[ru] = rv
+    comps: dict[int, list[int]] = {}
+    for e in eids:
+        r = edges[e][0]
+        while r != root[r]:
+            r = root[r]
+        comps.setdefault(r, []).append(e)
+    return [sorted(comp) for comp in comps.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +597,7 @@ def _within_subgraph(g: Multigraph, n: int, r: int) -> tuple[Multigraph, tuple[i
 def decompose_forest_peel(g: Multigraph) -> Decomposition:
     """Repeatedly remove a DFS spanning forest; parts bound the thickness but
     are not guaranteed to reach the arboricity."""
+    _reject_loops(g)
     remaining = set(range(g.edge_count))
     parts: list[dict[int, int]] = []
     while remaining:
@@ -671,7 +672,7 @@ def split_cyclic(g: Multigraph, c: EdgeColoring, t: int) -> Decomposition:
 
 def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
     """Vertex parts when g is a simple complete multipartite graph, else None."""
-    if g.edge_count == 0 or not g.is_simple():
+    if g.edge_count == 0 or not g.is_simple:
         return None
     adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
     for u, v in g.edges:
@@ -714,7 +715,7 @@ def _general_coloring(g: Multigraph, cert: BipartitionCert | None) -> EdgeColori
         return konig_color(g, cert)
     if g.edge_count <= 20:
         return exact_chromatic_index(g)[1]
-    if g.is_simple():
+    if g.is_simple:
         return vizing_color(g)
     return shannon_color(g)
 
@@ -757,7 +758,8 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     merged, since interval colorability is decided component by component.  A
     graph with isolated vertices is dispatched without them, so they never
     change the answer.  A certification failure inside a candidate is a bug and
-    propagates."""
+    propagates.  A graph with a loop raises GraphError."""
+    _reject_loops(g)
     if g.edge_count == 0:
         return _assemble(g, []), BoundTrace("empty", "no edges", 0, 0, True)
 
@@ -792,6 +794,9 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
         return _one_part(col), 1, "3-colorable subcubic: 1"
 
     def run_cactus():
+        # a cactus has E = V - 1 + #cycles, its cycles vertex-disjoint
+        if g.edge_count > g.vertex_count - 1 + g.vertex_count // 2:
+            return None
         col = color_cactus(g)
         return _one_part(col), 1, "cactus: 1"
 
@@ -893,8 +898,11 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
 
     # (method, floor, runner) in priority order.  Floors: each star-peel round
     # lowers the peeled side's maximum degree by exactly one; equalized classes
-    # are all non-empty at a vertex of degree Delta >= 4; a forest on V vertices
-    # has at most V-1 edges.
+    # are all non-empty at a vertex of degree Delta >= 4; on a bipartite graph
+    # the Konig coloring has Delta classes, all present at a vertex of degree
+    # Delta, and no odd cycle makes a class split borrow an edge, so
+    # five-class-general gives exactly _general_bound(Delta) parts; a forest on
+    # V vertices has at most V-1 edges.
     rows = (
         ("forest", lower, run_forest),
         ("subcubic", lower, run_subcubic),
@@ -908,7 +916,7 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
         ("eulerian-bipartite", lower, run_eulerian),
         ("bipartite-thirds", max(1, -(-delta // 3)), run_bipartite),
         ("star-peel", min_side_max, run_star_peel),
-        ("five-class-general", lower, run_general),
+        ("five-class-general", lower if cert is None else _general_bound(delta)[0], run_general),
         ("forest-peel", -(-g.edge_count // (g.vertex_count - 1)), run_forest_peel),
     )
     best: tuple[Decomposition, BoundTrace] | None = None

@@ -188,3 +188,36 @@ def test_verify_decomposition_with_bad_certificate_exit_code(tmp_path, capsys, c
         obj["certificates"] = certificates
     dpath.write_text(json.dumps(obj))
     assert main(["verify", str(gpath), str(dpath)]) == 2
+
+
+def _exits_2_with_one_error_line(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_decompose_graph_with_loop_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "loop.json"
+    gpath.write_text('{"vertex_count": 2, "edges": [[0, 1], [1, 1]], "allows_loops": true}\n')
+    _exits_2_with_one_error_line(capsys, "decompose", str(gpath))
+
+
+def test_verify_cyclic_color_out_of_range_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    cpath = tmp_path / "col.json"
+    gpath.write_text('{"vertex_count": 3, "edges": [[0, 1], [1, 2]]}\n')
+    cpath.write_text("[1, 5]\n")
+    _exits_2_with_one_error_line(capsys, "verify", str(gpath), str(cpath), "--cyclic", "3")
+
+
+def test_graph_json_without_edges_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"vertex_count": 3}\n')
+    _exits_2_with_one_error_line(capsys, "decompose", str(gpath))
+
+
+def test_text_graph_with_non_integer_endpoint_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("3 2\n0 1\n0 x\n")
+    _exits_2_with_one_error_line(capsys, "decompose", str(gpath))

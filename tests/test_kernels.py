@@ -9,7 +9,8 @@ from intcolor.generators import (complete_bipartite_graph, cycle_graph,
 from intcolor.kernels import (attach_cycle, color_balanced_multipartite,
                               color_cactus, color_complete_bipartite, color_forest,
                               color_low_even_bipartite, color_paths_and_even_cycles,
-                              color_two_factor_pair, extend_pendant, round_robin_rounds)
+                              color_two_factor_pair, extend_pendant, round_robin_rounds,
+                              walk_degree_two)
 from intcolor.multigraph import EdgeColoring, GraphError, build_graph, verify
 
 
@@ -264,3 +265,49 @@ def test_cactus_with_digon_block():
     # parallel edges form a 2-cycle block; still a cactus
     g = build_graph(4, [(0, 1), (1, 2), (1, 2), (0, 3)])
     assert verify(g, color_cactus(g)).interval
+
+
+def _plain_walks(g, eids):
+    """Paths from their smaller end, then cycles from their smallest vertex; each
+    step takes the vertex's first unused edge in eids order."""
+    inc = {}
+    for e in eids:
+        for x in g.edges[e]:
+            inc.setdefault(x, []).append(e)
+    used, out = set(), []
+
+    def walk(v):
+        vseq, eseq = [v], []
+        while [e for e in inc[v] if e not in used]:
+            e = [e for e in inc[v] if e not in used][0]
+            used.add(e)
+            eseq.append(e)
+            v = sum(g.edges[e]) - v
+            vseq.append(v)
+        return vseq, eseq
+
+    for v in sorted(inc):
+        if len(inc[v]) == 1 and inc[v][0] not in used:
+            out.append((*walk(v), False))
+    for v in sorted(inc):
+        if any(e not in used for e in inc[v]):
+            out.append((*walk(v), True))
+    return out
+
+
+@given(st.integers(0, 100_000))
+def test_walk_degree_two_matches_plain_walks(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    degree = [0] * n
+    edges = []
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and degree[u] < 2 and degree[v] < 2:
+            degree[u] += 1
+            degree[v] += 1
+            edges.append((u, v))
+    g = build_graph(n, edges)
+    eids = list(range(len(edges)))
+    rng.shuffle(eids)
+    assert walk_degree_two(g, eids) == _plain_walks(g, eids)

@@ -7,6 +7,9 @@ from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError,
                                  bipartition, build_graph, normalize, verify,
                                  verify_decomposition)
 from intcolor.generators import cycle_graph, complete_graph
+from intcolor.thickness import decompose_forest_peel
+
+from reference_checkers import reference_verify, reference_verify_decomposition
 
 
 def test_build_k3():
@@ -195,7 +198,7 @@ def _per_part_reference(g, d):
         if not ids:
             continue
         host_vertex = sorted({v for e in ids for v in g.edges[e]})
-        rep = verify(sub, EdgeColoring(sub, tuple(d.colors[e] for e in ids)))
+        rep = reference_verify(sub, EdgeColoring(sub, tuple(d.colors[e] for e in ids)))
         ok &= rep.interval
         bad_vertices.update(host_vertex[v] for v in rep.offending_vertices)
         bad_edges.update(ids[e] for e in rep.offending_edges)
@@ -242,3 +245,66 @@ def test_verify_decomposition_catches_corruption_like_per_part_verify(seed):
     else:
         colors[e] += rng.choice([-2, -1, 1, 2])
     _assert_matches_reference(g, Decomposition(g, tuple(parts), tuple(colors)))
+
+
+def _report_or_error(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+
+
+@st.composite
+def loop_multigraph_coloring(draw):
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))
+    g = build_graph(n, edges, allows_loops=True)
+    top = draw(st.integers(1, 6))
+    colors = draw(st.lists(st.integers(1, top), min_size=len(edges), max_size=len(edges)))
+    return g, EdgeColoring(g, tuple(colors))
+
+
+@given(loop_multigraph_coloring(), st.sampled_from(["proper", "interval", "cyclic"]),
+       st.integers(0, 7))
+def test_verify_matches_sort_based_reference(gc, mode, t):
+    g, c = gc
+    assert (_report_or_error(verify, g, c, mode, t=t)
+            == _report_or_error(reference_verify, g, c, mode, t=t))
+
+
+@given(labelled_multigraph())
+def test_verify_decomposition_matches_sort_based_reference(gd):
+    g, d = gd
+    assert verify_decomposition(g, d) == reference_verify_decomposition(g, d)
+
+
+@given(st.integers(0, 100_000))
+def test_verify_decomposition_matches_reference_on_corrupted_peels(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    edges = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                 for _ in range(rng.randint(1, 20))) if u != v]
+    g = build_graph(n, edges)
+    d = decompose_forest_peel(g)
+    assert verify_decomposition(g, d) == reference_verify_decomposition(g, d)
+    if not edges:
+        return
+    parts, colors = list(d.parts), list(d.colors)
+    for _ in range(rng.randint(1, 3)):
+        e = rng.randrange(len(edges))
+        if rng.random() < 0.5:
+            parts[e] = rng.randrange(d.part_count + 1)
+        else:
+            colors[e] += rng.choice([-2, -1, 1, 2])
+    bad = Decomposition(g, tuple(parts), tuple(colors))
+    assert verify_decomposition(g, bad) == reference_verify_decomposition(g, bad)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))))
+def test_degrees_and_simplicity_match_plain_definitions(n_edges):
+    n, edges = n_edges
+    g = build_graph(n, edges, allows_loops=True)
+    assert g.degrees == tuple(sum((u == v) + (w == v) for u, w in edges) for v in range(n))
+    assert g.is_simple == (all(u != w for u, w in edges)
+                           and len({frozenset(e) for e in edges}) == len(edges))

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intcolor import thickness
-from intcolor.edge_coloring import exact_chromatic_index, vizing_color
+from intcolor.edge_coloring import exact_chromatic_index, konig_color, vizing_color
 from intcolor.generators import (FIXTURES, complete_bipartite_graph, complete_graph,
                                  circular_complete_graph, cycle_graph,
-                                 random_bipartite, random_biregular,
+                                 random_bipartite, random_biregular, random_cactus,
                                  random_eulerian_bipartite, random_tree)
 from intcolor.multigraph import (EdgeColoring, GraphError, bipartition, build_graph,
                                  verify_decomposition)
@@ -506,3 +506,67 @@ def test_dispatch_union_takes_max_of_components(seed, isolated):
     d, _ = dispatch_theta_upper(g)
     assert _certified(d)
     assert d.part_count == max(dispatch_theta_upper(p)[0].part_count for p in pieces)
+
+
+def test_loops_raise_instead_of_hanging():
+    with pytest.raises(GraphError, match="loop"):
+        dispatch_theta_upper(build_graph(2, [(0, 1), (1, 1)], allows_loops=True))
+    with pytest.raises(GraphError, match="loop"):
+        decompose_forest_peel(build_graph(1, [(0, 0)], allows_loops=True))
+
+
+@st.composite
+def bipartite_multigraph(draw):
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)),
+                          min_size=1, max_size=24))
+    return build_graph(nx + ny, [(x, nx + y) for x, y in pairs])
+
+
+@given(bipartite_multigraph())
+def test_general_count_on_bipartite_graphs_is_its_bound(g):
+    # the dispatcher's five-class-general floor on bipartite input
+    coloring = konig_color(g, bipartition(g))
+    assert coloring.colors_used() == g.max_degree
+    d = decompose_general(g, coloring)
+    assert d.part_count == thickness._general_bound(g.max_degree)[0]
+
+
+def test_cactus_guard_admits_every_generated_cactus():
+    for seed in range(30):
+        for blocks in (1, 3, 6, 12):
+            g = random_cactus(blocks, random.Random(seed))
+            assert g.edge_count <= g.vertex_count - 1 + g.vertex_count // 2
+            d, trace = dispatch_theta_upper(g)
+            assert d.part_count == 1
+            if g.max_degree > 3:
+                assert trace.method == "cactus"
+
+
+def _plain_edge_components(g, eids):
+    left, out = list(eids), []
+    while left:
+        comp = [left.pop(0)]
+        verts = set(g.edges[comp[0]])
+        grown = True
+        while grown:
+            joining = [e for e in left if verts & set(g.edges[e])]
+            grown = bool(joining)
+            for e in joining:
+                left.remove(e)
+                comp.append(e)
+                verts.update(g.edges[e])
+        out.append(sorted(comp))
+    return out
+
+
+@given(st.integers(0, 100_000))
+def test_edge_components_match_plain_definition(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 16))]
+    g = build_graph(n, edges, allows_loops=True)
+    eids = rng.sample(range(len(edges)), rng.randint(0, len(edges)))
+    if rng.random() < 0.5:
+        eids.sort()
+    assert thickness._edge_components(g, eids) == _plain_edge_components(g, eids)
