@@ -6,6 +6,8 @@ constructive kernels alone.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from .edge_coloring import BudgetExceeded, exact_chromatic_index
 from .kernels import color_forest, color_paths_and_even_cycles
 from .multigraph import (EdgeColoring, GraphError, Multigraph, normalize, verify)
@@ -27,100 +29,83 @@ def _component_edge_sets(g: Multigraph) -> list[list[int]]:
             if any(g.incidence[v] for v in comp)]
 
 
-def _interval_start_search(sub: Multigraph) -> list[int] | None:
-    """Search for an interval coloring of a connected graph.
+def _interval_color_sweep(sub: Multigraph) -> list[int] | None:
+    """Search for an interval coloring of a connected graph, one color at a time.
 
-    Every vertex gets an interval placement [s_v, s_v + d_v - 1] inside
-    [1, |E|]; edges then get colors consistent with both endpoint intervals.
-    Placements of adjacent vertices must overlap, the lowest placement is
-    pinned at 1, and a color can only be realized if the vertices whose
-    interval contains it are even in number (its edges form a matching on them).
+    Color c is a matching that covers every active vertex (one that has an edge
+    colored and an edge left); a vertex with no edge colored yet may join it.
+    This is exactly an interval coloring with smallest color 1: the colors of a
+    connected graph's interval coloring form one interval, so no color is empty.
+    What may still happen after a color depends only on the edges left (they
+    fix which vertices are active), not on c, so a failed edge multiset is
+    remembered and never searched again.
     """
-    m = sub.edge_count
     deg = sub.degrees
-    active = [v for v in range(sub.vertex_count) if deg[v] > 0]
-    order: list[int] = []
-    seen = set()
-    stack = [active[0]]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        order.append(v)
-        for eid in sub.incidence[v]:
-            stack.append(sub.other_end(eid, v))
-    if len(order) != len(active):
-        raise AssertionError("interval search expects a connected component")
+    pairs = sorted(Counter(tuple(sorted(e)) for e in sub.edges).items())
+    left = [k for _, k in pairs]
+    rem = list(deg)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(sub.vertex_count)]
+    for p, ((u, v), _) in enumerate(pairs):
+        incident[u].append((p, v))
+        incident[v].append((p, u))
+    order = sorted((v for v in range(sub.vertex_count) if deg[v]), key=lambda v: -deg[v])
+    failed: set[tuple[int, ...]] = set()
+    matchings: list[list[int]] = []
 
-    neigh: dict[int, set[int]] = {v: set() for v in active}
-    for u, v in sub.edges:
-        neigh[u].add(v)
-        neigh[v].add(u)
-
-    starts: dict[int, int] = {}
-
-    def edge_feasible() -> list[int] | None:
-        if min(starts.values()) != 1:
-            return None
-        window = {}
-        for eid, (u, v) in enumerate(sub.edges):
-            lo = max(starts[u], starts[v])
-            hi = min(starts[u] + deg[u] - 1, starts[v] + deg[v] - 1)
-            if lo > hi:
-                return None
-            window[eid] = (lo, hi)
-        for c in range(1, m + 1):
-            holders = sum(1 for v in active if starts[v] <= c <= starts[v] + deg[v] - 1)
-            if holders % 2:
-                return None
-        colors = [0] * m
-        at: list[set[int]] = [set() for _ in range(sub.vertex_count)]
-        todo = list(range(m))
-
-        def choices(eid: int) -> list[int]:
-            u, v = sub.edges[eid]
-            lo, hi = window[eid]
-            return [c for c in range(lo, hi + 1) if c not in at[u] and c not in at[v]]
-
-        def bt() -> bool:
-            if not todo:
-                return True
-            eid = min(todo, key=lambda e: len(choices(e)))
-            todo.remove(eid)
-            u, v = sub.edges[eid]
-            for c in choices(eid):
-                colors[eid] = c
-                at[u].add(c)
-                at[v].add(c)
-                if bt():
-                    return True
-                at[u].discard(c)
-                at[v].discard(c)
-            colors[eid] = 0
-            todo.append(eid)
+    def color_next() -> bool:
+        if not any(rem):
+            return True
+        key = tuple(left)
+        if key in failed:
             return False
+        decided: set[int] = set()
+        matching: list[int] = []
 
-        return colors if bt() else None
+        def extend(i: int) -> bool:
+            while i < len(order) and (order[i] in decided or not rem[order[i]]):
+                i += 1
+            if i == len(order):
+                if not matching:
+                    return False
+                matchings.append(list(matching))
+                if color_next():
+                    return True
+                matchings.pop()
+                return False
+            v = order[i]
+            active = rem[v] < deg[v]
+            decided.add(v)
+            for p, u in incident[v]:
+                if left[p] and rem[u] and u not in decided:
+                    decided.add(u)
+                    left[p] -= 1
+                    rem[u] -= 1
+                    rem[v] -= 1
+                    matching.append(p)
+                    if extend(i + 1):
+                        return True
+                    matching.pop()
+                    left[p] += 1
+                    rem[u] += 1
+                    rem[v] += 1
+                    decided.discard(u)
+            found = not active and extend(i + 1)
+            decided.discard(v)
+            return found
 
-    def place(i: int) -> list[int] | None:
-        if i == len(order):
-            return edge_feasible()
-        v = order[i]
-        lo, hi = 1, m - deg[v] + 1
-        for u in neigh[v]:
-            if u in starts:
-                lo = max(lo, starts[u] - deg[v] + 1)
-                hi = min(hi, starts[u] + deg[u] - 1)
-        for s in range(lo, hi + 1):
-            starts[v] = s
-            got = place(i + 1)
-            if got is not None:
-                return got
-            del starts[v]
+        if extend(0):
+            return True
+        failed.add(key)
+        return False
+
+    if not color_next():
         return None
-
-    return place(0)
+    slots: list[list[int]] = [[] for _ in pairs]
+    for c, matching in enumerate(matchings, 1):
+        for p in matching:
+            slots[p].append(c)
+    index = {pair: p for p, (pair, _) in enumerate(pairs)}
+    return [slots[index[tuple(sorted(e))]].pop() for e in sub.edges]
 
 
 def exact_interval_colorable(g: Multigraph, budget: int = INTERVAL_BUDGET) -> EdgeColoring | None:
@@ -128,7 +113,7 @@ def exact_interval_colorable(g: Multigraph, budget: int = INTERVAL_BUDGET) -> Ed
 
     Constructive shortcuts (forests, max degree <= 2, 3-edge-colorable subcubic)
     are used when their witnesses pass the checker; the chromatic index equalling
-    the maximum degree is required before the full placement search runs.
+    the maximum degree is required before the full color-by-color search runs.
     """
     if g.has_loop():
         raise GraphError("interval colorings are defined for loopless graphs")
@@ -170,7 +155,7 @@ def _component_witness(sub: Multigraph) -> EdgeColoring | None:
         out = color_subcubic(sub, chi_witness)
         if verify(sub, out, "interval").interval:
             return out
-    found = _interval_start_search(sub)
+    found = _interval_color_sweep(sub)
     return None if found is None else EdgeColoring(sub, tuple(found))
 
 

@@ -86,3 +86,35 @@ def reference_verify_decomposition(g: Multigraph, d: Decomposition) -> VerifyRep
     return VerifyReport(proper=ok, interval=ok, cyclic_interval=None,
                         offending_vertices=tuple(bad_vertices),
                         offending_edges=tuple(sorted(bad_edges)))
+
+
+def reference_interval_colorable(g: Multigraph) -> bool:
+    """Whether a loopless graph has an interval coloring, by trying colors edge by edge.
+
+    Every component of an interval colorable graph can be shifted to start at 1 and
+    then uses at most |E| colors, so colors 1..|E| suffice.  A partial coloring is
+    cut off as soon as a vertex repeats a color or its colors span more than its
+    degree; a complete one that passes both tests is an interval coloring.
+    """
+    m = g.edge_count
+    palettes: list[list[int]] = [[] for _ in range(g.vertex_count)]
+
+    def fits(v: int, c: int) -> bool:
+        pal = palettes[v] + [c]
+        return c not in palettes[v] and max(pal) - min(pal) < g.degree(v)
+
+    def assign(eid: int) -> bool:
+        if eid == m:
+            return True
+        u, v = g.edges[eid]
+        for c in range(1, m + 1):
+            if fits(u, c) and fits(v, c):
+                palettes[u].append(c)
+                palettes[v].append(c)
+                if assign(eid + 1):
+                    return True
+                palettes[u].pop()
+                palettes[v].pop()
+        return False
+
+    return assign(0)

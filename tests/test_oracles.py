@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from intcolor.edge_coloring import BudgetExceeded
 from intcolor.generators import (FIXTURES, complete_bipartite_graph, complete_graph,
                                  cycle_graph, random_tree, sharpness_graph)
-from intcolor.multigraph import build_graph, verify
-from intcolor.oracles import (exact_chromatic_index, exact_cyclic_interval_coloring,
-                              exact_interval_colorable, exact_theta,
-                              nash_williams_arboricity)
+from intcolor.multigraph import EdgeColoring, build_graph, verify
+from intcolor.oracles import (_interval_color_sweep, exact_chromatic_index,
+                              exact_cyclic_interval_coloring, exact_interval_colorable,
+                              exact_theta, nash_williams_arboricity)
+from reference_checkers import reference_interval_colorable
 
 
 def _random_small_graph(seed, max_edges=9):
@@ -55,6 +56,51 @@ def test_witnesses_always_verify(seed):
     w = exact_interval_colorable(g)
     if w is not None:
         assert verify(g, w).interval
+
+
+@st.composite
+def small_multigraph(draw):
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=8))
+    return build_graph(n, pairs)
+
+
+@given(small_multigraph())
+@settings(max_examples=150, deadline=None)
+def test_interval_verdict_matches_brute_force(g):
+    assert (exact_interval_colorable(g) is not None) == reference_interval_colorable(g)
+
+
+@given(small_multigraph())
+@settings(max_examples=150, deadline=None)
+def test_color_sweep_matches_brute_force_on_each_component(g):
+    # called directly, so forests, paths and subcubic graphs reach the sweep too
+    for comp in g.components():
+        if len(comp) < 2:
+            continue
+        sub, _ = g.subgraph(sorted({e for v in comp for e in g.incidence[v]}))
+        found = _interval_color_sweep(sub)
+        assert (found is not None) == reference_interval_colorable(sub)
+        if found is not None:
+            assert verify(sub, EdgeColoring(sub, tuple(found))).interval
+
+
+def test_color_sweep_refutes_a_hard_multigraph():
+    # 13 edges, chromatic index = max degree = 5: no shortcut refutes it, the
+    # full search must
+    g = build_graph(8, [(2, 3), (4, 1), (2, 7), (1, 0), (0, 1), (7, 3), (2, 3), (4, 0),
+                        (2, 6), (6, 2), (4, 3), (3, 5), (0, 4)])
+    assert exact_chromatic_index(g)[0] == g.max_degree == 5
+    assert exact_interval_colorable(g) is None
+
+
+def test_color_sweep_colors_a_multi_star():
+    # one class, eight teachers, 14 lessons: the leaves' intervals tile the center's
+    g = build_graph(9, [(0, 1 + j) for j, k in enumerate([1, 1, 3, 3, 1, 1, 1, 3])
+                        for _ in range(k)])
+    w = exact_interval_colorable(g)
+    assert w is not None and verify(g, w).interval
 
 
 # -- exact theta ------------------------------------------------------------------
