@@ -14,12 +14,11 @@ from .edge_coloring import (exact_chromatic_index, konig_color, shannon_color,
                             vizing_color)
 from .generators import FamilySpec, generate
 from .kernels import color_cactus, color_forest, color_low_even_bipartite
-from .multigraph import (EdgeColoring, GraphError, Multigraph, bipartition,
-                         verify, verify_decomposition)
+from .multigraph import (EdgeColoring, GraphError, Multigraph, verify,
+                         verify_decomposition)
 from .oracles import (exact_interval_colorable, exact_theta,
                       nash_williams_arboricity)
-from .subcubic import color_subcubic
-from .thickness import dispatch_theta_upper, run_named_method, split_cyclic
+from .thickness import METHODS, dispatch_theta_upper, run_named_method, split_cyclic
 from .timetable import (RequirementMatrix, make_weekly_timetable, render_timetable,
                         verify_timetable)
 
@@ -47,18 +46,6 @@ def _emit(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _three_coloring(g: Multigraph) -> EdgeColoring:
-    cert = bipartition(g)
-    if cert is not None:
-        return konig_color(g, cert)
-    if g.edge_count <= 20:
-        chi, witness = exact_chromatic_index(g)
-        if chi <= 3:
-            return witness
-        raise GraphError("graph has chromatic index above 3")
-    raise GraphError("no proper 3-edge-coloring available for this input")
-
-
 def _cmd_gen(args) -> int:
     spec = FamilySpec.parse(args.family)
     if args.seed is not None:
@@ -78,7 +65,7 @@ def _cmd_color(args) -> int:
     elif method == "shannon":
         col = shannon_color(g)
     elif method == "subcubic":
-        col = color_subcubic(g, _three_coloring(g))
+        col = EdgeColoring(g, run_named_method(g, "subcubic")[0].colors)
     elif method == "exact":
         chi, col = exact_chromatic_index(g)
         print(f"chromatic index: {chi}", file=sys.stderr)
@@ -117,7 +104,7 @@ def _cmd_timetable(args) -> int:
     if isinstance(obj, str):
         B = RequirementMatrix.from_csv(obj)
     else:
-        B = RequirementMatrix.from_rows(obj["b"] if isinstance(obj, dict) else obj)
+        B = RequirementMatrix.from_rows(obj.get("b") if isinstance(obj, dict) else obj)
     S, trace = make_weekly_timetable(B, "even_spread" if args.even else "fewest_days")
     rep = verify_timetable(B, S)
     if args.grid:
@@ -175,6 +162,14 @@ _BENCH_SUITES = {
         "biregular(a=3,b=6,scale=2)", "eulerian_bipartite(nx=6,ny=6,walks=5,walk_len=4,max_degree=8)",
         "balanced(n=2,r=4)", "circular_complete(p=8,q=3)",
     ],
+    "sweep": [
+        "tree(n=60)", "cactus(blocks=10)", "bipartite_random(nx=20,ny=20,edges=120,max_degree=9)",
+        "biregular(a=3,b=6,scale=3)", "biregular(a=4,b=8,scale=2)", "biregular(a=5,b=10,scale=2)",
+        "eulerian_bipartite(nx=8,ny=8,walks=8,walk_len=5,max_degree=12)",
+        "balanced(n=2,r=6)", "balanced(n=3,r=3)", "semiregular(n=2,r=2)",
+        "complete_multipartite(sizes=3+1+2+4+2)", "circular_complete(p=9,q=3)",
+        "cubic_class1(n=30)", "odd_complete(n=4)",
+    ],
 }
 
 
@@ -192,7 +187,7 @@ def _cmd_bench(args) -> int:
         d, trace = dispatch_theta_upper(g)
         dt = time.perf_counter() - t0
         certified = verify_decomposition(g, d).interval
-        ok &= certified
+        ok &= certified and d.part_count <= trace.bound_value
         rows.append({"instance": spec_text, "vertices": g.vertex_count,
                      "edges": g.edge_count, "parts": d.part_count,
                      "method": trace.method, "bound": trace.bound_value,
@@ -223,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", help="decompose into interval colorable parts")
     d.add_argument("graph")
-    d.add_argument("--method", default="auto",
-                   help="auto, bipartite, eulerian, biregular, star_peel, forest_peel, general")
+    d.add_argument("--method", default="auto", help=", ".join(("auto",) + METHODS))
     d.add_argument("--auto", action="store_const", dest="method", const="auto",
                    help="shorthand for --method auto")
     d.add_argument("--cyclic-coloring", dest="cyclic_coloring",
@@ -255,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(fn=_cmd_oracle)
 
     b = sub.add_parser("bench", help="run a suite through the dispatcher")
-    b.add_argument("suite")
+    b.add_argument("suite", help=", ".join(_BENCH_SUITES))
     b.add_argument("--seed", type=int, default=None)
     b.add_argument("--out")
     b.set_defaults(fn=_cmd_bench)

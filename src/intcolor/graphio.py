@@ -4,7 +4,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .multigraph import Decomposition, EdgeColoring, GraphError, Multigraph, build_graph
+from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, _as_int,
+                         build_graph)
 
 
 def graph_to_text(g: Multigraph) -> str:
@@ -56,7 +57,7 @@ def coloring_to_json(c: EdgeColoring) -> list[int]:
 def coloring_from_json(obj: Any, g: Multigraph) -> EdgeColoring:
     if not isinstance(obj, list):
         raise GraphError("coloring JSON must be a list of colors")
-    return EdgeColoring(g, tuple(int(x) for x in obj))
+    return EdgeColoring(g, tuple(_as_int(x) for x in obj))
 
 
 def decomposition_to_json(d: Decomposition) -> dict[str, Any]:
@@ -70,7 +71,9 @@ def decomposition_to_json(d: Decomposition) -> dict[str, Any]:
 def decomposition_from_json(obj: dict[str, Any], g: Multigraph) -> Decomposition:
     """Inverse of decomposition_to_json; every nonempty part needs a certificate
     with one color per edge of the part."""
-    parts = tuple(int(p) for p in obj["part"])
+    if not isinstance(obj.get("part"), list):
+        raise GraphError("decomposition JSON needs a 'part' list")
+    parts = tuple(_as_int(p) for p in obj["part"])
     certs = obj.get("certificates")
     if not isinstance(certs, list):
         raise GraphError("decomposition JSON needs a list of certificates")
@@ -83,7 +86,7 @@ def decomposition_from_json(obj: dict[str, Any], g: Multigraph) -> Decomposition
         if not isinstance(raw, list) or len(raw) != len(eids):
             raise GraphError(f"part {p} needs a certificate of {len(eids)} colors")
         for eid, c in zip(eids, raw):
-            colors[eid] = int(c)
+            colors[eid] = _as_int(c)
     return Decomposition(g, parts, tuple(colors))
 
 

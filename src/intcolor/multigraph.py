@@ -118,12 +118,28 @@ class Multigraph:
         return Multigraph(len(kept), edges, allows_loops=self.allows_loops), ids
 
 
+def _as_int(x: object) -> int:
+    """x as an int: an int, an integral float or a string spelling an integer.
+
+    Parsed input goes through here, so a fraction is rejected, never truncated."""
+    if type(x) is int:
+        return x
+    try:
+        if isinstance(x, str) or (isinstance(x, float) and x.is_integer()):
+            return int(x)
+    except ValueError:
+        pass
+    raise GraphError(f"expected an integer, got {x!r}")
+
+
 def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]],
                 allows_loops: bool = False) -> Multigraph:
     """Multigraph with dense edge ids in input order."""
     try:
-        n = int(vertex_count)
-        edges = tuple((int(u), int(v)) for u, v in edge_pairs)
+        n = _as_int(vertex_count)
+        edges = tuple((_as_int(u), _as_int(v)) for u, v in edge_pairs)
+    except GraphError:
+        raise
     except (TypeError, ValueError) as exc:
         raise GraphError(f"expected an integer vertex count and integer pairs: {exc}") from None
     return Multigraph(n, edges, allows_loops=allows_loops)

@@ -12,10 +12,10 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .edge_coloring import (BudgetExceeded, equalized_bipartite_color, euler_split,
+from .edge_coloring import (equalized_bipartite_color, euler_split,
                             exact_chromatic_index, konig_color,
                             petersen_two_factorization, shannon_color, vizing_color)
-from .generators import (InfeasibleSpec, complete_graph, complete_multipartite_graph,
+from .generators import (complete_graph, complete_multipartite_graph,
                          multipartite_parts)
 from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
                       color_forest, color_low_even_bipartite, latin_bipartite_colors,
@@ -744,10 +744,198 @@ def _dispatch_componentwise(g: Multigraph, comps: list[list[int]]) -> tuple[Deco
     return decomp, trace
 
 
+class _Facts:
+    """What the candidate rows read about one graph, computed once per run."""
+
+    def __init__(self, g: Multigraph) -> None:
+        self.g = g
+        self.cert = bipartition(g)
+        self.delta = g.max_degree
+        # an interval coloring of an r-regular graph, taken mod r, is a proper
+        # r-coloring, which a graph of odd order does not have
+        self.lower = 2 if g.vertex_count % 2 and len(set(g.degrees)) == 1 else 1
+        self.min_side_max = self.lower if self.cert is None else min(
+            max(g.degree(v) for v in self.cert.side_vertices(s)) for s in (0, 1))
+
+    @functools.cached_property
+    def multipartite(self) -> list[list[int]] | None:
+        return detect_complete_multipartite(self.g)
+
+
+# Each row returns (decomposition, bound, formula) or raises GraphError with the
+# reason it does not apply.  Rows call decomposers and kernels through module
+# globals at call time, so a caller that rebinds them sees every call.
+
+def _bipartite_cert(f: _Facts) -> BipartitionCert:
+    if f.cert is None:
+        raise GraphError("graph is not bipartite")
+    return f.cert
+
+
+def _run_forest(f: _Facts):
+    return _one_part(color_forest(f.g)), 1, "forest: 1"
+
+
+def _run_subcubic(f: _Facts):
+    g = f.g
+    if f.delta > 3:
+        raise GraphError("maximum degree is above 3")
+    if f.cert is not None:
+        c3 = konig_color(g, f.cert)
+    elif g.edge_count <= 20:
+        chi, c3 = exact_chromatic_index(g)
+        if chi > 3:
+            raise GraphError("graph has chromatic index above 3")
+    else:
+        raise GraphError("no proper 3-edge-coloring available for this input")
+    return _one_part(color_subcubic(g, c3)), 1, "3-colorable subcubic: 1"
+
+
+def _run_cactus(f: _Facts):
+    g = f.g
+    # a cactus has E = V - 1 + #cycles, its cycles vertex-disjoint
+    if g.edge_count > g.vertex_count - 1 + g.vertex_count // 2:
+        raise GraphError("too many edges for a cactus")
+    return _one_part(color_cactus(g)), 1, "cactus: 1"
+
+
+def _run_low_even(f: _Facts):
+    if f.cert is None or f.delta < 2 or f.delta % 2:
+        raise GraphError("needs a bipartite graph of even maximum degree")
+    return _one_part(color_low_even_bipartite(f.g)), 1, "degrees {1,2,2r} bipartite: 1"
+
+
+def _run_interval_oracle(f: _Facts):
+    from .oracles import INTERVAL_BUDGET, exact_interval_colorable
+    if f.g.edge_count > INTERVAL_BUDGET:
+        raise GraphError(f"more than {INTERVAL_BUDGET} edges for the exact search")
+    witness = exact_interval_colorable(f.g)
+    if witness is None:
+        raise GraphError("graph is not interval colorable")
+    return _one_part(witness), 1, "interval witness (exact search): 1"
+
+
+def _run_balanced(f: _Facts):
+    parts = f.multipartite
+    if parts is None or len({len(p) for p in parts}) != 1:
+        raise GraphError("graph is not a balanced complete multipartite graph")
+    n, r = len(parts[0]), len(parts)
+    vmap = [v for part in parts for v in part]
+    if n == 1 and r % 2:
+        canon = decompose_balanced_family((r - 1) // 2, 0, "odd_complete")
+        return _remap_parts(f.g, canon, vmap), 2, f"odd complete K_{r}: 2"
+    if n * r % 2 == 0 and r % 2 and complete_multipartite_graph([n] * r).edge_count > 20:
+        raise GraphError(f"K_{{{n}*{r}}} with r odd has more than 20 edges")
+    canon = decompose_balanced_family(n, r, "balanced")
+    bound = 1 if (n * r) % 2 == 0 else 2
+    return (_remap_parts(f.g, canon, vmap), bound,
+            f"balanced K_{{{n}*{r}}}: {'1 (nr even)' if bound == 1 else '2 (nr odd)'}")
+
+
+def _run_semiregular(f: _Facts):
+    parts = f.multipartite
+    if parts is None:
+        raise GraphError("graph is not complete multipartite")
+    sizes = sorted(len(p) for p in parts)
+    r = len(parts)
+    if r < 3 or len(set(sizes[:-1])) != 1 or sizes[-1] != sizes[0] * (r - 1):
+        raise GraphError("part sizes are not of K_{n*r,nr} shape")
+    n, rr = sizes[0], r - 1
+    if n * rr % 2 == 0 and rr % 2 and complete_multipartite_graph([n] * rr).edge_count > 20:
+        raise GraphError(f"K_{{{n}*{rr}}} with r odd has more than 20 edges")
+    canon = decompose_balanced_family(n, rr, "semiregular")
+    vmap = [v for part in sorted(parts, key=len) for v in part]
+    bound = 1 if (n * rr) % 2 == 0 else 3
+    return _remap_parts(f.g, canon, vmap), bound, f"K_{{{n}*{rr},{n * rr}}}: {bound}"
+
+
+def _run_multipartite(f: _Facts):
+    parts = f.multipartite
+    if parts is None:
+        raise GraphError("graph is not complete multipartite")
+    r = len(parts)
+    bound = multipartite_part_count(r)
+    return _assemble(f.g, _multipartite_dicts(f.g, parts)), bound, f"T({r}) = {bound}"
+
+
+def _run_biregular(f: _Facts):
+    cert = _bipartite_cert(f)
+    _, _, d0, d1 = _side_degrees(f.g, cert)
+    k = min(d0, d1)
+    bound = max(2, k - 2)
+    return decompose_biregular(f.g, cert), bound, f"max(2, {k}-2) = {bound}"
+
+
+def _run_eulerian(f: _Facts):
+    cert = _bipartite_cert(f)
+    if any(d % 2 for d in f.g.degrees):
+        raise GraphError("some vertex has odd degree")
+    bound = -(-f.delta // 4)
+    return decompose_eulerian_bipartite(f.g, cert), bound, f"ceil({f.delta}/4) = {bound}"
+
+
+def _run_bipartite_thirds(f: _Facts):
+    cert = _bipartite_cert(f)
+    bound = max(1, -(-f.delta // 3))
+    return decompose_bipartite(f.g, cert), bound, f"ceil({f.delta}/3) = {bound}"
+
+
+def _run_star_peel(f: _Facts):
+    cert = _bipartite_cert(f)
+    return (decompose_star_peel(f.g, cert), max(1, f.min_side_max),
+            f"min-side max degree = {f.min_side_max}")
+
+
+def _run_general(f: _Facts):
+    coloring = _general_coloring(f.g, f.cert)
+    bound, formula = _general_bound(coloring.colors_used())
+    return decompose_general(f.g, coloring), bound, formula
+
+
+def _run_forest_peel(f: _Facts):
+    decomp = decompose_forest_peel(f.g)
+    return decomp, decomp.part_count, f"forests peeled: {decomp.part_count}"
+
+
+# (method, floor, run) in priority order; floor(facts) is a proven lower bound on
+# the row's own part count.  Floors: each star-peel round lowers the peeled
+# side's maximum degree by exactly one; equalized classes are all non-empty at a
+# vertex of degree Delta >= 4; on a bipartite graph the Konig coloring has Delta
+# classes, all present at a vertex of degree Delta, and no odd cycle makes a
+# class split borrow an edge, so five-class-general gives exactly
+# _general_bound(Delta) parts; a forest on V vertices has at most V-1 edges.
+CANDIDATES = (
+    ("forest", lambda f: f.lower, _run_forest),
+    ("subcubic", lambda f: f.lower, _run_subcubic),
+    ("cactus", lambda f: f.lower, _run_cactus),
+    ("low-even-bipartite", lambda f: f.lower, _run_low_even),
+    ("interval-oracle", lambda f: f.lower, _run_interval_oracle),
+    ("balanced-multipartite", lambda f: f.lower, _run_balanced),
+    ("semiregular-multipartite", lambda f: f.lower, _run_semiregular),
+    ("complete-multipartite", lambda f: f.lower, _run_multipartite),
+    ("biregular", lambda f: f.lower, _run_biregular),
+    ("eulerian-bipartite", lambda f: f.lower, _run_eulerian),
+    ("bipartite-thirds", lambda f: max(1, -(-f.delta // 3)), _run_bipartite_thirds),
+    ("star-peel", lambda f: f.min_side_max, _run_star_peel),
+    ("five-class-general",
+     lambda f: f.lower if f.cert is None else _general_bound(f.delta)[0], _run_general),
+    ("forest-peel", lambda f: -(-f.g.edge_count // (f.g.vertex_count - 1)), _run_forest_peel),
+)
+METHODS = tuple(m for m, _, _ in CANDIDATES)
+
+
+def _run_row(method: str, run, f: _Facts) -> tuple[Decomposition, BoundTrace]:
+    """One row's certified result with its trace; a row above its own bound is a bug."""
+    decomp, bound, formula = run(f)
+    if decomp.part_count > bound:
+        raise AssertionError(f"{method} gave {decomp.part_count} parts, above its bound {bound}")
+    return decomp, BoundTrace(method, formula, bound, decomp.part_count, True)
+
+
 def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     """The fewest certified parts any candidate bound reaches, with its trace.
 
-    Candidates run in priority order and a later one replaces the best so far
+    Candidates run in CANDIDATES order and a later one replaces the best so far
     only with strictly fewer parts.  A candidate is skipped once the best has
     at most max(lower, floor) parts, where lower is a lower bound on theta_int
     (2 for a regular graph of odd order, else 1) and floor a proven lower bound
@@ -757,8 +945,9 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     Disconnected graphs are dispatched one component at a time and the parts are
     merged, since interval colorability is decided component by component.  A
     graph with isolated vertices is dispatched without them, so they never
-    change the answer.  A certification failure inside a candidate is a bug and
-    propagates.  A graph with a loop raises GraphError."""
+    change the answer.  A certification failure inside a candidate, or a
+    candidate above its own bound, is a bug and propagates.  A graph with a loop
+    raises GraphError."""
     _reject_loops(g)
     if g.edge_count == 0:
         return _assemble(g, []), BoundTrace("empty", "no edges", 0, 0, True)
@@ -767,196 +956,29 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     if len(comps) > 1 or 0 in g.degrees:
         return _dispatch_componentwise(g, comps)
 
-    cert = bipartition(g)
-    delta = g.max_degree
-    # an interval coloring of an r-regular graph, taken mod r, is a proper
-    # r-coloring, which a graph of odd order does not have
-    lower = 2 if g.vertex_count % 2 and len(set(g.degrees)) == 1 else 1
-    min_side_max = lower if cert is None else min(
-        max(g.degree(v) for v in cert.side_vertices(s)) for s in (0, 1))
-
-    def run_forest():
-        col = color_forest(g)
-        return _one_part(col), 1, "forest: 1"
-
-    def run_subcubic():
-        if delta > 3:
-            return None
-        if cert is not None:
-            c3 = konig_color(g, cert)
-        elif g.edge_count <= 20:
-            chi, c3 = exact_chromatic_index(g)
-            if chi > 3:
-                return None
-        else:
-            return None
-        col = color_subcubic(g, c3)
-        return _one_part(col), 1, "3-colorable subcubic: 1"
-
-    def run_cactus():
-        # a cactus has E = V - 1 + #cycles, its cycles vertex-disjoint
-        if g.edge_count > g.vertex_count - 1 + g.vertex_count // 2:
-            return None
-        col = color_cactus(g)
-        return _one_part(col), 1, "cactus: 1"
-
-    def run_oracle_witness():
-        from .oracles import INTERVAL_BUDGET, exact_interval_colorable
-        if g.edge_count > INTERVAL_BUDGET:
-            return None
-        witness = exact_interval_colorable(g)
-        if witness is None:
-            return None
-        return _one_part(witness), 1, "interval witness (exact search): 1"
-
-    def run_low_even():
-        if cert is None or delta < 2 or delta % 2:
-            return None
-        col = color_low_even_bipartite(g)
-        return _one_part(col), 1, "degrees {1,2,2r} bipartite: 1"
-
-    def run_eulerian():
-        if cert is None or any(g.degree(v) % 2 for v in range(g.vertex_count)):
-            return None
-        bound = -(-delta // 4)
-        return decompose_eulerian_bipartite(g, cert), bound, f"ceil({delta}/4) = {bound}"
-
-    def run_biregular():
-        if cert is None:
-            return None
-        _, _, d0, d1 = _side_degrees(g, cert)
-        k = min(d0, d1)
-        bound = max(2, k - 2)
-        return decompose_biregular(g, cert), bound, f"max(2, {k}-2) = {bound}"
-
-    def run_bipartite():
-        if cert is None:
-            return None
-        bound = max(1, -(-delta // 3))
-        return decompose_bipartite(g, cert), bound, f"ceil({delta}/3) = {bound}"
-
-    def run_star_peel():
-        if cert is None:
-            return None
-        return (decompose_star_peel(g, cert), max(1, min_side_max),
-                f"min-side max degree = {min_side_max}")
-
-    def run_general():
-        coloring = _general_coloring(g, cert)
-        bound, formula = _general_bound(coloring.colors_used())
-        return decompose_general(g, coloring), bound, formula
-
-    def run_forest_peel():
-        decomp = decompose_forest_peel(g)
-        return decomp, decomp.part_count, f"forests peeled: {decomp.part_count}"
-
-    multipartite = functools.cache(lambda: detect_complete_multipartite(g))
-
-    def run_balanced():
-        parts = multipartite()
-        if parts is None or len({len(p) for p in parts}) != 1:
-            return None
-        n, r = len(parts[0]), len(parts)
-        vmap = [v for part in parts for v in part]
-        if n == 1 and r % 2:
-            canon = decompose_balanced_family((r - 1) // 2, 0, "odd_complete")
-            return (_remap_parts(g, canon, vmap), 2,
-                    f"odd complete K_{r}: 2")
-        if n * r % 2 == 0 and r % 2 and complete_multipartite_graph([n] * r).edge_count > 20:
-            return None
-        canon = decompose_balanced_family(n, r, "balanced")
-        bound = 1 if (n * r) % 2 == 0 else 2
-        return (_remap_parts(g, canon, vmap), bound,
-                f"balanced K_{{{n}*{r}}}: {'1 (nr even)' if bound == 1 else '2 (nr odd)'}")
-
-    def run_semiregular():
-        parts = multipartite()
-        if parts is None:
-            return None
-        sizes = sorted(len(p) for p in parts)
-        r = len(parts)
-        if r < 3 or len(set(sizes[:-1])) != 1 or sizes[-1] != sizes[0] * (r - 1):
-            return None
-        n, rr = sizes[0], r - 1
-        if n * rr % 2 == 0 and rr % 2 and complete_multipartite_graph([n] * rr).edge_count > 20:
-            return None
-        canon = decompose_balanced_family(n, rr, "semiregular")
-        ordered = sorted(parts, key=len)
-        vmap = [v for part in ordered for v in part]
-        bound = 1 if (n * rr) % 2 == 0 else 3
-        return (_remap_parts(g, canon, vmap), bound,
-                f"K_{{{n}*{rr},{n * rr}}}: {bound}")
-
-    def run_multipartite():
-        parts = multipartite()
-        if parts is None:
-            return None
-        r = len(parts)
-        bound = multipartite_part_count(r)
-        return (_assemble(g, _multipartite_dicts(g, parts)), bound,
-                f"T({r}) = {bound}")
-
-    # (method, floor, runner) in priority order.  Floors: each star-peel round
-    # lowers the peeled side's maximum degree by exactly one; equalized classes
-    # are all non-empty at a vertex of degree Delta >= 4; on a bipartite graph
-    # the Konig coloring has Delta classes, all present at a vertex of degree
-    # Delta, and no odd cycle makes a class split borrow an edge, so
-    # five-class-general gives exactly _general_bound(Delta) parts; a forest on
-    # V vertices has at most V-1 edges.
-    rows = (
-        ("forest", lower, run_forest),
-        ("subcubic", lower, run_subcubic),
-        ("cactus", lower, run_cactus),
-        ("low-even-bipartite", lower, run_low_even),
-        ("interval-oracle", lower, run_oracle_witness),
-        ("balanced-multipartite", lower, run_balanced),
-        ("semiregular-multipartite", lower, run_semiregular),
-        ("complete-multipartite", lower, run_multipartite),
-        ("biregular", lower, run_biregular),
-        ("eulerian-bipartite", lower, run_eulerian),
-        ("bipartite-thirds", max(1, -(-delta // 3)), run_bipartite),
-        ("star-peel", min_side_max, run_star_peel),
-        ("five-class-general", lower if cert is None else _general_bound(delta)[0], run_general),
-        ("forest-peel", -(-g.edge_count // (g.vertex_count - 1)), run_forest_peel),
-    )
+    f = _Facts(g)
     best: tuple[Decomposition, BoundTrace] | None = None
-    for method, floor, runner in rows:
-        if best is not None and best[0].part_count <= max(lower, floor):
+    for method, floor, run in CANDIDATES:
+        if best is not None and best[0].part_count <= max(f.lower, floor(f)):
             continue
         try:
-            got = runner()
-        except (GraphError, BudgetExceeded, InfeasibleSpec):
+            got = _run_row(method, run, f)
+        except GraphError:      # BudgetExceeded and InfeasibleSpec included
             continue
-        if got is None:
-            continue
-        decomp, bound, formula = got
-        if decomp.part_count <= bound and (best is None or decomp.part_count < best[0].part_count):
-            best = decomp, BoundTrace(method, formula, bound, decomp.part_count, True)
+        if best is None or got[0].part_count < best[0].part_count:
+            best = got
     if best is None:
         raise AssertionError("no decomposition method certified")
     return best
 
 
-METHOD_RUNNERS = {
-    "auto": None,
-    "bipartite": decompose_bipartite,
-    "eulerian": decompose_eulerian_bipartite,
-    "biregular": decompose_biregular,
-    "star_peel": decompose_star_peel,
-    "forest_peel": decompose_forest_peel,
-}
-
-
 def run_named_method(g: Multigraph, method: str) -> tuple[Decomposition, BoundTrace]:
-    """CLI entry: a named decomposer or the automatic dispatcher."""
-    if method == "auto":
+    """The dispatcher for "auto", else the one candidate row of that name run on
+    the whole graph; GraphError says why the row does not apply."""
+    if method != "auto" and method not in METHODS:
+        raise GraphError(f"unknown method {method!r}; have {', '.join(('auto',) + METHODS)}")
+    if method == "auto" or g.edge_count == 0:
         return dispatch_theta_upper(g)
-    if method == "general":
-        coloring = _general_coloring(g, bipartition(g))
-        d = decompose_general(g, coloring)
-        bound, formula = _general_bound(coloring.colors_used())
-        return d, BoundTrace("five-class-general", formula, bound, d.part_count, True)
-    if method not in METHOD_RUNNERS or METHOD_RUNNERS[method] is None:
-        raise GraphError(f"unknown method {method!r}; have {sorted(METHOD_RUNNERS)} and 'general'")
-    d = METHOD_RUNNERS[method](g)
-    return d, BoundTrace(method, f"parts = {d.part_count}", d.part_count, d.part_count, True)
+    _reject_loops(g)
+    run = next(run for m, _, run in CANDIDATES if m == method)
+    return _run_row(method, run, _Facts(g))

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .multigraph import (BipartitionCert, Decomposition, GraphError, Multigraph,
-                         VerifyReport, build_graph, verify_decomposition)
+                         VerifyReport, _as_int, build_graph, verify_decomposition)
 from .thickness import _assemble, decompose_bipartite, dispatch_theta_upper, BoundTrace
 
 
@@ -41,13 +41,14 @@ class RequirementMatrix:
 
     @staticmethod
     def from_rows(rows: list[list[int]]) -> "RequirementMatrix":
-        return RequirementMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise GraphError("requirement matrix must be a list of rows of lecture counts")
+        return RequirementMatrix(tuple(tuple(_as_int(x) for x in row) for row in rows))
 
     @staticmethod
     def from_csv(text: str) -> "RequirementMatrix":
-        rows = [[int(x) for x in line.split(",")]
-                for line in text.splitlines() if line.strip()]
-        return RequirementMatrix.from_rows(rows)
+        return RequirementMatrix.from_rows([line.split(",") for line in text.splitlines()
+                                            if line.strip()])
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(x) for x in row) for row in self.b) + "\n"
@@ -87,12 +88,17 @@ def decomposition_to_timetable(B: RequirementMatrix, d: Decomposition) -> Timeta
         raise GraphError("decomposition does not belong to this requirement graph")
     if not verify_decomposition(g, d).interval:
         raise GraphError("decomposition is not certified")
+    return _timetable(B, d)
+
+
+def _timetable(B: RequirementMatrix, d: Decomposition) -> Timetable:
+    """decomposition_to_timetable of a decomposition certified on B's requirement graph."""
     n = B.n_classes
     periods = [0] * d.part_count
     for part, h in zip(d.parts, d.colors):
         periods[part] = max(periods[part], h)
     grids: list[list[list[int | None]]] = [[[None] * k for _ in range(n)] for k in periods]
-    for eid, (u, v) in enumerate(g.edges):
+    for eid, (u, v) in enumerate(d.graph.edges):
         i, j = (u, v - n) if u < n else (v, u - n)
         row, h = grids[d.parts[eid]][i], d.colors[eid]
         if row[h - 1] is not None:
@@ -202,7 +208,7 @@ def make_weekly_timetable(B: RequirementMatrix, mode: str = "fewest_days",
                            max(1, -(-delta // 3)), d.part_count, True)
     else:
         raise GraphError(f"unknown mode {mode!r}")
-    S = decomposition_to_timetable(B, d)
+    S = _timetable(B, d)
     rep = verify_timetable(B, S)
     if not rep.interval:
         raise AssertionError("constructed timetable failed verification")

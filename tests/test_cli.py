@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from intcolor import cli, graphio
 from intcolor.cli import main
-from intcolor import graphio
 
 
 def run(capsys, *argv):
@@ -63,7 +65,7 @@ def test_decompose_output_reverifies(tmp_path, capsys):
     dpath = tmp_path / "d.json"
     main(["gen", "bipartite_random(nx=6,ny=6,edges=24,max_degree=6,seed=3)",
           "--out", str(gpath)])
-    assert main(["decompose", str(gpath), "--method", "bipartite", "--out", str(dpath)]) == 0
+    assert main(["decompose", str(gpath), "--method", "bipartite-thirds", "--out", str(dpath)]) == 0
     code, _ = run(capsys, "verify", str(gpath), str(dpath))
     assert code == 0
 
@@ -111,10 +113,22 @@ def test_text_graph_format_accepted(tmp_path, capsys):
 
 
 def test_bench_quick(tmp_path, capsys):
-    code, out = run(capsys, "bench", "quick")
-    assert code == 0
-    rows = json.loads(out)
-    assert all(r["certified"] for r in rows)
+    for suite in ("quick", "sweep"):
+        code, out = run(capsys, "bench", suite)
+        assert code == 0
+        rows = json.loads(out)
+        assert all(r["certified"] and r["parts"] <= r["bound"] for r in rows)
+
+
+def test_bench_fails_a_row_above_its_bound(monkeypatch, capsys):
+    original = cli.dispatch_theta_upper
+
+    def understated(g):
+        d, trace = original(g)
+        return d, dataclasses.replace(trace, bound_value=trace.parts - 1)
+
+    monkeypatch.setattr(cli, "dispatch_theta_upper", understated)
+    assert run(capsys, "bench", "quick")[0] == 1
 
 
 def test_bad_input_exit_code(tmp_path, capsys):
@@ -221,3 +235,74 @@ def test_text_graph_with_non_integer_endpoint_exit_code(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text("3 2\n0 1\n0 x\n")
     _exits_2_with_one_error_line(capsys, "decompose", str(gpath))
+
+
+@pytest.mark.parametrize("command,text", [
+    ("timetable", "1,x\n"),
+    ("timetable", '{"c": 1}\n'),
+    ("decompose", '{"vertex_count": 2, "edges": [[0.5, 1]]}\n'),
+])
+def test_malformed_input_exit_code(tmp_path, capsys, command, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    _exits_2_with_one_error_line(capsys, command, str(path))
+
+
+# Inputs stay small: a large vertex count or lecture count is valid input and
+# would only make the run long.  Values are integers about half the time, so
+# many inputs are well formed or one value away from it.
+_ATOMS = st.sampled_from([0, 1, 2, 3, -1, 1.0, 0.5, "1", "x", "", None, True, [], {}])
+_VALUE = st.integers(0, 3) | _ATOMS
+_JSON = st.recursive(_ATOMS, lambda inner: st.lists(inner, max_size=5)
+                     | st.dictionaries(st.sampled_from(["vertex_count", "edges", "u", "v", "id",
+                                                        "allows_loops", "b", "part",
+                                                        "certificates"]), inner, max_size=4),
+                     max_leaves=16)
+_EDGE = st.lists(_VALUE, min_size=2, max_size=2) | st.fixed_dictionaries(
+    {"u": _VALUE, "v": _VALUE}) | _ATOMS
+_GRAPH_JSON = st.fixed_dictionaries(
+    {"vertex_count": st.integers(2, 5) | _ATOMS, "edges": st.lists(_EDGE, max_size=5)},
+    optional={"allows_loops": _ATOMS})
+_TOKENS = st.sampled_from(["0", "1", "2", "3"]) | st.sampled_from(["x", "-1", "1.5", "", " "])
+_GRAPH_TEXT = st.builds(lambda n, rows: f"{n} {len(rows)}\n" + "\n".join(map(" ".join, rows)),
+                        st.sampled_from(["4", "5"]) | _TOKENS,
+                        st.lists(st.lists(_TOKENS, min_size=1, max_size=3), max_size=5))
+_TARGET = _JSON | st.lists(_VALUE, max_size=6) | st.fixed_dictionaries(
+    {"part": st.lists(_VALUE, max_size=6), "certificates": st.lists(st.lists(_VALUE), max_size=3)})
+_ROWS = st.lists(st.lists(_VALUE, min_size=1, max_size=3), min_size=1, max_size=3)
+_MATRIX_JSON = _JSON | _ROWS | st.fixed_dictionaries({"b": _ROWS})
+_CSV = st.lists(st.lists(_TOKENS, min_size=1, max_size=3).map(",".join),
+                max_size=4).map("\n".join)
+
+
+def _clean_exit(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert "error:" not in err
+
+
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@given(graph=(_GRAPH_JSON | _JSON).map(json.dumps) | _GRAPH_TEXT,
+       target=_TARGET.map(json.dumps))
+@_FUZZ
+def test_fuzzed_graph_input_exits_cleanly(tmp_path, capsys, graph, target):
+    gpath, tpath = tmp_path / "graph", tmp_path / "target"
+    gpath.write_text(graph)
+    tpath.write_text(target)
+    _clean_exit(capsys, "decompose", str(gpath))
+    _clean_exit(capsys, "verify", str(gpath), str(tpath))
+
+
+@given(matrix=_MATRIX_JSON.map(json.dumps) | _CSV)
+@_FUZZ
+def test_fuzzed_matrix_input_exits_cleanly(tmp_path, capsys, matrix):
+    mpath = tmp_path / "matrix"
+    mpath.write_text(matrix)
+    _clean_exit(capsys, "timetable", str(mpath))

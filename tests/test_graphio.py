@@ -67,3 +67,11 @@ def test_coloring_json_must_be_list():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(GraphError):
         graphio.coloring_from_json({"colors": [1]}, g)
+
+
+def test_fractional_endpoint_is_rejected_not_truncated():
+    with pytest.raises(GraphError, match="0.5"):
+        graphio.graph_from_json({"vertex_count": 2, "edges": [[0.5, 1]]})
+    g = graphio.graph_from_json({"vertex_count": 2.0, "edges": [[0.0, 1]]})
+    assert g.vertex_count == 2 and g.edges == ((0, 1),)
+    assert graphio.graph_from_text("2 1\n0 1\n").edges == ((0, 1),)

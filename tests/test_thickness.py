@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from intcolor import thickness
 from intcolor.edge_coloring import exact_chromatic_index, konig_color, vizing_color
-from intcolor.generators import (FIXTURES, complete_bipartite_graph, complete_graph,
+from intcolor.generators import (FIXTURES, FamilySpec, generate,
+                                 complete_bipartite_graph, complete_graph,
+                                 complete_multipartite_graph,
                                  circular_complete_graph, cycle_graph,
                                  random_bipartite, random_biregular, random_cactus,
                                  random_eulerian_bipartite, random_tree)
-from intcolor.multigraph import (EdgeColoring, GraphError, bipartition, build_graph,
-                                 verify_decomposition)
+from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, bipartition,
+                                 build_graph, verify_decomposition)
 from intcolor.oracles import exact_cyclic_interval_coloring, exact_theta
 from intcolor.thickness import (decompose_balanced_family, decompose_bipartite,
                                 decompose_biregular, decompose_complete_multipartite,
@@ -21,6 +23,8 @@ from intcolor.thickness import (decompose_balanced_family, decompose_bipartite,
                                 multipartite_part_count, run_named_method,
                                 split_cyclic)
 from intcolor.timetable import build_requirement_graph
+
+from reference_checkers import reference_verify_decomposition
 
 
 def _certified(d):
@@ -115,7 +119,7 @@ def test_named_general_reports_last_group_bound():
     # the doubled triangle needs 6 colors: one full group of five gives 2 parts
     # and the single class left over gives 1 more, not 2
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)] * 2)
-    d, trace = run_named_method(g, "general")
+    d, trace = run_named_method(g, "five-class-general")
     assert trace.bound_value == 3 and trace.bound_formula == "2*floor(6/5) + 1 = 3"
     assert _certified(d) and d.part_count <= 3
 
@@ -124,7 +128,7 @@ def test_named_general_reports_last_group_bound():
 @settings(max_examples=30, deadline=None)
 def test_named_general_within_reported_bound(seed):
     g, _ = _random_connected(random.Random(seed), bipartite=False)
-    d, trace = run_named_method(g, "general")
+    d, trace = run_named_method(g, "five-class-general")
     assert _certified(d) and d.part_count <= trace.bound_value
 
 
@@ -570,3 +574,63 @@ def test_edge_components_match_plain_definition(seed):
     if rng.random() < 0.5:
         eids.sort()
     assert thickness._edge_components(g, eids) == _plain_edge_components(g, eids)
+
+
+# -- the candidate table -------------------------------------------------------------
+
+def _random_multipartite(rng):
+    n, r = rng.randint(1, 3), rng.randint(2, 4)
+    sizes = rng.choice([[n] * r, [n] * r + [n * r], [rng.randint(1, 3) for _ in range(r)]])
+    return complete_multipartite_graph(sizes)
+
+
+@given(st.integers(0, 100_000), st.sampled_from(["any", "bipartite", "multipartite"]))
+@settings(max_examples=40, deadline=None)
+def test_every_row_certifies_within_its_bound_or_does_not_apply(seed, kind):
+    rng = random.Random(seed)
+    if kind == "multipartite":
+        g = _random_multipartite(rng)
+    else:
+        g, _ = _random_connected(rng, bipartite=kind == "bipartite")
+    for method in thickness.METHODS:
+        try:
+            d, trace = run_named_method(g, method)
+        except GraphError:      # BudgetExceeded and InfeasibleSpec included
+            continue
+        assert reference_verify_decomposition(g, d).interval, method
+        assert trace.method == method and d.part_count == trace.parts <= trace.bound_value
+
+
+def test_named_method_names_are_the_rows():
+    assert thickness.METHODS == tuple(m for m, _, _ in thickness.CANDIDATES)
+    with pytest.raises(GraphError, match="auto, forest, subcubic"):
+        run_named_method(cycle_graph(4), "bipartite")
+    d, trace = run_named_method(complete_bipartite_graph(3, 6), "bipartite-thirds")
+    assert trace.bound_formula == "ceil(6/3) = 2" and d.part_count <= 2
+    with pytest.raises(GraphError, match="not bipartite"):
+        run_named_method(cycle_graph(5), "star-peel")
+
+
+def _with_extra_part(d):
+    """d with part 0's top color class moved into a part of its own: still certified."""
+    top = max(c for p, c in zip(d.parts, d.colors) if p == 0)
+    moved = [p == 0 and c == top for p, c in zip(d.parts, d.colors)]
+    return Decomposition(d.graph,
+                         tuple(d.part_count if m else p for m, p in zip(moved, d.parts)),
+                         tuple(1 if m else c for m, c in zip(moved, d.colors)))
+
+
+def test_row_above_its_own_bound_raises(monkeypatch):
+    original = thickness.decompose_bipartite
+
+    def one_part_too_many(g, cert=None):
+        d = _with_extra_part(original(g, cert))
+        assert _certified(d)
+        return d
+
+    monkeypatch.setattr(thickness, "decompose_bipartite", one_part_too_many)
+    g = generate(FamilySpec.parse("bipartite_random(nx=20,ny=20,edges=120,max_degree=9)")).graph
+    with pytest.raises(AssertionError, match="above its bound"):
+        run_named_method(g, "bipartite-thirds")
+    with pytest.raises(AssertionError, match="above its bound"):
+        dispatch_theta_upper(g)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intcolor import timetable
 from intcolor.multigraph import GraphError
 from intcolor.timetable import (RequirementMatrix, Timetable, build_requirement_graph,
                                 daily_loads, decomposition_to_timetable,
@@ -149,3 +150,21 @@ def test_even_spread_daily_loads(seed):
         max((sum(row) for row in B.b), default=0),
         max((sum(row[j] for row in B.b) for j in range(B.m_teachers)), default=0))
     assert S.day_count <= max(1, -(-delta // 3)) or delta == 0
+
+
+def test_weekly_timetable_builds_the_requirement_graph_once(monkeypatch):
+    built = []
+    original = timetable.build_requirement_graph
+    monkeypatch.setattr(timetable, "build_requirement_graph",
+                        lambda B: built.append(B) or original(B))
+    B = RequirementMatrix.from_rows([[2, 1], [1, 2]])
+    for mode in ("fewest_days", "even_spread"):
+        S, _ = make_weekly_timetable(B, mode)
+        assert verify_timetable(B, S).interval
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("rows", [[[1, "x"]], [[0.5]], [[True]], [1, 2], None, "1,2"])
+def test_malformed_matrix_rows_raise_graph_error(rows):
+    with pytest.raises(GraphError):
+        RequirementMatrix.from_rows(rows)
