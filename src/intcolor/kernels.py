@@ -1,17 +1,17 @@
 """Direct interval-coloring constructions for the base graph families.
 
-Every public operation returns a normalized coloring and asserts the checker
-on its own output before returning: a rejected construction is an
-implementation fault, never an expected outcome.
+The color_* operations return a normalized coloring and assert the checker on
+their own output before returning: a rejected construction is an
+implementation fault, never an expected outcome.  The *_colors helpers return
+unchecked host-edge color maps for a caller to assemble; thickness._assemble
+certifies every decomposition built from them.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 
-from .edge_coloring import exact_chromatic_index, petersen_two_factorization
-from .multigraph import (EdgeColoring, GraphError, Multigraph, bipartition,
-                         build_graph, normalize, verify)
-from .generators import complete_bipartite_graph, complete_multipartite_graph, multipartite_parts
+from .edge_coloring import petersen_two_factorization
+from .multigraph import EdgeColoring, GraphError, Multigraph, bipartition, normalize, verify
 
 
 def _checked(g: Multigraph, colors: dict[int, int] | list[int]) -> EdgeColoring:
@@ -156,15 +156,6 @@ def latin_bipartite_colors(g: Multigraph, xs: list[int], ys: list[int],
     return out
 
 
-def color_complete_bipartite(m: int, n: int) -> EdgeColoring:
-    """Build K_{m,n} and color edge (x_i, y_j) with i+j-1; max color is m+n-1."""
-    if m < 1 or n < 1:
-        raise GraphError("both sides must be nonempty")
-    g = complete_bipartite_graph(m, n)
-    colors = staircase_bipartite_colors(g, list(range(m)), list(range(m, m + n)))
-    return _checked(g, colors)
-
-
 # ---------------------------------------------------------------------------
 # Incremental growth: pendant edges and cycles glued to a leaf.
 
@@ -213,38 +204,6 @@ class IncrementalHost:
             pattern += [k + 1]
         for eid, c in zip(walk_eids, pattern):
             self.add_colored(eid, c)
-
-
-def extend_pendant(c: EdgeColoring, v: int) -> EdgeColoring:
-    """Add a pendant edge at v (to a brand-new vertex) colored max(S(v))+1."""
-    g = c.graph
-    if not 0 <= v < g.vertex_count:
-        raise GraphError(f"vertex {v} not in the host")
-    new_g = build_graph(g.vertex_count + 1, list(g.edges) + [(v, g.vertex_count)],
-                        allows_loops=g.allows_loops)
-    host = IncrementalHost(new_g)
-    for eid, col in enumerate(c.colors):
-        host.add_colored(eid, col)
-    host.add_pendant(g.edge_count, v)
-    return _checked(new_g, host.color)
-
-
-def attach_cycle(c: EdgeColoring, v: int, length: int) -> EdgeColoring:
-    """Attach a fresh cycle of the given length whose only host contact is the leaf v."""
-    g = c.graph
-    if not 0 <= v < g.vertex_count:
-        raise GraphError(f"vertex {v} not in the host")
-    if length < 2:
-        raise GraphError("cycle length must be at least 2")
-    n = g.vertex_count
-    ring = [v] + list(range(n, n + length - 1))
-    new_edges = list(g.edges) + [(ring[i], ring[(i + 1) % length]) for i in range(length)]
-    new_g = build_graph(n + length - 1, new_edges, allows_loops=g.allows_loops)
-    host = IncrementalHost(new_g)
-    for eid, col in enumerate(c.colors):
-        host.add_colored(eid, col)
-    host.add_cycle(v, list(range(g.edge_count, g.edge_count + length)))
-    return _checked(new_g, host.color)
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +453,6 @@ def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int],
     return out
 
 
-def color_two_factor_pair(g: Multigraph, fa: list[int], fb: list[int],
-                          base: int = 0) -> EdgeColoring:
-    """Interval coloring of the subgraph fa + fb (see two_factor_pair_colors)."""
-    mapping = two_factor_pair_colors(g, fa, fb, base)
-    sub, ids = g.subgraph(list(fa) + list(fb))
-    return _checked(sub, [mapping[e] for e in ids])
-
-
 # ---------------------------------------------------------------------------
 # Balanced complete multipartite graphs.
 
@@ -517,36 +468,35 @@ def round_robin_rounds(k: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
-def balanced_multipartite_colors(g: Multigraph, n: int, r: int) -> dict[int, int]:
-    """Proper (r-1)n-coloring of K_{n*r} (nr even): every palette is [1, (r-1)n].
+def balanced_multipartite_colors(g: Multigraph, parts: list[list[int]]) -> dict[int, int]:
+    """Host-edge colors of K_{n*r} on the given r parts of n vertices (nr even),
+    every palette [1, (r-1)n]; edges within a part or leaving the parts stay
+    uncolored.
 
-    Even r: lift a round robin of the parts, one latin K_{n,n} block per pair.
-    Odd r (n even): the construction is not known here, so fall back to exact
-    search, which certifies the (r-1)n bound on small instances.
+    One round robin whose every pair of players gets a latin block.  Even r: the
+    players are the parts.  Odd r (so n even): the players are the 2r part halves,
+    seated so that round 0 pairs the two halves of each part, and round 0 is
+    dropped.
     """
+    r, n = len(parts), len(parts[0])
+    if any(len(p) != n for p in parts):
+        raise GraphError("parts must have equal sizes")
     if (n * r) % 2:
         raise GraphError("nr must be even")
-    parts = multipartite_parts([n] * r)
     if r % 2 == 0:
-        eid_of = {(min(u, v), max(u, v)): e for e, (u, v) in enumerate(g.edges)}
-        out: dict[int, int] = {}
-        for ridx, rnd in enumerate(round_robin_rounds(r)):
-            base = ridx * n
-            for pi, pj in rnd:
-                for a in range(n):
-                    for b in range(n):
-                        u, v = parts[pi][a], parts[pj][b]
-                        out[eid_of[(min(u, v), max(u, v))]] = base + (a + b) % n + 1
-        return out
-    chi, witness = exact_chromatic_index(g, limit=20)
-    if chi != (r - 1) * n:
-        raise AssertionError(f"expected chromatic index {(r-1)*n}, search found {chi}")
-    return dict(enumerate(witness.colors))
-
-
-def color_balanced_multipartite(n: int, r: int) -> EdgeColoring:
-    """Build K_{n*r} (nr even) and color it with (r-1)n colors, all palettes full."""
-    if r < 2 or n < 1:
-        raise GraphError("need r >= 2 parts of positive size")
-    g = complete_multipartite_graph([n] * r)
-    return _checked(g, balanced_multipartite_colors(g, n, r))
+        players, rounds = parts, round_robin_rounds(r)
+    else:
+        h = n // 2
+        players = [p[:h] for p in parts] + [p[h:] for p in reversed(parts)]
+        rounds = round_robin_rounds(2 * r)[1:]
+    m = len(players[0])
+    round_of = {pair: i for i, rnd in enumerate(rounds) for pair in rnd}
+    seat = {v: (pi, a) for pi, p in enumerate(players) for a, v in enumerate(p)}
+    out: dict[int, int] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        if u in seat and v in seat:
+            (pu, a), (pv, b) = seat[u], seat[v]
+            i = round_of.get((min(pu, pv), max(pu, pv)))
+            if i is not None:
+                out[eid] = i * m + (a + b) % m + 1
+    return out

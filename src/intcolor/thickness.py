@@ -15,12 +15,11 @@ from typing import Callable
 from .edge_coloring import (equalized_bipartite_color, euler_split,
                             exact_chromatic_index, konig_color,
                             petersen_two_factorization, shannon_color, vizing_color)
-from .generators import (complete_graph, complete_multipartite_graph,
-                         multipartite_parts)
+from .generators import complete_multipartite_graph, multipartite_parts
 from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
                       color_forest, color_low_even_bipartite, latin_bipartite_colors,
-                      round_robin_rounds, staircase_bipartite_colors,
-                      two_factor_pair_colors, walk_degree_two)
+                      staircase_bipartite_colors, two_factor_pair_colors,
+                      walk_degree_two)
 from .multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
                          Multigraph, bipartition, normalize, verify,
                          verify_decomposition)
@@ -530,68 +529,47 @@ def _multipartite_dicts(g: Multigraph, parts: list[list[int]]) -> list[dict[int,
     return out
 
 
-def decompose_complete_multipartite(sizes: list[int]) -> Decomposition:
-    """Exactly T(r) parts, each a disjoint union of complete bipartite graphs."""
-    g = complete_multipartite_graph(list(sizes))
-    return _assemble(g, _multipartite_dicts(g, multipartite_parts(list(sizes))))
+def _balanced_dicts(g: Multigraph, parts: list[list[int]]) -> list[dict[int, int]]:
+    """K_{n*r} on the host's parts: one part when nr is even; else the first r-1
+    parts (r-1 even) plus a staircase from them to the last part."""
+    if len(parts[0]) * len(parts) % 2 == 0:
+        return [balanced_multipartite_colors(g, parts)]
+    rest = [v for p in parts[:-1] for v in p]
+    return [balanced_multipartite_colors(g, parts[:-1]),
+            staircase_bipartite_colors(g, rest, parts[-1])]
+
+
+def _semiregular_dicts(g: Multigraph, small: list[list[int]],
+                       big: list[int]) -> list[dict[int, int]]:
+    """K_{n*r,nr} on the host's r small parts and its big part: the within edges
+    below a latin cross block when nr is even (one part), else the within edges
+    in two parts and the cross block as a third."""
+    a_vertices = [v for p in small for v in p]
+    n, r = len(small[0]), len(small)
+    if n * r % 2 == 0:
+        merged = latin_bipartite_colors(g, a_vertices, big, base=(r - 1) * n)
+        merged.update(balanced_multipartite_colors(g, small))
+        return [merged]
+    return _balanced_dicts(g, small) + [latin_bipartite_colors(g, a_vertices, big)]
 
 
 def decompose_balanced_family(n: int, r: int, variant: str = "balanced") -> Decomposition:
     """Balanced-family bounds: K_{n*r} in 1 or 2 parts, K_{n*r,nr} in 1 or 3,
-    odd complete graphs in 2."""
-    if variant == "balanced":
-        if r < 2 or n < 1:
-            raise GraphError("need r >= 2 parts of positive size")
-        g = complete_multipartite_graph([n] * r)
-        parts = multipartite_parts([n] * r)
-        if (n * r) % 2 == 0:
-            return _assemble(g, [balanced_multipartite_colors(g, n, r)])
-        inner = [e for e, (u, v) in enumerate(g.edges) if u < n * (r - 1) and v < n * (r - 1)]
-        sub, ids = g.subgraph(inner)
-        inner_colors = balanced_multipartite_colors(sub, n, r - 1)
-        first = {eid: inner_colors[pos] for pos, eid in enumerate(ids)}
-        second = staircase_bipartite_colors(g, list(range(n * (r - 1))), parts[r - 1])
-        return _assemble(g, [first, second])
-
-    if variant == "semiregular":
-        if r < 2 or n < 1:
-            raise GraphError("need r >= 2 small parts of positive size")
-        g = complete_multipartite_graph([n] * r + [n * r])
-        a_vertices = list(range(n * r))
-        b_vertices = list(range(n * r, 2 * n * r))
-        cross = latin_bipartite_colors(g, a_vertices, b_vertices, base=(r - 1) * n)
-        if (n * r) % 2 == 0:
-            sub, ids = _within_subgraph(g, n, r)
-            within = balanced_multipartite_colors(sub, n, r)
-            merged = dict(cross)
-            merged.update({eid: within[pos] for pos, eid in enumerate(ids)})
-            return _assemble(g, [merged])
-        sub, ids = g.subgraph([e for e, (u, v) in enumerate(g.edges)
-                               if u < n * (r - 1) and v < n * (r - 1)])
-        first = {eid: balanced_multipartite_colors(sub, n, r - 1)[pos]
-                 for pos, eid in enumerate(ids)}
-        second = staircase_bipartite_colors(g, list(range(n * (r - 1))),
-                                            list(range(n * (r - 1), n * r)))
-        third = {e: c - (r - 1) * n for e, c in cross.items()}
-        return _assemble(g, [first, second, third])
-
+    odd complete graphs K_{2n+1} = K_{1*(2n+1)} in 2."""
     if variant == "odd_complete":
         if n < 1:
             raise GraphError("need n >= 1 for an odd complete graph")
-        g = complete_graph(2 * n + 1)
-        eid_of = {(u, v): e for e, (u, v) in enumerate(g.edges)}
-        inner: dict[int, int] = {}
-        for ridx, rnd in enumerate(round_robin_rounds(2 * n)):
-            for a, b in rnd:
-                inner[eid_of[(a, b)]] = ridx + 1
-        star = {eid_of[(v, 2 * n)]: v + 1 for v in range(2 * n)}
-        return _assemble(g, [inner, star])
-
-    raise GraphError(f"unknown variant {variant!r}")
-
-
-def _within_subgraph(g: Multigraph, n: int, r: int) -> tuple[Multigraph, tuple[int, ...]]:
-    return g.subgraph([e for e, (u, v) in enumerate(g.edges) if u < n * r and v < n * r])
+        n, r, variant = 1, 2 * n + 1, "balanced"
+    if variant not in ("balanced", "semiregular"):
+        raise GraphError(f"unknown variant {variant!r}")
+    if r < 2 or n < 1:
+        raise GraphError("need r >= 2 parts of positive size")
+    if variant == "balanced":
+        g = complete_multipartite_graph([n] * r)
+        return _assemble(g, _balanced_dicts(g, multipartite_parts([n] * r)))
+    g = complete_multipartite_graph([n] * r + [n * r])
+    parts = multipartite_parts([n] * r + [n * r])
+    return _assemble(g, _semiregular_dicts(g, parts[:r], parts[r]))
 
 
 def decompose_forest_peel(g: Multigraph) -> Decomposition:
@@ -697,19 +675,6 @@ def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
     return parts
 
 
-def _remap_parts(host: Multigraph, canon: Decomposition, vmap: list[int]) -> Decomposition:
-    """Pull a decomposition of an isomorphic canonical graph back onto host edges."""
-    host_eid = {(min(u, v), max(u, v)): e for e, (u, v) in enumerate(host.edges)}
-    parts = [0] * host.edge_count
-    colors = [0] * host.edge_count
-    for ce, (a, b) in enumerate(canon.graph.edges):
-        ha, hb = vmap[a], vmap[b]
-        e = host_eid[(min(ha, hb), max(ha, hb))]
-        parts[e] = canon.parts[ce]
-        colors[e] = canon.colors[ce]
-    return _certified(Decomposition(host, tuple(parts), tuple(colors)))
-
-
 def _general_coloring(g: Multigraph, cert: BipartitionCert | None) -> EdgeColoring:
     if cert is not None:
         return konig_color(g, cert)
@@ -751,9 +716,10 @@ class _Facts:
         self.g = g
         self.cert = bipartition(g)
         self.delta = g.max_degree
-        # an interval coloring of an r-regular graph, taken mod r, is a proper
-        # r-coloring, which a graph of odd order does not have
-        self.lower = 2 if g.vertex_count % 2 and len(set(g.degrees)) == 1 else 1
+        # an interval colorable graph has a proper Delta-coloring, whose classes are
+        # matchings of at most floor(V/2) edges each, so an overfull graph
+        # (E > Delta*floor(V/2); a regular graph of odd order, for one) needs two
+        self.lower = 2 if g.edge_count > self.delta * (g.vertex_count // 2) else 1
         self.min_side_max = self.lower if self.cert is None else min(
             max(g.degree(v) for v in self.cert.side_vertices(s)) for s in (0, 1))
 
@@ -820,33 +786,25 @@ def _run_balanced(f: _Facts):
     if parts is None or len({len(p) for p in parts}) != 1:
         raise GraphError("graph is not a balanced complete multipartite graph")
     n, r = len(parts[0]), len(parts)
-    vmap = [v for part in parts for v in part]
-    if n == 1 and r % 2:
-        canon = decompose_balanced_family((r - 1) // 2, 0, "odd_complete")
-        return _remap_parts(f.g, canon, vmap), 2, f"odd complete K_{r}: 2"
-    if n * r % 2 == 0 and r % 2 and complete_multipartite_graph([n] * r).edge_count > 20:
-        raise GraphError(f"K_{{{n}*{r}}} with r odd has more than 20 edges")
-    canon = decompose_balanced_family(n, r, "balanced")
-    bound = 1 if (n * r) % 2 == 0 else 2
-    return (_remap_parts(f.g, canon, vmap), bound,
-            f"balanced K_{{{n}*{r}}}: {'1 (nr even)' if bound == 1 else '2 (nr odd)'}")
+    decomp = _assemble(f.g, _balanced_dicts(f.g, parts))
+    if n * r % 2 == 0:
+        return decomp, 1, f"balanced K_{{{n}*{r}}}: 1 (nr even)"
+    if n == 1:
+        return decomp, 2, f"odd complete K_{r}: 2"
+    return decomp, 2, f"balanced K_{{{n}*{r}}}: 2 (nr odd)"
 
 
 def _run_semiregular(f: _Facts):
     parts = f.multipartite
     if parts is None:
         raise GraphError("graph is not complete multipartite")
-    sizes = sorted(len(p) for p in parts)
-    r = len(parts)
-    if r < 3 or len(set(sizes[:-1])) != 1 or sizes[-1] != sizes[0] * (r - 1):
+    *small, big = sorted(parts, key=len)
+    n, r = len(small[0]), len(small)
+    if r < 2 or any(len(p) != n for p in small) or len(big) != n * r:
         raise GraphError("part sizes are not of K_{n*r,nr} shape")
-    n, rr = sizes[0], r - 1
-    if n * rr % 2 == 0 and rr % 2 and complete_multipartite_graph([n] * rr).edge_count > 20:
-        raise GraphError(f"K_{{{n}*{rr}}} with r odd has more than 20 edges")
-    canon = decompose_balanced_family(n, rr, "semiregular")
-    vmap = [v for part in sorted(parts, key=len) for v in part]
-    bound = 1 if (n * rr) % 2 == 0 else 3
-    return _remap_parts(f.g, canon, vmap), bound, f"K_{{{n}*{rr},{n * rr}}}: {bound}"
+    bound = 1 if (n * r) % 2 == 0 else 3
+    return (_assemble(f.g, _semiregular_dicts(f.g, small, big)), bound,
+            f"K_{{{n}*{r},{n * r}}}: {bound}")
 
 
 def _run_multipartite(f: _Facts):
@@ -938,9 +896,9 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     Candidates run in CANDIDATES order and a later one replaces the best so far
     only with strictly fewer parts.  A candidate is skipped once the best has
     at most max(lower, floor) parts, where lower is a lower bound on theta_int
-    (2 for a regular graph of odd order, else 1) and floor a proven lower bound
-    on that candidate's own part count.  The skip is exact: a skipped candidate
-    could at best tie, and ties go to the earlier candidate.
+    (2 for an overfull graph, E > Delta*floor(V/2), else 1) and floor a proven
+    lower bound on that candidate's own part count.  The skip is exact: a skipped
+    candidate could at best tie, and ties go to the earlier candidate.
 
     Disconnected graphs are dispatched one component at a time and the parts are
     merged, since interval colorability is decided component by component.  A

@@ -4,18 +4,19 @@ import random
 import time
 
 from intcolor.edge_coloring import exact_chromatic_index, konig_color, vizing_color
-from intcolor.generators import (FIXTURES, circular_complete_graph, cycle_graph,
-                                 random_bipartite, random_biregular,
-                                 random_cubic_class1, random_eulerian_bipartite)
+from intcolor.generators import (FIXTURES, circular_complete_graph,
+                                 complete_multipartite_graph, cycle_graph, random_bipartite,
+                                 random_biregular, random_cubic_class1,
+                                 random_eulerian_bipartite)
 from intcolor.multigraph import EdgeColoring, build_graph, verify, verify_decomposition
 from intcolor.oracles import (exact_cyclic_interval_coloring, exact_interval_colorable,
                               exact_theta, nash_williams_arboricity)
 from intcolor.subcubic import color_subcubic
 from intcolor.thickness import (decompose_balanced_family, decompose_bipartite,
-                                decompose_biregular, decompose_complete_multipartite,
-                                decompose_eulerian_bipartite, decompose_forest_peel,
-                                decompose_general, dispatch_theta_upper,
-                                multipartite_part_count, split_cyclic)
+                                decompose_biregular, decompose_eulerian_bipartite,
+                                decompose_forest_peel, decompose_general,
+                                dispatch_theta_upper, multipartite_part_count,
+                                run_named_method, split_cyclic)
 from intcolor.timetable import (RequirementMatrix, daily_loads,
                                 decomposition_to_timetable, make_weekly_timetable,
                                 timetable_to_decomposition, verify_timetable)
@@ -154,7 +155,7 @@ def test_criterion_07_complete_multipartite():
     rng = random.Random(7)
     for r in range(2, 13):
         sizes = [rng.randint(1, 4) for _ in range(r)]
-        d = decompose_complete_multipartite(sizes)
+        d, _ = run_named_method(complete_multipartite_graph(sizes), "complete-multipartite")
         ok &= _certified(d) and d.part_count == multipartite_part_count(r)
     for n, r in ((1, 2), (3, 2), (2, 3), (1, 4), (2, 4), (3, 4), (1, 6), (2, 6)):
         d = decompose_balanced_family(n, r, "balanced")

@@ -4,14 +4,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intcolor.edge_coloring import petersen_two_factorization
-from intcolor.generators import (complete_bipartite_graph, cycle_graph,
-                                 random_biregular, random_cactus, random_tree)
-from intcolor.kernels import (attach_cycle, color_balanced_multipartite,
-                              color_cactus, color_complete_bipartite, color_forest,
-                              color_low_even_bipartite, color_paths_and_even_cycles,
-                              color_two_factor_pair, extend_pendant, round_robin_rounds,
+from intcolor.generators import (complete_bipartite_graph, complete_multipartite_graph,
+                                 cycle_graph, multipartite_parts, random_biregular,
+                                 random_cactus, random_tree)
+from intcolor.kernels import (IncrementalHost, balanced_multipartite_colors,
+                              color_cactus, color_forest, color_low_even_bipartite,
+                              color_paths_and_even_cycles, round_robin_rounds,
+                              staircase_bipartite_colors, two_factor_pair_colors,
                               walk_degree_two)
-from intcolor.multigraph import EdgeColoring, GraphError, build_graph, verify
+from intcolor.multigraph import EdgeColoring, GraphError, build_graph, normalize, verify
+
+
+def _coloring(g, colors):
+    """The host-edge color map of every edge of g as a normalized EdgeColoring."""
+    return normalize(EdgeColoring(g, tuple(colors[e] for e in range(g.edge_count))))
+
+
+def _host(g, colors):
+    """An IncrementalHost of g whose first len(colors) edges carry those colors."""
+    host = IncrementalHost(g)
+    for eid, c in enumerate(colors):
+        host.add_colored(eid, c)
+    return host
 
 
 # -- forests -------------------------------------------------------------------
@@ -42,18 +56,21 @@ def test_forest_rejects_cycle():
 # -- complete bipartite ----------------------------------------------------------
 
 def test_complete_bipartite_single_edge():
-    assert color_complete_bipartite(1, 1).colors == (1,)
+    g = complete_bipartite_graph(1, 1)
+    assert _coloring(g, staircase_bipartite_colors(g, [0], [1])).colors == (1,)
 
 
 def test_complete_bipartite_2_3_palettes():
-    col = color_complete_bipartite(2, 3)
+    g = complete_bipartite_graph(2, 3)
+    col = _coloring(g, staircase_bipartite_colors(g, [0, 1], [2, 3, 4]))
     assert col.max_color() == 4
     assert sorted(col.palette(0)) == [1, 2, 3]       # x_1
     assert sorted(col.palette(4)) == [3, 4]          # y_3
 
 
 def test_complete_bipartite_7_5():
-    col = color_complete_bipartite(7, 5)
+    g = complete_bipartite_graph(7, 5)
+    col = _coloring(g, staircase_bipartite_colors(g, list(range(7)), list(range(7, 12))))
     assert verify(col.graph, col).interval
     assert col.max_color() == 11
 
@@ -61,50 +78,60 @@ def test_complete_bipartite_7_5():
 # -- pendant and cycle attachment ---------------------------------------------
 
 def test_pendant_colors_max_plus_one():
-    c = EdgeColoring(build_graph(2, [(0, 1)]), (1,))
-    ext = extend_pendant(c, 1)
-    assert ext.colors == (1, 2)
+    g = build_graph(3, [(0, 1), (1, 2)])
+    host = _host(g, (1,))
+    host.add_pendant(1, 1)
+    assert _coloring(g, host.color).colors == (1, 2)
 
 
 def test_pendant_at_star_center():
-    g = complete_bipartite_graph(1, 3)
-    ext = extend_pendant(EdgeColoring(g, (1, 2, 3)), 0)
-    assert ext.colors[-1] == 4
+    g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    host = _host(g, (1, 2, 3))
+    host.add_pendant(3, 0)
+    assert _coloring(g, host.color).colors[-1] == 4
 
 
 def test_pendant_chain_builds_a_path():
-    c = EdgeColoring(build_graph(2, [(0, 1)]), (1,))
-    for _ in range(10):
-        c = extend_pendant(c, c.graph.vertex_count - 1)
+    g = build_graph(12, [(i, i + 1) for i in range(11)])
+    host = _host(g, (1,))
+    for eid in range(1, 11):
+        host.add_pendant(eid, eid)
+    c = _coloring(g, host.color)
     assert c.colors == tuple(range(1, 12))
     assert verify(c.graph, c).interval
 
 
 def test_attach_triangle_at_leaf():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    out = attach_cycle(EdgeColoring(g, (1, 2)), 2, 3)
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)])
+    host = _host(g, (1, 2))
+    host.add_cycle(2, [2, 3, 4])
+    out = _coloring(g, host.color)
     assert out.colors[2:] == (1, 2, 3)
     assert verify(out.graph, out).interval
 
 
 def test_attach_c4_even_pattern():
-    g = build_graph(2, [(0, 1)])
-    out = attach_cycle(EdgeColoring(g, (1,)), 1, 4)
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)])
+    host = _host(g, (1,))
+    host.add_cycle(1, [1, 2, 3, 4])
+    out = _coloring(g, host.color)
     assert out.colors[1:] == (2, 3, 2, 3)
     assert sorted(out.palette(1)) == [1, 2, 3]
 
 
 def test_attach_c5_odd_pattern():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    out = attach_cycle(EdgeColoring(g, (1, 2, 3)), 3, 5)
+    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])
+    host = _host(g, (1, 2, 3))
+    host.add_cycle(3, [3, 4, 5, 6, 7])
+    out = _coloring(g, host.color)
     assert out.colors[3:] == (2, 3, 2, 3, 4)
     assert verify(out.graph, out).interval
 
 
 def test_attach_requires_leaf():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 1)])
     with pytest.raises(GraphError):
-        attach_cycle(EdgeColoring(g, (1, 2)), 1, 3)
+        _host(g, (1, 2)).add_cycle(1, [2, 3, 4])
 
 
 # -- cacti ------------------------------------------------------------------------
@@ -187,21 +214,21 @@ def test_low_even_with_pendant_edges():
 
 def test_two_factor_pair_single_cycle():
     g = cycle_graph(4)
-    col = color_two_factor_pair(g, [0, 1, 2, 3], [])
+    col = _coloring(g, two_factor_pair_colors(g, [0, 1, 2, 3], []))
     assert set(col.colors) == {1, 2}
 
 
 def test_two_factor_pair_k44():
     g = complete_bipartite_graph(4, 4)
     fa, fb = petersen_two_factorization(g).factors
-    col = color_two_factor_pair(g, list(fa), list(fb))
+    col = _coloring(g, two_factor_pair_colors(g, list(fa), list(fb)))
     assert verify(col.graph, col).interval
     assert all(sorted(col.palette(v)) == [1, 2, 3, 4] for v in range(8))
 
 
 def test_two_factor_pair_vertex_in_one_factor_only():
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 4)])
-    col = color_two_factor_pair(g, [0, 1, 2, 3], [4, 5])
+    col = _coloring(g, two_factor_pair_colors(g, [0, 1, 2, 3], [4, 5]))
     assert sorted(col.palette(0)) == [1, 2]
     assert sorted(col.palette(4)) == [3, 4]
 
@@ -209,7 +236,7 @@ def test_two_factor_pair_vertex_in_one_factor_only():
 def test_two_factor_pair_rejects_odd_cycle():
     g = cycle_graph(3)
     with pytest.raises(GraphError):
-        color_two_factor_pair(g, [0, 1, 2], [])
+        two_factor_pair_colors(g, [0, 1, 2], [])
 
 
 # -- balanced complete multipartite --------------------------------------------------
@@ -224,9 +251,11 @@ def test_round_robin_partitions_all_pairs():
         assert sorted(players) == list(range(6))
 
 
-@pytest.mark.parametrize("n,r,colors", [(2, 2, 2), (1, 4, 3), (2, 3, 4), (2, 4, 6), (3, 2, 3)])
+@pytest.mark.parametrize("n,r,colors", [(2, 2, 2), (1, 4, 3), (2, 3, 4), (2, 4, 6), (3, 2, 3),
+                                         (2, 5, 8), (4, 3, 8), (6, 3, 12)])
 def test_balanced_multipartite_uses_exactly_r1n_colors(n, r, colors):
-    col = color_balanced_multipartite(n, r)
+    g = complete_multipartite_graph([n] * r)
+    col = _coloring(g, balanced_multipartite_colors(g, multipartite_parts([n] * r)))
     assert col.colors_used() == colors == (r - 1) * n
     assert verify(col.graph, col).interval
     for v in range(col.graph.vertex_count):
@@ -235,7 +264,8 @@ def test_balanced_multipartite_uses_exactly_r1n_colors(n, r, colors):
 
 def test_balanced_multipartite_rejects_odd_nr():
     with pytest.raises(GraphError):
-        color_balanced_multipartite(3, 3)
+        balanced_multipartite_colors(complete_multipartite_graph([3] * 3),
+                                     multipartite_parts([3] * 3))
 
 
 # -- alternation helper ---------------------------------------------------------------
@@ -248,15 +278,18 @@ def test_paths_and_even_cycles_rejects_odd_cycle():
 # -- host preservation -----------------------------------------------------------------
 
 def test_pendant_preserves_host_colors():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    ext = extend_pendant(EdgeColoring(g, (1, 2)), 2)
-    assert ext.colors[:2] == (1, 2)
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    host = _host(g, (1, 2))
+    host.add_pendant(2, 2)
+    assert _coloring(g, host.color).colors[:2] == (1, 2)
 
 
 def test_attach_preserves_host_up_to_shift():
     # k = 1 makes the odd pattern dip to 0; normalization shifts uniformly
-    g = build_graph(2, [(0, 1)])
-    out = attach_cycle(EdgeColoring(g, (1,)), 1, 3)
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+    host = _host(g, (1,))
+    host.add_cycle(1, [1, 2, 3])
+    out = _coloring(g, host.color)
     assert out.colors == (2, 1, 2, 3)
     assert verify(out.graph, out).interval
 

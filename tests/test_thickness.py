@@ -15,10 +15,9 @@ from intcolor.generators import (FIXTURES, FamilySpec, generate,
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, bipartition,
                                  build_graph, verify_decomposition)
 from intcolor.oracles import exact_cyclic_interval_coloring, exact_theta
-from intcolor.thickness import (decompose_balanced_family, decompose_bipartite,
-                                decompose_biregular, decompose_complete_multipartite,
-                                decompose_eulerian_bipartite, decompose_forest_peel,
-                                decompose_general, decompose_star_peel,
+from intcolor.thickness import (_Facts, decompose_balanced_family, decompose_bipartite,
+                                decompose_biregular, decompose_eulerian_bipartite,
+                                decompose_forest_peel, decompose_general, decompose_star_peel,
                                 detect_complete_multipartite, dispatch_theta_upper,
                                 multipartite_part_count, run_named_method,
                                 split_cyclic)
@@ -255,7 +254,7 @@ def test_multipartite_recurrence_values():
     ([2, 3], 1), ([1, 2, 3, 1], 2), ([2] * 8, 3), ([1] * 5, 3),
 ])
 def test_multipartite_exact_part_counts(sizes, parts):
-    d = decompose_complete_multipartite(sizes)
+    d, _ = run_named_method(complete_multipartite_graph(sizes), "complete-multipartite")
     assert _certified(d) and d.part_count == parts == multipartite_part_count(len(sizes))
 
 
@@ -296,6 +295,59 @@ def test_semiregular_even_full_palettes():
 def test_semiregular_odd_three_parts():
     d = decompose_balanced_family(1, 3, "semiregular")
     assert _certified(d) and d.part_count <= 3
+
+
+def _relabelled(sizes, rng):
+    """K_{sizes} with its vertex labels permuted and its edges in random order."""
+    g = complete_multipartite_graph(sizes)
+    label = list(range(g.vertex_count))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return build_graph(g.vertex_count, edges)
+
+
+@given(st.integers(0, 100_000), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_balanced_and_semiregular_rows_color_any_labelling(seed, semiregular):
+    rng = random.Random(seed)
+    if semiregular:
+        n, r = rng.randint(1, 4), rng.randint(2, 5)
+        sizes, method, bound = [n] * r + [n * r], "semiregular-multipartite", 3
+    else:
+        n, r = rng.randint(1, 6), rng.randint(2, 7)
+        sizes, method, bound = [n] * r, "balanced-multipartite", 2
+    if n * r % 2 == 0:
+        bound = 1
+    g = _relabelled(sizes, rng)
+    d, trace = run_named_method(g, method)
+    assert reference_verify_decomposition(g, d).interval
+    assert d.part_count == trace.bound_value == bound
+    d, trace = dispatch_theta_upper(g)
+    assert reference_verify_decomposition(g, d).interval
+    assert d.part_count <= bound
+
+
+def test_balanced_and_semiregular_rows_one_part_whenever_nr_even():
+    for n in range(1, 7):
+        for r in range(2, 8):
+            if n * r % 2 == 0:
+                g = complete_multipartite_graph([n] * r)
+                d, _ = run_named_method(g, "balanced-multipartite")
+                assert _certified(d) and d.part_count == 1, (n, r)
+                if n <= 4 and r <= 5:
+                    g = complete_multipartite_graph([n] * r + [n * r])
+                    d, _ = run_named_method(g, "semiregular-multipartite")
+                    assert _certified(d) and d.part_count == 1, (n, r)
+
+
+@pytest.mark.parametrize("sizes", [[2] * 5, [4] * 3, [6] * 3, [2] * 7,
+                                   [4] * 3 + [12], [2] * 5 + [10]])
+def test_odd_r_multipartite_with_nr_even_in_one_part(sizes):
+    g = complete_multipartite_graph(sizes)
+    d, trace = dispatch_theta_upper(g)
+    assert reference_verify_decomposition(g, d).interval
+    assert d.part_count == trace.bound_value == 1
 
 
 # -- forest peel -------------------------------------------------------------------------------
@@ -574,6 +626,23 @@ def test_edge_components_match_plain_definition(seed):
     if rng.random() < 0.5:
         eids.sort()
     assert thickness._edge_components(g, eids) == _plain_edge_components(g, eids)
+
+
+# -- lower bound -------------------------------------------------------------------
+
+def test_overfull_lower_bound_k5_minus_an_edge():
+    # not regular, but 9 edges > Delta * floor(V/2) = 4 * 2
+    g = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)])
+    assert _Facts(g).lower == 2
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=60, deadline=None)
+def test_lower_bound_never_exceeds_exact_theta(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    g = build_graph(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))])
+    assert _Facts(g).lower <= exact_theta(g)
 
 
 # -- the candidate table -------------------------------------------------------------
