@@ -18,7 +18,8 @@ from .multigraph import (EdgeColoring, GraphError, Multigraph, verify,
                          verify_decomposition)
 from .oracles import (exact_interval_colorable, exact_theta,
                       nash_williams_arboricity)
-from .thickness import METHODS, dispatch_theta_upper, run_named_method, split_cyclic
+from .thickness import (METHODS, BoundTrace, dispatch_theta_upper, run_named_method,
+                        split_cyclic)
 from .timetable import (RequirementMatrix, make_weekly_timetable, render_timetable,
                         verify_timetable)
 
@@ -88,8 +89,8 @@ def _cmd_decompose(args) -> int:
             raise GraphError("--cyclic-coloring requires --t")
         col = graphio.coloring_from_json(_load_json_or_text(args.cyclic_coloring), g)
         d = split_cyclic(g, col, args.t)
-        trace = {"method": "cyclic-split", "bound_formula": "2 (cyclic interval)",
-                 "bound_value": 2, "parts": d.part_count, "certified": True}
+        trace = BoundTrace("cyclic-split", "2 (cyclic interval)", 2, d.part_count,
+                           True).to_json()
     else:
         d, tr = run_named_method(g, args.method)
         trace = tr.to_json()

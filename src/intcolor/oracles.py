@@ -1,5 +1,12 @@
 """Exponential-time exact references at desk scale.
 
+Both coloring oracles run one search, `_color_sweep`: it walks colors 1, 2, ...
+and picks one matching per color, each vertex being one that must be matched,
+may be matched or must not be.  The interval rule starts vertices freely and
+keeps started ones matched until done, with no empty color; the cyclic rule has
+exactly t colors, empty ones allowed, and lets a vertex matched at color 1 pause
+once and wrap around to finish at color t.  Failed states are remembered.
+
 Budgets are hard limits with explicit errors, never silent truncation.
 Witnesses are always re-checked, so positive answers never rest on the
 constructive kernels alone.
@@ -29,16 +36,29 @@ def _component_edge_sets(g: Multigraph) -> list[list[int]]:
             if any(g.incidence[v] for v in comp)]
 
 
-def _interval_color_sweep(sub: Multigraph) -> list[int] | None:
-    """Search for an interval coloring of a connected graph, one color at a time.
+def _color_sweep(sub: Multigraph, t: int | None = None) -> list[int] | None:
+    """Search a connected graph for an interval coloring (t None) or a cyclic
+    interval t-coloring, one color at a time.
 
-    Color c is a matching that covers every active vertex (one that has an edge
-    colored and an edge left); a vertex with no edge colored yet may join it.
-    This is exactly an interval coloring with smallest color 1: the colors of a
-    connected graph's interval coloring form one interval, so no color is empty.
-    What may still happen after a color depends only on the edges left (they
-    fix which vertices are active), not on c, so a failed edge multiset is
-    remembered and never searched again.
+    Color c is a matching.  At each color a vertex must be matched, may be matched
+    or must not be; the two rules below differ only in that choice.
+
+    Interval rule: a vertex with an edge colored and an edge left must be matched,
+    and one with no edge colored may start.  This is exactly an interval coloring
+    with smallest color 1: the colors of a connected graph's interval coloring form
+    one interval, so no color is empty.  What may still happen after a color depends
+    only on the edges left (they fix which vertices have started), not on c.
+
+    Cyclic rule: there are t colors and a color may be empty.  A cyclic interval
+    without color 1 is a plain interval, so a vertex first matched after color 1 runs
+    until it is done.  One with color 1 is 1..b, then, after one pause with r edges
+    left, t-r+1..t: it must not be matched from its pause to color t-r+1 and must be
+    matched from then on.  A vertex with more edges left than colors left is a dead
+    end.  Rotating the colors keeps every palette cyclic, so the first vertex is
+    matched at color 1.  What may still happen depends on c and on which vertices
+    were matched at color 1, as well as on the edges left.
+
+    Either way a failed state is remembered and never searched again.
     """
     deg = sub.degrees
     pairs = sorted(Counter(tuple(sorted(e)) for e in sub.edges).items())
@@ -49,31 +69,47 @@ def _interval_color_sweep(sub: Multigraph) -> list[int] | None:
         incident[u].append((p, v))
         incident[v].append((p, u))
     order = sorted((v for v in range(sub.vertex_count) if deg[v]), key=lambda v: -deg[v])
-    failed: set[tuple[int, ...]] = set()
+    failed: set[tuple] = set()
     matchings: list[list[int]] = []
 
-    def color_next() -> bool:
+    def color_from(c: int, first: frozenset[int]) -> bool:
+        # first: the vertices matched at color 1 (cyclic rule only)
         if not any(rem):
             return True
-        key = tuple(left)
+        if t is None:
+            key: tuple = tuple(left)
+            must = [r < d for r, d in zip(rem, deg)]
+            decided: set[int] = set()
+        else:
+            room = t - c + 1
+            if max(rem) > room:
+                return False
+            key = (c, tuple(left), first)
+            must = [r == room or (r < d and v not in first)
+                    for v, (r, d) in enumerate(zip(rem, deg))]
+            must[order[0]] |= c == 1
+            # matched at color 1 but not at every color since: paused
+            decided = {v for v in first if rem[v] < room and deg[v] - rem[v] < c - 1}
         if key in failed:
             return False
-        decided: set[int] = set()
         matching: list[int] = []
+
+        def close_color() -> bool:
+            if t is None and not matching:
+                return False
+            matchings.append(list(matching))
+            if color_from(c + 1, first if c > 1 else
+                          frozenset(v for v in order if rem[v] < deg[v])):
+                return True
+            matchings.pop()
+            return False
 
         def extend(i: int) -> bool:
             while i < len(order) and (order[i] in decided or not rem[order[i]]):
                 i += 1
             if i == len(order):
-                if not matching:
-                    return False
-                matchings.append(list(matching))
-                if color_next():
-                    return True
-                matchings.pop()
-                return False
+                return close_color()
             v = order[i]
-            active = rem[v] < deg[v]
             decided.add(v)
             for p, u in incident[v]:
                 if left[p] and rem[u] and u not in decided:
@@ -89,7 +125,7 @@ def _interval_color_sweep(sub: Multigraph) -> list[int] | None:
                     rem[u] += 1
                     rem[v] += 1
                     decided.discard(u)
-            found = not active and extend(i + 1)
+            found = not must[v] and extend(i + 1)
             decided.discard(v)
             return found
 
@@ -98,7 +134,7 @@ def _interval_color_sweep(sub: Multigraph) -> list[int] | None:
         failed.add(key)
         return False
 
-    if not color_next():
+    if not color_from(1, frozenset()):
         return None
     slots: list[list[int]] = [[] for _ in pairs]
     for c, matching in enumerate(matchings, 1):
@@ -152,10 +188,8 @@ def _component_witness(sub: Multigraph) -> EdgeColoring | None:
     if chi > delta:
         return None  # chromatic index above max degree: never interval colorable
     if delta == 3:
-        out = color_subcubic(sub, chi_witness)
-        if verify(sub, out, "interval").interval:
-            return out
-    found = _interval_color_sweep(sub)
+        return color_subcubic(sub, chi_witness)
+    found = _color_sweep(sub)
     return None if found is None else EdgeColoring(sub, tuple(found))
 
 
@@ -220,8 +254,10 @@ def exact_cyclic_interval_coloring(g: Multigraph, t: int,
                                    budget: int = INTERVAL_BUDGET) -> EdgeColoring | None:
     """Search for a cyclic interval t-coloring (palettes consecutive mod t).
 
-    Each vertex gets an arc start in [1, t] (rotation pinned per component);
-    edges get colors inside both endpoint arcs, one per arc slot.
+    Each component runs the color sweep under the wrap rule: colors 1..t, one
+    matching each (possibly empty); a vertex matched at color 1 may pause once and
+    then runs from t-r+1 through t for its r edges left, and every other vertex
+    runs without a gap from its first color.
     """
     if g.has_loop():
         raise GraphError("cyclic interval colorings are defined for loopless graphs")
@@ -232,7 +268,7 @@ def exact_cyclic_interval_coloring(g: Multigraph, t: int,
     colors: dict[int, int] = {}
     for comp_edges in _component_edge_sets(g):
         sub, ids = g.subgraph(comp_edges)
-        found = _cyclic_search(sub, t)
+        found = _color_sweep(sub, t)
         if found is None:
             return None
         for pos, eid in enumerate(ids):
@@ -241,82 +277,3 @@ def exact_cyclic_interval_coloring(g: Multigraph, t: int,
     if not verify(g, col, "cyclic", t=t).cyclic_interval:
         raise AssertionError("oracle produced an invalid cyclic witness")
     return col
-
-
-def _cyclic_search(sub: Multigraph, t: int) -> list[int] | None:
-    m = sub.edge_count
-    deg = sub.degrees
-    active = [v for v in range(sub.vertex_count) if deg[v] > 0]
-    order: list[int] = []
-    seen: set[int] = set()
-    stack = [active[0]]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        order.append(v)
-        for eid in sub.incidence[v]:
-            stack.append(sub.other_end(eid, v))
-
-    def arc(v: int, start: int) -> set[int]:
-        return {(start - 1 + i) % t + 1 for i in range(deg[v])}
-
-    neigh: dict[int, set[int]] = {v: set() for v in active}
-    for u, v in sub.edges:
-        neigh[u].add(v)
-        neigh[v].add(u)
-
-    starts: dict[int, int] = {}
-
-    def edge_feasible() -> list[int] | None:
-        arcs = {v: arc(v, starts[v]) for v in order}
-        for c in range(1, t + 1):
-            if sum(1 for v in order if c in arcs[v]) % 2:
-                return None
-        colors = [0] * m
-        at: list[set[int]] = [set() for _ in range(sub.vertex_count)]
-        todo = list(range(m))
-
-        def choices(eid: int) -> list[int]:
-            u, v = sub.edges[eid]
-            return sorted((arcs[u] & arcs[v]) - at[u] - at[v])
-
-        def bt() -> bool:
-            if not todo:
-                return True
-            eid = min(todo, key=lambda e: len(choices(e)))
-            todo.remove(eid)
-            u, v = sub.edges[eid]
-            for c in choices(eid):
-                colors[eid] = c
-                at[u].add(c)
-                at[v].add(c)
-                if bt():
-                    return True
-                at[u].discard(c)
-                at[v].discard(c)
-            colors[eid] = 0
-            todo.append(eid)
-            return False
-
-        return colors if bt() else None
-
-    def place(i: int) -> list[int] | None:
-        if i == len(order):
-            return edge_feasible()
-        v = order[i]
-        candidates = [1] if i == 0 else range(1, t + 1)
-        placed = [u for u in neigh[v] if u in starts]
-        for s in candidates:
-            a_v = arc(v, s)
-            if any(not (a_v & arc(u, starts[u])) for u in placed):
-                continue
-            starts[v] = s
-            got = place(i + 1)
-            if got is not None:
-                return got
-            del starts[v]
-        return None
-
-    return place(0)

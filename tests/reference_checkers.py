@@ -118,3 +118,37 @@ def reference_interval_colorable(g: Multigraph) -> bool:
         return False
 
     return assign(0)
+
+
+def reference_cyclic_interval_colorable(g: Multigraph, t: int) -> bool:
+    """Whether a loopless graph has a cyclic interval t-coloring, by trying colors 1..t
+    edge by edge.
+
+    Rotating every color keeps each palette a cyclic arc, so the first edge takes
+    color 1.  A partial coloring is cut off as soon as a vertex repeats a color or its
+    colors fit in no cyclic arc of deg(v) consecutive colors modulo t; a complete one
+    that passes both tests gives every vertex exactly such an arc.
+    """
+    m = g.edge_count
+    palettes: list[set[int]] = [set() for _ in range(g.vertex_count)]
+
+    def fits(v: int, c: int) -> bool:
+        pal = palettes[v] | {c}
+        return c not in palettes[v] and any(
+            all((x - s) % t < g.degree(v) for x in pal) for s in range(1, t + 1))
+
+    def assign(eid: int) -> bool:
+        if eid == m:
+            return True
+        u, v = g.edges[eid]
+        for c in range(1, t + 1 if eid else 2):
+            if fits(u, c) and fits(v, c):
+                palettes[u].add(c)
+                palettes[v].add(c)
+                if assign(eid + 1):
+                    return True
+                palettes[u].discard(c)
+                palettes[v].discard(c)
+        return False
+
+    return assign(0)

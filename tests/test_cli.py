@@ -79,6 +79,9 @@ def test_decompose_cyclic_split(tmp_path, capsys):
                     "--cyclic-coloring", str(cpath), "--t", "5")
     assert code == 0
     assert max(json.loads(out)["part"]) + 1 == 2
+    assert json.loads(out)["trace"] == {
+        "method": "cyclic-split", "bound_formula": "2 (cyclic interval)",
+        "bound_value": 2, "parts": 2, "certified": True}
 
 
 def test_timetable_command(tmp_path, capsys):

@@ -7,10 +7,11 @@ from intcolor.edge_coloring import BudgetExceeded
 from intcolor.generators import (FIXTURES, complete_bipartite_graph, complete_graph,
                                  cycle_graph, random_tree, sharpness_graph)
 from intcolor.multigraph import EdgeColoring, build_graph, verify
-from intcolor.oracles import (_interval_color_sweep, exact_chromatic_index,
+from intcolor.oracles import (_color_sweep, exact_chromatic_index,
                               exact_cyclic_interval_coloring, exact_interval_colorable,
                               exact_theta, nash_williams_arboricity)
-from reference_checkers import reference_interval_colorable
+from reference_checkers import (reference_cyclic_interval_colorable,
+                                reference_interval_colorable)
 
 
 def _random_small_graph(seed, max_edges=9):
@@ -80,7 +81,7 @@ def test_color_sweep_matches_brute_force_on_each_component(g):
         if len(comp) < 2:
             continue
         sub, _ = g.subgraph(sorted({e for v in comp for e in g.incidence[v]}))
-        found = _interval_color_sweep(sub)
+        found = _color_sweep(sub)
         assert (found is not None) == reference_interval_colorable(sub)
         if found is not None:
             assert verify(sub, EdgeColoring(sub, tuple(found))).interval
@@ -175,6 +176,30 @@ def test_cyclic_search_c5():
 def test_cyclic_search_infeasible_t():
     g = complete_bipartite_graph(1, 3)
     assert exact_cyclic_interval_coloring(g, 2) is None
+
+
+@given(small_multigraph(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_cyclic_verdict_matches_brute_force(g, extra):
+    t = g.max_degree + extra
+    w = exact_cyclic_interval_coloring(g, t)
+    assert (w is not None) == reference_cyclic_interval_colorable(g, t)
+    if w is not None:
+        assert verify(g, w, "cyclic", t=t).cyclic_interval
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_cyclic_search_on_cycles_matches_closed_form(n):
+    # an even cycle alternates two colors; along an odd cycle the colors step by
+    # +-1 mod t, n odd steps summing to a nonzero multiple of t, so t is odd and
+    # 3 <= t <= n
+    g = cycle_graph(n)
+    for t in range(1, n + 3):
+        expected = (t >= 2) if n % 2 == 0 else (t % 2 == 1 and 3 <= t <= n)
+        w = exact_cyclic_interval_coloring(g, t)
+        assert (w is not None) == expected, t
+        if w is not None:
+            assert verify(g, w, "cyclic", t=t).cyclic_interval
 
 
 def test_theta_of_empty_graph_is_zero():

@@ -1,0 +1,30 @@
+"""The scripts under scripts/ run end to end: each exits 0 and prints its headers."""
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(name: str, *args: str) -> list[str]:
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_thickness_gap_scan():
+    # drives the interval color sweep through exact_theta on every trial
+    lines = _run("thickness_gap_scan.py", "--trials", "60", "--seed", "0")
+    assert lines[0].startswith("trials with edges: ")
+    assert lines[1].startswith("  dispatcher gap 0: ")
+    assert any(line.startswith("largest exact thickness seen: ") for line in lines)
+
+
+def test_timetable_demo():
+    lines = _run("timetable_demo.py")
+    assert lines[0] == "requirement matrix (rows = classes, columns = teachers):"
+    for mode in ("fewest_days", "even_spread"):
+        header = [line for line in lines if line.startswith(f"== {mode}: ")]
+        assert len(header) == 1 and header[0].endswith("verified=True")
+    assert lines[-1].startswith("largest daily-load spread over all parties: ")
