@@ -7,6 +7,7 @@ in a family (none is known among planar graphs).
 Exits 1 when the dispatcher certifies fewer parts than the exact thickness on
 any trial: one of the two verifiers is then wrong."""
 import argparse
+import os
 import random
 import sys
 from pathlib import Path
@@ -62,4 +63,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (piped into head, say): stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

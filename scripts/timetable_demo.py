@@ -2,6 +2,7 @@
 """Build both no-wait weekly timetables (fewest days / even spread) for a random
 requirement matrix and print the grids."""
 import argparse
+import os
 import random
 import sys
 from pathlib import Path
@@ -41,4 +42,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (piped into head, say): stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

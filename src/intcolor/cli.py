@@ -13,7 +13,6 @@ from . import graphio
 from .edge_coloring import (exact_chromatic_index, konig_color, shannon_color,
                             vizing_color)
 from .generators import FamilySpec, generate
-from .kernels import color_cactus, color_forest, color_low_even_bipartite
 from .multigraph import (EdgeColoring, GraphError, Multigraph, verify,
                          verify_decomposition)
 from .oracles import (exact_interval_colorable, exact_theta,
@@ -56,6 +55,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# color --method spellings run as the dispatcher candidate row of that name
+_CANDIDATE_COLORINGS = {"subcubic": "subcubic", "kernel:forest": "forest",
+                        "kernel:cactus": "cactus", "kernel:low_even": "low-even-bipartite"}
+
+
 def _cmd_color(args) -> int:
     g = _load_graph(args.graph)
     method = args.method
@@ -65,17 +69,11 @@ def _cmd_color(args) -> int:
         col = vizing_color(g)
     elif method == "shannon":
         col = shannon_color(g)
-    elif method == "subcubic":
-        col = EdgeColoring(g, run_named_method(g, "subcubic")[0].colors)
+    elif method in _CANDIDATE_COLORINGS:
+        col = EdgeColoring(g, run_named_method(g, _CANDIDATE_COLORINGS[method])[0].colors)
     elif method == "exact":
         chi, col = exact_chromatic_index(g)
         print(f"chromatic index: {chi}", file=sys.stderr)
-    elif method == "kernel:forest":
-        col = color_forest(g)
-    elif method == "kernel:cactus":
-        col = color_cactus(g)
-    elif method == "kernel:low_even":
-        col = color_low_even_bipartite(g)
     else:
         raise GraphError(f"unknown coloring method {method!r}")
     _emit(graphio.coloring_to_json(col), args.out)

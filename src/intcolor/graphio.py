@@ -46,6 +46,8 @@ def graph_from_json(obj: Any) -> Multigraph:
                 raise GraphError("edge ids must be dense and in order")
             e = (e.get("u"), e.get("v"))
         pairs.append(e)
+    if not isinstance(obj.get("allows_loops", False), bool):
+        raise GraphError(f"'allows_loops' must be true or false, got {obj['allows_loops']!r}")
     return build_graph(obj.get("vertex_count"), pairs, allows_loops=obj.get("allows_loops", False))
 
 

@@ -1,29 +1,21 @@
 """Direct interval-coloring constructions for the base graph families.
 
-The color_* operations return a normalized coloring and assert the checker on
-their own output before returning: a rejected construction is an
-implementation fault, never an expected outcome.  The *_colors helpers return
-unchecked host-edge color maps for a caller to assemble; thickness._assemble
-certifies every decomposition built from them.
+Kernels only construct: the color_* operations return a normalized coloring and
+the *_colors helpers host-edge color maps, unchecked.  The callers certify:
+thickness._certified every decomposition, the oracles every witness.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 
 from .edge_coloring import petersen_two_factorization
-from .multigraph import EdgeColoring, GraphError, Multigraph, bipartition, normalize, verify
+from .multigraph import EdgeColoring, GraphError, Multigraph, bipartition, normalize
 
 
-def _checked(g: Multigraph, colors: dict[int, int] | list[int]) -> EdgeColoring:
-    if isinstance(colors, dict):
-        if len(colors) != g.edge_count:
-            raise AssertionError("construction left edges uncolored")
-        colors = [colors[e] for e in range(g.edge_count)]
-    col = normalize(EdgeColoring(g, tuple(colors)))
-    rep = verify(g, col, "interval")
-    if not rep.interval:
-        raise AssertionError(f"construction failed its own checker at vertices {rep.offending_vertices}")
-    return col
+def _as_coloring(g: Multigraph, colors: dict[int, int]) -> EdgeColoring:
+    if len(colors) != g.edge_count:
+        raise AssertionError("construction left edges uncolored")
+    return normalize(EdgeColoring(g, tuple(colors[e] for e in range(g.edge_count))))
 
 
 def walk_degree_two(g: Multigraph, eids: list[int]) -> list[tuple[list[int], list[int], bool]]:
@@ -89,7 +81,7 @@ def color_paths_and_even_cycles(g: Multigraph) -> EdgeColoring:
             raise GraphError("odd cycle component is not interval colorable")
         for i, e in enumerate(eseq):
             colors[e] = 1 + (i % 2)
-    return _checked(g, colors)
+    return _as_coloring(g, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +111,7 @@ def color_forest(g: Multigraph) -> EdgeColoring:
                 colors[eid] = nxt
                 queue.append((w, eid, nxt))
                 nxt += 1
-    return _checked(g, colors)
+    return _as_coloring(g, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +340,7 @@ def color_cactus(g: Multigraph) -> EdgeColoring:
                 continue
             host.add_pendant(eid, v)
             enter(g.other_end(eid, v))
-    return _checked(g, host.color)
+    return _as_coloring(g, host.color)
 
 # ---------------------------------------------------------------------------
 # Bipartite graphs with degrees in {1, 2, 2r}: pair palettes per 2-factor.
@@ -380,7 +372,7 @@ def color_low_even_bipartite(g: Multigraph) -> EdgeColoring:
                     colors[e] = 1 + (i % 2)
             continue
         _color_suppressed_component(g, comp, comp_edges, delta // 2, colors)
-    return _checked(g, colors)
+    return _as_coloring(g, colors)
 
 
 def _color_suppressed_component(g: Multigraph, comp: list[int], comp_edges: list[int],

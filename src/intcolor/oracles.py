@@ -8,8 +8,8 @@ exactly t colors, empty ones allowed, and lets a vertex matched at color 1 pause
 once and wrap around to finish at color t.  Failed states are remembered.
 
 Budgets are hard limits with explicit errors, never silent truncation.
-Witnesses are always re-checked, so positive answers never rest on the
-constructive kernels alone.
+Witnesses are always checked before they are returned; that is the one check
+on what the constructive kernels build for them.
 """
 from __future__ import annotations
 

@@ -6,12 +6,13 @@ first color class as a matching M, colors the path/even-cycle components of
 the rest alternately 2,3 anchored by an A/B vertex labeling of an auxiliary
 graph, assigns 1 or 4 to matching edges with equal labels, and repairs the
 few matching edges whose labels differ by locally recoloring with 0,1 or 5,4.
+Only the supplied 3-edge-coloring is checked; callers certify the output.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .kernels import _checked, color_paths_and_even_cycles, walk_degree_two
+from .kernels import _as_coloring, color_paths_and_even_cycles, walk_degree_two
 from .multigraph import EdgeColoring, GraphError, Multigraph, verify
 
 A, B = 0, 1
@@ -282,4 +283,4 @@ def color_subcubic(g: Multigraph, c3: EdgeColoring) -> EdgeColoring:
             colors[e] = low if i % 2 == 0 else high
         colors[rep.break_eid] = break_color
 
-    return _checked(g, colors)
+    return _as_coloring(g, colors)

@@ -2,7 +2,8 @@
 
 Every decomposer returns a certified Decomposition: each edge carries its part
 and its color within the part, and verify_decomposition checks the whole
-labelling before it is returned.
+labelling before it is returned.  Kernels do not check their own output, so
+this is the one check on what they build.
 """
 from __future__ import annotations
 
@@ -687,7 +688,8 @@ def _general_coloring(g: Multigraph, cert: BipartitionCert | None) -> EdgeColori
 
 def _dispatch_componentwise(g: Multigraph, comps: list[list[int]]) -> tuple[Decomposition, BoundTrace]:
     """Dispatch each component's compact subgraph; part i of every component goes
-    into part i of the whole."""
+    into part i of the whole.  The merge is not re-certified: each component was
+    certified by the row that built it, and components share no vertex."""
     parts = [0] * g.edge_count
     colors = [0] * g.edge_count
     worst: BoundTrace | None = None
@@ -699,7 +701,7 @@ def _dispatch_componentwise(g: Multigraph, comps: list[list[int]]) -> tuple[Deco
             colors[eid] = d_sub.colors[pos]
         if worst is None or t_sub.parts > worst.parts:
             worst = t_sub
-    decomp = _certified(Decomposition(g, tuple(parts), tuple(colors)))
+    decomp = Decomposition(g, tuple(parts), tuple(colors))
     assert worst is not None
     if len(comps) == 1:
         return decomp, worst

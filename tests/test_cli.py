@@ -155,6 +155,15 @@ def test_color_methods_all_verify(tmp_path, capsys):
     assert run(capsys, "color", str(cpath), "--method", "kernel:cactus")[0] == 0
 
 
+def test_kernel_cactus_color_says_why_the_cactus_row_does_not_apply(tmp_path, capsys):
+    # K_4 is no cactus: the cactus row's reason, exit 2
+    gpath = tmp_path / "k4.json"
+    main(["gen", "fixture(name=k4)", "--out", str(gpath)])
+    assert main(["color", str(gpath), "--method", "kernel:cactus"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: too many edges for a cactus\n"
+
+
 def test_verify_cyclic_flag(tmp_path, capsys):
     gpath = tmp_path / "c5.json"
     cpath = tmp_path / "col.json"
@@ -217,6 +226,12 @@ def _exits_2_with_one_error_line(capsys, *argv):
 def test_decompose_graph_with_loop_exit_code(tmp_path, capsys):
     gpath = tmp_path / "loop.json"
     gpath.write_text('{"vertex_count": 2, "edges": [[0, 1], [1, 1]], "allows_loops": true}\n')
+    _exits_2_with_one_error_line(capsys, "decompose", str(gpath))
+
+
+def test_graph_json_with_non_boolean_allows_loops_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"vertex_count": 2, "edges": [[0, 1]], "allows_loops": "no"}\n')
     _exits_2_with_one_error_line(capsys, "decompose", str(gpath))
 
 

@@ -75,3 +75,9 @@ def test_fractional_endpoint_is_rejected_not_truncated():
     g = graphio.graph_from_json({"vertex_count": 2.0, "edges": [[0.0, 1]]})
     assert g.vertex_count == 2 and g.edges == ((0, 1),)
     assert graphio.graph_from_text("2 1\n0 1\n").edges == ((0, 1),)
+
+
+@pytest.mark.parametrize("flag", ["no", "true", 1, 0, None, []])
+def test_allows_loops_must_be_a_json_boolean(flag):
+    with pytest.raises(GraphError, match="allows_loops"):
+        graphio.graph_from_json({"vertex_count": 2, "edges": [[0, 1]], "allows_loops": flag})

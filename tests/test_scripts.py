@@ -1,7 +1,11 @@
-"""The scripts under scripts/ run end to end: each exits 0 and prints its headers."""
+"""The scripts under scripts/ run end to end: each exits 0 and prints its headers,
+and stops quietly when its stdout is closed early."""
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -28,3 +32,17 @@ def test_timetable_demo():
         header = [line for line in lines if line.startswith(f"== {mode}: ")]
         assert len(header) == 1 and header[0].endswith("verified=True")
     assert lines[-1].startswith("largest daily-load spread over all parties: ")
+
+
+@pytest.mark.parametrize("name,args", [("thickness_gap_scan.py", ("--trials", "5")),
+                                       ("timetable_demo.py", ())])
+def test_closed_stdout_gives_no_traceback(name, args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1

@@ -519,6 +519,67 @@ def test_dispatch_propagates_internal_faults(monkeypatch):
         dispatch_theta_upper(cycle_graph(5))
 
 
+def _disjoint_union(pieces, isolated=0):
+    edges, offset = [], 0
+    for p in pieces:
+        edges.extend((u + offset, v + offset) for u, v in p.edges)
+        offset += p.vertex_count
+    return build_graph(offset + isolated, edges)
+
+
+def _clash_at_one_vertex(kernel):
+    """kernel with its output corrupted: two edges at one vertex share a color."""
+    def corrupted(g, *args):
+        colors = list(kernel(g, *args).colors)
+        first, second = next(inc for inc in g.incidence if len(inc) >= 2)[:2]
+        colors[second] = colors[first]
+        return EdgeColoring(g, tuple(colors))
+    return corrupted
+
+
+def _trees(count):
+    return [random_tree(12, random.Random(seed)) for seed in range(count)]
+
+
+# two triangles joined by a bridge whose ends carry a pendant edge each: Delta = 4
+_CACTUS = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3), (2, 6), (3, 7)])
+
+
+@pytest.mark.parametrize("kernel,g,run,method", [
+    ("color_forest", random_tree(30, random.Random(1)), dispatch_theta_upper, "forest"),
+    ("color_cactus", _CACTUS, dispatch_theta_upper, "cactus"),
+    ("color_low_even_bipartite", complete_bipartite_graph(2, 4), dispatch_theta_upper,
+     "low-even-bipartite"),
+    ("color_subcubic", complete_bipartite_graph(3, 3), dispatch_theta_upper, "subcubic"),
+    ("color_subcubic", complete_bipartite_graph(5, 5), decompose_bipartite, None),
+    ("color_forest", _disjoint_union(_trees(3)), dispatch_theta_upper, "componentwise"),
+])
+def test_corrupted_kernel_output_fails_certification(monkeypatch, kernel, g, run, method):
+    # kernels do not check their own output; the certification of the result does
+    if method is not None:
+        assert dispatch_theta_upper(g)[1].method == method
+    monkeypatch.setattr(thickness, kernel, _clash_at_one_vertex(getattr(thickness, kernel)))
+    with pytest.raises(AssertionError, match="failed certification"):
+        run(g)
+
+
+def test_dispatch_certifies_each_result_once(monkeypatch):
+    checked = []
+    original = thickness.verify_decomposition
+
+    def counting(g, d):
+        checked.append(g.edge_count)
+        return original(g, d)
+
+    monkeypatch.setattr(thickness, "verify_decomposition", counting)
+    dispatch_theta_upper(random_tree(12, random.Random(0)))
+    assert len(checked) == 1
+    checked.clear()
+    # one check per component; the merge of certified components is not re-checked
+    dispatch_theta_upper(_disjoint_union(_trees(3)))
+    assert checked == [11, 11, 11]
+
+
 def test_dispatch_disconnected_is_componentwise():
     # K_{7,7} is interval colorable (1 part) and K_3 needs 2: the merge needs 2
     k77 = complete_bipartite_graph(7, 7)
@@ -554,12 +615,7 @@ def test_dispatch_union_takes_max_of_components(seed, isolated):
     pieces = [p for p in pieces if p.edge_count]
     if not pieces:
         return
-    edges, offset = [], 0
-    for p in pieces:
-        edges.extend((u + offset, v + offset) for u, v in p.edges)
-        offset += p.vertex_count
-    g = build_graph(offset + isolated, edges)
-    d, _ = dispatch_theta_upper(g)
+    d, _ = dispatch_theta_upper(_disjoint_union(pieces, isolated))
     assert _certified(d)
     assert d.part_count == max(dispatch_theta_upper(p)[0].part_count for p in pieces)
 
