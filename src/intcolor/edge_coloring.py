@@ -18,69 +18,20 @@ class BudgetExceeded(GraphError):
 
 
 # ---------------------------------------------------------------------------
-# Konig: bipartite multigraphs, exactly Delta colors.
+# Kempe-chain state, shared by Konig and the fan recoloring engine.
 
-def konig_color(g: Multigraph, cert: BipartitionCert | None = None) -> EdgeColoring:
-    """Proper coloring of a bipartite multigraph with exactly max_degree colors.
+class _KempeState:
+    """Partial proper k-coloring: the color of each edge and, at each vertex, the
+    edge holding each color.  Konig and the fan engine both color on it."""
 
-    Each edge gets a color free at both ends, flipping one alternating
-    (Kempe) chain when no common free color exists; in a bipartite graph the
-    chain never closes back on the other endpoint.
-    """
-    if cert is None:
-        cert = bipartition(g)
-        if cert is None:
-            raise GraphError("graph is not bipartite")
-    cert.validate(g)
-    delta = g.max_degree
-    colors = [0] * g.edge_count
-    at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
-
-    for eid, (u, v) in enumerate(g.edges):
-        free_u = {c for c in range(1, delta + 1) if c not in at[u]}
-        free_v = {c for c in range(1, delta + 1) if c not in at[v]}
-        common = free_u & free_v
-        if common:
-            c = min(common)
-        else:
-            a, b = min(free_u), min(free_v)
-            # maximal a/b-alternating chain from v (v has a, lacks b)
-            chain = []
-            z, cur = v, a
-            while cur in at[z]:
-                e2 = at[z][cur]
-                chain.append(e2)
-                z = g.other_end(e2, z)
-                cur = a if cur == b else b
-            old = {e2: colors[e2] for e2 in chain}
-            for e2 in chain:
-                for w in g.edges[e2]:
-                    if at[w].get(old[e2]) == e2:
-                        del at[w][old[e2]]
-            for e2 in chain:
-                colors[e2] = a if old[e2] == b else b
-                x, y = g.edges[e2]
-                at[x][colors[e2]] = e2
-                at[y][colors[e2]] = e2
-            c = a
-        colors[eid] = c
-        at[u][c] = eid
-        at[v][c] = eid
-    return EdgeColoring(g, tuple(colors))
-
-
-# ---------------------------------------------------------------------------
-# Fan recoloring engine (Vizing / Shannon bounds on multigraphs).
-
-class _FanState:
     def __init__(self, g: Multigraph, k: int):
         self.g = g
-        self.k = k
+        self.palette = frozenset(range(1, k + 1))
         self.colors = [0] * g.edge_count
         self.at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
 
     def missing(self, v: int) -> set[int]:
-        return {c for c in range(1, self.k + 1) if c not in self.at[v]}
+        return self.palette - self.at[v].keys()
 
     def set_color(self, eid: int, c: int) -> None:
         old = self.colors[eid]
@@ -165,6 +116,38 @@ class _FanState:
                     return
 
 
+# ---------------------------------------------------------------------------
+# Konig: bipartite multigraphs, exactly Delta colors.
+
+def konig_color(g: Multigraph, cert: BipartitionCert | None = None) -> EdgeColoring:
+    """Proper coloring of a bipartite multigraph with exactly max_degree colors.
+
+    Each edge gets a color free at both ends, flipping one alternating
+    (Kempe) chain when no common free color exists; in a bipartite graph the
+    chain never closes back on the other endpoint.
+    """
+    if cert is None:
+        cert = bipartition(g)
+        if cert is None:
+            raise GraphError("graph is not bipartite")
+    cert.validate(g)
+    st = _KempeState(g, g.max_degree)
+    for eid, (u, v) in enumerate(g.edges):
+        free_u, free_v = st.missing(u), st.missing(v)
+        common = free_u & free_v
+        if common:
+            st.set_color(eid, min(common))
+            continue
+        a, b = min(free_u), min(free_v)
+        if not st.swap_chain(v, b, a, u):
+            raise AssertionError("a Kempe chain closed in a bipartite graph")
+        st.set_color(eid, a)
+    return EdgeColoring(g, tuple(st.colors))
+
+
+# ---------------------------------------------------------------------------
+# Fan engine: Vizing / Shannon bounds on multigraphs.
+
 def _max_multiplicity(g: Multigraph) -> int:
     counts: dict[tuple[int, int], int] = {}
     for u, v in g.edges:
@@ -174,7 +157,7 @@ def _max_multiplicity(g: Multigraph) -> int:
 
 
 def _fan_color(g: Multigraph, k: int) -> EdgeColoring:
-    st = _FanState(g, k)
+    st = _KempeState(g, k)
     for eid, (u, v) in enumerate(g.edges):
         both = st.missing(u) & st.missing(v)
         if both:

@@ -39,7 +39,9 @@ class FamilySpec:
             key, val = (s.strip() for s in piece.split("=", 1))
             parsed: Any = int(val) if val.lstrip("-").isdigit() else val
             if key == "seed":
-                seed = int(val)
+                if not isinstance(parsed, int):
+                    raise InfeasibleSpec(f"seed must be an integer, got {val!r}")
+                seed = parsed
             else:
                 params[key] = parsed
         return FamilySpec(name.strip(), params, seed)
@@ -280,46 +282,56 @@ def generate(spec: FamilySpec) -> GeneratedGraph:
     p = spec.params
     fam = spec.family
 
+    def num(key: str, default: int | None = None) -> int:
+        val = p.get(key, default)
+        if not isinstance(val, int):
+            raise InfeasibleSpec(f"{fam} needs an integer parameter {key}, got {val!r}")
+        return val
+
     if fam == "tree":
-        return GeneratedGraph(random_tree(p.get("n", 10), rng))
+        return GeneratedGraph(random_tree(num("n", 10), rng))
     if fam == "cactus":
-        return GeneratedGraph(random_cactus(p.get("blocks", 4), rng))
+        return GeneratedGraph(random_cactus(num("blocks", 4), rng))
     if fam == "bipartite_random":
-        g = random_bipartite(p.get("nx", 6), p.get("ny", 6), p.get("edges", 12),
-                             p.get("max_degree", 6), rng, simple=bool(p.get("simple", 1)))
+        g = random_bipartite(num("nx", 6), num("ny", 6), num("edges", 12),
+                             num("max_degree", 6), rng, simple=bool(num("simple", 1)))
         return GeneratedGraph(g, bipartition_cert=bipartition(g))
     if fam == "biregular":
-        g = random_biregular(p["a"], p["b"], p.get("scale", 2), rng,
-                             simple=bool(p.get("simple", 0)))
-        return GeneratedGraph(g, bipartition_cert=bipartition(g),
-                              meta={"a": p["a"], "b": p["b"]})
+        a, b = num("a"), num("b")
+        g = random_biregular(a, b, num("scale", 2), rng, simple=bool(num("simple", 0)))
+        return GeneratedGraph(g, bipartition_cert=bipartition(g), meta={"a": a, "b": b})
     if fam == "eulerian_bipartite":
-        g = random_eulerian_bipartite(p.get("nx", 6), p.get("ny", 6), p.get("walks", 4),
-                                      p.get("walk_len", 4), p.get("max_degree", 8), rng)
+        g = random_eulerian_bipartite(num("nx", 6), num("ny", 6), num("walks", 4),
+                                      num("walk_len", 4), num("max_degree", 8), rng)
         return GeneratedGraph(g, bipartition_cert=bipartition(g))
     if fam == "complete_multipartite":
-        sizes = p["sizes"]
-        if isinstance(sizes, str):
-            sizes = [int(s) for s in sizes.split("+")]
-        return GeneratedGraph(complete_multipartite_graph(list(sizes)), meta={"sizes": list(sizes)})
+        given = p.get("sizes")
+        pieces = str(given).split("+") if isinstance(given, (str, int)) else given
+        try:
+            sizes = [int(x) for x in pieces]
+        except (TypeError, ValueError):
+            raise InfeasibleSpec(f"{fam} needs sizes as integers joined by '+', "
+                                 f"got {given!r}") from None
+        return GeneratedGraph(complete_multipartite_graph(sizes), meta={"sizes": sizes})
     if fam == "balanced":
-        n, r = p["n"], p["r"]
+        n, r = num("n"), num("r")
         return GeneratedGraph(complete_multipartite_graph([n] * r), meta={"n": n, "r": r})
     if fam == "semiregular":
-        n, r = p["n"], p["r"]
+        n, r = num("n"), num("r")
         return GeneratedGraph(complete_multipartite_graph([n] * r + [n * r]),
                               meta={"n": n, "r": r})
     if fam == "circular_complete":
-        return GeneratedGraph(circular_complete_graph(p["p"], p["q"]))
+        return GeneratedGraph(circular_complete_graph(num("p"), num("q")))
     if fam == "cubic_class1":
-        g, col = random_cubic_class1(p.get("n", 20), rng)
+        g, col = random_cubic_class1(num("n", 20), rng)
         return GeneratedGraph(g, three_coloring=col)
     if fam == "odd_complete":
-        return GeneratedGraph(complete_graph(2 * p.get("n", 2) + 1))
+        return GeneratedGraph(complete_graph(2 * num("n", 2) + 1))
     if fam == "fixture":
-        name = p["name"]
+        name = p.get("name")
         if name not in FIXTURES:
-            raise InfeasibleSpec(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
+            raise InfeasibleSpec(f"fixture needs a parameter name, one of {sorted(FIXTURES)}; "
+                                 f"got {name!r}")
         g, expected = FIXTURES[name]
         return GeneratedGraph(g, bipartition_cert=bipartition(g), meta=dict(expected))
     raise InfeasibleSpec(f"unknown family {fam!r}")

@@ -16,7 +16,6 @@ from typing import Callable
 from .edge_coloring import (equalized_bipartite_color, euler_split,
                             exact_chromatic_index, konig_color,
                             petersen_two_factorization, shannon_color, vizing_color)
-from .generators import complete_multipartite_graph, multipartite_parts
 from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
                       color_forest, color_low_even_bipartite, latin_bipartite_colors,
                       staircase_bipartite_colors, two_factor_pair_colors,
@@ -396,40 +395,24 @@ def decompose_eulerian_bipartite(g: Multigraph, cert: BipartitionCert | None = N
     return _assemble(g, parts)
 
 
-def _side_degrees(g: Multigraph, cert: BipartitionCert) -> tuple[list[int], list[int], int, int]:
-    xs = [v for v in cert.side_vertices(0) if g.degree(v) > 0]
-    ys = [v for v in cert.side_vertices(1) if g.degree(v) > 0]
-    dx = {g.degree(v) for v in xs}
-    dy = {g.degree(v) for v in ys}
-    if len(dx) > 1 or len(dy) > 1:
+def _side_degrees(g: Multigraph, cert: BipartitionCert) -> tuple[int, int]:
+    """The one positive degree on each side (0 for a side without edges)."""
+    degs = [{g.degree(v) for v in cert.side_vertices(s)} - {0} for s in (0, 1)]
+    if len(degs[0]) > 1 or len(degs[1]) > 1:
         raise GraphError("sides are not regular")
-    return xs, ys, (dx.pop() if dx else 0), (dy.pop() if dy else 0)
+    return max(degs[0], default=0), max(degs[1], default=0)
 
 
-def _star_matching(g: Multigraph, eids: list[int], xs: list[int], ys: list[int],
-                   k: int, r: int) -> list[int]:
-    """One edge per X-vertex so every Y-vertex keeps degree r: a star forest.
+def _star_matching(g: Multigraph, eids: list[int], k: int) -> list[int]:
+    """One edge at each small-side vertex and r at each big-side vertex of the
+    (k,kr)-biregular subgraph on eids: a star forest.
 
-    Splits each Y-vertex into r degree-k copies (edges chunked in id order) and
-    lifts the color-1 class of a Konig coloring of the k-regular split graph."""
-    x_index = {v: i for i, v in enumerate(xs)}
-    n_h = len(xs)
-    copy_base: dict[int, int] = {}
-    for y in ys:
-        copy_base[y] = n_h
-        n_h += r
-    seen: dict[int, int] = defaultdict(int)
-    h_edges: list[tuple[int, int]] = []
-    for e in sorted(eids):
-        u, v = g.edges[e]
-        x, y = (u, v) if u in x_index else (v, u)
-        h_edges.append((x_index[x], copy_base[y] + seen[y] // k))
-        seen[y] += 1
-    sides = tuple([0] * len(xs) + [1] * (n_h - len(xs)))
-    h = Multigraph(n_h, tuple(h_edges))
-    col = konig_color(h, BipartitionCert(sides))
-    ordered = sorted(eids)
-    return [ordered[i] for i in range(len(ordered)) if col.colors[i] == 1]
+    The equalized k-coloring keeps each small-side vertex whole and splits each
+    big-side vertex into r degree-k copies, so its split graph is k-regular and
+    color class 1 meets every copy once."""
+    sub, ids = g.subgraph(eids)
+    classes = equalized_bipartite_color(sub, bipartition(sub), k)
+    return [ids[i] for i, c in enumerate(classes.colors) if c == 1]
 
 
 def decompose_biregular(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
@@ -437,34 +420,25 @@ def decompose_biregular(g: Multigraph, cert: BipartitionCert | None = None) -> D
 
     k=3 peels a star forest leaving a (2,2r)-biregular graph; k=4 Euler-splits
     into two (2,2r)-biregular halves; k>=5 peels star forests down to k=4."""
-    cert = _require_cert(g, cert)
-    xs, ys, d0, d1 = _side_degrees(g, cert)
-    if d0 > d1:
-        xs, ys, d0, d1 = ys, xs, d1, d0
-    k, big = d0, d1
+    k, big = sorted(_side_degrees(g, _require_cert(g, cert)))
     if k < 3 or big % k or big // k < 2:
-        raise GraphError(f"degrees ({d0},{d1}) are not of (k,kr) shape with k>=3, r>=2")
-    r = big // k
+        raise GraphError(f"degrees ({k},{big}) are not of (k,kr) shape with k>=3, r>=2")
 
     parts: list[dict[int, int]] = []
     eids = list(range(g.edge_count))
-    k_cur = k
-    while k_cur >= 5:
-        star = _star_matching(g, eids, xs, ys, k_cur, r)
+    while k not in (2, 4):      # each star forest takes k down by one
+        star = _star_matching(g, eids, k)
         parts.append(_lift(g, star, color_forest))
         eids = sorted(set(eids) - set(star))
-        k_cur -= 1
-    if k_cur == 4:
-        sub, ids = g.subgraph(eids)
-        es = euler_split(sub)
-        if es.imbalanced_vertices:
-            raise AssertionError("biregular component trails must have even length")
-        parts.append(_lift(g, [ids[e] for e in es.left], color_low_even_bipartite))
-        parts.append(_lift(g, [ids[e] for e in es.right], color_low_even_bipartite))
-    else:
-        star = _star_matching(g, eids, xs, ys, 3, r)
-        parts.append(_lift(g, star, color_forest))
-        parts.append(_lift(g, sorted(set(eids) - set(star)), color_low_even_bipartite))
+        k -= 1
+    if k == 2:
+        return _assemble(g, parts + [_lift(g, eids, color_low_even_bipartite)])
+    sub, ids = g.subgraph(eids)
+    es = euler_split(sub)
+    if es.imbalanced_vertices:
+        raise AssertionError("biregular component trails must have even length")
+    parts.append(_lift(g, [ids[e] for e in es.left], color_low_even_bipartite))
+    parts.append(_lift(g, [ids[e] for e in es.right], color_low_even_bipartite))
     return _assemble(g, parts)
 
 
@@ -552,25 +526,6 @@ def _semiregular_dicts(g: Multigraph, small: list[list[int]],
         merged.update(balanced_multipartite_colors(g, small))
         return [merged]
     return _balanced_dicts(g, small) + [latin_bipartite_colors(g, a_vertices, big)]
-
-
-def decompose_balanced_family(n: int, r: int, variant: str = "balanced") -> Decomposition:
-    """Balanced-family bounds: K_{n*r} in 1 or 2 parts, K_{n*r,nr} in 1 or 3,
-    odd complete graphs K_{2n+1} = K_{1*(2n+1)} in 2."""
-    if variant == "odd_complete":
-        if n < 1:
-            raise GraphError("need n >= 1 for an odd complete graph")
-        n, r, variant = 1, 2 * n + 1, "balanced"
-    if variant not in ("balanced", "semiregular"):
-        raise GraphError(f"unknown variant {variant!r}")
-    if r < 2 or n < 1:
-        raise GraphError("need r >= 2 parts of positive size")
-    if variant == "balanced":
-        g = complete_multipartite_graph([n] * r)
-        return _assemble(g, _balanced_dicts(g, multipartite_parts([n] * r)))
-    g = complete_multipartite_graph([n] * r + [n * r])
-    parts = multipartite_parts([n] * r + [n * r])
-    return _assemble(g, _semiregular_dicts(g, parts[:r], parts[r]))
 
 
 def decompose_forest_peel(g: Multigraph) -> Decomposition:
@@ -676,16 +631,6 @@ def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
     return parts
 
 
-def _general_coloring(g: Multigraph, cert: BipartitionCert | None) -> EdgeColoring:
-    if cert is not None:
-        return konig_color(g, cert)
-    if g.edge_count <= 20:
-        return exact_chromatic_index(g)[1]
-    if g.is_simple:
-        return vizing_color(g)
-    return shannon_color(g)
-
-
 def _dispatch_componentwise(g: Multigraph, comps: list[list[int]]) -> tuple[Decomposition, BoundTrace]:
     """Dispatch each component's compact subgraph; part i of every component goes
     into part i of the whole.  The merge is not re-certified: each component was
@@ -729,6 +674,17 @@ class _Facts:
     def multipartite(self) -> list[list[int]] | None:
         return detect_complete_multipartite(self.g)
 
+    @functools.cached_property
+    def coloring(self) -> EdgeColoring:
+        """The run's one proper coloring: Konig when bipartite, exact up to 20
+        edges, else the fan engine (Vizing when simple, Shannon otherwise)."""
+        g = self.g
+        if self.cert is not None:
+            return konig_color(g, self.cert)
+        if g.edge_count <= 20:
+            return exact_chromatic_index(g)[1]
+        return vizing_color(g) if g.is_simple else shannon_color(g)
+
 
 # Each row returns (decomposition, bound, formula) or raises GraphError with the
 # reason it does not apply.  Rows call decomposers and kernels through module
@@ -745,18 +701,11 @@ def _run_forest(f: _Facts):
 
 
 def _run_subcubic(f: _Facts):
-    g = f.g
     if f.delta > 3:
         raise GraphError("maximum degree is above 3")
-    if f.cert is not None:
-        c3 = konig_color(g, f.cert)
-    elif g.edge_count <= 20:
-        chi, c3 = exact_chromatic_index(g)
-        if chi > 3:
-            raise GraphError("graph has chromatic index above 3")
-    else:
-        raise GraphError("no proper 3-edge-coloring available for this input")
-    return _one_part(color_subcubic(g, c3)), 1, "3-colorable subcubic: 1"
+    if f.coloring.colors_used() > 3:
+        raise GraphError("no proper 3-edge-coloring found for this input")
+    return _one_part(color_subcubic(f.g, f.coloring)), 1, "3-colorable subcubic: 1"
 
 
 def _run_cactus(f: _Facts):
@@ -820,8 +769,7 @@ def _run_multipartite(f: _Facts):
 
 def _run_biregular(f: _Facts):
     cert = _bipartite_cert(f)
-    _, _, d0, d1 = _side_degrees(f.g, cert)
-    k = min(d0, d1)
+    k = min(_side_degrees(f.g, cert))
     bound = max(2, k - 2)
     return decompose_biregular(f.g, cert), bound, f"max(2, {k}-2) = {bound}"
 
@@ -847,9 +795,8 @@ def _run_star_peel(f: _Facts):
 
 
 def _run_general(f: _Facts):
-    coloring = _general_coloring(f.g, f.cert)
-    bound, formula = _general_bound(coloring.colors_used())
-    return decompose_general(f.g, coloring), bound, formula
+    bound, formula = _general_bound(f.coloring.colors_used())
+    return decompose_general(f.g, f.coloring), bound, formula
 
 
 def _run_forest_peel(f: _Facts):

@@ -12,8 +12,8 @@ from intcolor.multigraph import EdgeColoring, build_graph, verify, verify_decomp
 from intcolor.oracles import (exact_cyclic_interval_coloring, exact_interval_colorable,
                               exact_theta, nash_williams_arboricity)
 from intcolor.subcubic import color_subcubic
-from intcolor.thickness import (decompose_balanced_family, decompose_bipartite,
-                                decompose_biregular, decompose_eulerian_bipartite,
+from intcolor.thickness import (decompose_bipartite, decompose_biregular,
+                                decompose_eulerian_bipartite,
                                 decompose_forest_peel, decompose_general,
                                 dispatch_theta_upper, multipartite_part_count,
                                 run_named_method, split_cyclic)
@@ -158,16 +158,18 @@ def test_criterion_07_complete_multipartite():
         d, _ = run_named_method(complete_multipartite_graph(sizes), "complete-multipartite")
         ok &= _certified(d) and d.part_count == multipartite_part_count(r)
     for n, r in ((1, 2), (3, 2), (2, 3), (1, 4), (2, 4), (3, 4), (1, 6), (2, 6)):
-        d = decompose_balanced_family(n, r, "balanced")
+        d, _ = run_named_method(complete_multipartite_graph([n] * r), "balanced-multipartite")
         ok &= _certified(d) and d.part_count == 1 and (n * r) % 2 == 0
     for n, r in ((1, 3), (3, 3), (1, 5), (5, 3)):
-        d = decompose_balanced_family(n, r, "balanced")
+        d, _ = run_named_method(complete_multipartite_graph([n] * r), "balanced-multipartite")
         ok &= _certified(d) and d.part_count == 2 and (n * r) % 2 == 1
     for n, r in ((1, 2), (2, 2), (1, 4)):
-        d = decompose_balanced_family(n, r, "semiregular")
+        d, _ = run_named_method(complete_multipartite_graph([n] * r + [n * r]),
+                                "semiregular-multipartite")
         ok &= _certified(d) and d.part_count == 1
     for n, r in ((1, 3), (3, 3)):
-        d = decompose_balanced_family(n, r, "semiregular")
+        d, _ = run_named_method(complete_multipartite_graph([n] * r + [n * r]),
+                                "semiregular-multipartite")
         ok &= _certified(d) and d.part_count <= 3
     c.finish(ok)
 

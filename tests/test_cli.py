@@ -21,6 +21,15 @@ def test_gen_emits_graph_json(tmp_path, capsys):
     assert g.vertex_count == 6 and g.edge_count == 12
 
 
+@pytest.mark.parametrize("spec,param", [
+    ("tree(n=5,seed=x)", "seed"), ("tree(n=x)", "n"), ("biregular(a=3)", "b"),
+    ("balanced(n=2)", "r"), ("circular_complete(p=5)", "q"), ("fixture", "name"),
+    ("complete_multipartite(sizes=3+x)", "sizes"), ("bipartite_random(simple=no)", "simple"),
+])
+def test_gen_missing_or_non_integer_parameter_exit_code(capsys, spec, param):
+    assert f" {param}" in _exits_2_with_one_error_line(capsys, "gen", spec)
+
+
 def test_gen_seed_flag_overrides(tmp_path, capsys):
     a = run(capsys, "gen", "tree(n=10)", "--seed", "1")[1]
     b = run(capsys, "gen", "tree(n=10)", "--seed", "2")[1]
@@ -221,6 +230,7 @@ def _exits_2_with_one_error_line(capsys, *argv):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
 
 
 def test_decompose_graph_with_loop_exit_code(tmp_path, capsys):

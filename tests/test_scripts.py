@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end: each exits 0 and prints its headers,
 and stops quietly when its stdout is closed early."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -34,8 +35,18 @@ def test_timetable_demo():
     assert lines[-1].startswith("largest daily-load spread over all parties: ")
 
 
+def test_output_digest_is_repeatable():
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    first = digest.workload_digest("sparse", 101)
+    assert first[:2] == (40, 40)    # 40 jobs, one part each
+    assert digest.workload_digest("sparse", 101) == first
+
+
 @pytest.mark.parametrize("name,args", [("thickness_gap_scan.py", ("--trials", "5")),
-                                       ("timetable_demo.py", ())])
+                                       ("timetable_demo.py", ()),
+                                       ("output_digest.py", ("101",))])
 def test_closed_stdout_gives_no_traceback(name, args):
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -11,11 +11,11 @@ from intcolor.generators import (FIXTURES, FamilySpec, generate,
                                  complete_multipartite_graph,
                                  circular_complete_graph, cycle_graph,
                                  random_bipartite, random_biregular, random_cactus,
-                                 random_eulerian_bipartite, random_tree)
+                                 random_cubic_class1, random_eulerian_bipartite, random_tree)
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, bipartition,
                                  build_graph, verify_decomposition)
 from intcolor.oracles import exact_cyclic_interval_coloring, exact_theta
-from intcolor.thickness import (_Facts, decompose_balanced_family, decompose_bipartite,
+from intcolor.thickness import (_Facts, _star_matching, decompose_bipartite,
                                 decompose_biregular, decompose_eulerian_bipartite,
                                 decompose_forest_peel, decompose_general, decompose_star_peel,
                                 detect_complete_multipartite, dispatch_theta_upper,
@@ -59,10 +59,14 @@ def test_general_k4():
     assert _certified(d) and d.part_count <= 2
 
 
-def test_general_petersen():
+def _petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    g = build_graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+    return build_graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def test_general_petersen():
+    g = _petersen()
     d = decompose_general(g, vizing_color(g))
     assert _certified(d) and d.part_count <= 2
 
@@ -220,6 +224,24 @@ def test_biregular_rejects_wrong_shape():
         decompose_biregular(complete_bipartite_graph(4, 4))
 
 
+@given(st.integers(0, 100_000), st.integers(3, 6), st.integers(2, 4), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_star_matching_is_one_edge_per_small_vertex_and_r_per_big_one(seed, k, r, isolated):
+    # edges flipped at random and isolated vertices mixed in, so neither the edge
+    # orientation nor the vertex ids say which side a vertex is on
+    rng = random.Random(seed)
+    h = random_biregular(k, k * r, rng.randint(1, 3), rng)
+    label = list(range(h.vertex_count + isolated))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+             for u, v in h.edges]
+    g = build_graph(len(label), edges)
+    star = _star_matching(g, list(range(g.edge_count)), k)
+    met = Counter(v for e in star for v in g.edges[e])
+    for v in range(g.vertex_count):
+        assert met[v] == {0: 0, k: 1, k * r: r}[g.degree(v)]
+
+
 # -- star peel ------------------------------------------------------------------------------
 
 def test_star_peel_k29():
@@ -268,24 +290,24 @@ def test_detect_complete_multipartite():
 # -- balanced families ------------------------------------------------------------------------
 
 def test_balanced_k33_two_parts():
-    d = decompose_balanced_family(3, 3)
+    d, _ = run_named_method(complete_multipartite_graph([3] * 3), "balanced-multipartite")
     assert _certified(d) and d.part_count == 2
 
 
 def test_balanced_even_single_part():
-    d = decompose_balanced_family(2, 4)
+    d, _ = run_named_method(complete_multipartite_graph([2] * 4), "balanced-multipartite")
     assert _certified(d) and d.part_count == 1
 
 
 def test_odd_complete_k5_is_k4_plus_star():
-    d = decompose_balanced_family(2, 0, "odd_complete")
+    d, _ = run_named_method(complete_graph(5), "balanced-multipartite")
     assert _certified(d) and d.part_count == 2
     sizes = sorted(len(d.part_edges(p)) for p in range(2))
     assert sizes == [4, 6]  # the star at the removed vertex and K_4
 
 
 def test_semiregular_even_full_palettes():
-    d = decompose_balanced_family(2, 2, "semiregular")
+    d, _ = run_named_method(complete_multipartite_graph([2, 2, 4]), "semiregular-multipartite")
     assert _certified(d) and d.part_count == 1
     cert = EdgeColoring(d.graph, d.colors)
     for v in range(4):
@@ -293,7 +315,8 @@ def test_semiregular_even_full_palettes():
 
 
 def test_semiregular_odd_three_parts():
-    d = decompose_balanced_family(1, 3, "semiregular")
+    d, _ = run_named_method(complete_multipartite_graph([1, 1, 1, 3]),
+                            "semiregular-multipartite")
     assert _certified(d) and d.part_count <= 3
 
 
@@ -411,6 +434,32 @@ def test_dispatch_k5_cites_odd_complete():
     d, trace = dispatch_theta_upper(complete_graph(5))
     assert d.part_count == 2
     assert "odd complete" in trace.bound_formula
+
+
+def test_dispatch_three_colored_cubic_graphs_take_the_subcubic_row():
+    # above 20 edges the subcubic row reads the fan engine's coloring, which
+    # uses 3 colors on these non-bipartite class-1 graphs in generator order
+    for seed in range(20):
+        g, _ = random_cubic_class1(30, random.Random(seed))
+        d, trace = dispatch_theta_upper(g)
+        assert d.part_count == 1 and trace.method == "subcubic"
+        d, trace = run_named_method(g, "subcubic")
+        assert _certified(d) and d.part_count == 1
+
+
+def test_dispatch_computes_one_proper_coloring(monkeypatch):
+    # the subcubic and five-class-general rows share the dispatch's one coloring
+    calls = []
+    original = thickness.exact_chromatic_index
+
+    def counting(g, *args):
+        calls.append(g.edge_count)
+        return original(g, *args)
+
+    monkeypatch.setattr(thickness, "exact_chromatic_index", counting)
+    d, trace = dispatch_theta_upper(_petersen())
+    assert calls == [15]
+    assert d.part_count == 2 and trace.method == "five-class-general"
 
 
 def test_dispatch_empty_graph():
