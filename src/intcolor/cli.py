@@ -163,7 +163,8 @@ _BENCH_SUITES = {
     ],
     "sweep": [
         "tree(n=60)", "cactus(blocks=10)", "bipartite_random(nx=20,ny=20,edges=120,max_degree=9)",
-        "biregular(a=3,b=6,scale=3)", "biregular(a=4,b=8,scale=2)", "biregular(a=5,b=10,scale=2)",
+        "biregular(a=3,b=6,scale=3)", "biregular(a=4,b=8,scale=2)", "biregular(a=4,b=8,scale=3)",
+        "biregular(a=5,b=10,scale=2)", "biregular(a=7,b=14,scale=2)",
         "eulerian_bipartite(nx=8,ny=8,walks=8,walk_len=5,max_degree=12)",
         "balanced(n=2,r=6)", "balanced(n=3,r=3)", "balanced(n=2,r=5)",
         "semiregular(n=2,r=2)", "semiregular(n=4,r=3)",

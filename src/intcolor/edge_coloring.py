@@ -2,8 +2,8 @@
 
 Konig (bipartite, exactly max-degree colors), a fan/Kempe-chain engine covering
 the Vizing and Shannon bounds on multigraphs, equalized bipartite k-colorings,
-Euler splitting, Petersen 2-factorization, and a small exact chromatic-index
-solver used as an oracle.
+Petersen 2-factorization, and a small exact chromatic-index solver used as an
+oracle.
 """
 from __future__ import annotations
 
@@ -225,7 +225,7 @@ def equalized_bipartite_color(g: Multigraph, cert: BipartitionCert, k: int) -> E
 
 
 # ---------------------------------------------------------------------------
-# Euler trails: splitting and 2-factorization.
+# Euler circuits: Petersen 2-factorization.
 
 def _euler_circuit(g: Multigraph, start: int, used: list[bool], ptr: list[int]) -> list[int]:
     """Hierholzer circuit (edge ids in trail order) of start's component."""
@@ -249,41 +249,6 @@ def _euler_circuit(g: Multigraph, start: int, used: list[bool], ptr: list[int]) 
             stack.append((g.other_end(nxt, v), nxt))
     circuit.reverse()
     return circuit
-
-
-@dataclass(frozen=True)
-class EulerSplit:
-    """Two edge-disjoint halves of an even-degree multigraph.
-
-    In components whose trail has an even number of edges every degree is
-    exactly halved; an odd trail leaves its start vertex imbalanced, and such
-    vertices are flagged.
-    """
-    graph: Multigraph
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    imbalanced_vertices: tuple[int, ...]
-
-
-def euler_split(g: Multigraph) -> EulerSplit:
-    """Alternate the edges of an Eulerian circuit of each component into two halves."""
-    for v in range(g.vertex_count):
-        if g.degree(v) % 2:
-            raise GraphError(f"vertex {v} has odd degree")
-    used = [False] * g.edge_count
-    ptr = [0] * g.vertex_count
-    left: list[int] = []
-    right: list[int] = []
-    imbalanced: list[int] = []
-    for v in range(g.vertex_count):
-        if not g.incidence[v] or (g.incidence[v] and all(used[e] for e in g.incidence[v])):
-            continue
-        circuit = _euler_circuit(g, v, used, ptr)
-        for i, eid in enumerate(circuit):
-            (left if i % 2 == 0 else right).append(eid)
-        if len(circuit) % 2:
-            imbalanced.append(v)
-    return EulerSplit(g, tuple(left), tuple(right), tuple(imbalanced))
 
 
 @dataclass(frozen=True)

@@ -117,17 +117,16 @@ def color_forest(g: Multigraph) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # Complete bipartite pieces.
 
-def staircase_bipartite_colors(g: Multigraph, xs: list[int], ys: list[int],
-                               base: int = 0) -> dict[int, int]:
-    """Color every xs-ys edge i+j+1 (+base); palettes are intervals of length degree."""
+def staircase_bipartite_colors(g: Multigraph, xs: list[int], ys: list[int]) -> dict[int, int]:
+    """Color every xs-ys edge i+j+1; palettes are intervals of length degree."""
     xi = {v: i for i, v in enumerate(xs)}
     yi = {v: i for i, v in enumerate(ys)}
     out: dict[int, int] = {}
     for eid, (u, v) in enumerate(g.edges):
         if u in xi and v in yi:
-            out[eid] = base + xi[u] + yi[v] + 1
+            out[eid] = xi[u] + yi[v] + 1
         elif v in xi and u in yi:
-            out[eid] = base + xi[v] + yi[u] + 1
+            out[eid] = xi[v] + yi[u] + 1
     return out
 
 
@@ -430,9 +429,8 @@ def _color_suppressed_component(g: Multigraph, comp: list[int], comp_edges: list
 # ---------------------------------------------------------------------------
 # Pairs of even-cycle 2-factors: four consecutive colors.
 
-def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int],
-                           base: int = 0) -> dict[int, int]:
-    """Host-edge colors: fa cycles alternate base+1,base+2; fb base+3,base+4."""
+def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int]) -> dict[int, int]:
+    """Host-edge colors: fa cycles alternate 1,2; fb 3,4."""
     if set(fa) & set(fb):
         raise GraphError("factors must be edge-disjoint")
     out: dict[int, int] = {}
@@ -441,7 +439,7 @@ def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int],
             if is_cycle and len(eseq) % 2:
                 raise GraphError("factor contains an odd cycle")
             for i, e in enumerate(eseq):
-                out[e] = base + offset + 1 + (i % 2)
+                out[e] = offset + 1 + (i % 2)
     return out
 
 

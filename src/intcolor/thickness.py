@@ -13,8 +13,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .edge_coloring import (equalized_bipartite_color, euler_split,
-                            exact_chromatic_index, konig_color,
+from .edge_coloring import (equalized_bipartite_color, exact_chromatic_index, konig_color,
                             petersen_two_factorization, shannon_color, vizing_color)
 from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
                       color_forest, color_low_even_bipartite, latin_bipartite_colors,
@@ -253,9 +252,7 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
 
         # a bare odd cycle component: path on side A, one edge on side B
         ci, cyc = 0, unabsorbed[0]
-        comp_of_cycle = _edge_components(g, comp_edges)
-        containing = next(c for c in comp_of_cycle if cyc[0] in c)
-        if sorted(containing) != sorted(cyc):
+        if len(comp_edges) != len(cyc):
             raise _AbsorbStuck
         walk = _rotate_cycle_walk(g, cyc, min(cycle_vertices(cyc)))
         b_colors[walk[0]] = 1
@@ -263,9 +260,8 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
             host.add_colored(e, 1 + (i % 2))
         unabsorbed.pop(ci)
 
-    for _, eseq, is_cycle in walk_degree_two(g, sorted(h_avail)):
-        if is_cycle and len(eseq) % 2:
-            raise _AbsorbStuck
+    # side B has at most two proper classes, so no odd cycle
+    for _, eseq, _ in walk_degree_two(g, sorted(h_avail)):
         for i, e in enumerate(eseq):
             b_colors[e] = 1 + (i % 2)
     return dict(host.color), b_colors
@@ -294,13 +290,12 @@ def decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
     """
     if not verify(g, coloring, "proper").proper:
         raise GraphError("decompose_general needs a proper coloring")
-    classes = sorted(set(coloring.colors))
+    group_of = {c: i // 5 for i, c in enumerate(sorted(set(coloring.colors)))}
+    groups: list[list[int]] = [[] for _ in range(-(-len(group_of) // 5))]
+    for e, c in enumerate(coloring.colors):
+        groups[group_of[c]].append(e)
     part_dicts: list[dict[int, int]] = []
-    for gi in range(0, len(classes), 5):
-        group = classes[gi:gi + 5]
-        group_edges = [e for e in range(g.edge_count) if coloring.colors[e] in set(group)]
-        if not group_edges:
-            continue
+    for group_edges in groups:
         a_side: dict[int, int] = {}
         b_side: dict[int, int] = {}
         for comp in _edge_components(g, group_edges):
@@ -360,12 +355,11 @@ def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> D
     if delta <= 3:
         return _assemble(g, [_subcubic_bipartite_colors(g, list(range(g.edge_count)))])
     k = -(-delta // 3)
-    classes = equalized_bipartite_color(g, cert, k)
-    parts = []
-    for c in range(1, k + 1):
-        eids = [e for e in range(g.edge_count) if classes.colors[e] == c]
-        parts.append(_subcubic_bipartite_colors(g, eids) if eids else {})
-    return _assemble(g, parts)
+    classes: list[list[int]] = [[] for _ in range(k)]
+    for e, c in enumerate(equalized_bipartite_color(g, cert, k).colors):
+        classes[c - 1].append(e)
+    return _assemble(g, [_subcubic_bipartite_colors(g, eids) if eids else {}
+                         for eids in classes])
 
 
 def decompose_eulerian_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
@@ -374,10 +368,10 @@ def decompose_eulerian_bipartite(g: Multigraph, cert: BipartitionCert | None = N
     Loops regularize the graph, Petersen 2-factors come back as even-cycle
     collections once loops are dropped, and consecutive pairs of factors are
     colored with four consecutive colors."""
+    odd = next((v for v, d in enumerate(g.degrees) if d % 2), None)
+    if odd is not None:
+        raise GraphError(f"vertex {odd} has odd degree")
     cert = _require_cert(g, cert)
-    for v in range(g.vertex_count):
-        if g.degree(v) % 2:
-            raise GraphError(f"vertex {v} has odd degree")
     if g.edge_count == 0:
         return _assemble(g, [])
     delta = g.max_degree
@@ -403,75 +397,39 @@ def _side_degrees(g: Multigraph, cert: BipartitionCert) -> tuple[int, int]:
     return max(degs[0], default=0), max(degs[1], default=0)
 
 
-def _star_matching(g: Multigraph, eids: list[int], k: int) -> list[int]:
-    """One edge at each small-side vertex and r at each big-side vertex of the
-    (k,kr)-biregular subgraph on eids: a star forest.
-
-    The equalized k-coloring keeps each small-side vertex whole and splits each
-    big-side vertex into r degree-k copies, so its split graph is k-regular and
-    color class 1 meets every copy once."""
-    sub, ids = g.subgraph(eids)
-    classes = equalized_bipartite_color(sub, bipartition(sub), k)
-    return [ids[i] for i, c in enumerate(classes.colors) if c == 1]
-
-
 def decompose_biregular(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
     """(k,kr)-biregular (k >= 3, r >= 2): max(2, k-2) certified parts.
 
-    k=3 peels a star forest leaving a (2,2r)-biregular graph; k=4 Euler-splits
-    into two (2,2r)-biregular halves; k>=5 peels star forests down to k=4."""
-    k, big = sorted(_side_degrees(g, _require_cert(g, cert)))
+    One equalized k-coloring splits each big-side vertex into r degree-k copies,
+    so the split graph is k-regular and every class meets each small-side vertex
+    once and each big-side vertex r times: a star forest.  Every pair of classes
+    is (2,2r)-biregular and one part.  Classes 1..s are star-forest parts
+    (s = 1 for k = 3, else k-4) and the remaining two or four classes pair up."""
+    cert = _require_cert(g, cert)
+    k, big = sorted(_side_degrees(g, cert))
     if k < 3 or big % k or big // k < 2:
         raise GraphError(f"degrees ({k},{big}) are not of (k,kr) shape with k>=3, r>=2")
-
-    parts: list[dict[int, int]] = []
-    eids = list(range(g.edge_count))
-    while k not in (2, 4):      # each star forest takes k down by one
-        star = _star_matching(g, eids, k)
-        parts.append(_lift(g, star, color_forest))
-        eids = sorted(set(eids) - set(star))
-        k -= 1
-    if k == 2:
-        return _assemble(g, parts + [_lift(g, eids, color_low_even_bipartite)])
-    sub, ids = g.subgraph(eids)
-    es = euler_split(sub)
-    if es.imbalanced_vertices:
-        raise AssertionError("biregular component trails must have even length")
-    parts.append(_lift(g, [ids[e] for e in es.left], color_low_even_bipartite))
-    parts.append(_lift(g, [ids[e] for e in es.right], color_low_even_bipartite))
-    return _assemble(g, parts)
+    s = 1 if k == 3 else k - 4
+    groups: list[list[int]] = [[] for _ in range(s + (k - s) // 2)]
+    for e, c in enumerate(equalized_bipartite_color(g, cert, k).colors):
+        groups[c - 1 if c <= s else s + (c - s - 1) // 2].append(e)
+    return _assemble(g, [_lift(g, eids, color_forest) for eids in groups[:s]]
+                     + [_lift(g, eids, color_low_even_bipartite) for eids in groups[s:]])
 
 
 def decompose_star_peel(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
-    """min(max degree of X, max degree of Y) star-forest parts."""
+    """min(max degree of X, max degree of Y) star-forest parts.
+
+    On the side of smaller maximum degree, part i takes the i-th incidence of
+    every vertex, so each vertex of that side is a leaf of its part."""
     cert = _require_cert(g, cert)
-    if g.edge_count == 0:
-        return _assemble(g, [])
     d_side = [max((g.degree(v) for v in cert.side_vertices(s)), default=0) for s in (0, 1)]
     side = 0 if d_side[0] <= d_side[1] else 1
-    xs = cert.side_vertices(side)
-
-    remaining = set(range(g.edge_count))
-    deg = {v: len(g.incidence[v]) for v in xs}
-    parts = []
-    while remaining:
-        dmax = max(deg.values())
-        if dmax == 0:
-            break
-        star: list[int] = []
-        for v in sorted(xs):
-            if deg[v] != dmax:
-                continue
-            e = min(e for e in g.incidence[v] if e in remaining)
-            star.append(e)
-        for e in star:
-            remaining.discard(e)
-            u, w = g.edges[e]
-            for z in (u, w):
-                if z in deg:
-                    deg[z] -= 1
-        parts.append(_lift(g, star, color_forest))
-    return _assemble(g, parts)
+    stars: list[list[int]] = [[] for _ in range(d_side[side])]
+    for v in cert.side_vertices(side):
+        for i, e in enumerate(g.incidence[v]):
+            stars[i].append(e)
+    return _assemble(g, [_lift(g, star, color_forest) for star in stars])
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +734,6 @@ def _run_biregular(f: _Facts):
 
 def _run_eulerian(f: _Facts):
     cert = _bipartite_cert(f)
-    if any(d % 2 for d in f.g.degrees):
-        raise GraphError("some vertex has odd degree")
     bound = -(-f.delta // 4)
     return decompose_eulerian_bipartite(f.g, cert), bound, f"ceil({f.delta}/4) = {bound}"
 

@@ -130,6 +130,10 @@ def test_bench_quick(tmp_path, capsys):
         assert code == 0
         rows = json.loads(out)
         assert all(r["certified"] and r["parts"] <= r["bound"] for r in rows)
+    # the biregular row's two paths: k = 4 pairs all four classes, k = 7 has star forests
+    won = {r["instance"]: (r["method"], r["parts"]) for r in rows}
+    assert won["biregular(a=4,b=8,scale=3)"] == ("biregular", 2)
+    assert won["biregular(a=7,b=14,scale=2)"] == ("biregular", 5)
 
 
 def test_bench_fails_a_row_above_its_bound(monkeypatch, capsys):
@@ -237,6 +241,14 @@ def test_decompose_graph_with_loop_exit_code(tmp_path, capsys):
     gpath = tmp_path / "loop.json"
     gpath.write_text('{"vertex_count": 2, "edges": [[0, 1], [1, 1]], "allows_loops": true}\n')
     _exits_2_with_one_error_line(capsys, "decompose", str(gpath))
+
+
+def test_decompose_eulerian_on_an_odd_degree_vertex_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"vertex_count": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 4]]}\n')
+    err = _exits_2_with_one_error_line(capsys, "decompose", str(gpath),
+                                       "--method", "eulerian-bipartite")
+    assert "vertex 0 has odd degree" in err
 
 
 def test_graph_json_with_non_boolean_allows_loops_exit_code(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intcolor.edge_coloring import (BudgetExceeded, equalized_bipartite_color,
-                                    euler_split, exact_chromatic_index, konig_color,
+                                    exact_chromatic_index, konig_color,
                                     petersen_two_factorization, shannon_color,
                                     vizing_color)
 from intcolor.generators import (complete_bipartite_graph, complete_graph,
@@ -152,38 +152,6 @@ def test_equalized_counts_within_one(seed, k):
         counts = Counter(col.palette(v))
         if counts:
             assert max(counts.values()) - min(counts.values()) <= 1
-
-
-# -- euler split ---------------------------------------------------------------
-
-def test_euler_split_c4_two_matchings():
-    g = cycle_graph(4)
-    es = euler_split(g)
-    assert not es.imbalanced_vertices
-    for half in (es.left, es.right):
-        sub, _ = g.subgraph(half)
-        assert all(sub.degree(v) == 1 for v in range(4))
-
-
-def test_euler_split_k44_halves_degrees():
-    g = complete_bipartite_graph(4, 4)
-    es = euler_split(g)
-    assert not es.imbalanced_vertices
-    for half in (es.left, es.right):
-        sub, _ = g.subgraph(half)
-        assert all(sub.degree(v) == 2 for v in range(8))
-
-
-def test_euler_split_c3_flags_imbalance():
-    g = cycle_graph(3)
-    es = euler_split(g)
-    assert sorted(map(len, (es.left, es.right))) == [1, 2]
-    assert len(es.imbalanced_vertices) == 1
-
-
-def test_euler_split_rejects_odd_degree():
-    with pytest.raises(GraphError):
-        euler_split(build_graph(2, [(0, 1)]))
 
 
 # -- petersen two-factorization -------------------------------------------------

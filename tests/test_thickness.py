@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intcolor import thickness
-from intcolor.edge_coloring import exact_chromatic_index, konig_color, vizing_color
+from intcolor.edge_coloring import (equalized_bipartite_color, exact_chromatic_index,
+                                    konig_color, vizing_color)
 from intcolor.generators import (FIXTURES, FamilySpec, generate,
                                  complete_bipartite_graph, complete_graph,
                                  complete_multipartite_graph,
@@ -15,7 +16,7 @@ from intcolor.generators import (FIXTURES, FamilySpec, generate,
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, bipartition,
                                  build_graph, verify_decomposition)
 from intcolor.oracles import exact_cyclic_interval_coloring, exact_theta
-from intcolor.thickness import (_Facts, _star_matching, decompose_bipartite,
+from intcolor.thickness import (_Facts, decompose_bipartite,
                                 decompose_biregular, decompose_eulerian_bipartite,
                                 decompose_forest_peel, decompose_general, decompose_star_peel,
                                 detect_complete_multipartite, dispatch_theta_upper,
@@ -214,6 +215,17 @@ def test_biregular_bounds(a, b, bound):
     assert _certified(d) and d.part_count <= bound
 
 
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("r", range(2, 5))
+@pytest.mark.parametrize("multigraph", [True, False])
+def test_biregular_part_count_is_its_formula(k, r, multigraph):
+    # configuration pairing at this scale gives parallel edges; K_{kr,k} is simple
+    g = (random_biregular(k, k * r, 2, random.Random(10 * k + r)) if multigraph
+         else complete_bipartite_graph(k * r, k))
+    d = decompose_biregular(g)
+    assert _certified(d) and d.part_count == max(2, k - 2)
+
+
 def test_biregular_k63():
     d = decompose_biregular(complete_bipartite_graph(6, 3))
     assert _certified(d) and d.part_count == 2
@@ -236,10 +248,11 @@ def test_star_matching_is_one_edge_per_small_vertex_and_r_per_big_one(seed, k, r
     edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
              for u, v in h.edges]
     g = build_graph(len(label), edges)
-    star = _star_matching(g, list(range(g.edge_count)), k)
-    met = Counter(v for e in star for v in g.edges[e])
-    for v in range(g.vertex_count):
-        assert met[v] == {0: 0, k: 1, k * r: r}[g.degree(v)]
+    classes = equalized_bipartite_color(g, bipartition(g), k).colors
+    for c in range(1, k + 1):
+        met = Counter(v for e, ce in enumerate(classes) if ce == c for v in g.edges[e])
+        for v in range(g.vertex_count):
+            assert met[v] == {0: 0, k: 1, k * r: r}[g.degree(v)]
 
 
 # -- star peel ------------------------------------------------------------------------------
