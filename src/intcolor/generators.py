@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -63,7 +64,15 @@ class GeneratedGraph:
 # ---------------------------------------------------------------------------
 # Plain builders (shared by other modules).
 
+def path_graph(n: int) -> Multigraph:
+    """The path on n vertices, its edges in walk order."""
+    if n < 1:
+        raise InfeasibleSpec("paths need at least 1 vertex")
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def cycle_graph(n: int) -> Multigraph:
+    """The cycle on n vertices, its edges in walk order."""
     if n < 2:
         raise InfeasibleSpec("cycles need at least 2 vertices")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -174,7 +183,11 @@ def random_bipartite(nx: int, ny: int, n_edges: int, max_degree: int,
 
 def random_biregular(a: int, b: int, scale: int, rng: random.Random,
                      simple: bool = False) -> Multigraph:
-    """(a,b)-biregular bipartite multigraph via configuration pairing."""
+    """(a,b)-biregular bipartite multigraph via configuration pairing.
+
+    With simple=True each repeated pair is repaired by swapping its Y stub with
+    that of a random pair such that neither new pair exists yet; swaps keep every
+    degree, and a pairing without repeats is kept as drawn."""
     if a < 1 or b < 1 or scale < 1:
         raise InfeasibleSpec("degrees and scale must be positive")
     import math
@@ -182,15 +195,33 @@ def random_biregular(a: int, b: int, scale: int, rng: random.Random,
     nx, ny = (b // g_) * scale, (a // g_) * scale
     if simple and b > nx:
         raise InfeasibleSpec("simple graph impossible: degree exceeds opposite side")
-    x_stubs = [x for x in range(nx) for _ in range(a)]
-    for _ in range(MAX_RETRIES):
-        y_stubs = [nx + y for y in range(ny) for _ in range(b)]
-        rng.shuffle(y_stubs)
-        pairs = list(zip(x_stubs, y_stubs))
-        if simple and len(set(pairs)) != len(pairs):
-            continue
-        return build_graph(nx + ny, pairs)
-    raise InfeasibleSpec("configuration pairing kept colliding; try other parameters")
+    xs = [x for x in range(nx) for _ in range(a)]
+    ys = [nx + y for y in range(ny) for _ in range(b)]
+    rng.shuffle(ys)
+    if simple:
+        _repair_repeats(xs, ys, rng)
+    return build_graph(nx + ny, list(zip(xs, ys)))
+
+
+def _repair_repeats(xs: list[int], ys: list[int], rng: random.Random) -> None:
+    """Swap Y stubs until the pairs (xs[i], ys[i]) are distinct."""
+    count = Counter(zip(xs, ys))
+    m = len(xs)
+    for i in range(m):
+        tries = 0
+        while count[xs[i], ys[i]] > 1:
+            tries += 1
+            if tries > MAX_RETRIES:
+                raise InfeasibleSpec("could not repair a repeated pair; try other parameters")
+            j = rng.randrange(m)
+            xi, yi, xj, yj = xs[i], ys[i], xs[j], ys[j]
+            if xi == xj or yi == yj or count[xi, yj] or count[xj, yi]:
+                continue
+            count[xi, yi] -= 1
+            count[xj, yj] -= 1
+            count[xi, yj] += 1
+            count[xj, yi] += 1
+            ys[i], ys[j] = yj, yi
 
 
 def random_eulerian_bipartite(nx: int, ny: int, n_walks: int, walk_len: int,
@@ -288,6 +319,10 @@ def generate(spec: FamilySpec) -> GeneratedGraph:
             raise InfeasibleSpec(f"{fam} needs an integer parameter {key}, got {val!r}")
         return val
 
+    if fam == "path":
+        return GeneratedGraph(path_graph(num("n", 10)))
+    if fam == "cycle":
+        return GeneratedGraph(cycle_graph(num("n", 5)))
     if fam == "tree":
         return GeneratedGraph(random_tree(num("n", 10), rng))
     if fam == "cactus":

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .edge_coloring import petersen_two_factorization
-from .multigraph import EdgeColoring, GraphError, Multigraph, bipartition, normalize
+from .multigraph import EdgeColoring, GraphError, Multigraph, normalize
 
 
 def _as_coloring(g: Multigraph, colors: dict[int, int]) -> EdgeColoring:
@@ -262,8 +262,7 @@ def color_cactus(g: Multigraph) -> EdgeColoring:
     """
     if g.has_loop():
         raise GraphError("cacti have no loops")
-    comps_with_edges = [c for c in g.components() if any(g.incidence[v] for v in c)]
-    if len(comps_with_edges) > 1:
+    if len(g.traversal.components) > 1:
         raise GraphError("cactus must be connected")
 
     blocks = _biconnected_blocks(g)
@@ -352,7 +351,8 @@ def color_low_even_bipartite(g: Multigraph) -> EdgeColoring:
     back and colored 2i-1, 2i alternately.  Degree-1 vertices are paired with
     a doubled copy of the suppressed graph to restore regularity.
     """
-    if bipartition(g) is None:
+    t = g.traversal
+    if any(cycle is not None for cycle in t.odd_cycles):
         raise GraphError("graph must be bipartite")
     delta = g.max_degree
     if delta % 2:
@@ -361,11 +361,8 @@ def color_low_even_bipartite(g: Multigraph) -> EdgeColoring:
         raise GraphError("degrees must lie in {1, 2, 2r}")
 
     colors: dict[int, int] = {}
-    for comp in g.components():
-        comp_edges = sorted({e for v in comp for e in g.incidence[v]})
-        if not comp_edges:
-            continue
-        if max(g.degree(v) for v in comp) <= 2:
+    for comp, comp_edges, side_max in zip(t.vertices, t.components, t.side_max):
+        if max(side_max) <= 2:
             for _, eseq, _ in walk_degree_two(g, comp_edges):
                 for i, e in enumerate(eseq):
                     colors[e] = 1 + (i % 2)

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -73,29 +75,47 @@ class Multigraph:
         keys = {u * n + v if u < v else v * n + u for u, v in self.edges}
         return len(keys) == self.edge_count and not (self.allows_loops and self.has_loop())
 
+    @cached_property
+    def traversal(self) -> "Traversal":
+        """The one traversal of the whole graph that its components, bipartition
+        and side degrees are read from."""
+        return traverse(self)
+
     def components(self) -> list[list[int]]:
-        """Vertex sets of connected components (isolated vertices included)."""
-        edges, incidence = self.edges, self.incidence
-        seen = [False] * self.vertex_count
-        out: list[list[int]] = []
-        for s in range(self.vertex_count):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for eid in incidence[v]:
-                    a, w = edges[eid]
-                    if w == v:
-                        w = a
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            out.append(comp)
-        return out
+        """Vertex sets of connected components (isolated vertices included), in
+        order of their smallest vertex, which comes first."""
+        degrees = self.degrees
+        comps = [list(c) for c in self.traversal.vertices]
+        comps.extend([v] for v in range(self.vertex_count) if not degrees[v])
+        comps.sort(key=lambda c: c[0])
+        return comps
+
+    def components_subgraph(self, picked: Sequence[int], t: "Traversal | None" = None
+                            ) -> tuple["Multigraph", tuple[int, ...]]:
+        """subgraph on the edges of the components picked (ascending) from t, by
+        default this graph's own traversal, handed their part of t, renumbered,
+        in place of a pass of its own.
+
+        subgraph keeps the host's vertex and edge order, so a pass over the
+        subgraph would find the same trees, labels and odd cycles."""
+        t = self.traversal if t is None else t
+        comps = [t.components[i] for i in picked]
+        sub, ids = self.subgraph(chain.from_iterable(comps))
+        if len(comps) == 1:
+            sub_comps = [list(range(len(ids)))]
+        else:
+            position = dict(zip(ids, range(len(ids)))).__getitem__
+            sub_comps = [list(map(position, comp)) for comp in comps]
+        kept = sorted(chain.from_iterable(t.vertices[i] for i in picked))
+        new_id = dict(zip(kept, range(len(kept)))).__getitem__
+        cycles = [t.odd_cycles[i] for i in picked]
+        sides = t.sides
+        # the slot the traversal cached_property fills on first read
+        sub.__dict__["traversal"] = Traversal(
+            sub_comps, [list(map(new_id, t.vertices[i])) for i in picked],
+            [None if cycle is None else tuple(map(new_id, cycle)) for cycle in cycles],
+            [t.side_max[i] for i in picked], [sides[v] for v in kept])
+        return sub, ids
 
     def subgraph(self, edge_ids: Iterable[int]) -> tuple["Multigraph", tuple[int, ...]]:
         """Subgraph on a subset of edges, without the vertices it leaves isolated.
@@ -153,6 +173,15 @@ class BipartitionCert:
     def side_vertices(self, side: int) -> list[int]:
         return [v for v, s in enumerate(self.sides) if s == side]
 
+    def restrict(self, host: Multigraph, sub: Multigraph, ids: Sequence[int]) -> "BipartitionCert":
+        """The labels of (sub, ids) = host.subgraph(...): each vertex keeps its host side."""
+        sides, host_edges = [0] * sub.vertex_count, host.edges
+        for (a, b), e in zip(sub.edges, ids):
+            u, v = host_edges[e]
+            sides[a] = self.sides[u]
+            sides[b] = self.sides[v]
+        return BipartitionCert(tuple(sides))
+
     def validate(self, g: Multigraph) -> None:
         if len(self.sides) != g.vertex_count:
             raise GraphError("bipartition certificate does not match graph")
@@ -164,29 +193,134 @@ class BipartitionCert:
 
 
 def bipartition(g: Multigraph) -> BipartitionCert | None:
-    """2-color the vertices if possible; None when some cycle is odd (or a loop exists)."""
-    edges, incidence = g.edges, g.incidence
-    side = [-1] * g.vertex_count
-    for s in range(g.vertex_count):
-        if side[s] != -1:
+    """2-color the vertices if possible; None when some cycle is odd (or a loop exists).
+
+    The smallest vertex of each component is on side 0."""
+    t = g.traversal
+    if any(cycle is not None for cycle in t.odd_cycles):
+        return None
+    return BipartitionCert(tuple(t.sides))
+
+
+@dataclass(frozen=True)
+class Traversal:
+    """Connected components of an edge set, each 2-colored or shown odd, from one pass.
+
+    Component i has the ascending edge ids ``components[i]`` and the vertices
+    ``vertices[i]``, its smallest first; components are ordered by their first
+    edge.  ``sides[v]`` labels every vertex v of the pass 0 or 1, the smallest
+    vertex of each component 0, so that every edge of a bipartite component
+    joins the two sides; it is a list over all vertices for the whole graph and
+    a dict over the touched ones for an edge subset.  ``odd_cycles[i]`` is None
+    for a bipartite component, else the vertices of one odd cycle in walk order
+    (a loop is the cycle of its vertex).  ``side_max[i]`` is the largest degree
+    within the edge set on each side; its larger entry is the component's
+    maximum degree, bipartite or not.
+    """
+    components: list[list[int]]
+    vertices: list[list[int]]
+    odd_cycles: list[tuple[int, ...] | None]
+    side_max: list[tuple[int, int]]
+    sides: list[int] | dict[int, int]
+
+    def is_odd_cycle(self, i: int) -> bool:
+        """Whether component i is an odd cycle: its odd cycle uses all its edges."""
+        cycle = self.odd_cycles[i]
+        return cycle is not None and len(cycle) == len(self.components[i])
+
+
+def traverse(g: Multigraph, eids: Iterable[int] | None = None) -> Traversal:
+    """One depth-first pass over the whole graph, or over the edges eids.
+
+    Vertices are taken as roots in ascending order and each is labelled on
+    discovery, neighbors in edge-id order, so a component's vertices come out
+    as Multigraph.components lists them and its labels as bipartition gives
+    them.  The first edge found inside one side closes an odd cycle through the
+    two tree paths to their common ancestor.  Edges are then dealt to the
+    component of their first endpoint in ascending order.  An edge subset is
+    first renumbered onto the vertices it touches, as subgraph does, so the pass
+    runs on flat lists of its own size.
+    """
+    edges = g.edges
+    if eids is None:
+        ids: Sequence[int] = range(g.edge_count)
+        kept: list[int] | None = None
+        n = g.vertex_count
+        pairs: Iterable[tuple[int, int]] = edges
+        heads: Iterable[int] = map(itemgetter(0), edges)
+    else:
+        ids = sorted(eids)
+        if not ids:
+            return Traversal([], [], [], [], {})
+        kept = sorted(set(chain.from_iterable(map(edges.__getitem__, ids))))
+        n = len(kept)
+        new_id = dict(zip(kept, range(n)))
+        # both ends of each edge in turn, renumbered
+        ends = list(map(new_id.__getitem__, chain.from_iterable(map(edges.__getitem__, ids))))
+        pairs, heads = zip(*[iter(ends)] * 2), ends[::2]
+    # a loop lists its vertex twice, so a neighbor list is as long as the degree
+    nbr: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    sides, parent, comp_of = [-1] * n, [-1] * n, [-1] * n
+    vertices: list[list[int]] = []
+    cycles: list[tuple[int, ...] | None] = []
+    side_max: list[tuple[int, int]] = []
+    stack: list[int] = []
+    for s in range(n):
+        if sides[s] != -1:
             continue
-        side[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            sv = side[v]
-            for eid in incidence[v]:
-                a, w = edges[eid]
-                if a == w:
-                    return None
-                if w == v:
-                    w = a
-                if side[w] == -1:
-                    side[w] = 1 - sv
-                    queue.append(w)
-                elif side[w] == sv:
-                    return None
-    return BipartitionCert(tuple(side))
+        sides[s] = 0
+        if not nbr[s]:
+            continue            # an isolated vertex of the whole graph
+        c = len(vertices)
+        comp_of[s] = c
+        comp, cycle, top = [s], None, [0, 0]
+        stack.append(s)
+        while stack:
+            v = stack.pop()
+            sv, at = sides[v], nbr[v]
+            if len(at) > top[sv]:
+                top[sv] = len(at)
+            for w in at:
+                sw = sides[w]
+                if sw == -1:
+                    sides[w], parent[w], comp_of[w] = 1 - sv, v, c
+                    comp.append(w)
+                    stack.append(w)
+                elif sw == sv and cycle is None:
+                    cycle = _tree_cycle(parent, v, w)
+        vertices.append(comp)
+        cycles.append(cycle)
+        side_max.append((top[0], top[1]))
+    dealt: list[list[int]] = [[] for _ in vertices]
+    for e, u in zip(ids, heads):
+        dealt[comp_of[u]].append(e)
+    if kept is not None:
+        host = kept.__getitem__
+        vertices = [list(map(host, comp)) for comp in vertices]
+        cycles = [None if cycle is None else tuple(map(host, cycle)) for cycle in cycles]
+        sides = dict(zip(kept, sides))
+    # the edge lists are disjoint, so they compare by their first edge
+    order = sorted(range(len(dealt)), key=dealt.__getitem__)
+    if order != list(range(len(order))):
+        dealt, vertices = [dealt[c] for c in order], [vertices[c] for c in order]
+        cycles, side_max = [cycles[c] for c in order], [side_max[c] for c in order]
+    return Traversal(dealt, vertices, cycles, side_max, sides)
+
+
+def _tree_cycle(parent: list[int], v: int, w: int) -> tuple[int, ...]:
+    """The cycle closed by the edge v-w: v up the tree to the common ancestor of
+    v and w, then down to w.  It is odd when v and w are on one side."""
+    up = [v]
+    while parent[up[-1]] != -1:
+        up.append(parent[up[-1]])
+    depth = {x: i for i, x in enumerate(up)}
+    down = [w]
+    while down[-1] not in depth:
+        down.append(parent[down[-1]])
+    return tuple(up[:depth[down[-1]]] + down[::-1])
 
 
 @dataclass(frozen=True)
@@ -335,7 +469,7 @@ class Decomposition:
         if any(p < 0 for p in self.parts):
             raise GraphError("part indices must lie in [0, k)")
 
-    @property
+    @cached_property
     def part_count(self) -> int:
         return max(self.parts) + 1 if self.parts else 0
 

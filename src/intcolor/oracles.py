@@ -30,12 +30,6 @@ __all__ = [
 ]
 
 
-def _component_edge_sets(g: Multigraph) -> list[list[int]]:
-    return [sorted({e for v in comp for e in g.incidence[v]})
-            for comp in g.components()
-            if any(g.incidence[v] for v in comp)]
-
-
 def _color_sweep(sub: Multigraph, t: int | None = None) -> list[int] | None:
     """Search a connected graph for an interval coloring (t None) or a cyclic
     interval t-coloring, one color at a time.
@@ -156,8 +150,8 @@ def exact_interval_colorable(g: Multigraph, budget: int = INTERVAL_BUDGET) -> Ed
     if g.edge_count > budget:
         raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {budget}")
     colors: dict[int, int] = {}
-    for comp_edges in _component_edge_sets(g):
-        sub, ids = g.subgraph(comp_edges)
+    for i in range(len(g.traversal.components)):
+        sub, ids = g.components_subgraph([i])
         witness = _component_witness(sub)
         if witness is None:
             return None
@@ -266,8 +260,8 @@ def exact_cyclic_interval_coloring(g: Multigraph, t: int,
     if t < max(g.max_degree, 1):
         return None
     colors: dict[int, int] = {}
-    for comp_edges in _component_edge_sets(g):
-        sub, ids = g.subgraph(comp_edges)
+    for i in range(len(g.traversal.components)):
+        sub, ids = g.components_subgraph([i])
         found = _color_sweep(sub, t)
         if found is None:
             return None

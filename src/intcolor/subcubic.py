@@ -60,12 +60,9 @@ class _Repair:
 
 
 def _reject_odd_cycle_components(g: Multigraph) -> None:
-    for comp in g.components():
-        eids = sorted({e for v in comp for e in g.incidence[v]})
-        if not eids:
-            continue
-        if all(g.degree(v) == 2 for v in comp) and len(eids) % 2:
-            raise GraphError("a component is an odd cycle; not interval colorable")
+    t = g.traversal
+    if any(t.is_odd_cycle(i) for i in range(len(t.components))):
+        raise GraphError("a component is an odd cycle; not interval colorable")
 
 
 def _build_tgraph(g: Multigraph, m_eids: list[int],

@@ -20,7 +20,7 @@ from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactu
                       staircase_bipartite_colors, two_factor_pair_colors,
                       walk_degree_two)
 from .multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
-                         Multigraph, bipartition, normalize, verify,
+                         Multigraph, bipartition, normalize, traverse, verify,
                          verify_decomposition)
 from .subcubic import color_subcubic
 
@@ -85,57 +85,11 @@ def _lift(g: Multigraph, eids: list[int],
     return dict(zip(ids, color(sub).colors))
 
 
-def _edge_components(g: Multigraph, eids: list[int]) -> list[list[int]]:
-    """Connected components of an edge subset, as ascending edge-id lists, in the
-    order of their first edge in eids."""
-    edges = g.edges
-    root: dict[int, int] = {}       # union-find with path halving
-    for e in eids:
-        u, v = edges[e]
-        ru = root.setdefault(u, u)
-        while ru != root[ru]:
-            root[ru] = ru = root[root[ru]]
-        rv = root.setdefault(v, v)
-        while rv != root[rv]:
-            root[rv] = rv = root[root[rv]]
-        if ru != rv:
-            root[ru] = rv
-    comps: dict[int, list[int]] = {}
-    for e in eids:
-        r = edges[e][0]
-        while r != root[r]:
-            r = root[r]
-        comps.setdefault(r, []).append(e)
-    return [sorted(comp) for comp in comps.values()]
-
-
 # ---------------------------------------------------------------------------
 # General bound via 5-class groups.
 
 class _AbsorbStuck(Exception):
     pass
-
-
-def _degrees_within(g: Multigraph, eids: list[int]) -> dict[int, int]:
-    deg: dict[int, int] = defaultdict(int)
-    for e in eids:
-        u, v = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
-def _odd_cycle_components(g: Multigraph, eids: list[int]) -> tuple[list[list[int]], list[int]]:
-    """Split an edge set into its odd-cycle components and the rest."""
-    odd: list[list[int]] = []
-    rest: list[int] = []
-    for comp in _edge_components(g, eids):
-        deg = _degrees_within(g, comp)
-        if all(d == 2 for d in deg.values()) and len(comp) % 2:
-            odd.append(comp)
-        else:
-            rest.extend(comp)
-    return odd, sorted(rest)
 
 
 def _rotate_cycle_walk(g: Multigraph, cycle_edges: list[int], anchor: int) -> list[int]:
@@ -156,11 +110,14 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
     """
     h_edges = [e for e in comp_edges if coloring.colors[e] in h_classes]
     f_edges = [e for e in comp_edges if coloring.colors[e] in f_classes]
-    odd_cycles, f0 = _odd_cycle_components(g, f_edges)
+    t = traverse(g, f_edges)
+    odd = [t.is_odd_cycle(i) for i in range(len(t.components))]
+    odd_cycles = [comp for comp, is_odd in zip(t.components, odd) if is_odd]
+    rest = [i for i, is_odd in enumerate(odd) if not is_odd]
 
     host = IncrementalHost(g)
-    if f0:
-        sub, ids = g.subgraph(f0)
+    if rest:
+        sub, ids = g.components_subgraph(rest, t)
         colored = color_subcubic(sub, EdgeColoring(sub, tuple(coloring.colors[e] for e in ids)))
         for eid, c in zip(ids, colored.colors):
             host.add_colored(eid, c)
@@ -298,7 +255,7 @@ def decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
     for group_edges in groups:
         a_side: dict[int, int] = {}
         b_side: dict[int, int] = {}
-        for comp in _edge_components(g, group_edges):
+        for comp in traverse(g, group_edges).components:
             present = sorted({coloring.colors[e] for e in comp})
             for h_cls, f_cls in _class_splits(present):
                 try:
@@ -329,17 +286,24 @@ def _general_bound(t: int) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # Bipartite decompositions.
 
+def _not_bipartite(g: Multigraph) -> GraphError:
+    cycle = next(c for c in g.traversal.odd_cycles if c is not None)
+    return GraphError(f"graph is not bipartite: odd cycle {'-'.join(map(str, cycle))}")
+
+
 def _require_cert(g: Multigraph, cert: BipartitionCert | None) -> BipartitionCert:
     if cert is None:
         cert = bipartition(g)
         if cert is None:
-            raise GraphError("graph is not bipartite")
+            raise _not_bipartite(g)
     cert.validate(g)
     return cert
 
 
-def _subcubic_bipartite_colors(g: Multigraph, eids: list[int]) -> dict[int, int]:
-    return _lift(g, eids, lambda sub: color_subcubic(sub, konig_color(sub)))
+def _subcubic_bipartite_colors(g: Multigraph, cert: BipartitionCert,
+                               eids: list[int]) -> dict[int, int]:
+    sub, ids = g.subgraph(eids)
+    return dict(zip(ids, color_subcubic(sub, konig_color(sub, cert.restrict(g, sub, ids))).colors))
 
 
 def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
@@ -353,12 +317,12 @@ def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> D
         return _assemble(g, [])
     delta = g.max_degree
     if delta <= 3:
-        return _assemble(g, [_subcubic_bipartite_colors(g, list(range(g.edge_count)))])
+        return _assemble(g, [_subcubic_bipartite_colors(g, cert, list(range(g.edge_count)))])
     k = -(-delta // 3)
     classes: list[list[int]] = [[] for _ in range(k)]
     for e, c in enumerate(equalized_bipartite_color(g, cert, k).colors):
         classes[c - 1].append(e)
-    return _assemble(g, [_subcubic_bipartite_colors(g, eids) if eids else {}
+    return _assemble(g, [_subcubic_bipartite_colors(g, cert, eids) if eids else {}
                          for eids in classes])
 
 
@@ -589,16 +553,18 @@ def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
     return parts
 
 
-def _dispatch_componentwise(g: Multigraph, comps: list[list[int]]) -> tuple[Decomposition, BoundTrace]:
-    """Dispatch each component's compact subgraph; part i of every component goes
-    into part i of the whole.  The merge is not re-certified: each component was
-    certified by the row that built it, and components share no vertex."""
+def _dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
+    """Dispatch each component's compact subgraph, handed its part of g's
+    traversal; part i of every component goes into part i of the whole.  The
+    merge is not re-certified: each component was certified by the row that
+    built it, and components share no vertex."""
     parts = [0] * g.edge_count
     colors = [0] * g.edge_count
     worst: BoundTrace | None = None
-    for comp in comps:
-        sub, ids = g.subgraph(comp)
-        d_sub, t_sub = dispatch_theta_upper(sub)
+    comps = g.traversal.components
+    for i in range(len(comps)):
+        sub, ids = g.components_subgraph([i])
+        d_sub, t_sub = _dispatch_connected(sub)
         for pos, eid in enumerate(ids):
             parts[eid] = d_sub.parts[pos]
             colors[eid] = d_sub.colors[pos]
@@ -615,7 +581,8 @@ def _dispatch_componentwise(g: Multigraph, comps: list[list[int]]) -> tuple[Deco
 
 
 class _Facts:
-    """What the candidate rows read about one graph, computed once per run."""
+    """What the candidate rows read about one graph, computed once per run from
+    the graph's traversal."""
 
     def __init__(self, g: Multigraph) -> None:
         self.g = g
@@ -625,8 +592,9 @@ class _Facts:
         # matchings of at most floor(V/2) edges each, so an overfull graph
         # (E > Delta*floor(V/2); a regular graph of odd order, for one) needs two
         self.lower = 2 if g.edge_count > self.delta * (g.vertex_count // 2) else 1
+        side_max = g.traversal.side_max
         self.min_side_max = self.lower if self.cert is None else min(
-            max(g.degree(v) for v in self.cert.side_vertices(s)) for s in (0, 1))
+            max(m[s] for m in side_max) for s in (0, 1))
 
     @functools.cached_property
     def multipartite(self) -> list[list[int]] | None:
@@ -650,11 +618,13 @@ class _Facts:
 
 def _bipartite_cert(f: _Facts) -> BipartitionCert:
     if f.cert is None:
-        raise GraphError("graph is not bipartite")
+        raise _not_bipartite(f.g)
     return f.cert
 
 
 def _run_forest(f: _Facts):
+    if f.g.edge_count >= f.g.vertex_count:
+        raise GraphError("a forest has fewer edges than vertices")
     return _one_part(color_forest(f.g)), 1, "forest: 1"
 
 
@@ -814,15 +784,19 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     _reject_loops(g)
     if g.edge_count == 0:
         return _assemble(g, []), BoundTrace("empty", "no edges", 0, 0, True)
+    t = g.traversal
+    if len(t.components) > 1 or len(t.vertices[0]) < g.vertex_count:
+        return _dispatch_componentwise(g)
+    return _dispatch_connected(g)
 
-    comps = _edge_components(g, list(range(g.edge_count)))
-    if len(comps) > 1 or 0 in g.degrees:
-        return _dispatch_componentwise(g, comps)
 
+def _dispatch_connected(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
+    """The candidate rows on a connected graph without isolated vertices."""
     f = _Facts(g)
     best: tuple[Decomposition, BoundTrace] | None = None
     for method, floor, run in CANDIDATES:
-        if best is not None and best[0].part_count <= max(f.lower, floor(f)):
+        if best is not None and (best[0].part_count <= f.lower
+                                 or best[0].part_count <= floor(f)):
             continue
         try:
             got = _run_row(method, run, f)

@@ -152,3 +152,50 @@ def reference_cyclic_interval_colorable(g: Multigraph, t: int) -> bool:
         return False
 
     return assign(0)
+
+
+def reference_edge_components(g: Multigraph, eids) -> list[list[int]]:
+    """Connected components of an edge subset, as ascending edge-id lists, in the
+    order of their first edge in eids: the dict union-find the dispatcher used
+    before its one traversal."""
+    edges = g.edges
+    root: dict[int, int] = {}       # union-find with path halving
+    for e in eids:
+        u, v = edges[e]
+        ru = root.setdefault(u, u)
+        while ru != root[ru]:
+            root[ru] = ru = root[root[ru]]
+        rv = root.setdefault(v, v)
+        while rv != root[rv]:
+            root[rv] = rv = root[root[rv]]
+        if ru != rv:
+            root[ru] = rv
+    comps: dict[int, list[int]] = {}
+    for e in eids:
+        r = edges[e][0]
+        while r != root[r]:
+            r = root[r]
+        comps.setdefault(r, []).append(e)
+    return [sorted(comp) for comp in comps.values()]
+
+
+def reference_two_coloring(g: Multigraph, eids) -> dict[int, int] | None:
+    """Sides of the vertices of an edge set, found by relaxing edges until every
+    vertex is labelled, the smallest of each component 0; None if an edge joins
+    two vertices of one side."""
+    eids = list(eids)
+    side: dict[int, int] = {}
+    while len(side) < len({v for e in eids for v in g.edges[e]}):
+        side[min(v for e in eids for v in g.edges[e] if v not in side)] = 0
+        grown = True
+        while grown:
+            grown = False
+            for e in eids:
+                u, v = g.edges[e]
+                for a, b in ((u, v), (v, u)):
+                    if a in side and b not in side:
+                        side[b] = 1 - side[a]
+                        grown = True
+    if any(side[u] == side[v] for u, v in map(g.edges.__getitem__, eids)):
+        return None
+    return side

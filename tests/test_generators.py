@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from intcolor.generators import (FIXTURES, FamilySpec, InfeasibleSpec,
-                                 circular_complete_graph, generate)
+                                 circular_complete_graph, generate, random_biregular)
 from intcolor.multigraph import bipartition, verify
 
 
@@ -95,3 +97,29 @@ def test_unknown_family_and_fixture():
         generate(FamilySpec("nonsense", {}))
     with pytest.raises(InfeasibleSpec):
         generate(FamilySpec("fixture", {"name": "missing"}))
+
+
+@pytest.mark.parametrize("family,n,edges", [("path", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+                                            ("cycle", 4, [(0, 1), (1, 2), (2, 3), (3, 0)])])
+def test_path_and_cycle_list_their_edges_in_walk_order(family, n, edges):
+    assert generate(FamilySpec.parse(f"{family}(n={n})")).graph.edges == tuple(edges)
+
+
+@pytest.mark.parametrize("a,b,scale", [(4, 8, 16), (5, 10, 10), (3, 9, 9)])
+@pytest.mark.parametrize("seed", range(5))
+def test_simple_biregular_repairs_repeated_pairs(a, b, scale, seed):
+    g = random_biregular(a, b, scale, random.Random(seed), simple=True)
+    cert = bipartition(g)
+    assert g.is_simple and cert is not None
+    assert {(s, g.degree(v)) for v, s in enumerate(cert.sides)} == {(0, a), (1, b)}
+
+
+def test_simple_biregular_keeps_a_draw_without_repeats():
+    # 11 of these 20 seeds draw a pairing without repeats; it is returned as drawn
+    kept = 0
+    for seed in range(20):
+        drawn = random_biregular(2, 3, 10, random.Random(seed))
+        if drawn.is_simple:
+            assert random_biregular(2, 3, 10, random.Random(seed), simple=True) == drawn
+            kept += 1
+    assert kept == 11

@@ -1,15 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError,
-                                 bipartition, build_graph, normalize, verify,
-                                 verify_decomposition)
+from intcolor.multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
+                                 Multigraph, bipartition, build_graph, normalize, traverse,
+                                 verify, verify_decomposition)
 from intcolor.generators import cycle_graph, complete_graph
 from intcolor.thickness import decompose_forest_peel
 
-from reference_checkers import reference_verify, reference_verify_decomposition
+from reference_checkers import (reference_edge_components, reference_two_coloring,
+                                reference_verify, reference_verify_decomposition)
 
 
 def test_build_k3():
@@ -308,3 +310,85 @@ def test_degrees_and_simplicity_match_plain_definitions(n_edges):
     assert g.degrees == tuple(sum((u == v) + (w == v) for u, w in edges) for v in range(n))
     assert g.is_simple == (all(u != w for u, w in edges)
                            and len({frozenset(e) for e in edges}) == len(edges))
+
+
+def _assert_closed_odd_walk(g, eids, cycle):
+    assert len(cycle) % 2 == 1
+    steps = Counter(frozenset(g.edges[e]) for e in eids)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert steps[frozenset((a, b))] > 0
+
+
+def _assert_traversal_matches_reference(g, eids, t):
+    assert t.components == reference_edge_components(g, sorted(eids))
+    for i, comp in enumerate(t.components):
+        touched = {v for e in comp for v in g.edges[e]}
+        assert sorted(t.vertices[i]) == sorted(touched) and t.vertices[i][0] == min(touched)
+        degree = Counter(v for e in comp for v in g.edges[e])
+        sides = reference_two_coloring(g, comp)
+        if sides is None:
+            _assert_closed_odd_walk(g, comp, t.odd_cycles[i])
+        else:
+            assert t.odd_cycles[i] is None
+            assert {v: t.sides[v] for v in touched} == sides
+            assert t.side_max[i] == tuple(max((degree[v] for v in touched if sides[v] == s),
+                                              default=0) for s in (0, 1))
+        assert max(t.side_max[i]) == max(degree.values())
+
+
+@st.composite
+def multigraph_and_subset(draw):
+    n = draw(st.integers(1, 9))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16))
+    loops = draw(st.booleans())
+    g = build_graph(n, [(u, v) for u, v in edges if loops or u != v], allows_loops=loops)
+    eids = draw(st.lists(st.sampled_from(range(g.edge_count)), unique=True)
+                if g.edge_count else st.just([]))
+    return g, eids
+
+
+@given(multigraph_and_subset())
+def test_traverse_matches_union_find_and_two_coloring_references(g_eids):
+    g, eids = g_eids
+    _assert_traversal_matches_reference(g, eids, traverse(g, eids))
+    whole = traverse(g)
+    assert whole == g.traversal
+    _assert_traversal_matches_reference(g, range(g.edge_count), whole)
+    cert = bipartition(g)
+    assert (cert is None) == any(c is not None for c in whole.odd_cycles)
+    assert cert is None or cert.sides == tuple(whole.sides)
+    for i in range(len(whole.components)):
+        # the handed-down traversal is the one the component subgraph would find
+        sub, ids = g.components_subgraph([i])
+        fresh = Multigraph(sub.vertex_count, sub.edges, allows_loops=sub.allows_loops)
+        assert sub.traversal == traverse(fresh)
+        assert bipartition(sub) == bipartition(fresh)
+    part = traverse(g, eids)
+    picked = [i for i in range(len(part.components)) if i % 2 == len(eids) % 2]
+    if picked:
+        # and so is that of several components of a pass over an edge subset
+        sub, ids = g.components_subgraph(picked, part)
+        assert list(ids) == sorted(e for i in picked for e in part.components[i])
+        fresh = Multigraph(sub.vertex_count, sub.edges, allows_loops=sub.allows_loops)
+        assert sub.traversal == traverse(fresh)
+
+
+@given(multigraph_and_subset())
+def test_restricted_certificate_is_valid_on_the_subgraph(g_eids):
+    g, eids = g_eids
+    cert = bipartition(g)
+    if cert is None or not eids:
+        return
+    sub, ids = g.subgraph(eids)
+    cert.restrict(g, sub, ids).validate(sub)
+
+
+def test_components_keep_their_order_and_isolated_vertices():
+    g = build_graph(7, [(5, 6), (2, 4), (4, 0)])
+    assert g.components() == [[0, 4, 2], [1], [3], [5, 6]]
+    assert traverse(g).components == [[0], [1, 2]]
+
+
+def test_part_count_is_computed_once():
+    d = Decomposition(build_graph(3, [(0, 1), (1, 2)]), (1, 0), (1, 1))
+    assert d.part_count == 2 and vars(d)["part_count"] == 2

@@ -1,10 +1,11 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intcolor import thickness
+from intcolor import multigraph, thickness
 from intcolor.edge_coloring import (equalized_bipartite_color, exact_chromatic_index,
                                     konig_color, vizing_color)
 from intcolor.generators import (FIXTURES, FamilySpec, generate,
@@ -14,7 +15,7 @@ from intcolor.generators import (FIXTURES, FamilySpec, generate,
                                  random_bipartite, random_biregular, random_cactus,
                                  random_cubic_class1, random_eulerian_bipartite, random_tree)
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, bipartition,
-                                 build_graph, verify_decomposition)
+                                 build_graph, traverse, verify_decomposition)
 from intcolor.oracles import exact_cyclic_interval_coloring, exact_theta
 from intcolor.thickness import (_Facts, decompose_bipartite,
                                 decompose_biregular, decompose_eulerian_bipartite,
@@ -741,9 +742,59 @@ def test_edge_components_match_plain_definition(seed):
     edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 16))]
     g = build_graph(n, edges, allows_loops=True)
     eids = rng.sample(range(len(edges)), rng.randint(0, len(edges)))
-    if rng.random() < 0.5:
-        eids.sort()
-    assert thickness._edge_components(g, eids) == _plain_edge_components(g, eids)
+    # components come ordered by their smallest edge, whatever order eids has
+    assert traverse(g, eids).components == _plain_edge_components(g, sorted(eids))
+
+
+@pytest.mark.parametrize("spec,parts", [("path(n=16001)", 1), ("cycle(n=16001)", 2)])
+def test_dispatch_of_a_walk_ordered_path_and_odd_cycle_is_linear(spec, parts):
+    # a 16k-edge path and C_16001 with their edges in walk order; the dict
+    # union-find the dispatcher once used took 8-9 s on each
+    g = generate(FamilySpec.parse(spec)).graph
+    start = time.perf_counter()
+    d, _ = dispatch_theta_upper(g)
+    assert time.perf_counter() - start < 1.0
+    assert d.part_count == parts
+
+
+def test_dispatch_traverses_the_graph_once(monkeypatch):
+    whole = []
+    original = multigraph.traverse
+
+    def counting(g, eids=None):
+        if eids is None:
+            whole.append(g.edge_count)
+        return original(g, eids)
+
+    monkeypatch.setattr(multigraph, "traverse", counting)
+    monkeypatch.setattr(thickness, "dispatch_theta_upper",
+                        lambda g: pytest.fail("componentwise dispatch re-entered"))
+    pieces = _trees(2) + [complete_bipartite_graph(3, 3), complete_bipartite_graph(2, 4)]
+    g = _disjoint_union(pieces, 2)
+    d, trace = dispatch_theta_upper(g)
+    assert trace.method == "componentwise" and d.part_count == 1
+    assert whole == [g.edge_count]
+
+
+def test_forest_row_rejects_a_graph_with_as_many_edges_as_vertices():
+    with pytest.raises(GraphError, match="fewer edges than vertices"):
+        run_named_method(cycle_graph(4), "forest")
+
+
+def test_floors_are_read_only_while_the_best_is_above_lower(monkeypatch):
+    read = []
+    rows = tuple((m, (lambda fl, m=m: lambda f: read.append(m) or fl(f))(fl), run)
+                 for m, fl, run in thickness.CANDIDATES)
+    monkeypatch.setattr(thickness, "CANDIDATES", rows)
+    dispatch_theta_upper(random_tree(12, random.Random(0)))
+    assert read == []
+    dispatch_theta_upper(complete_graph(5))     # best 2 parts = lower from the start
+    assert read == []
+    # the biregular row's 2 parts are above lower = 1: later rows read their floors
+    d, trace = dispatch_theta_upper(random_biregular(3, 6, 3, random.Random(0)))
+    assert trace.method == "biregular" and d.part_count == 2
+    assert read == ["eulerian-bipartite", "bipartite-thirds", "star-peel",
+                    "five-class-general", "forest-peel"]
 
 
 # -- lower bound -------------------------------------------------------------------
