@@ -8,6 +8,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .multigraph import (BipartitionCert, EdgeColoring, GraphError, Multigraph,
                          bipartition)
@@ -20,67 +21,114 @@ class BudgetExceeded(GraphError):
 # ---------------------------------------------------------------------------
 # Kempe-chain state, shared by Konig and the fan recoloring engine.
 
+def _smallest(mask: int) -> int:
+    """The smallest color in a nonempty color bitmask: its lowest set bit."""
+    return (mask & -mask).bit_length() - 1
+
+
 class _KempeState:
-    """Partial proper k-coloring: the color of each edge and, at each vertex, the
-    edge holding each color.  Konig and the fan engine both color on it."""
+    """Partial proper k-coloring of an edge list on vertices 0..n-1, on flat state:
+    colors[e] is the color of edge e (0 while uncolored), used[v] a bitmask of the
+    colors present at v (bit c for color c), and at[v*(k+1) + c] the edge holding
+    color c at v, or -1.  The free colors of v are missing(v) = full & ~used[v],
+    the smallest color of a mask is its lowest set bit, and "c is free at w" is a
+    bit test.  Python ints are unbounded, so a palette wider than a machine word
+    (k >= 63) needs nothing special.
 
-    def __init__(self, g: Multigraph, k: int):
-        self.g = g
-        self.palette = frozenset(range(1, k + 1))
-        self.colors = [0] * g.edge_count
-        self.at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    Konig colors on it straight from an edge list, so equalized coloring and
+    Petersen 2-factorization no longer build a split Multigraph for it; the fan
+    engine also reads the graph's incidence and degrees."""
 
-    def missing(self, v: int) -> set[int]:
-        return self.palette - self.at[v].keys()
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]], k: int):
+        self.edges = edges
+        self.width = k + 1
+        self.full = ((1 << k) - 1) << 1
+        self.colors = [0] * len(edges)
+        self.used = [0] * n
+        self.at = [-1] * (n * (k + 1))
+
+    def missing(self, v: int) -> int:
+        return self.full & ~self.used[v]
+
+    def color_in_order(self, resolve: Callable[[int, int, int], None]) -> list[int]:
+        """Give each edge, in id order, the smallest color free at both ends;
+        resolve(eid, u, v) colors an edge whose ends have no free color in common."""
+        edges, colors, used, at, width, full = (self.edges, self.colors, self.used, self.at,
+                                                self.width, self.full)
+        for eid, (u, v) in enumerate(edges):
+            common = full & ~(used[u] | used[v])
+            if not common:
+                resolve(eid, u, v)
+                continue
+            # set_color inlined: eid is uncolored, so there is no old color to clear
+            c = (common & -common).bit_length() - 1
+            colors[eid] = c
+            bit = 1 << c
+            at[u * width + c] = eid
+            at[v * width + c] = eid
+            used[u] |= bit
+            used[v] |= bit
+        return colors
 
     def set_color(self, eid: int, c: int) -> None:
-        old = self.colors[eid]
-        u, v = self.g.edges[eid]
+        colors, used, at, width = self.colors, self.used, self.at, self.width
+        old = colors[eid]
+        u, v = self.edges[eid]
         if old:
             for w in (u, v):
-                if self.at[w].get(old) == eid:
-                    del self.at[w][old]
-        self.colors[eid] = c
-        self.at[u][c] = eid
-        self.at[v][c] = eid
+                if at[w * width + old] == eid:
+                    at[w * width + old] = -1
+                    used[w] &= ~(1 << old)
+        colors[eid] = c
+        bit = 1 << c
+        at[u * width + c] = eid
+        at[v * width + c] = eid
+        used[u] |= bit
+        used[v] |= bit
 
     def swap_chain(self, y: int, a: int, b: int, x: int) -> bool:
         """Swap colors on the maximal a/b-chain from y unless it ends at x."""
+        edges, colors, used, at, width = self.edges, self.colors, self.used, self.at, self.width
         chain = []
         z, cur = y, b
-        while cur in self.at[z]:
-            e = self.at[z][cur]
+        while (e := at[z * width + cur]) >= 0:
             chain.append(e)
-            z = self.g.other_end(e, z)
+            p, q = edges[e]
+            z = q if p == z else p
             cur = a if cur == b else b
         if z == x:
             return False
-        old = {e: self.colors[e] for e in chain}
         for e in chain:
-            for w in self.g.edges[e]:
-                if self.at[w].get(old[e]) == e:
-                    del self.at[w][old[e]]
+            old = colors[e]
+            for w in edges[e]:
+                if at[w * width + old] == e:
+                    at[w * width + old] = -1
+                    used[w] &= ~(1 << old)
         for e in chain:
-            self.colors[e] = a if old[e] == b else b
-            p, q = self.g.edges[e]
-            self.at[p][self.colors[e]] = e
-            self.at[q][self.colors[e]] = e
+            c = colors[e] = a if colors[e] == b else b
+            bit = 1 << c
+            for w in edges[e]:
+                at[w * width + c] = e
+                used[w] |= bit
         return True
 
     def fold(self, x: int, fan: list[int], rim: list[int]) -> None:
         while True:
             y = rim[-1]
-            c = min(self.missing(x) & self.missing(y))
+            common = self.missing(x) & self.missing(y)
+            if not common:
+                raise AssertionError("fan fold found no color free at both ends")
             e_last = fan[-1]
             old = self.colors[e_last]
-            self.set_color(e_last, c)
+            self.set_color(e_last, _smallest(common))
             if len(fan) == 1:
                 return
-            idx = next(i for i, w in enumerate(rim[:-1]) if old in self.missing(w))
+            idx = next((i for i, w in enumerate(rim[:-1]) if self.missing(w) >> old & 1), None)
+            if idx is None:
+                raise AssertionError("no earlier fan vertex misses the color folded away")
             fan, rim = fan[: idx + 1], rim[: idx + 1]
 
-    def color_edge_with_fan(self, eid: int) -> None:
-        g = self.g
+    def color_edge_with_fan(self, g: Multigraph, eid: int) -> None:
         u, v = g.edges[eid]
         x = u if g.degree(u) <= g.degree(v) else v
         y0 = g.other_end(eid, x)
@@ -90,7 +138,7 @@ class _KempeState:
         while True:
             nxt = None
             for f in g.incidence[x]:
-                if f not in in_fan and self.colors[f] and self.colors[f] in rim_missing:
+                if f not in in_fan and self.colors[f] and rim_missing >> self.colors[f] & 1:
                     nxt = f
                     break
             if nxt is None:
@@ -99,14 +147,14 @@ class _KempeState:
             fan.append(nxt)
             y = g.other_end(nxt, x)
             rim.append(y)
-            rim_missing = rim_missing | self.missing(y)
+            rim_missing |= self.missing(y)
             if self.missing(x) & self.missing(y):
                 self.fold(x, fan, rim)
                 return
             for i, w in enumerate(rim[:-1]):
-                if w != y and (self.missing(w) & self.missing(y)):
-                    a = min(self.missing(w) & self.missing(y))
-                    b = min(self.missing(x))
+                common = self.missing(w) & self.missing(y)
+                if w != y and common:
+                    a, b = _smallest(common), _smallest(self.missing(x))
                     if self.swap_chain(w, a, b, x):
                         self.fold(x, fan[: i + 1], rim[: i + 1])
                     else:
@@ -119,30 +167,34 @@ class _KempeState:
 # ---------------------------------------------------------------------------
 # Konig: bipartite multigraphs, exactly Delta colors.
 
-def konig_color(g: Multigraph, cert: BipartitionCert | None = None) -> EdgeColoring:
-    """Proper coloring of a bipartite multigraph with exactly max_degree colors.
+def _konig_colors(n: int, edges: Sequence[tuple[int, int]], k: int) -> list[int]:
+    """Proper k-coloring of a bipartite edge list on vertices 0..n-1 of maximum
+    degree at most k, the caller's guarantee.
 
-    Each edge gets a color free at both ends, flipping one alternating
+    Each edge gets the smallest color free at both ends, flipping one alternating
     (Kempe) chain when no common free color exists; in a bipartite graph the
     chain never closes back on the other endpoint.
     """
+    st = _KempeState(n, edges, k)
+
+    def flip(eid: int, u: int, v: int) -> None:
+        a, b = _smallest(st.missing(u)), _smallest(st.missing(v))
+        if not st.swap_chain(v, b, a, u):
+            raise AssertionError("a Kempe chain closed in a bipartite graph")
+        st.set_color(eid, a)
+
+    return st.color_in_order(flip)
+
+
+def konig_color(g: Multigraph, cert: BipartitionCert | None = None) -> EdgeColoring:
+    """Proper coloring of a bipartite multigraph with exactly max_degree colors,
+    by _konig_colors once the certificate checks."""
     if cert is None:
         cert = bipartition(g)
         if cert is None:
             raise GraphError("graph is not bipartite")
     cert.validate(g)
-    st = _KempeState(g, g.max_degree)
-    for eid, (u, v) in enumerate(g.edges):
-        free_u, free_v = st.missing(u), st.missing(v)
-        common = free_u & free_v
-        if common:
-            st.set_color(eid, min(common))
-            continue
-        a, b = min(free_u), min(free_v)
-        if not st.swap_chain(v, b, a, u):
-            raise AssertionError("a Kempe chain closed in a bipartite graph")
-        st.set_color(eid, a)
-    return EdgeColoring(g, tuple(st.colors))
+    return EdgeColoring(g, tuple(_konig_colors(g.vertex_count, g.edges, g.max_degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +209,9 @@ def _max_multiplicity(g: Multigraph) -> int:
 
 
 def _fan_color(g: Multigraph, k: int) -> EdgeColoring:
-    st = _KempeState(g, k)
-    for eid, (u, v) in enumerate(g.edges):
-        both = st.missing(u) & st.missing(v)
-        if both:
-            st.set_color(eid, min(both))
-        else:
-            st.color_edge_with_fan(eid)
-    return EdgeColoring(g, tuple(st.colors))
+    st = _KempeState(g.vertex_count, g.edges, k)
+    return EdgeColoring(g, tuple(st.color_in_order(
+        lambda eid, u, v: st.color_edge_with_fan(g, eid))))
 
 
 def vizing_color(g: Multigraph) -> EdgeColoring:
@@ -192,36 +239,30 @@ def equalized_bipartite_color(g: Multigraph, cert: BipartitionCert, k: int) -> E
     """k-coloring of a bipartite multigraph with per-vertex color counts within 1.
 
     Not necessarily proper: each vertex is split into copies of degree at most k
-    (edges distributed to copies in edge-id order), the split graph is Konig
-    colored, and the copies are collapsed back.
+    (edges distributed to copies in edge-id order), the split edge list is Konig
+    colored with min(k, Delta) colors, and the copies are collapsed back.  Each
+    copy keeps its vertex's side, so the list is bipartite by construction and no
+    split Multigraph or certificate is built for it.
     """
     if k < 1:
         raise GraphError("k must be positive")
     cert.validate(g)
 
-    copy_id: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    first_copy = [0] * g.vertex_count
     n_h = 0
-    for v in range(g.vertex_count):
-        slots = max(1, -(-len(g.incidence[v]) // k))
-        copy_id[v] = list(range(n_h, n_h + slots))
-        n_h += slots
+    for v, inc in enumerate(g.incidence):
+        first_copy[v] = n_h
+        n_h += max(1, -(-len(inc) // k))
 
-    seen: list[int] = [0] * g.vertex_count
+    seen = [0] * g.vertex_count
     h_edges: list[tuple[int, int]] = []
-    for eid, (u, v) in enumerate(g.edges):
-        cu = copy_id[u][seen[u] // k]
+    for u, v in g.edges:
+        cu = first_copy[u] + seen[u] // k
         seen[u] += 1
-        cv = copy_id[v][seen[v] // k]
+        cv = first_copy[v] + seen[v] // k
         seen[v] += 1
         h_edges.append((cu, cv))
-
-    sides = [0] * n_h
-    for v in range(g.vertex_count):
-        for c in copy_id[v]:
-            sides[c] = cert.sides[v]
-    h = Multigraph(n_h, tuple(h_edges))
-    hcol = konig_color(h, BipartitionCert(tuple(sides)))
-    return EdgeColoring(g, hcol.colors)
+    return EdgeColoring(g, tuple(_konig_colors(n_h, h_edges, min(k, g.max_degree))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +301,7 @@ class TwoFactorization:
 def petersen_two_factorization(g: Multigraph) -> TwoFactorization:
     """Split a 2r-regular multigraph (loops allowed) into r 2-factors.
 
-    Each component's Eulerian circuit is oriented; the out/in bipartite graph
+    Each component's Eulerian circuit is oriented; the out/in bipartite edge list
     of the orientation is r-regular and its Konig color classes are the factors.
     """
     degs = g.degrees
@@ -286,12 +327,11 @@ def petersen_two_factorization(g: Multigraph) -> TwoFactorization:
         if cur != v:
             raise AssertionError("Euler trail did not close")
 
-    b = Multigraph(2 * n, tuple((tail, n + head) for tail, head, _ in arcs))
-    cert = BipartitionCert(tuple([0] * n + [1] * n))
-    col = konig_color(b, cert)
+    # tails on 0..n-1, heads on n..2n-1: bipartite and r-regular by construction
+    colors = _konig_colors(2 * n, [(tail, n + head) for tail, head, _ in arcs], r)
     factors: list[list[int]] = [[] for _ in range(r)]
-    for i, (_, _, eid) in enumerate(arcs):
-        factors[col.colors[i] - 1].append(eid)
+    for (_, _, eid), c in zip(arcs, colors):
+        factors[c - 1].append(eid)
     return TwoFactorization(tuple(tuple(sorted(f)) for f in factors))
 
 

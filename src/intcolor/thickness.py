@@ -527,8 +527,11 @@ def split_cyclic(g: Multigraph, c: EdgeColoring, t: int) -> Decomposition:
 # Dispatcher.
 
 def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
-    """Vertex parts when g is a simple complete multipartite graph, else None."""
-    if g.edge_count == 0 or not g.is_simple:
+    """Vertex parts when g is a simple complete multipartite graph, else None.
+
+    A vertex of the smallest of r >= 2 parts sees the other parts, at least
+    V - V/r >= V/2 vertices, so a graph with 2*Delta < V is rejected unscanned."""
+    if g.edge_count == 0 or 2 * g.max_degree < g.vertex_count or not g.is_simple:
         return None
     adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
     for u, v in g.edges:

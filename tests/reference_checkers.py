@@ -3,11 +3,15 @@
 They build every vertex's palette (a loop contributes its color twice), sort it
 and test it pairwise, the plain way; the library instead compares set sizes and
 extremes.  Both must return identical VerifyReports.
+
+The set-based Kempe-chain engine at the end is the reference for the library's
+bitmask engine: Konig, fan, equalized and Petersen colorings must be identical.
 """
 from __future__ import annotations
 
 from collections import Counter
 
+from intcolor.edge_coloring import _euler_circuit
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
                                  VerifyReport, _is_cyclically_consecutive)
 
@@ -199,3 +203,178 @@ def reference_two_coloring(g: Multigraph, eids) -> dict[int, int] | None:
     if any(side[u] == side[v] for u, v in map(g.edges.__getitem__, eids)):
         return None
     return side
+
+
+# ---------------------------------------------------------------------------
+# Set-based Kempe-chain engine: the reference the bitmask engine must match
+# color for color (same smallest common color, same chain, same fan).
+
+class _KempeState:
+    """Set-based Kempe-chain state: the color of each edge and, at each vertex, a
+    dict from color to the edge holding it; missing() builds a new set on every
+    call."""
+
+    def __init__(self, g: Multigraph, k: int):
+        self.g = g
+        self.palette = frozenset(range(1, k + 1))
+        self.colors = [0] * g.edge_count
+        self.at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+
+    def missing(self, v: int) -> set[int]:
+        return self.palette - self.at[v].keys()
+
+    def set_color(self, eid: int, c: int) -> None:
+        old = self.colors[eid]
+        u, v = self.g.edges[eid]
+        if old:
+            for w in (u, v):
+                if self.at[w].get(old) == eid:
+                    del self.at[w][old]
+        self.colors[eid] = c
+        self.at[u][c] = eid
+        self.at[v][c] = eid
+
+    def swap_chain(self, y: int, a: int, b: int, x: int) -> bool:
+        """Swap colors on the maximal a/b-chain from y unless it ends at x."""
+        chain = []
+        z, cur = y, b
+        while cur in self.at[z]:
+            e = self.at[z][cur]
+            chain.append(e)
+            z = self.g.other_end(e, z)
+            cur = a if cur == b else b
+        if z == x:
+            return False
+        old = {e: self.colors[e] for e in chain}
+        for e in chain:
+            for w in self.g.edges[e]:
+                if self.at[w].get(old[e]) == e:
+                    del self.at[w][old[e]]
+        for e in chain:
+            self.colors[e] = a if old[e] == b else b
+            p, q = self.g.edges[e]
+            self.at[p][self.colors[e]] = e
+            self.at[q][self.colors[e]] = e
+        return True
+
+    def fold(self, x: int, fan: list[int], rim: list[int]) -> None:
+        while True:
+            y = rim[-1]
+            c = min(self.missing(x) & self.missing(y))
+            e_last = fan[-1]
+            old = self.colors[e_last]
+            self.set_color(e_last, c)
+            if len(fan) == 1:
+                return
+            idx = next(i for i, w in enumerate(rim[:-1]) if old in self.missing(w))
+            fan, rim = fan[: idx + 1], rim[: idx + 1]
+
+    def color_edge_with_fan(self, eid: int) -> None:
+        g = self.g
+        u, v = g.edges[eid]
+        x = u if g.degree(u) <= g.degree(v) else v
+        y0 = g.other_end(eid, x)
+        fan, rim = [eid], [y0]
+        rim_missing = self.missing(y0)
+        in_fan = {eid}
+        while True:
+            nxt = None
+            for f in g.incidence[x]:
+                if f not in in_fan and self.colors[f] and self.colors[f] in rim_missing:
+                    nxt = f
+                    break
+            if nxt is None:
+                raise AssertionError("fan construction stalled; palette too small")
+            in_fan.add(nxt)
+            fan.append(nxt)
+            y = g.other_end(nxt, x)
+            rim.append(y)
+            rim_missing = rim_missing | self.missing(y)
+            if self.missing(x) & self.missing(y):
+                self.fold(x, fan, rim)
+                return
+            for i, w in enumerate(rim[:-1]):
+                if w != y and (self.missing(w) & self.missing(y)):
+                    a = min(self.missing(w) & self.missing(y))
+                    b = min(self.missing(x))
+                    if self.swap_chain(w, a, b, x):
+                        self.fold(x, fan[: i + 1], rim[: i + 1])
+                    else:
+                        if not self.swap_chain(y, a, b, x):
+                            raise AssertionError("both Kempe chains reached the anchor")
+                        self.fold(x, fan, rim)
+                    return
+
+
+def reference_konig_colors(g: Multigraph) -> tuple[int, ...]:
+    """Konig coloring of a bipartite multigraph with max_degree colors, on the
+    set-based engine."""
+    st = _KempeState(g, g.max_degree)
+    for eid, (u, v) in enumerate(g.edges):
+        free_u, free_v = st.missing(u), st.missing(v)
+        common = free_u & free_v
+        if common:
+            st.set_color(eid, min(common))
+            continue
+        a, b = min(free_u), min(free_v)
+        if not st.swap_chain(v, b, a, u):
+            raise AssertionError("a Kempe chain closed in a bipartite graph")
+        st.set_color(eid, a)
+    return tuple(st.colors)
+
+
+def reference_fan_colors(g: Multigraph, k: int) -> tuple[int, ...]:
+    """Fan-engine k-coloring (Vizing / Shannon), on the set-based engine."""
+    st = _KempeState(g, k)
+    for eid, (u, v) in enumerate(g.edges):
+        both = st.missing(u) & st.missing(v)
+        if both:
+            st.set_color(eid, min(both))
+        else:
+            st.color_edge_with_fan(eid)
+    return tuple(st.colors)
+
+
+def reference_equalized_colors(g: Multigraph, k: int) -> tuple[int, ...]:
+    """Equalized k-coloring the old way: split every vertex into copies of degree
+    at most k (edges to copies in edge-id order), build the split multigraph and
+    Konig color it on the set-based engine."""
+    copy_id: list[list[int]] = []
+    n_h = 0
+    for v in range(g.vertex_count):
+        slots = max(1, -(-len(g.incidence[v]) // k))
+        copy_id.append(list(range(n_h, n_h + slots)))
+        n_h += slots
+    seen = [0] * g.vertex_count
+    h_edges = []
+    for u, v in g.edges:
+        cu = copy_id[u][seen[u] // k]
+        seen[u] += 1
+        cv = copy_id[v][seen[v] // k]
+        seen[v] += 1
+        h_edges.append((cu, cv))
+    return reference_konig_colors(Multigraph(n_h, tuple(h_edges)))
+
+
+def reference_petersen_factors(g: Multigraph) -> tuple[tuple[int, ...], ...]:
+    """2-factors of a 2r-regular multigraph the old way: orient each component's
+    Euler circuit, build the out/in bipartite multigraph and Konig color it on the
+    set-based engine."""
+    r = g.max_degree // 2
+    n = g.vertex_count
+    used = [False] * g.edge_count
+    ptr = [0] * n
+    arcs = []
+    for v in range(n):
+        if all(used[e] for e in g.incidence[v]):
+            continue
+        cur = v
+        for eid in _euler_circuit(g, v, used, ptr):
+            head = g.other_end(eid, cur)
+            arcs.append((cur, head, eid))
+            cur = head
+    colors = reference_konig_colors(Multigraph(2 * n, tuple((t, n + h) for t, h, _ in arcs)))
+    factors: list[list[int]] = [[] for _ in range(r)]
+    for (_, _, eid), c in zip(arcs, colors):
+        factors[c - 1].append(eid)
+    return tuple(tuple(sorted(f)) for f in factors)

@@ -1,16 +1,20 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from intcolor.edge_coloring import (BudgetExceeded, equalized_bipartite_color,
-                                    exact_chromatic_index, konig_color,
-                                    petersen_two_factorization, shannon_color,
-                                    vizing_color)
+from intcolor.edge_coloring import (BudgetExceeded, _KempeState, _konig_colors,
+                                    equalized_bipartite_color, exact_chromatic_index,
+                                    konig_color, petersen_two_factorization,
+                                    shannon_color, vizing_color)
 from intcolor.generators import (complete_bipartite_graph, complete_graph,
                                  cycle_graph, random_bipartite)
-from intcolor.multigraph import EdgeColoring, GraphError, bipartition, build_graph, verify
+from intcolor.multigraph import BipartitionCert, GraphError, bipartition, build_graph, verify
+
+from reference_checkers import (reference_equalized_colors, reference_fan_colors,
+                                reference_konig_colors, reference_petersen_factors)
 
 
 def petersen_graph():
@@ -63,6 +67,21 @@ def test_konig_exactly_delta_on_random_bipartite(seed):
     col = konig_color(g)
     assert verify(g, col, "proper").proper
     assert col.colors_used() == g.max_degree
+
+
+def test_konig_core_raises_on_a_closed_chain():
+    # a triangle is not bipartite: its third edge's Kempe chain returns to it
+    with pytest.raises(AssertionError, match="a Kempe chain closed in a bipartite graph"):
+        _konig_colors(3, [(0, 1), (1, 2), (2, 0)], 2)
+
+
+def test_fold_with_no_fan_vertex_to_take_the_old_color_raises():
+    # folding edge 1 from color 1 to 2 needs a fan vertex missing 1; vertex 1 has it
+    st = _KempeState(4, [(0, 1), (0, 2), (1, 3)], 3)
+    st.set_color(1, 1)
+    st.set_color(2, 1)
+    with pytest.raises(AssertionError, match="no earlier fan vertex"):
+        st.fold(0, [0, 1], [1, 2])
 
 
 # -- vizing / shannon --------------------------------------------------------
@@ -202,6 +221,107 @@ def test_petersen_on_random_regular_multigraphs(seed, r):
         edges.extend((perm[i], perm[(i + 1) % n]) for i in range(n))
     g = build_graph(n, edges, allows_loops=(n == 1))
     _assert_two_factorization(g, petersen_two_factorization(g), r)
+
+
+# -- the bitmask engine against the set-based reference --------------------------
+# Same smallest common color, same chain, same fan: every coloring must be
+# identical.  A wide case puts a hub of degree >= 70 in the graph, so the color
+# masks are wider than a machine word.
+
+WIDE = 70
+
+
+def _ordered(rng, edges):
+    """edges sorted or shuffled; sorted, the edges at a vertex come in a run."""
+    if rng.random() < 0.5:
+        return sorted(edges)
+    rng.shuffle(edges)
+    return edges
+
+
+def _random_bipartite_multigraph(rng, wide):
+    """Random sides, random cross edges, and some vertices left isolated."""
+    n = rng.randint(2, 12)
+    sides = [0] + [rng.randrange(2) for _ in range(n - 2)] + [1]
+    side = [[v for v in range(n) if sides[v] == s] for s in (0, 1)]
+    edges = [(rng.choice(side[0]), rng.choice(side[1])) for _ in range(rng.randint(1, 40))]
+    if wide:
+        edges += [(0, rng.choice(side[1])) for _ in range(WIDE)]
+    edges = _ordered(rng, edges)
+    extra = rng.randint(0, 3)     # isolated vertices at the end
+    return build_graph(n + extra, edges), BipartitionCert(tuple(sides + [0] * extra))
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_konig_matches_set_based_engine(seed, wide):
+    g, cert = _random_bipartite_multigraph(random.Random(seed), wide)
+    assert not wide or g.max_degree >= WIDE
+    assert konig_color(g, cert).colors == reference_konig_colors(g)
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@example(5687, False)   # a Kempe interchange with two common colors to choose from
+@settings(max_examples=60, deadline=None)
+def test_vizing_matches_set_based_engine(seed, wide):
+    # dense graphs make the fan recolor: Kempe interchanges, with a choice of colors
+    rng = random.Random(seed)
+    n = rng.randint(WIDE + 1, WIDE + 10) if wide else rng.randint(2, 16)
+    p = rng.random() / (8 if wide else 1)
+    edges = [pair for pair in combinations(range(n), 2)
+             if rng.random() < p or wide and pair[0] == 0 and pair[1] <= WIDE]
+    if not edges:
+        return
+    g = build_graph(n, _ordered(rng, edges))
+    assert not wide or g.max_degree >= WIDE
+    delta = g.max_degree
+    k = min(delta + 1, max(3 * delta // 2, 1))
+    assert vizing_color(g).colors == reference_fan_colors(g, k)
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@example(4372, False)   # a Kempe interchange with two common colors to choose from
+@settings(max_examples=60, deadline=None)
+def test_shannon_matches_set_based_engine(seed, wide):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    most = rng.randint(1, 12)
+    edges = [pair for pair in combinations(range(n), 2) for _ in range(rng.randint(0, most))]
+    if wide:
+        edges += [(0, rng.randrange(1, n)) for _ in range(WIDE)]
+    if not edges:
+        return
+    g = build_graph(n, _ordered(rng, edges))
+    assert not wide or g.max_degree >= WIDE
+    delta = g.max_degree
+    mu = max(Counter(g.edges).values())     # every edge is listed as (u, v) with u < v
+    assert shannon_color(g).colors == reference_fan_colors(g, min(delta + mu, 3 * delta // 2))
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_equalized_matches_set_based_engine(seed, wide):
+    g, cert = _random_bipartite_multigraph(random.Random(seed), wide)
+    for k in range(1, g.max_degree + 2):
+        assert equalized_bipartite_color(g, cert, k).colors == reference_equalized_colors(g, k)
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_petersen_matches_set_based_engine(seed, wide):
+    # each round adds v -> perm[v] for every v: 2 to every degree, a loop at a fixed
+    # point and a double edge on a 2-cycle
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    r = rng.randint(WIDE // 2, WIDE // 2 + 3) if wide else rng.randint(1, 4)
+    edges = []
+    for _ in range(r):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges.extend((v, perm[v]) for v in range(n))
+    g = build_graph(n, edges, allows_loops=True)
+    assert g.max_degree == 2 * r
+    assert petersen_two_factorization(g).factors == reference_petersen_factors(g)
 
 
 # -- exact chromatic index -------------------------------------------------------

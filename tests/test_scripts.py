@@ -35,13 +35,25 @@ def test_timetable_demo():
     assert lines[-1].startswith("largest daily-load spread over all parties: ")
 
 
-def test_output_digest_is_repeatable():
+def _digest_module():
     spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_output_digest_is_repeatable():
+    digest = _digest_module()
     first = digest.workload_digest("sparse", 101)
     assert first[:2] == (40, 40)    # 40 jobs, one part each
     assert digest.workload_digest("sparse", 101) == first
+
+
+def test_timetable_output_digest_is_pinned():
+    # golden: any change to a Konig, equalized or Petersen coloring, or to the
+    # timetable built from it, changes this line of `output_digest.py 101`
+    assert _digest_module().workload_digest("timetable", 101) == (
+        112, 798, "a4fd5b7fdee851aa4d898896dde5d39da9bc090ccf90ee3c7a752a9c0d6aea25")
 
 
 @pytest.mark.parametrize("name,args", [("thickness_gap_scan.py", ("--trials", "5")),

@@ -11,7 +11,7 @@ from intcolor.edge_coloring import (equalized_bipartite_color, exact_chromatic_i
 from intcolor.generators import (FIXTURES, FamilySpec, generate,
                                  complete_bipartite_graph, complete_graph,
                                  complete_multipartite_graph,
-                                 circular_complete_graph, cycle_graph,
+                                 circular_complete_graph, cycle_graph, multipartite_parts,
                                  random_bipartite, random_biregular, random_cactus,
                                  random_cubic_class1, random_eulerian_bipartite, random_tree)
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, bipartition,
@@ -299,6 +299,21 @@ def test_detect_complete_multipartite():
     parts = detect_complete_multipartite(g)
     assert parts is not None and sorted(map(len, parts)) == [3, 6]
     assert detect_complete_multipartite(cycle_graph(5)) is None
+
+
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=5), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_detect_complete_multipartite_after_relabelling(sizes, seed):
+    # the 2*Delta < V shortcut must not reject a complete multipartite graph
+    rng = random.Random(seed)
+    g = complete_multipartite_graph(sizes)
+    label = list(range(g.vertex_count))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    parts = detect_complete_multipartite(build_graph(g.vertex_count, edges))
+    expected = {frozenset(label[v] for v in part) for part in multipartite_parts(sizes)}
+    assert parts is not None and set(map(frozenset, parts)) == expected
 
 
 # -- balanced families ------------------------------------------------------------------------
