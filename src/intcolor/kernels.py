@@ -71,17 +71,21 @@ def walk_degree_two(g: Multigraph, eids: list[int]) -> list[tuple[list[int], lis
     return comps
 
 
-def color_paths_and_even_cycles(g: Multigraph) -> EdgeColoring:
-    """Alternate colors 1,2 along each component of a max-degree-2 graph."""
-    if g.max_degree > 2:
-        raise GraphError("graph has a vertex of degree exceeding 2")
+def alternating_walk_colors(g: Multigraph, eids: list[int], base: int = 0) -> dict[int, int]:
+    """Host-edge colors base+1, base+2 alternating along each path and cycle of
+    an edge subset with max degree 2; an odd cycle raises GraphError."""
     colors: dict[int, int] = {}
-    for _, eseq, is_cycle in walk_degree_two(g, list(range(g.edge_count))):
+    for _, eseq, is_cycle in walk_degree_two(g, eids):
         if is_cycle and len(eseq) % 2:
             raise GraphError("odd cycle component is not interval colorable")
         for i, e in enumerate(eseq):
-            colors[e] = 1 + (i % 2)
-    return _as_coloring(g, colors)
+            colors[e] = base + 1 + (i % 2)
+    return colors
+
+
+def color_paths_and_even_cycles(g: Multigraph) -> EdgeColoring:
+    """Alternate colors 1,2 along each component of a max-degree-2 graph."""
+    return _as_coloring(g, alternating_walk_colors(g, list(range(g.edge_count))))
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +367,7 @@ def color_low_even_bipartite(g: Multigraph) -> EdgeColoring:
     colors: dict[int, int] = {}
     for comp, comp_edges, side_max in zip(t.vertices, t.components, t.side_max):
         if max(side_max) <= 2:
-            for _, eseq, _ in walk_degree_two(g, comp_edges):
-                for i, e in enumerate(eseq):
-                    colors[e] = 1 + (i % 2)
+            colors.update(alternating_walk_colors(g, comp_edges))
             continue
         _color_suppressed_component(g, comp, comp_edges, delta // 2, colors)
     return _as_coloring(g, colors)
@@ -418,9 +420,7 @@ def _color_suppressed_component(g: Multigraph, comp: list[int], comp_edges: list
         for d_eid in factor:
             if d_eid < n_chains:
                 lifted.extend(chains[d_eid])
-        for _, eseq, _ in walk_degree_two(g, lifted):
-            for j, e in enumerate(eseq):
-                colors[e] = 2 * i + 1 + (j % 2)
+        colors.update(alternating_walk_colors(g, lifted, 2 * i))
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +430,8 @@ def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int]) -> dict[
     """Host-edge colors: fa cycles alternate 1,2; fb 3,4."""
     if set(fa) & set(fb):
         raise GraphError("factors must be edge-disjoint")
-    out: dict[int, int] = {}
-    for offset, factor in ((0, fa), (2, fb)):
-        for _, eseq, is_cycle in walk_degree_two(g, list(factor)):
-            if is_cycle and len(eseq) % 2:
-                raise GraphError("factor contains an odd cycle")
-            for i, e in enumerate(eseq):
-                out[e] = offset + 1 + (i % 2)
+    out = alternating_walk_colors(g, fa)
+    out.update(alternating_walk_colors(g, fb, 2))
     return out
 
 

@@ -15,10 +15,10 @@ from typing import Callable
 
 from .edge_coloring import (equalized_bipartite_color, exact_chromatic_index, konig_color,
                             petersen_two_factorization, shannon_color, vizing_color)
-from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
-                      color_forest, color_low_even_bipartite, latin_bipartite_colors,
-                      staircase_bipartite_colors, two_factor_pair_colors,
-                      walk_degree_two)
+from .kernels import (IncrementalHost, alternating_walk_colors,
+                      balanced_multipartite_colors, color_cactus, color_forest,
+                      color_low_even_bipartite, latin_bipartite_colors,
+                      staircase_bipartite_colors, two_factor_pair_colors, walk_degree_two)
 from .multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
                          Multigraph, bipartition, normalize, traverse, verify,
                          verify_decomposition)
@@ -218,9 +218,7 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
         unabsorbed.pop(ci)
 
     # side B has at most two proper classes, so no odd cycle
-    for _, eseq, _ in walk_degree_two(g, sorted(h_avail)):
-        for i, e in enumerate(eseq):
-            b_colors[e] = 1 + (i % 2)
+    b_colors.update(alternating_walk_colors(g, sorted(h_avail)))
     return dict(host.color), b_colors
 
 
@@ -381,21 +379,6 @@ def decompose_biregular(g: Multigraph, cert: BipartitionCert | None = None) -> D
                      + [_lift(g, eids, color_low_even_bipartite) for eids in groups[s:]])
 
 
-def decompose_star_peel(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
-    """min(max degree of X, max degree of Y) star-forest parts.
-
-    On the side of smaller maximum degree, part i takes the i-th incidence of
-    every vertex, so each vertex of that side is a leaf of its part."""
-    cert = _require_cert(g, cert)
-    d_side = [max((g.degree(v) for v in cert.side_vertices(s)), default=0) for s in (0, 1)]
-    side = 0 if d_side[0] <= d_side[1] else 1
-    stars: list[list[int]] = [[] for _ in range(d_side[side])]
-    for v in cert.side_vertices(side):
-        for i, e in enumerate(g.incidence[v]):
-            stars[i].append(e)
-    return _assemble(g, [_lift(g, star, color_forest) for star in stars])
-
-
 # ---------------------------------------------------------------------------
 # Complete multipartite families.
 
@@ -451,8 +434,12 @@ def _semiregular_dicts(g: Multigraph, small: list[list[int]],
 
 
 def decompose_forest_peel(g: Multigraph) -> Decomposition:
-    """Repeatedly remove a DFS spanning forest; parts bound the thickness but
-    are not guaranteed to reach the arboricity."""
+    """Repeatedly remove a DFS spanning forest: at most Delta parts, and on a
+    bipartite graph at most the smaller of the two sides' maximum degrees.
+
+    Each forest meets every vertex that still has an edge, so every round lowers
+    all those degrees by one at least; either side of a bipartite graph meets
+    every edge, so no edge is left once that side's degrees reach 0."""
     _reject_loops(g)
     remaining = set(range(g.edge_count))
     parts: list[dict[int, int]] = []
@@ -595,9 +582,6 @@ class _Facts:
         # matchings of at most floor(V/2) edges each, so an overfull graph
         # (E > Delta*floor(V/2); a regular graph of odd order, for one) needs two
         self.lower = 2 if g.edge_count > self.delta * (g.vertex_count // 2) else 1
-        side_max = g.traversal.side_max
-        self.min_side_max = self.lower if self.cert is None else min(
-            max(m[s] for m in side_max) for s in (0, 1))
 
     @functools.cached_property
     def multipartite(self) -> list[list[int]] | None:
@@ -717,25 +701,23 @@ def _run_bipartite_thirds(f: _Facts):
     return decompose_bipartite(f.g, cert), bound, f"ceil({f.delta}/3) = {bound}"
 
 
-def _run_star_peel(f: _Facts):
-    cert = _bipartite_cert(f)
-    return (decompose_star_peel(f.g, cert), max(1, f.min_side_max),
-            f"min-side max degree = {f.min_side_max}")
-
-
 def _run_general(f: _Facts):
     bound, formula = _general_bound(f.coloring.colors_used())
     return decompose_general(f.g, f.coloring), bound, formula
 
 
 def _run_forest_peel(f: _Facts):
-    decomp = decompose_forest_peel(f.g)
-    return decomp, decomp.part_count, f"forests peeled: {decomp.part_count}"
+    if f.cert is None:
+        bound, formula = f.delta, f"Delta = {f.delta}"
+    else:
+        side_max = f.g.traversal.side_max
+        bound = min(max(m[s] for m in side_max) for s in (0, 1))
+        formula = f"min-side max degree = {bound}"
+    return decompose_forest_peel(f.g), bound, formula
 
 
 # (method, floor, run) in priority order; floor(facts) is a proven lower bound on
-# the row's own part count.  Floors: each star-peel round lowers the peeled
-# side's maximum degree by exactly one; equalized classes are all non-empty at a
+# the row's own part count.  Floors: equalized classes are all non-empty at a
 # vertex of degree Delta >= 4; on a bipartite graph the Konig coloring has Delta
 # classes, all present at a vertex of degree Delta, and no odd cycle makes a
 # class split borrow an edge, so five-class-general gives exactly
@@ -752,7 +734,6 @@ CANDIDATES = (
     ("biregular", lambda f: f.lower, _run_biregular),
     ("eulerian-bipartite", lambda f: f.lower, _run_eulerian),
     ("bipartite-thirds", lambda f: max(1, -(-f.delta // 3)), _run_bipartite_thirds),
-    ("star-peel", lambda f: f.min_side_max, _run_star_peel),
     ("five-class-general",
      lambda f: f.lower if f.cert is None else _general_bound(f.delta)[0], _run_general),
     ("forest-peel", lambda f: -(-f.g.edge_count // (f.g.vertex_count - 1)), _run_forest_peel),

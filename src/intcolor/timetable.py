@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .multigraph import (BipartitionCert, Decomposition, GraphError, Multigraph,
                          VerifyReport, _as_int, build_graph, verify_decomposition)
-from .thickness import _assemble, decompose_bipartite, dispatch_theta_upper, BoundTrace
+from .thickness import decompose_bipartite, dispatch_theta_upper, BoundTrace
 
 
 @dataclass(frozen=True)
@@ -108,30 +108,37 @@ def _timetable(B: RequirementMatrix, d: Decomposition) -> Timetable:
 
 
 def timetable_to_decomposition(B: RequirementMatrix, S: Timetable) -> Decomposition:
-    """Inverse translation; parallel (i,j) lectures consume edge ids in order."""
+    """Inverse translation: day l is part l and period h color h; parallel (i,j)
+    lectures consume edge ids in order.  A wait or a clash raises GraphError
+    naming the requirement-graph vertices (classes, then teachers) at fault."""
     g, _ = build_requirement_graph(B)
     n = B.n_classes
     queues: dict[tuple[int, int], list[int]] = {}
     for eid in reversed(range(g.edge_count)):
         u, v = g.edges[eid]
         queues.setdefault((u, v - n), []).append(eid)
-    part_dicts: list[dict[int, int]] = []
-    for day in S.days:
-        colors: dict[int, int] = {}
+    parts = [0] * g.edge_count
+    colors = [0] * g.edge_count
+    for day_index, day in enumerate(S.days):
         for i, row in enumerate(day):
             for h, j in enumerate(row, start=1):
                 if j is None:
                     continue
                 if not queues.get((i, j)):
                     raise GraphError(f"timetable schedules more ({i},{j}) lectures than required")
-                colors[queues[(i, j)].pop()] = h
-        part_dicts.append(colors)
-    if any(queues[k] for k in queues):
+                eid = queues[(i, j)].pop()
+                parts[eid], colors[eid] = day_index, h
+    if any(queues.values()):
         raise GraphError("timetable misses some required lectures")
-    return _assemble(g, part_dicts)
+    d = Decomposition(g, tuple(parts), tuple(colors))
+    rep = verify_decomposition(g, d)
+    if not rep.interval:
+        raise GraphError("timetable has a wait or a clash at vertices "
+                         f"{', '.join(map(str, rep.offending_vertices))}")
+    return d
 
 
-def _busy_interruptions(busy: list[int]) -> bool:
+def _busy_interruptions(busy: list[int] | set[int]) -> bool:
     return bool(busy) and (max(busy) - min(busy) + 1 != len(busy))
 
 
@@ -151,35 +158,26 @@ def verify_timetable(B: RequirementMatrix, S: Timetable) -> VerifyReport:
     for day in S.days:
         if len(day) != n:
             raise GraphError("day grid must have one row per class")
+        teacher_periods: dict[int, list[int]] = {}
         for i, row in enumerate(day):
-            for j in row:
+            busy = []
+            for h, j in enumerate(row):
                 if j is None:
                     continue
                 if not 0 <= j < m:
                     raise GraphError(f"unknown teacher index {j}")
                 counts[i][j] += 1
-        for h in range(max((len(row) for row in day), default=0)):
-            seen: set[int] = set()
-            for i, row in enumerate(day):
-                j = row[h] if h < len(row) else None
-                if j is None:
-                    continue
-                if j in seen:
-                    ok_counts = False
-                    offenders.add(n + j)
-                seen.add(j)
-        for i, row in enumerate(day):
-            busy = [h for h, j in enumerate(row) if j is not None]
+                busy.append(h)
+                teacher_periods.setdefault(j, []).append(h)
             if _busy_interruptions(busy):
                 ok_gapless = False
                 offenders.add(i)
-        teacher_busy: dict[int, set[int]] = {}
-        for row in day:
-            for h, j in enumerate(row):
-                if j is not None:
-                    teacher_busy.setdefault(j, set()).add(h)
-        for j, periods in teacher_busy.items():
-            if _busy_interruptions(sorted(periods)):
+        for j, periods in teacher_periods.items():
+            distinct = set(periods)
+            if len(distinct) != len(periods):       # two classes in one period
+                ok_counts = False
+                offenders.add(n + j)
+            if _busy_interruptions(distinct):
                 ok_gapless = False
                 offenders.add(n + j)
     for i in range(n):

@@ -49,11 +49,18 @@ def test_output_digest_is_repeatable():
     assert digest.workload_digest("sparse", 101) == first
 
 
-def test_timetable_output_digest_is_pinned():
-    # golden: any change to a Konig, equalized or Petersen coloring, or to the
-    # timetable built from it, changes this line of `output_digest.py 101`
-    assert _digest_module().workload_digest("timetable", 101) == (
-        112, 798, "a4fd5b7fdee851aa4d898896dde5d39da9bc090ccf90ee3c7a752a9c0d6aea25")
+# golden lines of `output_digest.py 101`: any change to a decomposition the
+# dispatcher returns, to its trace, or to a timetable built from it changes one
+PINNED_DIGESTS = {
+    "sparse": (40, 40, "39f795b54f3f3da8115eb0befa5b1171a1079f6a7f4c5311d313a648e84e5e5e"),
+    "general": (60, 244, "04b28ed3e472f3d5ff289bce7e0e2bd4f15f68b63e529ad1f23dfed3950f6afe"),
+    "timetable": (112, 798, "a4fd5b7fdee851aa4d898896dde5d39da9bc090ccf90ee3c7a752a9c0d6aea25"),
+}
+
+
+@pytest.mark.parametrize("workload", PINNED_DIGESTS)
+def test_output_digest_is_pinned(workload):
+    assert _digest_module().workload_digest(workload, 101) == PINNED_DIGESTS[workload]
 
 
 @pytest.mark.parametrize("name,args", [("thickness_gap_scan.py", ("--trials", "5")),

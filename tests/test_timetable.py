@@ -64,6 +64,17 @@ def test_interruption_detection():
     assert 0 in rep.offending_vertices
 
 
+def test_translating_a_timetable_with_a_wait_or_a_clash_names_the_parties():
+    # class 0 and teacher 0 (vertex 1) wait in period 2
+    with pytest.raises(GraphError, match="wait or a clash at vertices 0, 1$"):
+        timetable_to_decomposition(RequirementMatrix.from_rows([[2]]),
+                                   Timetable((((0, None, 0),),)))
+    # teacher 0 (vertex 2) meets both classes in period 1
+    with pytest.raises(GraphError, match="wait or a clash at vertices 2$"):
+        timetable_to_decomposition(RequirementMatrix.from_rows([[1], [1]]),
+                                   Timetable((((0,), (0,)),)))
+
+
 def test_wrong_totals_detected():
     B = RequirementMatrix.from_rows([[2]])
     short = Timetable((((0,),),))
