@@ -316,8 +316,6 @@ def petersen_two_factorization(g: Multigraph) -> TwoFactorization:
     ptr = [0] * n
     arcs: list[tuple[int, int, int]] = []
     for v in range(n):
-        if all(used[e] for e in g.incidence[v]):
-            continue
         circuit = _euler_circuit(g, v, used, ptr)
         cur = v
         for eid in circuit:

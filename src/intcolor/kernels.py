@@ -7,6 +7,7 @@ thickness._certified every decomposition, the oracles every witness.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Container, Iterable, Mapping
 
 from .edge_coloring import petersen_two_factorization
 from .multigraph import EdgeColoring, GraphError, Multigraph, normalize
@@ -157,48 +158,92 @@ def latin_bipartite_colors(g: Multigraph, xs: list[int], ys: list[int],
 class IncrementalHost:
     """Grow an interval-colored edge subset of a fixed host graph.
 
-    Colors may go below 1 while growing; callers normalize on emission.
+    A vertex is in the host once an edge at it is colored.  Colors may go below
+    1 while growing; callers normalize on emission.
     """
 
     def __init__(self, g: Multigraph):
         self.g = g
         self.color: dict[int, int] = {}
-        self._pal: dict[int, set[int]] = defaultdict(set)
-
-    def palette(self, v: int) -> set[int]:
-        return self._pal[v]
+        self._pal: dict[int, set[int]] = {}
 
     def add_colored(self, eid: int, c: int) -> None:
         if eid in self.color:
             raise AssertionError(f"edge {eid} already colored")
         u, v = self.g.edges[eid]
         self.color[eid] = c
-        self._pal[u].add(c)
-        self._pal[v].add(c)
+        self._pal.setdefault(u, set()).add(c)
+        self._pal.setdefault(v, set()).add(c)
 
-    def add_pendant(self, eid: int, anchor: int) -> int:
-        c = max(self._pal[anchor]) + 1 if self._pal[anchor] else 1
-        self.add_colored(eid, c)
-        return c
+    def add_pendant(self, eid: int, anchor: int) -> None:
+        """Color eid one above the largest color at its host end anchor."""
+        self.add_colored(eid, max(self._pal[anchor]) + 1)
 
-    def add_cycle(self, anchor: int, walk_eids: list[int]) -> None:
-        """Attach a cycle at a leaf: even cycles alternate k+1,k+2; odd ones
-        walk k-1, then k,k-1 alternating, closing with k+1."""
-        pal = self._pal[anchor]
+    def add_cycle(self, anchor: int, cycle: list[int]) -> list[int]:
+        """Attach the cycle on the edges cycle at a leaf of the host, walked from
+        anchor out along its smaller edge id: even cycles alternate k+1,k+2; odd
+        ones walk k-1, then k,k-1 alternating, closing with k+1.  Returns the
+        cycle's vertices in walk order, anchor first."""
+        pal = self._pal.get(anchor, ())
         if len(pal) != 1:
             raise GraphError(f"cycle anchor {anchor} is not a leaf of the host")
         k = next(iter(pal))
-        L = len(walk_eids)
+        L = len(cycle)
         if L < 2:
             raise GraphError("cycles need at least 2 edges")
+        at: dict[int, list[int]] = {}
+        for e in cycle:
+            for w in self.g.edges[e]:
+                at.setdefault(w, []).append(e)
+        walk, verts = [min(at[anchor])], [anchor]
+        cur = self.g.other_end(walk[0], anchor)
+        while cur != anchor:
+            verts.append(cur)
+            a, b = at[cur]
+            walk.append(b if a == walk[-1] else a)
+            cur = self.g.other_end(walk[-1], cur)
         if L % 2 == 0:
             pattern = [k + 1 if i % 2 == 0 else k + 2 for i in range(L)]
         else:
             pattern = [k - 1]
             pattern += [k if i % 2 else k - 1 for i in range(1, L - 1)]
             pattern += [k + 1]
-        for eid, c in zip(walk_eids, pattern):
+        for eid, c in zip(walk, pattern):
             self.add_colored(eid, c)
+        return verts
+
+    def grow(self, entering: Iterable[int], borrow: Container[int],
+             cycle_at: Mapping[int, list[int]]) -> None:
+        """Enter the given host vertices, then spread from every host vertex:
+        each borrow edge whose far end is outside the host becomes a pendant,
+        and the far end enters.
+
+        A vertex that enters takes the cycle cycle_at gives it, attached while
+        the vertex is still a leaf, and the cycle's vertices enter with it.  A
+        pendant adds the color one above its host end's palette and an attached
+        cycle keeps its anchor's palette an interval, so every palette stays an
+        interval and the host stays interval colored.
+        """
+        g, pal = self.g, self._pal
+        queue: list[int] = []
+
+        def enter(v: int) -> None:
+            cycle = cycle_at.get(v)
+            if cycle is None:
+                queue.append(v)
+            else:
+                queue.extend(self.add_cycle(v, cycle))
+
+        for v in entering:
+            enter(v)
+        while queue:
+            v = queue.pop()
+            for e in g.incidence[v]:
+                if e in borrow:
+                    w = g.other_end(e, v)
+                    if w not in pal:
+                        self.add_pendant(e, v)
+                        enter(w)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +305,9 @@ def _biconnected_blocks(g: Multigraph) -> list[list[int]]:
 def color_cactus(g: Multigraph) -> EdgeColoring:
     """Interval coloring of a connected cactus (vertex-disjoint cycles, Delta >= 3).
 
-    Roots the block tree at a bridge and grows outward: a vertex's cycle block is
-    attached the moment the vertex enters the host (while it is still a leaf),
-    bridge edges are pendant extensions.
+    Colors the smallest bridge 1 and grows the host over the bridges from its
+    ends: a vertex's cycle block is attached the moment the vertex enters the
+    host (while it is still a leaf), bridge edges are pendant extensions.
     """
     if g.has_loop():
         raise GraphError("cacti have no loops")
@@ -270,79 +315,31 @@ def color_cactus(g: Multigraph) -> EdgeColoring:
         raise GraphError("cactus must be connected")
 
     blocks = _biconnected_blocks(g)
-    cycle_blocks = [b for b in blocks if len(b) > 1]
-    if not cycle_blocks:
+    if all(len(b) == 1 for b in blocks):
         return color_forest(g)
     if g.max_degree <= 2:
         raise GraphError("a bare cycle is not a cactus instance")
 
-    block_vertices: list[set[int]] = []
-    cycle_at: dict[int, int] = {}
-    for bi, b in enumerate(blocks):
-        verts = set()
-        for e in b:
-            verts.update(g.edges[e])
-        block_vertices.append(verts)
+    cycle_at: dict[int, list[int]] = {}
+    for b in blocks:
         if len(b) > 1:
+            verts = {w for e in b for w in g.edges[e]}
             if len(b) != len(verts):
                 raise GraphError("two cycles share an edge or a pair of vertices")
             for v in verts:
                 if v in cycle_at:
                     raise GraphError(f"cycles intersect at vertex {v}")
-                cycle_at[v] = bi
+                cycle_at[v] = b
 
-    bridges = sorted(b[0] for b in blocks if len(b) == 1)
+    bridges = {b[0] for b in blocks if len(b) == 1}
     if not bridges:
         raise AssertionError("disjoint-cycle cactus with several blocks must have a bridge")
-
-    bridge_at: dict[int, list[int]] = defaultdict(list)
-    for eid in bridges:
-        u, v = g.edges[eid]
-        bridge_at[u].append(eid)
-        bridge_at[v].append(eid)
-
+    root = min(bridges)
     host = IncrementalHost(g)
-    done_cycles: set[int] = set()
-    pending: list[int] = []
-
-    def cycle_walk(anchor: int, block: list[int]) -> list[int]:
-        inc: dict[int, list[int]] = defaultdict(list)
-        for e in block:
-            a, b = g.edges[e]
-            inc[a].append(e)
-            inc[b].append(e)
-        walk, used, cur = [], set(), anchor
-        while True:
-            e = next((x for x in sorted(inc[cur]) if x not in used), None)
-            if e is None:
-                return walk
-            used.add(e)
-            walk.append(e)
-            cur = g.other_end(e, cur)
-
-    def enter(v: int) -> None:
-        bi = cycle_at.get(v)
-        if bi is not None and bi not in done_cycles:
-            done_cycles.add(bi)
-            host.add_cycle(v, cycle_walk(v, blocks[bi]))
-            for w in block_vertices[bi]:
-                if w != v:
-                    pending.append(w)
-        pending.append(v)
-
-    root = bridges[0]
-    a, b = g.edges[root]
     host.add_colored(root, 1)
-    enter(a)
-    enter(b)
-    while pending:
-        v = pending.pop()
-        for eid in bridge_at[v]:
-            if eid in host.color:
-                continue
-            host.add_pendant(eid, v)
-            enter(g.other_end(eid, v))
+    host.grow(g.edges[root], bridges, cycle_at)
     return _as_coloring(g, host.color)
+
 
 # ---------------------------------------------------------------------------
 # Bipartite graphs with degrees in {1, 2, 2r}: pair palettes per 2-factor.

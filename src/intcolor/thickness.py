@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +17,7 @@ from .edge_coloring import (equalized_bipartite_color, exact_chromatic_index, ko
 from .kernels import (IncrementalHost, alternating_walk_colors,
                       balanced_multipartite_colors, color_cactus, color_forest,
                       color_low_even_bipartite, latin_bipartite_colors,
-                      staircase_bipartite_colors, two_factor_pair_colors, walk_degree_two)
+                      staircase_bipartite_colors, two_factor_pair_colors)
 from .multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
                          Multigraph, bipartition, normalize, traverse, verify,
                          verify_decomposition)
@@ -92,134 +91,49 @@ class _AbsorbStuck(Exception):
     pass
 
 
-def _rotate_cycle_walk(g: Multigraph, cycle_edges: list[int], anchor: int) -> list[int]:
-    (vseq, eseq, is_cycle), = walk_degree_two(g, cycle_edges)
-    if not is_cycle:
-        raise AssertionError("expected a cycle")
-    i = vseq.index(anchor)
-    return eseq[i:] + eseq[:i]
-
-
 def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColoring,
                      h_classes: set[int], f_classes: set[int]) -> tuple[dict[int, int], dict[int, int]]:
     """One group component into two interval-colorable sides.
 
-    Side A holds the subcubic 3-class subgraph with its odd cycles absorbed
-    through paths borrowed from the 2-class side B; raises _AbsorbStuck when an
-    odd cycle cannot be reached so the caller can try another class split.
+    Side A is the 3-class subgraph: its components other than odd cycles are
+    colored by color_subcubic.  When there are odd cycles, side A grows over the
+    edges of the 2-class side B from the vertices of those components, taking B
+    edges as pendants and attaching each odd cycle at the leaf where the growth
+    reaches it.  Without such components the growth starts from one B edge that
+    leaves an odd cycle; with none, the component is a lone odd cycle whose B
+    edges are chords, and _AbsorbStuck lets the caller try another class split.
+    Side B is what remains of the 2-class edges.
     """
     h_edges = [e for e in comp_edges if coloring.colors[e] in h_classes]
     f_edges = [e for e in comp_edges if coloring.colors[e] in f_classes]
     t = traverse(g, f_edges)
     odd = [t.is_odd_cycle(i) for i in range(len(t.components))]
-    odd_cycles = [comp for comp, is_odd in zip(t.components, odd) if is_odd]
     rest = [i for i, is_odd in enumerate(odd) if not is_odd]
 
-    host = IncrementalHost(g)
+    a_colors: dict[int, int] = {}
     if rest:
         sub, ids = g.components_subgraph(rest, t)
         colored = color_subcubic(sub, EdgeColoring(sub, tuple(coloring.colors[e] for e in ids)))
-        for eid, c in zip(ids, colored.colors):
-            host.add_colored(eid, c)
+        a_colors = dict(zip(ids, colored.colors))
+    if len(rest) == len(odd):
+        # side B has at most two proper classes, so no odd cycle
+        return a_colors, alternating_walk_colors(g, h_edges)
 
-    h_avail = set(h_edges)
-    h_inc: dict[int, list[int]] = defaultdict(list)
-    for e in h_edges:
-        u, v = g.edges[e]
-        h_inc[u].append(e)
-        h_inc[v].append(e)
-
-    unabsorbed = list(odd_cycles)
-    b_colors: dict[int, int] = {}
-
-    def cycle_vertices(cyc: list[int]) -> set[int]:
-        return {w for e in cyc for w in g.edges[e]}
-
-    while unabsorbed:
-        on_cycle: dict[int, int] = {}
-        for ci, cyc in enumerate(unabsorbed):
-            for w in cycle_vertices(cyc):
-                on_cycle[w] = ci
-
-        # a cycle already touching the host does so at a leaf: attach directly
-        direct = next(((v, ci) for v, ci in sorted(on_cycle.items())
-                       if len(host.palette(v)) == 1), None)
-        if direct is not None:
-            v, ci = direct
-            host.add_cycle(v, _rotate_cycle_walk(g, unabsorbed[ci], v))
-            unabsorbed.pop(ci)
-            continue
-
-        # shortest borrowed path from the host to any unabsorbed cycle
-        sources = sorted(v for v in range(g.vertex_count) if host.palette(v))
-        parent: dict[int, tuple[int, int]] = {}
-        found: tuple[int, int] | None = None
-        queue = deque(sources)
-        visited = set(sources)
-        while queue and found is None:
-            v = queue.popleft()
-            for e in h_inc[v]:
-                if e not in h_avail:
-                    continue
-                w = g.other_end(e, v)
-                if w in visited:
-                    continue
-                if w in on_cycle:
-                    parent[w] = (v, e)
-                    found = (w, on_cycle[w])
-                    break
-                visited.add(w)
-                parent[w] = (v, e)
-                queue.append(w)
-        if found is not None:
-            target, ci = found
-            path: list[tuple[int, int]] = []
-            cur = target
-            while cur in parent:
-                prev, e = parent[cur]
-                path.append((prev, e))
-                cur = prev
-            for frm, e in reversed(path):
-                host.add_pendant(e, frm)
-                h_avail.discard(e)
-            host.add_cycle(target, _rotate_cycle_walk(g, unabsorbed[ci], target))
-            unabsorbed.pop(ci)
-            continue
-
-        # island: hang the cycle off one borrowed edge of its own
-        island = None
-        for ci, cyc in enumerate(unabsorbed):
-            verts = cycle_vertices(cyc)
-            for v in sorted(verts):
-                for e in sorted(h_inc[v]):
-                    if e in h_avail and g.other_end(e, v) not in verts:
-                        island = (ci, v, e)
-                        break
-                if island:
-                    break
-            if island:
-                break
-        if island is not None:
-            ci, v, e = island
-            host.add_colored(e, 1)
-            h_avail.discard(e)
-            host.add_cycle(v, _rotate_cycle_walk(g, unabsorbed[ci], v))
-            unabsorbed.pop(ci)
-            continue
-
-        # a bare odd cycle component: path on side A, one edge on side B
-        ci, cyc = 0, unabsorbed[0]
-        if len(comp_edges) != len(cyc):
+    host = IncrementalHost(g)
+    for e, c in a_colors.items():
+        host.add_colored(e, c)
+    cycle_at = {v: t.components[i] for i, is_odd in enumerate(odd) if is_odd
+                for v in t.vertices[i]}
+    entering = [v for i in rest for v in t.vertices[i]]
+    if not entering:
+        seed = next((e for e in h_edges
+                     if cycle_at.get(g.edges[e][0]) is not cycle_at.get(g.edges[e][1])), None)
+        if seed is None:
             raise _AbsorbStuck
-        walk = _rotate_cycle_walk(g, cyc, min(cycle_vertices(cyc)))
-        b_colors[walk[0]] = 1
-        for i, e in enumerate(walk[1:]):
-            host.add_colored(e, 1 + (i % 2))
-        unabsorbed.pop(ci)
-
-    # side B has at most two proper classes, so no odd cycle
-    b_colors.update(alternating_walk_colors(g, sorted(h_avail)))
-    return dict(host.color), b_colors
+        host.add_colored(seed, 1)
+        entering = list(g.edges[seed])
+    host.grow(entering, set(h_edges), cycle_at)
+    return host.color, alternating_walk_colors(g, [e for e in h_edges if e not in host.color])
 
 
 def _class_splits(classes: list[int]) -> list[tuple[set[int], set[int]]]:
@@ -239,9 +153,11 @@ def decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
     """At most 2*ceil(t/5) certified parts from a proper t-coloring, one fewer
     when t % 5 is 1 or 2.
 
-    Classes are taken five at a time; within each group the last three classes
-    form a subcubic side whose odd cycles are absorbed with paths from the
-    2-class side, and what remains of the 2-class side is the second part.
+    Classes are taken five at a time.  In each component of a group the last
+    three classes form a subcubic side.  Its odd cycles are absorbed by one
+    growth pass over the 2-class side: 2-class edges hang off the host as
+    pendants, and each odd cycle is attached at the leaf where the growth first
+    reaches it.  What remains of the 2-class side is the second part.
     """
     if not verify(g, coloring, "proper").proper:
         raise GraphError("decompose_general needs a proper coloring")

@@ -300,6 +300,15 @@ def test_malformed_input_exit_code(tmp_path, capsys, command, text):
     _exits_2_with_one_error_line(capsys, command, str(path))
 
 
+@pytest.mark.parametrize("argv", [("decompose", "{dir}"), ("decompose", "{binary}"),
+                                  ("gen", "fixture(name=k5)", "--out", "{dir}")])
+def test_unreadable_input_or_output_exit_code(tmp_path, capsys, argv):
+    # a directory as the graph, a file that is not UTF-8 text, a directory as --out
+    binary = tmp_path / "g.bin"
+    binary.write_bytes(bytes(range(128, 256)))
+    _exits_2_with_one_error_line(capsys, *(a.format(dir=tmp_path, binary=binary) for a in argv))
+
+
 # Inputs stay small: a large vertex count or lecture count is valid input and
 # would only make the run long.  Values are integers about half the time, so
 # many inputs are well formed or one value away from it.

@@ -94,6 +94,109 @@ def test_general_bare_odd_cycle_component():
     assert _certified(d) and d.part_count == 2
 
 
+# Odd-cycle absorption.  With all five classes in a component, the first class
+# split puts 1-2 on side B and 3-5 on the subcubic side A, where an odd cycle
+# needs a borrowed B edge at one of its vertices.
+
+def _colored(n, colored_edges):
+    g = build_graph(n, [e for e, _ in colored_edges])
+    return g, EdgeColoring(g, tuple(c for _, c in colored_edges))
+
+
+def _first_split(g, coloring):
+    return thickness._split_component(g, list(range(g.edge_count)), coloring, {1, 2}, {3, 4, 5})
+
+
+def test_general_absorbs_an_odd_cycle_grown_from_a_subcubic_part():
+    # triangle 0-1-2 on classes 3-5, path 3-4-5 on 3-4; the growth from the
+    # path borrows 5-6 and 6-0 and attaches the triangle at 0; chord 3-5 stays on B
+    g, coloring = _colored(7, [((0, 1), 3), ((1, 2), 4), ((2, 0), 5), ((3, 4), 3),
+                               ((4, 5), 4), ((5, 6), 1), ((6, 0), 2), ((3, 5), 2)])
+    a_side, b_side = _first_split(g, coloring)
+    assert sorted(a_side) == [0, 1, 2, 3, 4, 5, 6] and sorted(b_side) == [7]
+    d = decompose_general(g, coloring)
+    assert reference_verify_decomposition(g, d).interval and d.part_count == 2
+
+
+def test_general_absorbs_odd_cycles_seeded_from_an_edge_between_them():
+    # two triangles on classes 3-5 and no other subcubic part: B edge 0-3 is
+    # colored first and both triangles hang off its ends; 1-4 joins two host
+    # vertices and stays on B
+    g, coloring = _colored(6, [((0, 1), 3), ((1, 2), 4), ((2, 0), 5), ((3, 4), 3),
+                               ((4, 5), 4), ((5, 3), 5), ((0, 3), 1), ((1, 4), 2)])
+    a_side, b_side = _first_split(g, coloring)
+    assert sorted(a_side) == [0, 1, 2, 3, 4, 5, 6] and sorted(b_side) == [7]
+    d = decompose_general(g, coloring)
+    assert reference_verify_decomposition(g, d).interval and d.part_count == 2
+
+
+def test_general_resplits_a_lone_odd_cycle_whose_b_edges_are_chords():
+    # C_5 on classes 3-5 with its three B edges all chords: the first split is
+    # stuck, and another split of the five classes is taken
+    g, coloring = _colored(5, [((0, 1), 3), ((1, 2), 4), ((2, 3), 3), ((3, 4), 4),
+                               ((4, 0), 5), ((0, 2), 1), ((1, 3), 1), ((1, 4), 2)])
+    with pytest.raises(thickness._AbsorbStuck):
+        _first_split(g, coloring)
+    d = decompose_general(g, coloring)
+    assert reference_verify_decomposition(g, d).interval and d.part_count <= 2
+
+
+@st.composite
+def odd_cycles_paths_and_matchings(draw):
+    """A proper 5-coloring: vertex-disjoint odd cycles colored 3,4,...,3,4,5 and
+    paths colored 3,4,..., then random matchings on classes 1 and 2."""
+    n = draw(st.integers(3, 24))
+    order = draw(st.permutations(range(n)))
+    edges, i = [], 0
+    for length, is_cycle in draw(st.lists(st.tuples(st.integers(1, 3), st.booleans()),
+                                          max_size=8)):
+        size = 2 * length + 1 if is_cycle else length + 1
+        if i + size > n:
+            break
+        vs = order[i:i + size]
+        i += size
+        edges += [((vs[j], vs[j + 1]), 3 + j % 2) for j in range(size - 1)]
+        if is_cycle:
+            edges.append(((vs[-1], vs[0]), 5))
+    for c in (1, 2):
+        vs = draw(st.permutations(range(n)))
+        k = draw(st.integers(0, n // 2))
+        edges += [((vs[2 * j], vs[2 * j + 1]), c) for j in range(k)]
+    return _colored(n, edges)
+
+
+@given(odd_cycles_paths_and_matchings())
+@settings(max_examples=150, deadline=None)
+def test_general_absorbs_every_odd_cycle(graph_and_coloring):
+    g, coloring = graph_and_coloring
+    if g.edge_count == 0:
+        return
+    d = decompose_general(g, coloring)
+    assert reference_verify_decomposition(g, d).interval and d.part_count <= 2
+
+
+def _triangle_chain(k):
+    """k triangles on classes 3-5, each joined to the next by one edge; the
+    joining edges alternate classes 1 and 2."""
+    edges = []
+    for i in range(k):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [((a, b), 3), ((b, c), 4), ((c, a), 5)]
+        if i + 1 < k:
+            edges.append(((b, a + 3), 1 + i % 2))
+    return _colored(3 * k, edges)
+
+
+def test_general_absorption_of_a_triangle_chain_is_linear():
+    # 2000 triangles, about 8k edges: the absorption loop that restarted its
+    # search from the whole host for every cycle took 11.5 s here
+    g, coloring = _triangle_chain(2000)
+    start = time.perf_counter()
+    d = decompose_general(g, coloring)
+    assert time.perf_counter() - start < 1.0
+    assert d.part_count <= 2
+
+
 def test_general_rejects_improper():
     g = cycle_graph(4)
     with pytest.raises(GraphError):
