@@ -270,24 +270,29 @@ def equalized_bipartite_color(g: Multigraph, cert: BipartitionCert, k: int) -> E
 
 def _euler_circuit(g: Multigraph, start: int, used: list[bool], ptr: list[int]) -> list[int]:
     """Hierholzer circuit (edge ids in trail order) of start's component."""
-    stack: list[tuple[int, int | None]] = [(start, None)]
+    incidence, edges = g.incidence, g.edges
+    # the trail so far: vertices, and the edge that entered each (-1 at start)
+    vstack, estack = [start], [-1]
     circuit: list[int] = []
-    while stack:
-        v, ein = stack[-1]
-        nxt = None
-        while ptr[v] < len(g.incidence[v]):
-            eid = g.incidence[v][ptr[v]]
-            ptr[v] += 1
-            if not used[eid]:
-                used[eid] = True
-                nxt = eid
-                break
-        if nxt is None:
-            stack.pop()
-            if ein is not None:
+    while vstack:
+        v = vstack[-1]
+        inc = incidence[v]
+        i = ptr[v]
+        while i < len(inc) and used[inc[i]]:
+            i += 1
+        if i == len(inc):
+            ptr[v] = i
+            vstack.pop()
+            ein = estack.pop()
+            if ein >= 0:
                 circuit.append(ein)
-        else:
-            stack.append((g.other_end(nxt, v), nxt))
+            continue
+        eid = inc[i]
+        ptr[v] = i + 1
+        used[eid] = True
+        a, b = edges[eid]
+        vstack.append(b if a == v else a)
+        estack.append(eid)
     circuit.reverse()
     return circuit
 

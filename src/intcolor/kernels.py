@@ -6,7 +6,8 @@ thickness._certified every decomposition, the oracles every witness.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import chain
+from operator import eq
 from typing import Container, Iterable, Mapping
 
 from .edge_coloring import petersen_two_factorization
@@ -22,50 +23,58 @@ def _as_coloring(g: Multigraph, colors: dict[int, int]) -> EdgeColoring:
 def walk_degree_two(g: Multigraph, eids: list[int]) -> list[tuple[list[int], list[int], bool]]:
     """Path/cycle components of an edge subset with max degree 2.
 
-    Returns (vertex_seq, edge_seq, is_cycle) triples; for cycles the vertex
-    sequence closes back on its first entry.
+    Returns (vertex_seq, edge_seq, is_cycle) triples: the paths from their
+    smaller end in ascending order of it, then the cycles from their smallest
+    vertex; each step takes the first unused edge at the vertex in eids order.
+    For cycles the vertex sequence closes back on its first entry.
+
+    The state is sized by the subset, never by the host: each touched vertex has
+    one slot (ascending host order), holding the positions in eids of its first
+    and second edge, and a bytearray marks the positions walked.
     """
     edges = g.edges
-    inc: dict[int, list[int]] = defaultdict(list)
-    for e in eids:
-        u, v = edges[e]
-        if u == v:
-            raise GraphError("degree-two walks do not accept loops")
-        inc[u].append(e)
-        inc[v].append(e)
-    if any(len(lst) > 2 for lst in inc.values()):
-        raise GraphError("edge subset has a vertex of degree exceeding 2")
+    ends = list(chain.from_iterable(map(edges.__getitem__, eids)))
+    if any(map(eq, ends[::2], ends[1::2])):
+        raise GraphError("degree-two walks do not accept loops")
+    kept = sorted(set(ends))
+    ends = list(map(dict(zip(kept, range(len(kept)))).__getitem__, ends))
+    first = [-1] * len(kept)
+    second = [-1] * len(kept)
+    for i, s in enumerate(ends):
+        if first[s] < 0:
+            first[s] = i >> 1
+        elif second[s] < 0:
+            second[s] = i >> 1
+        else:
+            raise GraphError("edge subset has a vertex of degree exceeding 2")
 
-    seen: set[int] = set()
+    seen = bytearray(len(eids))
     comps: list[tuple[list[int], list[int], bool]] = []
 
-    def walk(start: int) -> tuple[list[int], list[int]]:
-        # at most two edges meet at a vertex, so the next step is the first
-        # unseen one of them
-        vseq, eseq = [start], []
-        cur = start
+    def walk(s: int) -> tuple[list[int], list[int]]:
+        # at most two edges meet at a slot, so the next step is the first
+        # unwalked one of them
+        slots, eseq = [s], []
         while True:
-            at = inc[cur]
-            e = at[0]
-            if e in seen:
-                if len(at) == 1 or at[1] in seen:
-                    return vseq, eseq
-                e = at[1]
-            seen.add(e)
-            eseq.append(e)
-            a, b = edges[e]
-            cur = b if a == cur else a
-            vseq.append(cur)
+            p = first[s]
+            if seen[p]:
+                p = second[s]
+                if p < 0 or seen[p]:
+                    return list(map(kept.__getitem__, slots)), eseq
+            seen[p] = 1
+            eseq.append(eids[p])
+            a = ends[2 * p]
+            s = ends[2 * p + 1] if a == s else a
+            slots.append(s)
 
-    order = sorted(inc)
-    for v in order:
-        if len(inc[v]) == 1 and inc[v][0] not in seen:
-            vseq, eseq = walk(v)
+    for s in range(len(kept)):
+        if second[s] < 0 and not seen[first[s]]:
+            vseq, eseq = walk(s)
             comps.append((vseq, eseq, False))
     # every path is walked by now, so an unseen edge lies on an unwalked cycle
-    for v in order:
-        if inc[v][0] not in seen:
-            vseq, eseq = walk(v)
+    for s in range(len(kept)):
+        if not seen[first[s]]:
+            vseq, eseq = walk(s)
             if vseq[0] != vseq[-1]:
                 raise AssertionError("cycle walk did not close")
             comps.append((vseq, eseq, True))

@@ -90,15 +90,14 @@ class Multigraph:
         comps.sort(key=lambda c: c[0])
         return comps
 
-    def components_subgraph(self, picked: Sequence[int], t: "Traversal | None" = None
-                            ) -> tuple["Multigraph", tuple[int, ...]]:
-        """subgraph on the edges of the components picked (ascending) from t, by
-        default this graph's own traversal, handed their part of t, renumbered,
-        in place of a pass of its own.
+    def components_subgraph(self, picked: Sequence[int]) -> tuple["Multigraph", tuple[int, ...]]:
+        """subgraph on the edges of the components picked (ascending) from this
+        graph's own traversal, handed their part of it, renumbered, in place of
+        a pass of its own.
 
         subgraph keeps the host's vertex and edge order, so a pass over the
         subgraph would find the same trees, labels and odd cycles."""
-        t = self.traversal if t is None else t
+        t = self.traversal
         comps = [t.components[i] for i in picked]
         sub, ids = self.subgraph(chain.from_iterable(comps))
         if len(comps) == 1:

@@ -7,46 +7,43 @@ the rest alternately 2,3 anchored by an A/B vertex labeling of an auxiliary
 graph, assigns 1 or 4 to matching edges with equal labels, and repairs the
 few matching edges whose labels differ by locally recoloring with 0,1 or 5,4.
 Only the supplied 3-edge-coloring is checked; callers certify the output.
+
+The checks and the construction run on flat per-vertex and per-edge lists of
+the graph itself: properness is one set of (endpoint, color) pairs, odd-cycle
+components are found by walking the edges between degree-2 vertices, and the
+auxiliary graph and its labels are lists indexed by vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
-from .kernels import _as_coloring, color_paths_and_even_cycles, walk_degree_two
-from .multigraph import EdgeColoring, GraphError, Multigraph, verify
+from .kernels import color_paths_and_even_cycles, walk_degree_two
+from .multigraph import EdgeColoring, GraphError, Multigraph, normalize
 
 A, B = 0, 1
 
 
 @dataclass
 class TGraph:
-    """Auxiliary graph: red edges are matching edges; blue/green edges join the
-    endpoints of an even/odd maximal path of the host minus the matching, with a
-    back-reference to that path.  Max degree 2; the A/B labels arrive with the
-    constraint pass."""
-    red_at: dict[int, tuple[int, int]] = field(default_factory=dict)   # v -> (partner, eid)
-    path_at: dict[int, tuple[int, int]] = field(default_factory=dict)  # v -> (other end, path idx)
-    paths: list[tuple[list[int], list[int]]] = field(default_factory=list)
-    labels: dict[int, int] = field(default_factory=dict)
+    """Auxiliary graph on the host's vertices, as per-vertex lists with -1 for none.
 
-    def vertices(self) -> set[int]:
-        return set(self.red_at) | set(self.path_at)
-
-    def t_degree(self, v: int) -> int:
-        return (v in self.red_at) + (v in self.path_at)
-
-    def adjacency(self, v: int) -> list[tuple[str, int, int]]:
-        out: list[tuple[str, int, int]] = []
-        if v in self.red_at:
-            partner, eid = self.red_at[v]
-            out.append(("r", partner, eid))
-        if v in self.path_at:
-            other, pidx = self.path_at[v]
-            out.append(("p", other, pidx))
-        return out
-
-    def path_is_blue(self, pidx: int) -> bool:
-        return len(self.paths[pidx][1]) % 2 == 0
+    Red edges are the matching edges: v's partner is red_partner[v], joined by
+    host edge red_eid[v].  Each maximal path of the host minus the matching joins
+    its two ends by a blue edge when it has an even number of edges, else by a
+    green one: path_end[v] is the other end of v's path, path_idx[v] its index
+    in paths, and blue[i] whether path i is blue.  A vertex has at most one red
+    and one path edge, so every walk alternates the two kinds and the graph has
+    maximum degree 2.  labels[v] is A or B once the constraint pass reaches v,
+    -1 before.
+    """
+    red_partner: list[int]
+    red_eid: list[int]
+    path_end: list[int]
+    path_idx: list[int]
+    paths: list[tuple[list[int], list[int]]]
+    blue: list[bool]
+    labels: list[int]
 
 
 @dataclass(frozen=True)
@@ -60,62 +57,75 @@ class _Repair:
 
 
 def _reject_odd_cycle_components(g: Multigraph) -> None:
-    t = g.traversal
-    if any(t.is_odd_cycle(i) for i in range(len(t.components))):
+    # a component is an odd cycle iff all its vertices have degree 2, so it is
+    # an odd closed walk of the edges whose ends both have degree 2
+    degrees = g.degrees
+    two = [e for e, (u, v) in enumerate(g.edges) if degrees[u] == 2 and degrees[v] == 2]
+    if any(is_cycle and len(eseq) % 2 for _, eseq, is_cycle in walk_degree_two(g, two)):
         raise GraphError("a component is an odd cycle; not interval colorable")
 
 
 def _build_tgraph(g: Multigraph, m_eids: list[int],
                   gm_paths: list[tuple[list[int], list[int]]]) -> TGraph:
-    t = TGraph()
+    n = g.vertex_count
+    t = TGraph([-1] * n, [-1] * n, [-1] * n, [-1] * n, gm_paths,
+               [len(eseq) % 2 == 0 for _, eseq in gm_paths], [-1] * n)
+    partner, red_eid = t.red_partner, t.red_eid
     for eid in m_eids:
         u, v = g.edges[eid]
-        if u in t.red_at or v in t.red_at:
+        if partner[u] >= 0 or partner[v] >= 0:
             raise AssertionError("matching class is not a matching")
-        t.red_at[u] = (v, eid)
-        t.red_at[v] = (u, eid)
-    for vseq, eseq in gm_paths:
-        idx = len(t.paths)
-        t.paths.append((vseq, eseq))
-        t.path_at[vseq[0]] = (vseq[-1], idx)
-        t.path_at[vseq[-1]] = (vseq[0], idx)
+        partner[u], red_eid[u] = v, eid
+        partner[v], red_eid[v] = u, eid
+    path_end, path_idx = t.path_end, t.path_idx
+    for idx, (vseq, _) in enumerate(gm_paths):
+        a, b = vseq[0], vseq[-1]
+        path_end[a], path_idx[a] = b, idx
+        path_end[b], path_idx[b] = a, idx
     return t
 
 
 def _edge_flips(t: TGraph, kind: str, ref: int) -> bool:
     # blue edges flip the label, red and green edges preserve it
-    return kind == "p" and t.path_is_blue(ref)
+    return kind == "p" and t.blue[ref]
 
 
 def _cycle_walk(t: TGraph, start: int) -> list[tuple[str, int, int, int]]:
-    """Closed walk of a degree-2 component: (kind, frm, to, ref) per step."""
+    """Closed walk of a degree-2 component, red edge first: (kind, frm, to, ref)
+    per step."""
     walk: list[tuple[str, int, int, int]] = []
     cur = start
-    prev: tuple[str, int] | None = None
     while True:
-        options = [e for e in t.adjacency(cur) if (e[0], e[2]) != prev]
-        kind, nxt, ref = options[0]
-        walk.append((kind, cur, nxt, ref))
-        prev = (kind, ref)
-        cur = nxt
+        nxt = t.red_partner[cur]
+        walk.append(("r", cur, nxt, t.red_eid[cur]))
+        cur = t.path_end[nxt]
+        walk.append(("p", nxt, cur, t.path_idx[nxt]))
         if cur == start:
             return walk
 
 
 def _label_path_components(t: TGraph) -> None:
-    for v0 in sorted(t.vertices()):
-        if v0 in t.labels or t.t_degree(v0) != 1:
-            continue
-        t.labels[v0] = A
-        cur, prev = v0, None
+    """Label A at the smaller end of every path component of the auxiliary
+    graph and carry the label along it, flipping it across each blue edge."""
+    partner, path_end, path_idx, blue, labels = (t.red_partner, t.path_end, t.path_idx,
+                                                 t.blue, t.labels)
+    for v0 in range(len(labels)):
+        red = partner[v0] >= 0
+        if labels[v0] >= 0 or red == (path_end[v0] >= 0):
+            continue        # labelled, or not an end: off the graph or of degree 2
+        labels[v0] = lab = A
+        cur = v0
         while True:
-            step = [e for e in t.adjacency(cur) if (e[0], e[2]) != prev]
-            if not step:
+            if red:
+                nxt = partner[cur]
+            else:
+                nxt = path_end[cur]
+                if nxt >= 0 and blue[path_idx[cur]]:
+                    lab ^= 1
+            if nxt < 0:
                 break
-            kind, nxt, ref = step[0]
-            t.labels[nxt] = t.labels[cur] ^ 1 if _edge_flips(t, kind, ref) else t.labels[cur]
-            prev = (kind, ref)
-            cur = nxt
+            labels[nxt] = lab
+            cur, red = nxt, not red
 
 
 def _propagate_around(t: TGraph, walk: list[tuple[str, int, int, int]],
@@ -123,12 +133,13 @@ def _propagate_around(t: TGraph, walk: list[tuple[str, int, int, int]],
     if skip is not None:
         j = next(i for i, s in enumerate(walk) if (s[0], s[3]) == skip)
         walk = walk[j + 1:] + walk[:j]
-    t.labels[walk[0][1]] = A
+    labels = t.labels
+    labels[walk[0][1]] = A
     for kind, frm, to, ref in walk:
-        lab = t.labels[frm] ^ 1 if _edge_flips(t, kind, ref) else t.labels[frm]
-        if to in t.labels and t.labels[to] != lab:
+        lab = labels[frm] ^ 1 if _edge_flips(t, kind, ref) else labels[frm]
+        if labels[to] >= 0 and labels[to] != lab:
             raise AssertionError("inconsistent labels around an even-blue cycle")
-        t.labels[to] = lab
+        labels[to] = lab
 
 
 def _expand_cycle(t: TGraph, walk: list[tuple[str, int, int, int]]) -> tuple[int, ...]:
@@ -154,7 +165,7 @@ def _choose_break(t: TGraph, walk: list[tuple[str, int, int, int]]) -> tuple[int
         for side, v in ((0, vseq[0]), (1, vseq[-1])):
             for d in range(1, length):
                 u = vseq[d] if side == 0 else vseq[length - d]
-                if u in t.red_at:
+                if t.red_partner[u] >= 0:
                     cand = (d, order, side, ref, v)
                     if best is None or cand < best:
                         best = cand
@@ -167,13 +178,15 @@ def _choose_break(t: TGraph, walk: list[tuple[str, int, int, int]]) -> tuple[int
     return ref, v, u, d
 
 
-def _label_cycle_components(t: TGraph, g: Multigraph) -> list[_Repair]:
+def _label_cycle_components(t: TGraph) -> list[_Repair]:
+    # after the path pass, an unlabelled vertex with a red edge lies on a cycle
     repairs: list[_Repair] = []
-    for v0 in sorted(t.vertices()):
-        if v0 in t.labels:
+    labels = t.labels
+    for v0 in range(len(labels)):
+        if labels[v0] >= 0 or t.red_partner[v0] < 0:
             continue
         walk = _cycle_walk(t, v0)
-        blue = sum(1 for kind, _, _, ref in walk if kind == "p" and t.path_is_blue(ref))
+        blue = sum(1 for kind, _, _, ref in walk if kind == "p" and t.blue[ref])
         if blue % 2 == 0:
             _propagate_around(t, walk, skip=None)
             continue
@@ -189,16 +202,16 @@ def _label_cycle_components(t: TGraph, g: Multigraph) -> list[_Repair]:
             continue
 
         pidx, v, u, d = _choose_break(t, walk)
-        partner, break_eid = t.red_at[v]
+        partner, break_eid = t.red_partner[v], t.red_eid[v]
         _propagate_around(t, walk, skip=("r", break_eid))
-        if t.labels[v] == t.labels[partner]:
+        if labels[v] == labels[partner]:
             raise AssertionError("break edge labels should differ around an odd-blue cycle")
-        if u not in t.labels:
+        if labels[u] < 0:
             raise AssertionError("matching-covered path vertex must be labeled before cycles")
         want_equal = d % 2 == 0
-        if (t.labels[u] == t.labels[v]) != want_equal:
+        if (labels[u] == labels[v]) != want_equal:
             for w in {s[1] for s in walk}:
-                t.labels[w] ^= 1
+                labels[w] ^= 1
         repairs.append(_Repair(break_eid=break_eid, pidx=pidx, v=v, u=u, dist=d))
     return repairs
 
@@ -208,18 +221,23 @@ def color_subcubic(g: Multigraph, c3: EdgeColoring) -> EdgeColoring:
     3-edge-coloring and no odd-cycle component."""
     if g.max_degree > 3:
         raise GraphError("maximum degree must be at most 3")
-    if not verify(g, c3, "proper").proper:
+    if c3.graph is not g and c3.graph != g:
+        raise GraphError("coloring belongs to a different graph")
+    c3_colors = c3.colors
+    # proper iff no (endpoint, color) pair repeats; a loop repeats its own
+    pairs = zip(chain.from_iterable(g.edges), chain.from_iterable(zip(c3_colors, c3_colors)))
+    if len(set(pairs)) != 2 * len(c3_colors):
         raise GraphError("the supplied 3-edge-coloring is not proper")
-    classes = sorted(set(c3.colors))
+    classes = sorted(set(c3_colors))
     if len(classes) > 3:
         raise GraphError("the supplied coloring uses more than 3 colors")
     _reject_odd_cycle_components(g)
     if g.max_degree <= 2:
         return color_paths_and_even_cycles(g)
 
-    m_eids = [e for e in range(g.edge_count) if c3.colors[e] == classes[0]]
-    m_set = set(m_eids)
-    rest = [e for e in range(g.edge_count) if e not in m_set]
+    matching = classes[0]
+    m_eids = [e for e, c in enumerate(c3_colors) if c == matching]
+    rest = [e for e, c in enumerate(c3_colors) if c != matching]
     gm_paths: list[tuple[list[int], list[int]]] = []
     gm_cycles: list[list[int]] = []
     for vseq, eseq, is_cycle in walk_degree_two(g, rest):
@@ -230,24 +248,30 @@ def color_subcubic(g: Multigraph, c3: EdgeColoring) -> EdgeColoring:
 
     t = _build_tgraph(g, m_eids, gm_paths)
     _label_path_components(t)
-    repairs = _label_cycle_components(t, g)
+    repairs = _label_cycle_components(t)
+    labels = t.labels
 
-    colors: dict[int, int] = {}
+    colors: list[int | None] = [None] * g.edge_count
     for vseq, eseq in gm_paths:
-        first = 2 if t.labels[vseq[0]] == A else 3
-        for i, e in enumerate(eseq):
-            colors[e] = first if i % 2 == 0 else 5 - first
-        if colors[eseq[-1]] != (2 if t.labels[vseq[-1]] == A else 3):
+        first = 2 if labels[vseq[0]] == A else 3
+        for e in eseq[::2]:
+            colors[e] = first
+        for e in eseq[1::2]:
+            colors[e] = 5 - first
+        if colors[eseq[-1]] != (2 if labels[vseq[-1]] == A else 3):
             raise AssertionError("path alternation disagrees with its far endpoint label")
     for eseq in gm_cycles:
-        for i, e in enumerate(eseq):
-            colors[e] = 2 if i % 2 == 0 else 3
+        for e in eseq[::2]:
+            colors[e] = 2
+        for e in eseq[1::2]:
+            colors[e] = 3
 
     deferred: set[int] = set()
+    edges = g.edges
     for eid in m_eids:
-        u, v = g.edges[eid]
-        lu, lv = t.labels[u], t.labels[v]
-        if lu == lv:
+        u, v = edges[eid]
+        lu = labels[u]
+        if lu == labels[v]:
             colors[eid] = 1 if lu == A else 4
         else:
             deferred.add(eid)
@@ -265,7 +289,7 @@ def color_subcubic(g: Multigraph, c3: EdgeColoring) -> EdgeColoring:
             portion = list(reversed(eseq[:d]))       # from u toward v
         else:
             portion = eseq[len(eseq) - d:]
-        lu, lv = t.labels[rep.u], t.labels[rep.v]
+        lu, lv = labels[rep.u], labels[rep.v]
         if d % 2 == 0 and lu == lv == A:
             low, high, break_color = 0, 1, 2
         elif d % 2 == 0 and lu == lv == B:
@@ -280,4 +304,6 @@ def color_subcubic(g: Multigraph, c3: EdgeColoring) -> EdgeColoring:
             colors[e] = low if i % 2 == 0 else high
         colors[rep.break_eid] = break_color
 
-    return _as_coloring(g, colors)
+    if None in colors:
+        raise AssertionError("construction left edges uncolored")
+    return normalize(EdgeColoring(g, tuple(colors)))

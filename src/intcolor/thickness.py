@@ -112,7 +112,7 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
 
     a_colors: dict[int, int] = {}
     if rest:
-        sub, ids = g.components_subgraph(rest, t)
+        sub, ids = g.subgraph(itertools.chain.from_iterable(t.components[i] for i in rest))
         colored = color_subcubic(sub, EdgeColoring(sub, tuple(coloring.colors[e] for e in ids)))
         a_colors = dict(zip(ids, colored.colors))
     if len(rest) == len(odd):

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .multigraph import (BipartitionCert, Decomposition, GraphError, Multigraph,
-                         VerifyReport, _as_int, build_graph, verify_decomposition)
+                         VerifyReport, _as_int, verify_decomposition)
 from .thickness import decompose_bipartite, dispatch_theta_upper, BoundTrace
 
 
@@ -77,7 +77,7 @@ def build_requirement_graph(B: RequirementMatrix) -> tuple[Multigraph, Bipartiti
     """Bipartite multigraph: class i and teacher j joined by b_ij parallel edges."""
     n, m = B.n_classes, B.m_teachers
     edges = [(i, n + j) for i in range(n) for j in range(m) for _ in range(B.b[i][j])]
-    g = build_graph(n + m, edges)
+    g = Multigraph(n + m, tuple(edges))
     return g, BipartitionCert(tuple([0] * n + [1] * m))
 
 

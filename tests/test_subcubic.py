@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from intcolor.edge_coloring import exact_chromatic_index, konig_color
 from intcolor.generators import (complete_bipartite_graph, complete_graph,
                                  cycle_graph, random_cubic_class1)
-from intcolor.multigraph import EdgeColoring, GraphError, build_graph, verify
+from intcolor.multigraph import EdgeColoring, GraphError, Multigraph, build_graph, verify
 from intcolor.subcubic import color_subcubic
 
 
@@ -72,6 +72,57 @@ def test_rejects_improper_input():
     g = cycle_graph(4)
     with pytest.raises(GraphError):
         color_subcubic(g, EdgeColoring(g, (1, 1, 2, 2)))
+
+
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+K4_COLORS = (1, 2, 3, 3, 2, 1)
+C5_BESIDE_K4 = [(4, 5), (5, 6), (6, 7), (7, 8), (8, 4)]
+
+
+def _error(g, colors):
+    with pytest.raises(GraphError) as info:
+        color_subcubic(g, EdgeColoring(g, colors))
+    return str(info.value)
+
+
+def test_rejects_odd_cycle_beside_a_cubic_component():
+    # Delta = 3, so only the walk over the edges between degree-2 vertices sees the C_5
+    g = build_graph(9, K4 + C5_BESIDE_K4)
+    assert _error(g, K4_COLORS + (1, 2, 1, 2, 3)) == (
+        "a component is an odd cycle; not interval colorable")
+
+
+def test_rejects_parallel_pair_sharing_a_color():
+    g = build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 3)])
+    assert _error(g, (1, 1, 2, 3)) == "the supplied 3-edge-coloring is not proper"
+
+
+def test_rejects_a_loop():
+    # a loop meets its vertex twice in its own color
+    g = Multigraph(3, ((0, 0), (0, 1), (1, 2)), allows_loops=True)
+    assert _error(g, (1, 2, 3)) == "the supplied 3-edge-coloring is not proper"
+
+
+@pytest.mark.parametrize("n,edges,colors,message", [
+    (5, [(0, 1), (0, 2), (0, 3), (0, 4)], (1, 1, 2, 3), "maximum degree must be at most 3"),
+    (4, K4, (1, 1, 3, 3, 2, 4), "the supplied 3-edge-coloring is not proper"),
+    (9, K4 + C5_BESIDE_K4, K4_COLORS + (1, 2, 1, 2, 4),
+     "the supplied coloring uses more than 3 colors"),
+    (9, K4 + C5_BESIDE_K4, K4_COLORS + (1, 1, 2, 1, 2),
+     "the supplied 3-edge-coloring is not proper"),
+])
+def test_the_first_failed_check_names_the_error(n, edges, colors, message):
+    # degree, then properness, then more than 3 colors, then odd cycles
+    assert _error(build_graph(n, edges), colors) == message
+
+
+def test_rejects_a_coloring_of_another_graph():
+    # graph identity is checked before properness; an equal graph will do
+    c4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    g = build_graph(4, c4)
+    with pytest.raises(GraphError, match="^coloring belongs to a different graph$"):
+        color_subcubic(g, EdgeColoring(build_graph(5, c4), (1, 1, 1, 1)))
+    assert verify(g, color_subcubic(g, EdgeColoring(build_graph(4, c4), (1, 2, 1, 2)))).interval
 
 
 @given(st.integers(0, 100_000))

@@ -79,16 +79,19 @@ def test_general_max_degree_two_bipartite_single_part():
     assert _certified(d) and d.part_count == 1
 
 
-def test_general_adversarial_coloring_resplits():
-    # C_5 plus a chord colored so the three-class side is a bare odd cycle whose
-    # only borrowed edge lies inside it; a different class split must be found
+def test_general_certifies_c5_with_a_chord_in_five_classes():
+    # C_5 plus a chord in classes (3,4,3,4,5,1): the first split puts classes 1
+    # and 3 on side B, and side A (classes 4-5) is a path, so no odd cycle is
+    # absorbed; the result is certified in at most 2 parts
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     coloring = EdgeColoring(g, (3, 4, 3, 4, 5, 1))
     d = decompose_general(g, coloring)
     assert _certified(d) and d.part_count <= 2
 
 
-def test_general_bare_odd_cycle_component():
+def test_general_certifies_c5_in_three_classes():
+    # C_5 colored (1,2,1,2,3): side A is the lone class-3 edge and side B the
+    # path of classes 1-2, so no odd cycle reaches side A; 2 certified parts
     g = cycle_graph(5)
     d = decompose_general(g, EdgeColoring(g, (1, 2, 1, 2, 3)))
     assert _certified(d) and d.part_count == 2
@@ -868,6 +871,19 @@ def test_dispatch_of_a_walk_ordered_path_and_odd_cycle_is_linear(spec, parts):
     d, _ = dispatch_theta_upper(g)
     assert time.perf_counter() - start < 1.0
     assert d.part_count == parts
+
+
+@pytest.mark.parametrize("method", ["low-even-bipartite", "five-class-general"])
+def test_disjoint_short_paths_are_linear(method):
+    # 16k disjoint 2-edge paths: each path is walked on its own, so state sized
+    # by the host's vertex count instead of by the path would cost 48k per path
+    k = 16_000
+    g = build_graph(3 * k, [e for i in range(k)
+                            for e in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2))])
+    start = time.perf_counter()
+    d, _ = run_named_method(g, method)
+    assert time.perf_counter() - start < 2.0
+    assert d.part_count == 1
 
 
 def test_dispatch_traverses_the_graph_once(monkeypatch):
