@@ -6,12 +6,11 @@ thickness._certified every decomposition, the oracles every witness.
 """
 from __future__ import annotations
 
-from itertools import chain
 from operator import eq
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from .edge_coloring import petersen_two_factorization
-from .multigraph import EdgeColoring, GraphError, Multigraph, normalize
+from .multigraph import EdgeColoring, GraphError, Multigraph, normalize, relabel
 
 
 def _as_coloring(g: Multigraph, colors: dict[int, int]) -> EdgeColoring:
@@ -20,8 +19,9 @@ def _as_coloring(g: Multigraph, colors: dict[int, int]) -> EdgeColoring:
     return normalize(EdgeColoring(g, tuple(colors[e] for e in range(g.edge_count))))
 
 
-def walk_degree_two(g: Multigraph, eids: list[int]) -> list[tuple[list[int], list[int], bool]]:
-    """Path/cycle components of an edge subset with max degree 2.
+def walk_degree_two(edges: Sequence[tuple[int, int]],
+                    eids: Sequence[int]) -> list[tuple[list[int], list[int], bool]]:
+    """Path/cycle components of the edges eids of an edge list, with max degree 2.
 
     Returns (vertex_seq, edge_seq, is_cycle) triples: the paths from their
     smaller end in ascending order of it, then the cycles from their smallest
@@ -29,15 +29,12 @@ def walk_degree_two(g: Multigraph, eids: list[int]) -> list[tuple[list[int], lis
     For cycles the vertex sequence closes back on its first entry.
 
     The state is sized by the subset, never by the host: each touched vertex has
-    one slot (ascending host order), holding the positions in eids of its first
-    and second edge, and a bytearray marks the positions walked.
+    one slot (relabel's ascending order), holding the positions in eids of its
+    first and second edge, and a bytearray marks the positions walked.
     """
-    edges = g.edges
-    ends = list(chain.from_iterable(map(edges.__getitem__, eids)))
+    kept, ends = relabel(edges, eids)
     if any(map(eq, ends[::2], ends[1::2])):
         raise GraphError("degree-two walks do not accept loops")
-    kept = sorted(set(ends))
-    ends = list(map(dict(zip(kept, range(len(kept)))).__getitem__, ends))
     first = [-1] * len(kept)
     second = [-1] * len(kept)
     for i, s in enumerate(ends):
@@ -81,11 +78,12 @@ def walk_degree_two(g: Multigraph, eids: list[int]) -> list[tuple[list[int], lis
     return comps
 
 
-def alternating_walk_colors(g: Multigraph, eids: list[int], base: int = 0) -> dict[int, int]:
+def alternating_walk_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int],
+                            base: int = 0) -> dict[int, int]:
     """Host-edge colors base+1, base+2 alternating along each path and cycle of
-    an edge subset with max degree 2; an odd cycle raises GraphError."""
+    the edges eids, of max degree 2; an odd cycle raises GraphError."""
     colors: dict[int, int] = {}
-    for _, eseq, is_cycle in walk_degree_two(g, eids):
+    for _, eseq, is_cycle in walk_degree_two(edges, eids):
         if is_cycle and len(eseq) % 2:
             raise GraphError("odd cycle component is not interval colorable")
         for i, e in enumerate(eseq):
@@ -95,7 +93,7 @@ def alternating_walk_colors(g: Multigraph, eids: list[int], base: int = 0) -> di
 
 def color_paths_and_even_cycles(g: Multigraph) -> EdgeColoring:
     """Alternate colors 1,2 along each component of a max-degree-2 graph."""
-    return _as_coloring(g, alternating_walk_colors(g, list(range(g.edge_count))))
+    return _as_coloring(g, alternating_walk_colors(g.edges, range(g.edge_count)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +371,7 @@ def color_low_even_bipartite(g: Multigraph) -> EdgeColoring:
     colors: dict[int, int] = {}
     for comp, comp_edges, side_max in zip(t.vertices, t.components, t.side_max):
         if max(side_max) <= 2:
-            colors.update(alternating_walk_colors(g, comp_edges))
+            colors.update(alternating_walk_colors(g.edges, comp_edges))
             continue
         _color_suppressed_component(g, comp, comp_edges, delta // 2, colors)
     return _as_coloring(g, colors)
@@ -426,7 +424,7 @@ def _color_suppressed_component(g: Multigraph, comp: list[int], comp_edges: list
         for d_eid in factor:
             if d_eid < n_chains:
                 lifted.extend(chains[d_eid])
-        colors.update(alternating_walk_colors(g, lifted, 2 * i))
+        colors.update(alternating_walk_colors(g.edges, lifted, 2 * i))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +434,8 @@ def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int]) -> dict[
     """Host-edge colors: fa cycles alternate 1,2; fb 3,4."""
     if set(fa) & set(fb):
         raise GraphError("factors must be edge-disjoint")
-    out = alternating_walk_colors(g, fa)
-    out.update(alternating_walk_colors(g, fb, 2))
+    out = alternating_walk_colors(g.edges, fa)
+    out.update(alternating_walk_colors(g.edges, fb, 2))
     return out
 
 

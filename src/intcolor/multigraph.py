@@ -119,22 +119,18 @@ class Multigraph:
     def subgraph(self, edge_ids: Iterable[int]) -> tuple["Multigraph", tuple[int, ...]]:
         """Subgraph on a subset of edges, without the vertices it leaves isolated.
 
-        Edges are relabelled densely in ascending host-edge-id order.  The endpoints
-        of the chosen edges are renumbered 0..k-1 in ascending host-vertex order, so
-        a tie broken by vertex id falls the same way in host and subgraph, and an
-        edge set touching every vertex keeps the host's vertex ids.  Returns the
-        subgraph and the host edge ids in that order.
+        Edges are relabelled densely in ascending host-edge-id order and their
+        endpoints renumbered by relabel, so an edge set touching every vertex keeps
+        the host's vertex ids.  Returns the subgraph and the host edge ids in that
+        order.
         """
         ids = tuple(sorted(set(edge_ids)))
         for eid in ids:
             if not 0 <= eid < self.edge_count:
                 raise GraphError(f"unknown edge id {eid}")
-        edges = tuple(self.edges[eid] for eid in ids)
-        kept = sorted({v for edge in edges for v in edge})
-        if len(kept) < self.vertex_count:
-            new_id = {v: i for i, v in enumerate(kept)}
-            edges = tuple((new_id[u], new_id[v]) for u, v in edges)
-        return Multigraph(len(kept), edges, allows_loops=self.allows_loops), ids
+        kept, ends = relabel(self.edges, ids)
+        return Multigraph(len(kept), tuple(zip(ends[::2], ends[1::2])),
+                          allows_loops=self.allows_loops), ids
 
 
 def _as_int(x: object) -> int:
@@ -171,15 +167,6 @@ class BipartitionCert:
 
     def side_vertices(self, side: int) -> list[int]:
         return [v for v, s in enumerate(self.sides) if s == side]
-
-    def restrict(self, host: Multigraph, sub: Multigraph, ids: Sequence[int]) -> "BipartitionCert":
-        """The labels of (sub, ids) = host.subgraph(...): each vertex keeps its host side."""
-        sides, host_edges = [0] * sub.vertex_count, host.edges
-        for (a, b), e in zip(sub.edges, ids):
-            u, v = host_edges[e]
-            sides[a] = self.sides[u]
-            sides[b] = self.sides[v]
-        return BipartitionCert(tuple(sides))
 
     def validate(self, g: Multigraph) -> None:
         if len(self.sides) != g.vertex_count:
@@ -228,6 +215,17 @@ class Traversal:
         return cycle is not None and len(cycle) == len(self.components[i])
 
 
+def relabel(edges: Sequence[tuple[int, int]], eids: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The vertices the edges eids touch, ascending, and both ends of each of
+    those edges in turn, renumbered onto their positions there: host order is
+    kept, so ties broken by vertex id fall as on the host."""
+    ends = list(chain.from_iterable(map(edges.__getitem__, eids)))
+    kept = sorted(set(ends))
+    if not kept or kept[-1] == len(kept) - 1:
+        return kept, ends       # the touched vertices are 0..k-1, so no renumbering
+    return kept, list(map(dict(zip(kept, range(len(kept)))).__getitem__, ends))
+
+
 def traverse(g: Multigraph, eids: Iterable[int] | None = None) -> Traversal:
     """One depth-first pass over the whole graph, or over the edges eids.
 
@@ -237,8 +235,7 @@ def traverse(g: Multigraph, eids: Iterable[int] | None = None) -> Traversal:
     them.  The first edge found inside one side closes an odd cycle through the
     two tree paths to their common ancestor.  Edges are then dealt to the
     component of their first endpoint in ascending order.  An edge subset is
-    first renumbered onto the vertices it touches, as subgraph does, so the pass
-    runs on flat lists of its own size.
+    first renumbered by relabel, so the pass runs on flat lists of its own size.
     """
     edges = g.edges
     if eids is None:
@@ -251,11 +248,8 @@ def traverse(g: Multigraph, eids: Iterable[int] | None = None) -> Traversal:
         ids = sorted(eids)
         if not ids:
             return Traversal([], [], [], [], {})
-        kept = sorted(set(chain.from_iterable(map(edges.__getitem__, ids))))
+        kept, ends = relabel(edges, ids)
         n = len(kept)
-        new_id = dict(zip(kept, range(n)))
-        # both ends of each edge in turn, renumbered
-        ends = list(map(new_id.__getitem__, chain.from_iterable(map(edges.__getitem__, ids))))
         pairs, heads = zip(*[iter(ends)] * 2), ends[::2]
     # a loop lists its vertex twice, so a neighbor list is as long as the degree
     nbr: list[list[int]] = [[] for _ in range(n)]

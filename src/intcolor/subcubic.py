@@ -8,28 +8,32 @@ graph, assigns 1 or 4 to matching edges with equal labels, and repairs the
 few matching edges whose labels differ by locally recoloring with 0,1 or 5,4.
 Only the supplied 3-edge-coloring is checked; callers certify the output.
 
-The checks and the construction run on flat per-vertex and per-edge lists of
-the graph itself: properness is one set of (endpoint, color) pairs, odd-cycle
-components are found by walking the edges between degree-2 vertices, and the
-auxiliary graph and its labels are lists indexed by vertex.
+subcubic_colors colors the edges eids of a host edge list, color_subcubic a
+whole graph through it.  relabel renumbers the subset onto the vertices it
+touches, so the checks and the construction run on flat lists of the subset's
+size: properness is one set of (endpoint, color) pairs, odd-cycle components
+are found by walking the edges between degree-2 vertices, and the auxiliary
+graph and its labels are lists indexed by vertex.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
-from .kernels import color_paths_and_even_cycles, walk_degree_two
-from .multigraph import EdgeColoring, GraphError, Multigraph, normalize
+from .kernels import alternating_walk_colors, walk_degree_two
+from .multigraph import EdgeColoring, GraphError, Multigraph, relabel
 
 A, B = 0, 1
 
 
 @dataclass
 class TGraph:
-    """Auxiliary graph on the host's vertices, as per-vertex lists with -1 for none.
+    """Auxiliary graph on the subset's vertices, as per-vertex lists with -1 for none.
 
     Red edges are the matching edges: v's partner is red_partner[v], joined by
-    host edge red_eid[v].  Each maximal path of the host minus the matching joins
+    edge red_eid[v].  Each maximal path of the subset minus the matching joins
     its two ends by a blue edge when it has an even number of edges, else by a
     green one: path_end[v] is the other end of v's path, path_idx[v] its index
     in paths, and blue[i] whether path i is blue.  A vertex has at most one red
@@ -49,30 +53,20 @@ class TGraph:
 @dataclass(frozen=True)
 class _Repair:
     break_eid: int
-    good_sequence: tuple[int, ...] | None = None   # expanded host cycle, when even
+    good_sequence: tuple[int, ...] | None = None   # the expanded cycle, when even
     pidx: int = -1
     v: int = -1
     u: int = -1
     dist: int = -1
 
 
-def _reject_odd_cycle_components(g: Multigraph) -> None:
-    # a component is an odd cycle iff all its vertices have degree 2, so it is
-    # an odd closed walk of the edges whose ends both have degree 2
-    degrees = g.degrees
-    two = [e for e, (u, v) in enumerate(g.edges) if degrees[u] == 2 and degrees[v] == 2]
-    if any(is_cycle and len(eseq) % 2 for _, eseq, is_cycle in walk_degree_two(g, two)):
-        raise GraphError("a component is an odd cycle; not interval colorable")
-
-
-def _build_tgraph(g: Multigraph, m_eids: list[int],
+def _build_tgraph(edges: list[tuple[int, int]], n: int, m_eids: list[int],
                   gm_paths: list[tuple[list[int], list[int]]]) -> TGraph:
-    n = g.vertex_count
     t = TGraph([-1] * n, [-1] * n, [-1] * n, [-1] * n, gm_paths,
                [len(eseq) % 2 == 0 for _, eseq in gm_paths], [-1] * n)
     partner, red_eid = t.red_partner, t.red_eid
     for eid in m_eids:
-        u, v = g.edges[eid]
+        u, v = edges[eid]
         if partner[u] >= 0 or partner[v] >= 0:
             raise AssertionError("matching class is not a matching")
         partner[u], red_eid[u] = v, eid
@@ -83,11 +77,6 @@ def _build_tgraph(g: Multigraph, m_eids: list[int],
         path_end[a], path_idx[a] = b, idx
         path_end[b], path_idx[b] = a, idx
     return t
-
-
-def _edge_flips(t: TGraph, kind: str, ref: int) -> bool:
-    # blue edges flip the label, red and green edges preserve it
-    return kind == "p" and t.blue[ref]
 
 
 def _cycle_walk(t: TGraph, start: int) -> list[tuple[str, int, int, int]]:
@@ -136,7 +125,8 @@ def _propagate_around(t: TGraph, walk: list[tuple[str, int, int, int]],
     labels = t.labels
     labels[walk[0][1]] = A
     for kind, frm, to, ref in walk:
-        lab = labels[frm] ^ 1 if _edge_flips(t, kind, ref) else labels[frm]
+        # blue edges flip the label, red and green edges preserve it
+        lab = labels[frm] ^ 1 if kind == "p" and t.blue[ref] else labels[frm]
         if labels[to] >= 0 and labels[to] != lab:
             raise AssertionError("inconsistent labels around an even-blue cycle")
         labels[to] = lab
@@ -219,39 +209,55 @@ def _label_cycle_components(t: TGraph) -> list[_Repair]:
 def color_subcubic(g: Multigraph, c3: EdgeColoring) -> EdgeColoring:
     """Interval coloring (at most 6 colors) of a subcubic graph with a proper
     3-edge-coloring and no odd-cycle component."""
-    if g.max_degree > 3:
-        raise GraphError("maximum degree must be at most 3")
     if c3.graph is not g and c3.graph != g:
         raise GraphError("coloring belongs to a different graph")
-    c3_colors = c3.colors
+    colors = subcubic_colors(g.edges, range(g.edge_count), c3.colors)
+    return EdgeColoring(g, tuple(map(colors.__getitem__, range(g.edge_count))))
+
+
+def subcubic_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int],
+                    c3: Sequence[int]) -> dict[int, int]:
+    """Interval colors (at most 6, the smallest 1) of the edges eids of a host,
+    keyed by host edge id, from their proper 3-edge-coloring c3 (c3[i] colors
+    eids[i]); the subset must have maximum degree 3 and no odd-cycle component.
+    With eids ascending, the colors are color_subcubic's on the host's subgraph
+    on eids."""
+    kept, ends = relabel(edges, eids)
+    degrees = Counter(ends)
+    if max(degrees.values(), default=0) > 3:
+        raise GraphError("maximum degree must be at most 3")
     # proper iff no (endpoint, color) pair repeats; a loop repeats its own
-    pairs = zip(chain.from_iterable(g.edges), chain.from_iterable(zip(c3_colors, c3_colors)))
-    if len(set(pairs)) != 2 * len(c3_colors):
+    if len(set(zip(ends, chain.from_iterable(zip(c3, c3))))) != len(ends):
         raise GraphError("the supplied 3-edge-coloring is not proper")
-    classes = sorted(set(c3_colors))
+    classes = sorted(set(c3))
     if len(classes) > 3:
         raise GraphError("the supplied coloring uses more than 3 colors")
-    _reject_odd_cycle_components(g)
-    if g.max_degree <= 2:
-        return color_paths_and_even_cycles(g)
+    local = list(zip(ends[::2], ends[1::2]))
+    # a component is an odd cycle iff all its vertices have degree 2, so it is
+    # an odd closed walk of the edges whose ends both have degree 2
+    two = [e for e, (u, v) in enumerate(local) if degrees[u] == 2 and degrees[v] == 2]
+    if any(is_cycle and len(eseq) % 2 for _, eseq, is_cycle in walk_degree_two(local, two)):
+        raise GraphError("a component is an odd cycle; not interval colorable")
+    if max(degrees.values(), default=0) <= 2:
+        return alternating_walk_colors(edges, eids)
 
     matching = classes[0]
-    m_eids = [e for e, c in enumerate(c3_colors) if c == matching]
-    rest = [e for e, c in enumerate(c3_colors) if c != matching]
+    m_eids = [e for e, c in enumerate(c3) if c == matching]
+    rest = [e for e, c in enumerate(c3) if c != matching]
     gm_paths: list[tuple[list[int], list[int]]] = []
     gm_cycles: list[list[int]] = []
-    for vseq, eseq, is_cycle in walk_degree_two(g, rest):
+    for vseq, eseq, is_cycle in walk_degree_two(local, rest):
         if is_cycle:
             gm_cycles.append(eseq)
         else:
             gm_paths.append((vseq, eseq))
 
-    t = _build_tgraph(g, m_eids, gm_paths)
+    t = _build_tgraph(local, len(kept), m_eids, gm_paths)
     _label_path_components(t)
     repairs = _label_cycle_components(t)
     labels = t.labels
 
-    colors: list[int | None] = [None] * g.edge_count
+    colors: list[int | None] = [None] * len(local)
     for vseq, eseq in gm_paths:
         first = 2 if labels[vseq[0]] == A else 3
         for e in eseq[::2]:
@@ -267,9 +273,8 @@ def color_subcubic(g: Multigraph, c3: EdgeColoring) -> EdgeColoring:
             colors[e] = 3
 
     deferred: set[int] = set()
-    edges = g.edges
     for eid in m_eids:
-        u, v = edges[eid]
+        u, v = local[eid]
         lu = labels[u]
         if lu == labels[v]:
             colors[eid] = 1 if lu == A else 4
@@ -306,4 +311,5 @@ def color_subcubic(g: Multigraph, c3: EdgeColoring) -> EdgeColoring:
 
     if None in colors:
         raise AssertionError("construction left edges uncolored")
-    return normalize(EdgeColoring(g, tuple(colors)))
+    shift = 1 - min(colors)
+    return {e: c + shift for e, c in zip(eids, colors)}

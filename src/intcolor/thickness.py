@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .edge_coloring import (equalized_bipartite_color, exact_chromatic_index, konig_color,
-                            petersen_two_factorization, shannon_color, vizing_color)
+from .edge_coloring import (_konig_colors, equalized_bipartite_color, exact_chromatic_index,
+                            konig_color, petersen_two_factorization, shannon_color, vizing_color)
 from .kernels import (IncrementalHost, alternating_walk_colors,
                       balanced_multipartite_colors, color_cactus, color_forest,
                       color_low_even_bipartite, latin_bipartite_colors,
@@ -21,7 +21,7 @@ from .kernels import (IncrementalHost, alternating_walk_colors,
 from .multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
                          Multigraph, bipartition, normalize, traverse, verify,
                          verify_decomposition)
-from .subcubic import color_subcubic
+from .subcubic import color_subcubic, subcubic_colors
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,13 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
     """One group component into two interval-colorable sides.
 
     Side A is the 3-class subgraph: its components other than odd cycles are
-    colored by color_subcubic.  When there are odd cycles, side A grows over the
-    edges of the 2-class side B from the vertices of those components, taking B
-    edges as pendants and attaching each odd cycle at the leaf where the growth
-    reaches it.  Without such components the growth starts from one B edge that
-    leaves an odd cycle; with none, the component is a lone odd cycle whose B
-    edges are chords, and _AbsorbStuck lets the caller try another class split.
-    Side B is what remains of the 2-class edges.
+    colored on the host by subcubic_colors.  When there are odd cycles, side A
+    grows over the edges of the 2-class side B from the vertices of those
+    components, taking B edges as pendants and attaching each odd cycle at the
+    leaf where the growth reaches it.  Without such components the growth starts
+    from one B edge that leaves an odd cycle; with none, the component is a lone
+    odd cycle whose B edges are chords, and _AbsorbStuck lets the caller try
+    another class split.  Side B is what remains of the 2-class edges.
     """
     h_edges = [e for e in comp_edges if coloring.colors[e] in h_classes]
     f_edges = [e for e in comp_edges if coloring.colors[e] in f_classes]
@@ -112,12 +112,11 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
 
     a_colors: dict[int, int] = {}
     if rest:
-        sub, ids = g.subgraph(itertools.chain.from_iterable(t.components[i] for i in rest))
-        colored = color_subcubic(sub, EdgeColoring(sub, tuple(coloring.colors[e] for e in ids)))
-        a_colors = dict(zip(ids, colored.colors))
+        ids = sorted(itertools.chain.from_iterable(t.components[i] for i in rest))
+        a_colors = subcubic_colors(g.edges, ids, [coloring.colors[e] for e in ids])
     if len(rest) == len(odd):
         # side B has at most two proper classes, so no odd cycle
-        return a_colors, alternating_walk_colors(g, h_edges)
+        return a_colors, alternating_walk_colors(g.edges, h_edges)
 
     host = IncrementalHost(g)
     for e, c in a_colors.items():
@@ -133,7 +132,7 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
         host.add_colored(seed, 1)
         entering = list(g.edges[seed])
     host.grow(entering, set(h_edges), cycle_at)
-    return host.color, alternating_walk_colors(g, [e for e in h_edges if e not in host.color])
+    return host.color, alternating_walk_colors(g.edges, [e for e in h_edges if e not in host.color])
 
 
 def _class_splits(classes: list[int]) -> list[tuple[set[int], set[int]]]:
@@ -214,30 +213,31 @@ def _require_cert(g: Multigraph, cert: BipartitionCert | None) -> BipartitionCer
     return cert
 
 
-def _subcubic_bipartite_colors(g: Multigraph, cert: BipartitionCert,
-                               eids: list[int]) -> dict[int, int]:
-    sub, ids = g.subgraph(eids)
-    return dict(zip(ids, color_subcubic(sub, konig_color(sub, cert.restrict(g, sub, ids))).colors))
+def _subcubic_bipartite_colors(g: Multigraph, eids: list[int]) -> dict[int, int]:
+    # Konig 3-colors a class of a certified bipartite graph on the host's
+    # vertices; below degree 3 the kernel alternates 1,2 whatever the coloring
+    class_edges = list(map(g.edges.__getitem__, eids))
+    return subcubic_colors(g.edges, eids, _konig_colors(g.vertex_count, class_edges, 3))
 
 
 def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
     """ceil(Delta/3) certified parts with per-vertex part degrees within one.
 
     The equalized k-coloring provides the parts; each part is bipartite with
-    maximum degree 3, hence interval colorable.
+    maximum degree 3, hence interval colorable, and is colored on the host by
+    its edge ids.
     """
     cert = _require_cert(g, cert)
     if g.edge_count == 0:
         return _assemble(g, [])
     delta = g.max_degree
     if delta <= 3:
-        return _assemble(g, [_subcubic_bipartite_colors(g, cert, list(range(g.edge_count)))])
+        return _assemble(g, [_subcubic_bipartite_colors(g, list(range(g.edge_count)))])
     k = -(-delta // 3)
     classes: list[list[int]] = [[] for _ in range(k)]
     for e, c in enumerate(equalized_bipartite_color(g, cert, k).colors):
         classes[c - 1].append(e)
-    return _assemble(g, [_subcubic_bipartite_colors(g, cert, eids) if eids else {}
-                         for eids in classes])
+    return _assemble(g, [_subcubic_bipartite_colors(g, eids) for eids in classes])
 
 
 def decompose_eulerian_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:

@@ -347,4 +347,4 @@ def test_walk_degree_two_matches_plain_walks(seed):
         edges.append((u, v))
     g = build_graph(n + rng.randint(0, 4), edges)
     rng.shuffle(eids)
-    assert walk_degree_two(g, eids) == _plain_walks(g, eids)
+    assert walk_degree_two(g.edges, eids) == _plain_walks(g, eids)

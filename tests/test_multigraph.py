@@ -372,16 +372,6 @@ def test_traverse_matches_union_find_and_two_coloring_references(g_eids):
         assert sub.traversal == traverse(fresh)
 
 
-@given(multigraph_and_subset())
-def test_restricted_certificate_is_valid_on_the_subgraph(g_eids):
-    g, eids = g_eids
-    cert = bipartition(g)
-    if cert is None or not eids:
-        return
-    sub, ids = g.subgraph(eids)
-    cert.restrict(g, sub, ids).validate(sub)
-
-
 def test_components_keep_their_order_and_isolated_vertices():
     g = build_graph(7, [(5, 6), (2, 4), (4, 0)])
     assert g.components() == [[0, 4, 2], [1], [3], [5, 6]]

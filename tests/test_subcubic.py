@@ -7,7 +7,7 @@ from intcolor.edge_coloring import exact_chromatic_index, konig_color
 from intcolor.generators import (complete_bipartite_graph, complete_graph,
                                  cycle_graph, random_cubic_class1)
 from intcolor.multigraph import EdgeColoring, GraphError, Multigraph, build_graph, verify
-from intcolor.subcubic import color_subcubic
+from intcolor.subcubic import color_subcubic, subcubic_colors
 
 
 def test_k33_with_konig_coloring():
@@ -172,3 +172,40 @@ def test_mixed_components():
     chi, w = exact_chromatic_index(g)
     col = color_subcubic(g, w)
     assert verify(g, col).interval
+
+
+@given(st.integers(0, 100_000))
+@settings(deadline=None)
+def test_subset_entry_matches_color_subcubic_on_the_subgraph(seed):
+    # eids is a random edge subset of a larger host, which has vertices and
+    # edges the subset leaves untouched; its colors are mostly proper 3-colors
+    # and sometimes not, and it sometimes has a loop or a vertex of degree 4
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    limit = 3 if rng.random() < 0.8 else 4
+    degree = [0] * n
+    edges, eids, c3 = [], [], []
+    for _ in range(rng.randint(0, 4 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v and rng.random() < 0.9:
+            continue
+        if degree[u] < limit and degree[v] < limit and rng.random() < 0.7:
+            degree[u] += 1
+            degree[v] += 1
+            taken = {c for e, c in zip(eids, c3) if {u, v} & set(edges[e])}
+            free = [c for c in (1, 2, 3) if c not in taken]
+            c3.append(free[0] if free and rng.random() < 0.95 else rng.randint(1, 4))
+            eids.append(len(edges))
+        edges.append((u, v))
+    host = Multigraph(n + rng.randint(0, 4), tuple(edges), allows_loops=True)
+    sub, ids = host.subgraph(eids)
+    assert list(ids) == eids
+    try:
+        expected = color_subcubic(sub, EdgeColoring(sub, tuple(c3)))
+    except GraphError as exc:
+        with pytest.raises(GraphError) as info:
+            subcubic_colors(host.edges, eids, c3)
+        assert str(info.value) == str(exc)
+        return
+    assert verify(sub, expected).interval
+    assert subcubic_colors(host.edges, eids, c3) == dict(zip(ids, expected.colors))

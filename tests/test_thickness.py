@@ -716,6 +716,25 @@ def _clash_at_one_vertex(kernel):
     return corrupted
 
 
+def _clash_in_subset(kernel):
+    """subset kernel with its output corrupted: two edges of the subset at one
+    vertex share a color."""
+    def corrupted(edges, eids, c3):
+        colors = kernel(edges, eids, c3)
+        at = {}
+        for e in eids:
+            for v in edges[e]:
+                at.setdefault(v, []).append(e)
+        first, second = next(es for es in at.values() if len(es) >= 2)[:2]
+        colors[second] = colors[first]
+        return colors
+    return corrupted
+
+
+def _general_from_konig(g):
+    return decompose_general(g, konig_color(g))
+
+
 def _trees(count):
     return [random_tree(12, random.Random(seed)) for seed in range(count)]
 
@@ -730,14 +749,16 @@ _CACTUS = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)
     ("color_low_even_bipartite", complete_bipartite_graph(2, 4), dispatch_theta_upper,
      "low-even-bipartite"),
     ("color_subcubic", complete_bipartite_graph(3, 3), dispatch_theta_upper, "subcubic"),
-    ("color_subcubic", complete_bipartite_graph(5, 5), decompose_bipartite, None),
+    ("subcubic_colors", complete_bipartite_graph(5, 5), decompose_bipartite, None),
     ("color_forest", _disjoint_union(_trees(3)), dispatch_theta_upper, "componentwise"),
+    ("subcubic_colors", complete_bipartite_graph(5, 5), _general_from_konig, None),
 ])
 def test_corrupted_kernel_output_fails_certification(monkeypatch, kernel, g, run, method):
     # kernels do not check their own output; the certification of the result does
     if method is not None:
         assert dispatch_theta_upper(g)[1].method == method
-    monkeypatch.setattr(thickness, kernel, _clash_at_one_vertex(getattr(thickness, kernel)))
+    corrupt = _clash_in_subset if kernel == "subcubic_colors" else _clash_at_one_vertex
+    monkeypatch.setattr(thickness, kernel, corrupt(getattr(thickness, kernel)))
     with pytest.raises(AssertionError, match="failed certification"):
         run(g)
 
@@ -884,6 +905,29 @@ def test_disjoint_short_paths_are_linear(method):
     d, _ = run_named_method(g, method)
     assert time.perf_counter() - start < 2.0
     assert d.part_count == 1
+
+
+def test_general_subcubic_side_per_gadget_is_linear():
+    # 4000 gadgets: a center on a spine colored 1,2 alternately, pendants 3,4,5
+    # and a star 8,9,10 at the center, and edges 6,7 at the star's 8-leaf.  Each
+    # gadget is a component of its own in the group of classes 6-10, so the
+    # subcubic kernel runs its degree-3 path once per gadget; state sized by
+    # the host's 36k vertices instead of by the star would cost 36k per call
+    k = 4000
+    edges, colors = [], []
+    for i in range(k):
+        c = 9 * i
+        if i:
+            edges.append((c - 9, c))
+            colors.append(1 + i % 2)
+        edges += [(c, c + 1), (c, c + 2), (c, c + 3), (c, c + 4), (c, c + 5), (c, c + 6),
+                  (c + 4, c + 7), (c + 4, c + 8)]
+        colors += [3, 4, 5, 8, 9, 10, 6, 7]
+    g = build_graph(9 * k, edges)
+    start = time.perf_counter()
+    d = decompose_general(g, EdgeColoring(g, tuple(colors)))
+    assert time.perf_counter() - start < 3.0
+    assert d.part_count == 4
 
 
 def test_dispatch_traverses_the_graph_once(monkeypatch):
