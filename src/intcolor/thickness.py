@@ -19,7 +19,7 @@ from .kernels import (IncrementalHost, alternating_walk_colors,
                       color_low_even_bipartite, latin_bipartite_colors,
                       staircase_bipartite_colors, two_factor_pair_colors)
 from .multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
-                         Multigraph, bipartition, normalize, traverse, verify,
+                         Multigraph, bipartition, normalize, relabel, traverse, verify,
                          verify_decomposition)
 from .subcubic import color_subcubic, subcubic_colors
 
@@ -214,10 +214,18 @@ def _require_cert(g: Multigraph, cert: BipartitionCert | None) -> BipartitionCer
 
 
 def _subcubic_bipartite_colors(g: Multigraph, eids: list[int]) -> dict[int, int]:
-    # Konig 3-colors a class of a certified bipartite graph on the host's
-    # vertices; below degree 3 the kernel alternates 1,2 whatever the coloring
-    class_edges = list(map(g.edges.__getitem__, eids))
-    return subcubic_colors(g.edges, eids, _konig_colors(g.vertex_count, class_edges, 3))
+    # Konig 3-colors a class of a certified bipartite graph.  A class with fewer
+    # than half as many edges as the host has vertices (each of a hub's
+    # ceil(n/3) classes) misses some of them, so it is first renumbered onto
+    # the vertices it touches; Konig uses vertex ids only as indices, so the
+    # colors are the same.  Below degree 3 the kernel alternates 1,2 whatever
+    # the coloring
+    if 2 * len(eids) < g.vertex_count:
+        kept, ends = relabel(g.edges, eids)
+        n, class_edges = len(kept), list(zip(ends[::2], ends[1::2]))
+    else:
+        n, class_edges = g.vertex_count, list(map(g.edges.__getitem__, eids))
+    return subcubic_colors(g.edges, eids, _konig_colors(n, class_edges, 3))
 
 
 def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:

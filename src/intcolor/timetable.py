@@ -28,7 +28,7 @@ class RequirementMatrix:
         for row in self.b:
             if len(row) != width:
                 raise GraphError("ragged requirement matrix")
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise GraphError("lecture counts must be nonnegative")
 
     @property
@@ -47,8 +47,12 @@ class RequirementMatrix:
 
     @staticmethod
     def from_csv(text: str) -> "RequirementMatrix":
-        return RequirementMatrix.from_rows([line.split(",") for line in text.splitlines()
-                                            if line.strip()])
+        rows = [line.split(",") for line in text.splitlines() if line.strip()]
+        try:
+            b = tuple(tuple(map(int, row)) for row in rows)
+        except ValueError:      # from_rows names the first cell that is no integer
+            return RequirementMatrix.from_rows(rows)
+        return RequirementMatrix(b)
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(x) for x in row) for row in self.b) + "\n"
@@ -76,7 +80,11 @@ class Timetable:
 def build_requirement_graph(B: RequirementMatrix) -> tuple[Multigraph, BipartitionCert]:
     """Bipartite multigraph: class i and teacher j joined by b_ij parallel edges."""
     n, m = B.n_classes, B.m_teachers
-    edges = [(i, n + j) for i in range(n) for j in range(m) for _ in range(B.b[i][j])]
+    edges: list[tuple[int, int]] = []
+    for i, row in enumerate(B.b):
+        for j, c in enumerate(row):
+            if c:
+                edges += [(i, n + j)] * c
     g = Multigraph(n + m, tuple(edges))
     return g, BipartitionCert(tuple([0] * n + [1] * m))
 
@@ -92,19 +100,20 @@ def decomposition_to_timetable(B: RequirementMatrix, d: Decomposition) -> Timeta
 
 
 def _timetable(B: RequirementMatrix, d: Decomposition) -> Timetable:
-    """decomposition_to_timetable of a decomposition certified on B's requirement graph."""
+    """decomposition_to_timetable of a decomposition certified on B's requirement
+    graph, whose edges all run from class i to teacher vertex n + j."""
     n = B.n_classes
     periods = [0] * d.part_count
     for part, h in zip(d.parts, d.colors):
-        periods[part] = max(periods[part], h)
+        if h > periods[part]:
+            periods[part] = h
     grids: list[list[list[int | None]]] = [[[None] * k for _ in range(n)] for k in periods]
-    for eid, (u, v) in enumerate(d.graph.edges):
-        i, j = (u, v - n) if u < n else (v, u - n)
-        row, h = grids[d.parts[eid]][i], d.colors[eid]
+    for (i, v), part, h in zip(d.graph.edges, d.parts, d.colors):
+        row = grids[part][i]
         if row[h - 1] is not None:
             raise AssertionError("two lectures in one period for one class")
-        row[h - 1] = j
-    return Timetable(tuple(tuple(tuple(row) for row in grid) for grid in grids))
+        row[h - 1] = v - n
+    return Timetable(tuple(tuple(map(tuple, grid)) for grid in grids))
 
 
 def timetable_to_decomposition(B: RequirementMatrix, S: Timetable) -> Decomposition:
@@ -138,12 +147,10 @@ def timetable_to_decomposition(B: RequirementMatrix, S: Timetable) -> Decomposit
     return d
 
 
-def _busy_interruptions(busy: list[int] | set[int]) -> bool:
-    return bool(busy) and (max(busy) - min(busy) + 1 != len(busy))
-
-
 def verify_timetable(B: RequirementMatrix, S: Timetable) -> VerifyReport:
-    """Totals, per-period distinctness, and the two-sided no-interruption condition.
+    """Totals, per-period distinctness, and the two-sided no-interruption condition,
+    in one pass per day with a busy-period bitmask per teacher and the first and
+    last period and a count per class row.
 
     In the report, 'proper' covers the totals and distinctness conditions and
     'interval' additionally requires no interruptions; offending parties are
@@ -158,33 +165,41 @@ def verify_timetable(B: RequirementMatrix, S: Timetable) -> VerifyReport:
     for day in S.days:
         if len(day) != n:
             raise GraphError("day grid must have one row per class")
-        teacher_periods: dict[int, list[int]] = {}
+        masks = [0] * m
         for i, row in enumerate(day):
-            busy = []
+            tally = counts[i]
+            first = last = -1
+            busy = 0
             for h, j in enumerate(row):
                 if j is None:
                     continue
                 if not 0 <= j < m:
                     raise GraphError(f"unknown teacher index {j}")
-                counts[i][j] += 1
-                busy.append(h)
-                teacher_periods.setdefault(j, []).append(h)
-            if _busy_interruptions(busy):
+                tally[j] += 1
+                if first < 0:
+                    first = h
+                last = h
+                busy += 1
+                bit = 1 << h
+                if masks[j] & bit:                  # two classes in one period
+                    ok_counts = False
+                    offenders.add(n + j)
+                masks[j] |= bit
+            if busy and last - first + 1 != busy:
                 ok_gapless = False
                 offenders.add(i)
-        for j, periods in teacher_periods.items():
-            distinct = set(periods)
-            if len(distinct) != len(periods):       # two classes in one period
-                ok_counts = False
-                offenders.add(n + j)
-            if _busy_interruptions(distinct):
-                ok_gapless = False
-                offenders.add(n + j)
-    for i in range(n):
-        for j in range(m):
-            if counts[i][j] != B.b[i][j]:
-                ok_counts = False
-                offenders.update((i, n + j))
+        for j, mask in enumerate(masks):
+            if mask:
+                x = mask // (mask & -mask)      # the busy periods shifted down to bit 0
+                if x & (x + 1):                 # not 2^k - 1: a free period inside
+                    ok_gapless = False
+                    offenders.add(n + j)
+    for i, (tally, row) in enumerate(zip(counts, B.b)):
+        if tuple(tally) != row:
+            for j, (have, want) in enumerate(zip(tally, row)):
+                if have != want:
+                    ok_counts = False
+                    offenders.update((i, n + j))
 
     return VerifyReport(proper=ok_counts, interval=ok_counts and ok_gapless,
                         cyclic_interval=None,
@@ -209,7 +224,8 @@ def make_weekly_timetable(B: RequirementMatrix, mode: str = "fewest_days",
     S = _timetable(B, d)
     rep = verify_timetable(B, S)
     if not rep.interval:
-        raise AssertionError("constructed timetable failed verification")
+        raise AssertionError("constructed timetable failed verification at vertices "
+                             f"{', '.join(map(str, rep.offending_vertices))}")
     return S, trace
 
 

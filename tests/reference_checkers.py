@@ -4,8 +4,12 @@ They build every vertex's palette (a loop contributes its color twice), sort it
 and test it pairwise, the plain way; the library instead compares set sizes and
 extremes.  Both must return identical VerifyReports.
 
-The set-based Kempe-chain engine at the end is the reference for the library's
-bitmask engine: Konig, fan, equalized and Petersen colorings must be identical.
+The set-based Kempe-chain engine is the reference for the library's bitmask
+engine: Konig, fan, equalized and Petersen colorings must be identical.
+
+The timetable verifier at the end keeps a dict of period lists per teacher and
+a min/max per class row; the library's one pass per day keeps bitmasks and
+first/last/count instead, and both must return identical VerifyReports.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from collections import Counter
 from intcolor.edge_coloring import _euler_circuit
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
                                  VerifyReport, _is_cyclically_consecutive)
+from intcolor.timetable import RequirementMatrix, Timetable
 
 
 def _palette(g: Multigraph, colors, eids) -> list[int]:
@@ -378,3 +383,57 @@ def reference_petersen_factors(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     for (_, _, eid), c in zip(arcs, colors):
         factors[c - 1].append(eid)
     return tuple(tuple(sorted(f)) for f in factors)
+
+
+def _busy_interruptions(busy: list[int] | set[int]) -> bool:
+    return bool(busy) and (max(busy) - min(busy) + 1 != len(busy))
+
+
+def reference_verify_timetable(B: RequirementMatrix, S: Timetable) -> VerifyReport:
+    """Totals, per-period distinctness, and the two-sided no-interruption condition.
+
+    In the report, 'proper' covers the totals and distinctness conditions and
+    'interval' additionally requires no interruptions; offending parties are
+    listed as vertices of the requirement graph (classes then teachers).
+    """
+    n, m = B.n_classes, B.m_teachers
+    ok_counts = True
+    ok_gapless = True
+    offenders: set[int] = set()
+
+    counts = [[0] * m for _ in range(n)]
+    for day in S.days:
+        if len(day) != n:
+            raise GraphError("day grid must have one row per class")
+        teacher_periods: dict[int, list[int]] = {}
+        for i, row in enumerate(day):
+            busy = []
+            for h, j in enumerate(row):
+                if j is None:
+                    continue
+                if not 0 <= j < m:
+                    raise GraphError(f"unknown teacher index {j}")
+                counts[i][j] += 1
+                busy.append(h)
+                teacher_periods.setdefault(j, []).append(h)
+            if _busy_interruptions(busy):
+                ok_gapless = False
+                offenders.add(i)
+        for j, periods in teacher_periods.items():
+            distinct = set(periods)
+            if len(distinct) != len(periods):       # two classes in one period
+                ok_counts = False
+                offenders.add(n + j)
+            if _busy_interruptions(distinct):
+                ok_gapless = False
+                offenders.add(n + j)
+    for i in range(n):
+        for j in range(m):
+            if counts[i][j] != B.b[i][j]:
+                ok_counts = False
+                offenders.update((i, n + j))
+
+    return VerifyReport(proper=ok_counts, interval=ok_counts and ok_gapless,
+                        cyclic_interval=None,
+                        offending_vertices=tuple(sorted(offenders)),
+                        offending_edges=())

@@ -630,6 +630,41 @@ def test_dispatch_never_beats_exact_theta(seed):
     assert d.part_count >= exact_theta(g)
 
 
+def test_bipartite_thirds_of_a_hub_is_linear():
+    # K_{1,6000} makes 2000 classes of 3 edges; Konig state sized by the
+    # host's 6001 vertices for each class made this quadratic
+    start = time.perf_counter()
+    d, _ = run_named_method(complete_bipartite_graph(1, 6000), "bipartite-thirds")
+    assert time.perf_counter() - start < 1.0
+    assert _certified(d) and d.part_count == 2000
+
+
+def test_bipartite_classes_on_their_own_vertices_keep_the_host_colors(monkeypatch):
+    # each graph's vertices are spread among 2E isolated ones, so every class
+    # has fewer than half as many edges as the host has vertices and is
+    # relabeled before Konig; an identity relabel keeps Konig on the host's
+    # vertices, and both must agree
+    rng = random.Random(11)
+    graphs = [complete_bipartite_graph(1, 40)]
+    for _ in range(20):
+        g = random_bipartite(rng.randint(2, 10), rng.randint(2, 10), rng.randint(8, 40),
+                             rng.randint(4, 9), rng, simple=False)
+        n = 2 * g.edge_count + g.vertex_count
+        spread = sorted(rng.sample(range(n), g.vertex_count))
+        graphs.append(build_graph(n, [(spread[u], spread[v]) for u, v in g.edges]))
+    graphs = [g for g in graphs if g.max_degree > 3]
+    relabeled = []
+    original = thickness.relabel
+    monkeypatch.setattr(thickness, "relabel",
+                        lambda edges, eids: relabeled.append(eids) or original(edges, eids))
+    on_class = [decompose_bipartite(g) for g in graphs]
+    assert len(relabeled) == sum(d.part_count for d in on_class)
+    for g, d in zip(graphs, on_class):
+        monkeypatch.setattr(thickness, "relabel", lambda edges, eids, n=g.vertex_count: (
+            range(n), [w for e in eids for w in edges[e]]))
+        assert decompose_bipartite(g) == d and _certified(d)
+
+
 def test_bipartite_with_parallel_edges():
     # lecture multigraphs have parallel edges whenever b_ij > 1
     g = build_graph(4, [(0, 2), (0, 2), (0, 3), (1, 2), (1, 3), (1, 3), (0, 3), (1, 2)])

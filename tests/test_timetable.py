@@ -10,6 +10,8 @@ from intcolor.timetable import (RequirementMatrix, Timetable, build_requirement_
                                 make_weekly_timetable, render_timetable,
                                 timetable_to_decomposition, verify_timetable)
 
+from reference_checkers import reference_verify_timetable
+
 
 def _random_matrix(rng, n_max=8, m_max=8, entry_max=3):
     n, m = rng.randint(1, n_max), rng.randint(1, m_max)
@@ -54,6 +56,13 @@ def test_digon_schedules_two_consecutive_periods():
     S, _ = make_weekly_timetable(B)
     assert S.day_count == 1
     assert S.days[0][0] == (0, 0)
+
+
+def test_weekly_timetable_failure_names_the_parties(monkeypatch):
+    # a translation that leaves class 0 and teacher 0 (vertex 1) a free period
+    monkeypatch.setattr(timetable, "_timetable", lambda B, d: Timetable((((0, None, 0),),)))
+    with pytest.raises(AssertionError, match="failed verification at vertices 0, 1$"):
+        make_weekly_timetable(RequirementMatrix.from_rows([[2]]))
 
 
 def test_interruption_detection():
@@ -179,3 +188,95 @@ def test_weekly_timetable_builds_the_requirement_graph_once(monkeypatch):
 def test_malformed_matrix_rows_raise_graph_error(rows):
     with pytest.raises(GraphError):
         RequirementMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,1.5\n", "expected an integer, got '1.5'"),
+    ("1,2\nx,0\n", "expected an integer, got 'x'"),
+    ("1,,2\n", "expected an integer, got ''"),
+    ("1,-1\n", "lecture counts must be nonnegative"),
+    ("1,2\n3\n", "ragged requirement matrix"),
+])
+def test_csv_errors_name_the_first_bad_cell(text, message):
+    with pytest.raises(GraphError) as parsed:
+        RequirementMatrix.from_csv(text)
+    assert str(parsed.value) == message
+    # the entry-by-entry parse of the split cells gives the same text
+    with pytest.raises(GraphError) as by_rows:
+        RequirementMatrix.from_rows([line.split(",") for line in text.splitlines()])
+    assert str(by_rows.value) == message
+
+
+def test_rows_parse_exact_integers_only():
+    for bad in (True, 0.5):
+        with pytest.raises(GraphError, match="expected an integer"):
+            RequirementMatrix.from_rows([[1, bad]])
+    assert RequirementMatrix.from_rows([[2.0, "3"]]).b == ((2, 3),)
+
+
+def _busy_cells(S: Timetable) -> list[tuple[int, int, int]]:
+    return [(d, i, h) for d, day in enumerate(S.days) for i, row in enumerate(day)
+            for h, j in enumerate(row) if j is not None]
+
+
+def _corrupt(B: RequirementMatrix, S: Timetable, kind: str, rng) -> Timetable:
+    """S with one fault of the given kind, or S itself when it has no lecture
+    (or, for a double booking, a single class)."""
+    days = [[list(row) for row in day] for day in S.days]
+    busy = _busy_cells(S)
+    if not busy:
+        return S
+    d, i, h = rng.choice(busy)
+    rows = days[d]
+    j = rows[i][h]
+
+    def put(i2: int, h2: int, teacher: int | None) -> None:
+        rows[i2].extend([None] * (h2 + 1 - len(rows[i2])))
+        rows[i2][h2] = teacher
+
+    if kind == "move":          # may open a gap for the class or the teacher, or clash
+        rows[i][h] = None
+        h2 = rng.choice([x for x in range(len(rows[i]) + 2)
+                         if x >= len(rows[i]) or rows[i][x] is None])
+        put(i, h2, j)
+    elif kind == "double":      # the teacher meets a second class in that period
+        others = [x for x in range(len(rows)) if x != i]
+        if not others:
+            return S
+        put(rng.choice(others), h, j)
+    elif kind == "drop":
+        rows[i][h] = None
+    elif kind == "extra":
+        put(i, len(rows[i]) + rng.randint(0, 1), rng.randrange(B.m_teachers))
+    elif kind == "unknown teacher":
+        rows[i][h] = rng.choice([-1, B.m_teachers])
+    elif kind == "row count":
+        if rng.random() < 0.5:
+            del rows[rng.randrange(len(rows))]
+        else:
+            rows.append([])
+    return Timetable(tuple(tuple(tuple(row) for row in day) for day in days))
+
+
+def _report_or_error(verifier, B: RequirementMatrix, S: Timetable):
+    try:
+        return verifier(B, S)
+    except GraphError as exc:
+        return str(exc)
+
+
+_CORRUPTIONS = ["move", "double", "drop", "extra", "unknown teacher", "row count"]
+
+
+@given(st.integers(0, 100_000), st.sampled_from([None] + _CORRUPTIONS),
+       st.sampled_from(["fewest_days", "even_spread"]))
+@settings(max_examples=150, deadline=None)
+def test_verifier_matches_the_reference(seed, kind, mode):
+    rng = random.Random(seed)
+    B = _random_matrix(rng, n_max=6, m_max=6)
+    built, _ = make_weekly_timetable(B, mode)
+    S = built if kind is None else _corrupt(B, built, kind, rng)
+    got = _report_or_error(verify_timetable, B, S)
+    assert got == _report_or_error(reference_verify_timetable, B, S)
+    if kind not in (None, "move") and S != built:
+        assert isinstance(got, str) or not got.proper
