@@ -213,19 +213,15 @@ def _require_cert(g: Multigraph, cert: BipartitionCert | None) -> BipartitionCer
     return cert
 
 
-def _subcubic_bipartite_colors(g: Multigraph, eids: list[int]) -> dict[int, int]:
-    # Konig 3-colors a class of a certified bipartite graph.  A class with fewer
-    # than half as many edges as the host has vertices (each of a hub's
-    # ceil(n/3) classes) misses some of them, so it is first renumbered onto
-    # the vertices it touches; Konig uses vertex ids only as indices, so the
-    # colors are the same.  Below degree 3 the kernel alternates 1,2 whatever
+def _class_colors(g: Multigraph, eids: list[int]) -> dict[int, int]:
+    # Konig 3-colors an equalized class of a certified bipartite graph on the
+    # vertices it touches, renumbered by relabel: a hub's ceil(n/3) classes each
+    # miss most of the host.  Konig uses vertex ids only as indices, so the
+    # colors are the host's.  Below degree 3 the kernel alternates 1,2 whatever
     # the coloring
-    if 2 * len(eids) < g.vertex_count:
-        kept, ends = relabel(g.edges, eids)
-        n, class_edges = len(kept), list(zip(ends[::2], ends[1::2]))
-    else:
-        n, class_edges = g.vertex_count, list(map(g.edges.__getitem__, eids))
-    return subcubic_colors(g.edges, eids, _konig_colors(n, class_edges, 3))
+    kept, ends = relabel(g.edges, eids)
+    c3 = _konig_colors(len(kept), list(zip(ends[::2], ends[1::2])), 3)
+    return subcubic_colors(g.edges, eids, c3)
 
 
 def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
@@ -240,12 +236,13 @@ def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> D
         return _assemble(g, [])
     delta = g.max_degree
     if delta <= 3:
-        return _assemble(g, [_subcubic_bipartite_colors(g, list(range(g.edge_count)))])
+        c3 = _konig_colors(g.vertex_count, g.edges, 3)
+        return _assemble(g, [subcubic_colors(g.edges, list(range(g.edge_count)), c3)])
     k = -(-delta // 3)
     classes: list[list[int]] = [[] for _ in range(k)]
     for e, c in enumerate(equalized_bipartite_color(g, cert, k).colors):
         classes[c - 1].append(e)
-    return _assemble(g, [_subcubic_bipartite_colors(g, eids) for eids in classes])
+    return _assemble(g, [_class_colors(g, eids) for eids in classes])
 
 
 def decompose_eulerian_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:

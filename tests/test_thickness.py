@@ -640,25 +640,26 @@ def test_bipartite_thirds_of_a_hub_is_linear():
 
 
 def test_bipartite_classes_on_their_own_vertices_keep_the_host_colors(monkeypatch):
-    # each graph's vertices are spread among 2E isolated ones, so every class
-    # has fewer than half as many edges as the host has vertices and is
-    # relabeled before Konig; an identity relabel keeps Konig on the host's
-    # vertices, and both must agree
+    # each graph's vertices are spread among 2E isolated ones, so relabel really
+    # renumbers every equalized class before Konig; an identity relabel keeps
+    # Konig on the host's vertices, and both must agree.  A graph of maximum
+    # degree at most 3 is colored whole on the host, with no relabel
     rng = random.Random(11)
     graphs = [complete_bipartite_graph(1, 40)]
     for _ in range(20):
         g = random_bipartite(rng.randint(2, 10), rng.randint(2, 10), rng.randint(8, 40),
-                             rng.randint(4, 9), rng, simple=False)
+                             rng.randint(2, 9), rng, simple=False)
         n = 2 * g.edge_count + g.vertex_count
         spread = sorted(rng.sample(range(n), g.vertex_count))
         graphs.append(build_graph(n, [(spread[u], spread[v]) for u, v in g.edges]))
-    graphs = [g for g in graphs if g.max_degree > 3]
     relabeled = []
     original = thickness.relabel
     monkeypatch.setattr(thickness, "relabel",
                         lambda edges, eids: relabeled.append(eids) or original(edges, eids))
     on_class = [decompose_bipartite(g) for g in graphs]
-    assert len(relabeled) == sum(d.part_count for d in on_class)
+    assert len(relabeled) == sum(d.part_count for g, d in zip(graphs, on_class)
+                                 if g.max_degree > 3)
+    assert any(g.max_degree <= 3 for g in graphs)
     for g, d in zip(graphs, on_class):
         monkeypatch.setattr(thickness, "relabel", lambda edges, eids, n=g.vertex_count: (
             range(n), [w for e in eids for w in edges[e]]))
