@@ -9,6 +9,11 @@ JSON and repr(BoundTrace).  A change that should not alter any result must
 leave every line as it was:
 
     python scripts/output_digest.py 101 202
+
+--workload NAME (repeatable) prints only the lines of the workloads named, so a
+change confined to one workload is checked in a fraction of the time:
+
+    python scripts/output_digest.py 101 202 --workload sparse
 """
 import argparse
 import hashlib
@@ -54,9 +59,12 @@ def workload_digest(workload: str, seed: int) -> tuple[int, int, str]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seeds", nargs="*", type=int, default=[101, 202])
+    ap.add_argument("--workload", action="append", choices=gen.WORKLOADS,
+                    help="print only this workload's lines (repeatable; default all)")
     args = ap.parse_args()
+    workloads = [w for w in gen.WORKLOADS if args.workload is None or w in args.workload]
     for seed in args.seeds:
-        for workload in gen.WORKLOADS:
+        for workload in workloads:
             jobs, parts, digest = workload_digest(workload, seed)
             print(f"seed {seed} {workload}: jobs {jobs} parts {parts} sha256 {digest}",
                   flush=True)

@@ -100,30 +100,34 @@ def color_paths_and_even_cycles(g: Multigraph) -> EdgeColoring:
 # Forests.
 
 def color_forest(g: Multigraph) -> EdgeColoring:
-    """Interval coloring of a forest: root edges 1..d, then fan out from the entry color."""
-    colors: dict[int, int] = {}
+    """Interval coloring of a forest: root edges 1..d, then fan out from the entry color.
+
+    Each tree is rooted at its smallest vertex and colored from 1, so a forest
+    is colored as its trees would be one at a time.  An edge not yet reached
+    has color 0."""
+    edges, incidence = g.edges, g.incidence
+    colors = [0] * g.edge_count
     visited = [False] * g.vertex_count
     for root in range(g.vertex_count):
         if visited[root]:
             continue
         visited[root] = True
-        queue: list[tuple[int, int | None, int]] = [(root, None, 0)]
-        while queue:
-            v, entry_eid, entry_color = queue.pop()
-            nxt = entry_color + 1
-            for eid in g.incidence[v]:
+        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        while stack:
+            v, entry_eid, c = stack.pop()
+            for eid in incidence[v]:
                 if eid == entry_eid:
                     continue
-                if eid in colors:
-                    raise GraphError("cycle detected; not a forest")
-                w = g.other_end(eid, v)
-                if visited[w]:
+                u, w = edges[eid]
+                if w == v:
+                    w = u
+                if colors[eid] or visited[w]:
                     raise GraphError("cycle detected; not a forest")
                 visited[w] = True
-                colors[eid] = nxt
-                queue.append((w, eid, nxt))
-                nxt += 1
-    return _as_coloring(g, colors)
+                c += 1
+                colors[eid] = c
+                stack.append((w, eid, c))
+    return EdgeColoring(g, tuple(colors))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ so parallel edges are first class.  All values are immutable after construction.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -125,9 +126,10 @@ class Multigraph:
         order.
         """
         ids = tuple(sorted(set(edge_ids)))
-        for eid in ids:
-            if not 0 <= eid < self.edge_count:
-                raise GraphError(f"unknown edge id {eid}")
+        # the ids ascend, so both ends show whether any id is out of range
+        if ids and (ids[0] < 0 or ids[-1] >= self.edge_count):
+            bad = ids[0] if ids[0] < 0 else ids[bisect_left(ids, self.edge_count)]
+            raise GraphError(f"unknown edge id {bad}")
         kept, ends = relabel(self.edges, ids)
         return Multigraph(len(kept), tuple(zip(ends[::2], ends[1::2])),
                           allows_loops=self.allows_loops), ids

@@ -465,24 +465,48 @@ def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
 
 
 def _dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
-    """Dispatch each component's compact subgraph, handed its part of g's
-    traversal; part i of every component goes into part i of the whole.  The
-    merge is not re-certified: each component was certified by the row that
-    built it, and components share no vertex."""
+    """Dispatch g's components on compact subgraphs, handed their part of g's
+    traversal; part i of every component goes into part i of the whole.
+
+    Two families always take one part and are closed in batches, each by its
+    winning row run once on the union of its members: the tree components
+    (E = V - 1) by the forest row, the even-cycle components (bipartite, all
+    degrees 2) by the subcubic row.  Every other component is dispatched
+    alone.  The result is what one dispatch per component gives: color_forest
+    roots each tree at its smallest vertex and colors from 1, the subcubic row
+    alternates 1,2 along each cycle from its smallest vertex, and a one-part
+    row meets lower = 1, so no later row would run on such a component.  The
+    trace is the first component's, in component order, with the most parts.
+    The merge is not re-certified: each batch and each lone component was
+    certified by the row that built it, and components share no vertex."""
+    t = g.traversal
+    comps = t.components
+    trees: list[int] = []
+    cycles: list[int] = []
+    runs: list[tuple[list[int], tuple[str, Callable] | None]] = []
+    for i, (comp, verts) in enumerate(zip(comps, t.vertices)):
+        if len(comp) == len(verts) - 1:
+            trees.append(i)
+        elif len(comp) == len(verts) and t.odd_cycles[i] is None and t.side_max[i] == (2, 2):
+            cycles.append(i)
+        else:
+            runs.append(([i], None))
+    if trees:
+        runs.append((trees, ("forest", _run_forest)))
+    if cycles:
+        runs.append((cycles, ("subcubic", _run_subcubic)))
     parts = [0] * g.edge_count
     colors = [0] * g.edge_count
-    worst: BoundTrace | None = None
-    comps = g.traversal.components
-    for i in range(len(comps)):
-        sub, ids = g.components_subgraph([i])
-        d_sub, t_sub = _dispatch_connected(sub)
+    traces: list[tuple[int, BoundTrace]] = []
+    for picked, row in runs:
+        sub, ids = g.components_subgraph(picked)
+        d_sub, t_sub = _dispatch_connected(sub) if row is None else _run_row(*row, _Facts(sub))
         for pos, eid in enumerate(ids):
             parts[eid] = d_sub.parts[pos]
             colors[eid] = d_sub.colors[pos]
-        if worst is None or t_sub.parts > worst.parts:
-            worst = t_sub
+        traces.append((picked[0], t_sub))
     decomp = Decomposition(g, tuple(parts), tuple(colors))
-    assert worst is not None
+    worst = min(traces, key=lambda it: (-it[1].parts, it[0]))[1]
     if len(comps) == 1:
         return decomp, worst
     trace = BoundTrace("componentwise",
@@ -680,9 +704,11 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     lower bound on that candidate's own part count.  The skip is exact: a skipped
     candidate could at best tie, and ties go to the earlier candidate.
 
-    Disconnected graphs are dispatched one component at a time and the parts are
-    merged, since interval colorability is decided component by component.  A
-    graph with isolated vertices is dispatched without them, so they never
+    Disconnected graphs are dispatched by component and the parts are merged,
+    since interval colorability is decided component by component: the tree
+    components are closed together by one forest run, the even-cycle
+    components together by one subcubic run, and every other component alone.
+    A graph with isolated vertices is dispatched without them, so they never
     change the answer.  A certification failure inside a candidate, or a
     candidate above its own bound, is a bug and propagates.  A graph with a loop
     raises GraphError."""

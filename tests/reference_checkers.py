@@ -10,6 +10,10 @@ engine: Konig, fan, equalized and Petersen colorings must be identical.
 The timetable verifier at the end keeps a dict of period lists per teacher and
 a min/max per class row; the library's one pass per day keeps bitmasks and
 first/last/count instead, and both must return identical VerifyReports.
+
+The componentwise dispatcher at the very end dispatches every component on its
+own subgraph; the library closes the tree and the even-cycle components in one
+batch each, and both must return identical decompositions and traces.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from collections import Counter
 from intcolor.edge_coloring import _euler_circuit
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
                                  VerifyReport, _is_cyclically_consecutive)
+from intcolor.thickness import BoundTrace, _dispatch_connected
 from intcolor.timetable import RequirementMatrix, Timetable
 
 
@@ -437,3 +442,27 @@ def reference_verify_timetable(B: RequirementMatrix, S: Timetable) -> VerifyRepo
                         cyclic_interval=None,
                         offending_vertices=tuple(sorted(offenders)),
                         offending_edges=())
+
+
+def reference_dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
+    """One dispatch per component, each on its compact subgraph, merged part by part."""
+    parts = [0] * g.edge_count
+    colors = [0] * g.edge_count
+    worst: BoundTrace | None = None
+    comps = g.traversal.components
+    for i in range(len(comps)):
+        sub, ids = g.components_subgraph([i])
+        d_sub, t_sub = _dispatch_connected(sub)
+        for pos, eid in enumerate(ids):
+            parts[eid] = d_sub.parts[pos]
+            colors[eid] = d_sub.colors[pos]
+        if worst is None or t_sub.parts > worst.parts:
+            worst = t_sub
+    decomp = Decomposition(g, tuple(parts), tuple(colors))
+    assert worst is not None
+    if len(comps) == 1:
+        return decomp, worst
+    trace = BoundTrace("componentwise",
+                       f"max over {len(comps)} components: {worst.method} [{worst.bound_formula}]",
+                       worst.bound_value, decomp.part_count, True)
+    return decomp, trace

@@ -192,6 +192,15 @@ def test_subgraph_rejects_unknown_edge():
         g.subgraph([5])
 
 
+@pytest.mark.parametrize("eids,bad", [([1, -1, 0, -3], -3), ([1, 9, 0, 3, 7], 3), ([-2, 5], -2),
+                                      ([3], 3)])
+def test_subgraph_names_the_first_unknown_edge_id(eids, bad):
+    # the smallest id below 0, else the smallest id at or above the edge count
+    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(GraphError, match=f"^unknown edge id {bad}$"):
+        g.subgraph(eids)
+
+
 def _per_part_reference(g, d):
     """Interval verdict and offenders of d from verify on each part's subgraph."""
     ok, bad_vertices, bad_edges = True, set(), set()

@@ -3,7 +3,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from intcolor import multigraph, thickness
 from intcolor.edge_coloring import (equalized_bipartite_color, exact_chromatic_index,
@@ -25,7 +25,7 @@ from intcolor.thickness import (_Facts, decompose_bipartite,
                                 split_cyclic)
 from intcolor.timetable import build_requirement_graph
 
-from reference_checkers import reference_verify_decomposition
+from reference_checkers import reference_dispatch_componentwise, reference_verify_decomposition
 
 
 def _certified(d):
@@ -787,6 +787,8 @@ _CACTUS = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)
     ("color_subcubic", complete_bipartite_graph(3, 3), dispatch_theta_upper, "subcubic"),
     ("subcubic_colors", complete_bipartite_graph(5, 5), decompose_bipartite, None),
     ("color_forest", _disjoint_union(_trees(3)), dispatch_theta_upper, "componentwise"),
+    ("color_subcubic", _disjoint_union(map(cycle_graph, (4, 2, 6, 4))), dispatch_theta_upper,
+     "componentwise"),
     ("subcubic_colors", complete_bipartite_graph(5, 5), _general_from_konig, None),
 ])
 def test_corrupted_kernel_output_fails_certification(monkeypatch, kernel, g, run, method):
@@ -811,9 +813,80 @@ def test_dispatch_certifies_each_result_once(monkeypatch):
     dispatch_theta_upper(random_tree(12, random.Random(0)))
     assert len(checked) == 1
     checked.clear()
-    # one check per component; the merge of certified components is not re-checked
+    # the tree components are closed by one forest run and one check; the merge of
+    # certified components is not re-checked
     dispatch_theta_upper(_disjoint_union(_trees(3)))
-    assert checked == [11, 11, 11]
+    assert checked == [33]
+
+
+def test_dispatch_batches_trees_and_even_cycles(monkeypatch):
+    checked, alone = [], []
+    verify_original = thickness.verify_decomposition
+    connected_original = thickness._dispatch_connected
+
+    def counting_verify(g, d):
+        checked.append(g.edge_count)
+        return verify_original(g, d)
+
+    def counting_connected(g):
+        alone.append(g.edge_count)
+        return connected_original(g)
+
+    monkeypatch.setattr(thickness, "verify_decomposition", counting_verify)
+    monkeypatch.setattr(thickness, "_dispatch_connected", counting_connected)
+    pieces = [_CACTUS, cycle_graph(4)] + _trees(2) + [cycle_graph(6), _CACTUS, cycle_graph(2)]
+    d, trace = dispatch_theta_upper(_disjoint_union(pieces, isolated=2))
+    # the two cacti alone, one check each; one batch of 22 tree edges and one of
+    # 12 even-cycle edges, one check each
+    assert sorted(checked) == [9, 9, 12, 22] and alone == [9, 9]
+    assert d.part_count == 1 and _certified(d)
+    assert trace.bound_formula == "max over 7 components: cactus [cactus: 1]"
+
+
+_PIECE_KINDS = ("edge", "path", "tree", "even-cycle", "odd-cycle", "cactus", "k33", "isolated")
+
+
+def _piece(kind, rng):
+    if kind == "edge":
+        return build_graph(2, [(0, 1)])
+    if kind == "path":
+        n = rng.randint(3, 7)
+        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    if kind == "tree":
+        return random_tree(rng.randint(2, 10), rng)
+    if kind == "even-cycle":
+        return cycle_graph(rng.choice((2, 4, 6, 8)))     # 2: a parallel pair
+    if kind == "odd-cycle":
+        return cycle_graph(rng.choice((3, 5, 7)))
+    if kind == "cactus":
+        return random_cactus(rng.randint(1, 3), rng)
+    if kind == "k33":
+        return complete_bipartite_graph(3, 3)
+    return build_graph(1, [])
+
+
+def _shuffled_union(pieces, rng):
+    """The disjoint union of pieces with its vertex labels, edge ids and edge
+    ends shuffled."""
+    g = _disjoint_union(pieces)
+    label = list(range(g.vertex_count))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+             for u, v in g.edges]
+    rng.shuffle(edges)
+    return build_graph(g.vertex_count, edges)
+
+
+@given(st.lists(st.sampled_from(_PIECE_KINDS), min_size=1, max_size=8), st.integers(0, 100_000))
+@settings(max_examples=150, deadline=None)
+def test_batched_componentwise_matches_one_dispatch_per_component(kinds, seed):
+    rng = random.Random(seed)
+    g = _shuffled_union([_piece(kind, rng) for kind in kinds], rng)
+    assume(g.edge_count > 0)
+    d, trace = thickness._dispatch_componentwise(g)
+    ref_d, ref_trace = reference_dispatch_componentwise(g)
+    assert d.parts == ref_d.parts and d.colors == ref_d.colors
+    assert repr(trace) == repr(ref_trace)
 
 
 def test_dispatch_disconnected_is_componentwise():
