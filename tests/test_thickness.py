@@ -787,9 +787,9 @@ _CACTUS = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)
     ("color_subcubic", complete_bipartite_graph(3, 3), dispatch_theta_upper, "subcubic"),
     ("subcubic_colors", complete_bipartite_graph(5, 5), decompose_bipartite, None),
     ("color_forest", _disjoint_union(_trees(3)), dispatch_theta_upper, "componentwise"),
+    ("subcubic_colors", complete_bipartite_graph(5, 5), _general_from_konig, None),
     ("color_subcubic", _disjoint_union(map(cycle_graph, (4, 2, 6, 4))), dispatch_theta_upper,
      "componentwise"),
-    ("subcubic_colors", complete_bipartite_graph(5, 5), _general_from_konig, None),
 ])
 def test_corrupted_kernel_output_fails_certification(monkeypatch, kernel, g, run, method):
     # kernels do not check their own output; the certification of the result does
