@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .multigraph import (BipartitionCert, EdgeColoring, GraphError, Multigraph,
-                         bipartition, build_graph)
+                         _as_int, bipartition, build_graph)
 
 
 class InfeasibleSpec(GraphError):
@@ -49,8 +49,10 @@ class FamilySpec:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "FamilySpec":
+        if not isinstance(obj, dict) or not isinstance(obj.get("family"), str):
+            raise GraphError(f"family spec JSON needs a 'family' name, got {obj!r}")
         params = {k: v for k, v in obj.items() if k not in ("family", "seed")}
-        return FamilySpec(obj["family"], params, int(obj.get("seed", 0)))
+        return FamilySpec(obj["family"], params, _as_int(obj.get("seed", 0)))
 
 
 @dataclass(frozen=True)

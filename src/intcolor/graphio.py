@@ -73,8 +73,8 @@ def decomposition_to_json(d: Decomposition) -> dict[str, Any]:
 def decomposition_from_json(obj: dict[str, Any], g: Multigraph) -> Decomposition:
     """Inverse of decomposition_to_json; every nonempty part needs a certificate
     with one color per edge of the part."""
-    if not isinstance(obj.get("part"), list):
-        raise GraphError("decomposition JSON needs a 'part' list")
+    if not isinstance(obj, dict) or not isinstance(obj.get("part"), list):
+        raise GraphError(f"decomposition JSON needs a 'part' list, got {obj!r}")
     parts = tuple(_as_int(p) for p in obj["part"])
     certs = obj.get("certificates")
     if not isinstance(certs, list):

@@ -91,11 +91,6 @@ def alternating_walk_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int
     return colors
 
 
-def color_paths_and_even_cycles(g: Multigraph) -> EdgeColoring:
-    """Alternate colors 1,2 along each component of a max-degree-2 graph."""
-    return _as_coloring(g, alternating_walk_colors(g.edges, range(g.edge_count)))
-
-
 # ---------------------------------------------------------------------------
 # Forests.
 

@@ -7,18 +7,21 @@ keeps started ones matched until done, with no empty color; the cyclic rule has
 exactly t colors, empty ones allowed, and lets a vertex matched at color 1 pause
 once and wrap around to finish at color t.  Failed states are remembered.
 
+No construction stands in for the search: the interval oracle refutes a component
+whose chromatic index exceeds its maximum degree (an interval colorable graph has
+chromatic index equal to its maximum degree, Asratian & Kamalian 1987) and
+otherwise sweeps, so the constructions are tested against an independent search.
+
 Budgets are hard limits with explicit errors, never silent truncation.
-Witnesses are always checked before they are returned; that is the one check
-on what the constructive kernels build for them.
+Witnesses are always checked by `verify` before they are returned.
 """
 from __future__ import annotations
 
 from collections import Counter
+from typing import Callable
 
 from .edge_coloring import BudgetExceeded, exact_chromatic_index
-from .kernels import color_forest, color_paths_and_even_cycles
-from .multigraph import (EdgeColoring, GraphError, Multigraph, normalize, verify)
-from .subcubic import color_subcubic
+from .multigraph import EdgeColoring, GraphError, Multigraph, verify
 
 INTERVAL_BUDGET = 16
 THETA_BUDGET = 10
@@ -138,53 +141,42 @@ def _color_sweep(sub: Multigraph, t: int | None = None) -> list[int] | None:
     return [slots[index[tuple(sorted(e))]].pop() for e in sub.edges]
 
 
+def _per_component(g: Multigraph,
+                   search: Callable[[Multigraph], list[int] | None]) -> EdgeColoring | None:
+    """search run on each component's subgraph, its colors merged by host edge
+    id; None at the first component it refutes."""
+    colors = [0] * g.edge_count
+    for i in range(len(g.traversal.components)):
+        sub, ids = g.components_subgraph([i])
+        found = search(sub)
+        if found is None:
+            return None
+        for eid, c in zip(ids, found):
+            colors[eid] = c
+    return EdgeColoring(g, tuple(colors))
+
+
+def _interval_search(sub: Multigraph) -> list[int] | None:
+    chi, _ = exact_chromatic_index(sub, limit=max(sub.edge_count, 20))
+    if chi > sub.max_degree:
+        return None  # chromatic index above max degree: never interval colorable
+    return _color_sweep(sub)
+
+
 def exact_interval_colorable(g: Multigraph, budget: int = INTERVAL_BUDGET) -> EdgeColoring | None:
     """A witness interval coloring, or a definitive negative.
 
-    Constructive shortcuts (forests, max degree <= 2, 3-edge-colorable subcubic)
-    are used when their witnesses pass the checker; the chromatic index equalling
-    the maximum degree is required before the full color-by-color search runs.
+    Each component is refuted when its chromatic index exceeds its maximum
+    degree, and is otherwise decided by the interval color sweep.
     """
     if g.has_loop():
         raise GraphError("interval colorings are defined for loopless graphs")
     if g.edge_count > budget:
         raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {budget}")
-    colors: dict[int, int] = {}
-    for i in range(len(g.traversal.components)):
-        sub, ids = g.components_subgraph([i])
-        witness = _component_witness(sub)
-        if witness is None:
-            return None
-        for pos, eid in enumerate(ids):
-            colors[eid] = witness.colors[pos]
-    if not colors:
-        return EdgeColoring(g, ())
-    col = normalize(EdgeColoring(g, tuple(colors.get(e, 1) for e in range(g.edge_count))))
-    if not verify(g, col, "interval").interval:
+    col = _per_component(g, _interval_search)
+    if col is not None and not verify(g, col, "interval").interval:
         raise AssertionError("oracle produced an invalid witness")
     return col
-
-
-def _component_witness(sub: Multigraph) -> EdgeColoring | None:
-    delta = sub.max_degree
-    if delta <= 2:
-        active = [v for v in range(sub.vertex_count) if sub.degree(v) > 0]
-        if all(sub.degree(v) == 2 for v in active) and sub.edge_count % 2:
-            return None  # odd cycle
-        return color_paths_and_even_cycles(sub)
-    try:
-        forest = color_forest(sub)
-    except GraphError:
-        forest = None
-    if forest is not None:
-        return forest
-    chi, chi_witness = exact_chromatic_index(sub, limit=max(sub.edge_count, 20))
-    if chi > delta:
-        return None  # chromatic index above max degree: never interval colorable
-    if delta == 3:
-        return color_subcubic(sub, chi_witness)
-    found = _color_sweep(sub)
-    return None if found is None else EdgeColoring(sub, tuple(found))
 
 
 def exact_theta(g: Multigraph, budget: int = THETA_BUDGET) -> int:
@@ -259,15 +251,7 @@ def exact_cyclic_interval_coloring(g: Multigraph, t: int,
         raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {budget}")
     if t < max(g.max_degree, 1):
         return None
-    colors: dict[int, int] = {}
-    for i in range(len(g.traversal.components)):
-        sub, ids = g.components_subgraph([i])
-        found = _color_sweep(sub, t)
-        if found is None:
-            return None
-        for pos, eid in enumerate(ids):
-            colors[eid] = found[pos]
-    col = EdgeColoring(g, tuple(colors.get(e, 1) for e in range(g.edge_count)))
-    if not verify(g, col, "cyclic", t=t).cyclic_interval:
+    col = _per_component(g, lambda sub: _color_sweep(sub, t))
+    if col is not None and not verify(g, col, "cyclic", t=t).cyclic_interval:
         raise AssertionError("oracle produced an invalid cyclic witness")
     return col

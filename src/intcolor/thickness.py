@@ -21,6 +21,7 @@ from .kernels import (IncrementalHost, alternating_walk_colors,
 from .multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
                          Multigraph, bipartition, normalize, relabel, traverse, verify,
                          verify_decomposition)
+from .oracles import INTERVAL_BUDGET, exact_interval_colorable
 from .subcubic import color_subcubic, subcubic_colors
 
 
@@ -583,7 +584,6 @@ def _run_low_even(f: _Facts):
 
 
 def _run_interval_oracle(f: _Facts):
-    from .oracles import INTERVAL_BUDGET, exact_interval_colorable
     if f.g.edge_count > INTERVAL_BUDGET:
         raise GraphError(f"more than {INTERVAL_BUDGET} edges for the exact search")
     witness = exact_interval_colorable(f.g)

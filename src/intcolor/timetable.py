@@ -73,7 +73,14 @@ class Timetable:
 
     @staticmethod
     def from_json(obj: list) -> "Timetable":
-        return Timetable(tuple(tuple(tuple(x if x is None else int(x) for x in row)
+        """Inverse of to_json: a list of days, each a list of class rows of
+        teacher indices or null."""
+        if not isinstance(obj, list):
+            raise GraphError(f"timetable JSON must be a list of days, got {obj!r}")
+        for day in obj:
+            if not isinstance(day, list) or not all(isinstance(row, list) for row in day):
+                raise GraphError(f"a timetable day must be a list of class rows, got {day!r}")
+        return Timetable(tuple(tuple(tuple(x if x is None else _as_int(x) for x in row)
                                      for row in day) for day in obj))
 
 

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from intcolor import graphio
-from intcolor.generators import complete_graph
+from intcolor.generators import FamilySpec, complete_graph
 from intcolor.multigraph import Decomposition, EdgeColoring, GraphError, build_graph
+from intcolor.timetable import Timetable
 
 
 def test_text_round_trip():
@@ -56,6 +59,22 @@ def test_decomposition_json_rejects_bad_certificates(certificates):
         obj["certificates"] = certificates
     with pytest.raises(GraphError):
         graphio.decomposition_from_json(obj, complete_graph(3))
+
+
+@pytest.mark.parametrize("read,obj,bad", [
+    (Timetable.from_json, [[[1.5]]], "1.5"),
+    (Timetable.from_json, [[[True]]], "True"),
+    (Timetable.from_json, [[["x"]]], "'x'"),
+    (Timetable.from_json, 5, "5"),
+    (Timetable.from_json, [[5]], "[5]"),
+    (FamilySpec.from_json, 5, "5"),
+    (FamilySpec.from_json, {"family": "tree", "seed": 2.5}, "2.5"),
+    (lambda obj: graphio.decomposition_from_json(obj, complete_graph(3)), [1], "[1]"),
+], ids=["timetable-fraction", "timetable-bool", "timetable-word", "timetable-scalar",
+        "timetable-row", "spec-scalar", "spec-fraction-seed", "decomposition-list"])
+def test_json_readers_name_the_malformed_value(read, obj, bad):
+    with pytest.raises(GraphError, match=re.escape(bad)):
+        read(obj)
 
 
 def test_json_rejects_sparse_edge_ids():

@@ -7,9 +7,9 @@ from intcolor.edge_coloring import petersen_two_factorization
 from intcolor.generators import (complete_bipartite_graph, complete_multipartite_graph,
                                  cycle_graph, multipartite_parts, random_biregular,
                                  random_cactus, random_tree)
-from intcolor.kernels import (IncrementalHost, balanced_multipartite_colors,
-                              color_cactus, color_forest, color_low_even_bipartite,
-                              color_paths_and_even_cycles, round_robin_rounds,
+from intcolor.kernels import (IncrementalHost, alternating_walk_colors,
+                              balanced_multipartite_colors, color_cactus, color_forest,
+                              color_low_even_bipartite, round_robin_rounds,
                               staircase_bipartite_colors, two_factor_pair_colors,
                               walk_degree_two)
 from intcolor.multigraph import EdgeColoring, GraphError, build_graph, normalize, verify
@@ -271,8 +271,9 @@ def test_balanced_multipartite_rejects_odd_nr():
 # -- alternation helper ---------------------------------------------------------------
 
 def test_paths_and_even_cycles_rejects_odd_cycle():
+    g = cycle_graph(5)
     with pytest.raises(GraphError):
-        color_paths_and_even_cycles(cycle_graph(5))
+        alternating_walk_colors(g.edges, range(g.edge_count))
 
 
 # -- host preservation -----------------------------------------------------------------

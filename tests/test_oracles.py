@@ -1,11 +1,16 @@
+import ast
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intcolor import oracles
 from intcolor.edge_coloring import BudgetExceeded
 from intcolor.generators import (FIXTURES, complete_bipartite_graph, complete_graph,
-                                 cycle_graph, random_tree, sharpness_graph)
+                                 cycle_graph, path_graph, random_cubic_class1, random_tree,
+                                 sharpness_graph)
 from intcolor.multigraph import EdgeColoring, build_graph, verify
 from intcolor.oracles import (_color_sweep, exact_chromatic_index,
                               exact_cyclic_interval_coloring, exact_interval_colorable,
@@ -67,6 +72,12 @@ def small_multigraph(draw):
     return build_graph(n, pairs)
 
 
+def _component_graphs(g):
+    """The subgraph of each component of g that has an edge."""
+    return [g.subgraph(sorted({e for v in comp for e in g.incidence[v]}))[0]
+            for comp in g.components() if len(comp) > 1]
+
+
 @given(small_multigraph())
 @settings(max_examples=150, deadline=None)
 def test_interval_verdict_matches_brute_force(g):
@@ -76,20 +87,82 @@ def test_interval_verdict_matches_brute_force(g):
 @given(small_multigraph())
 @settings(max_examples=150, deadline=None)
 def test_color_sweep_matches_brute_force_on_each_component(g):
-    # called directly, so forests, paths and subcubic graphs reach the sweep too
-    for comp in g.components():
-        if len(comp) < 2:
-            continue
-        sub, _ = g.subgraph(sorted({e for v in comp for e in g.incidence[v]}))
+    # called directly, without the chromatic index check in front
+    for sub in _component_graphs(g):
         found = _color_sweep(sub)
         assert (found is not None) == reference_interval_colorable(sub)
         if found is not None:
             assert verify(sub, EdgeColoring(sub, tuple(found))).interval
 
 
+def _petersen():
+    return build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("g,colorable", [
+    (random_tree(17, random.Random(5)), True),
+    (path_graph(17), True),
+    (complete_bipartite_graph(1, 16), True),
+    (cycle_graph(16), True),
+    (random_cubic_class1(10, random.Random(3))[0], True),
+    (complete_bipartite_graph(3, 3), True),
+    (cycle_graph(15), False),
+    (_petersen(), False),
+], ids=["tree16", "p17", "k1_16", "c16", "cubic10", "k33", "c15", "petersen"])
+def test_sweep_decides_the_construction_families(g, colorable):
+    # forests, paths, even cycles and 3-edge-colorable subcubic graphs are decided
+    # by the chromatic index check and the sweep, not by their constructions
+    start = time.perf_counter()
+    witness = exact_interval_colorable(g)
+    assert time.perf_counter() - start < 1.0
+    assert (witness is not None) == colorable
+    if witness is not None:
+        assert verify(g, witness).interval
+
+
+def test_oracles_import_no_construction():
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = {("." * node.level) + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    for module in ("kernels", "subcubic"):
+        assert not {f".{module}", f"intcolor.{module}"} & imported, module
+
+
+@st.composite
+def disjoint_union(draw):
+    """Up to three small multigraphs side by side, isolated vertices between them."""
+    edges, n = [], draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(2, 4))
+        pairs = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+                              .filter(lambda p: p[0] != p[1]), min_size=1, max_size=5))
+        edges += [(n + u, n + v) for u, v in pairs]
+        n += k + draw(st.integers(0, 2))
+    return build_graph(n, edges)
+
+
+@given(disjoint_union(), st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_union_verdict_is_the_conjunction_of_its_components(g, extra):
+    parts = _component_graphs(g)
+    w = exact_interval_colorable(g)
+    assert (w is not None) == all(reference_interval_colorable(sub) for sub in parts)
+    if w is not None:
+        assert verify(g, w).interval
+    t = max(g.max_degree, 1) + extra
+    w = exact_cyclic_interval_coloring(g, t)
+    assert (w is not None) == all(reference_cyclic_interval_colorable(sub, t) for sub in parts)
+    if w is not None:
+        assert verify(g, w, "cyclic", t=t).cyclic_interval
+
+
 def test_color_sweep_refutes_a_hard_multigraph():
-    # 13 edges, chromatic index = max degree = 5: no shortcut refutes it, the
-    # full search must
+    # 13 edges, chromatic index = max degree = 5: the chromatic index check
+    # cannot refute it, the full search must
     g = build_graph(8, [(2, 3), (4, 1), (2, 7), (1, 0), (0, 1), (7, 3), (2, 3), (4, 0),
                         (2, 6), (6, 2), (4, 3), (3, 5), (0, 4)])
     assert exact_chromatic_index(g)[0] == g.max_degree == 5
