@@ -1,12 +1,11 @@
 """Interval edge colorings, decompositions into interval colorable subgraphs,
 and no-wait multi-stage schedules."""
 
-from .multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
-                         Multigraph, VerifyReport, bipartition, build_graph,
-                         normalize, verify, verify_decomposition)
+from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
+                         VerifyReport, bipartition, build_graph, normalize, verify,
+                         verify_decomposition)
 
 __all__ = [
-    "BipartitionCert", "Decomposition", "EdgeColoring", "GraphError",
-    "Multigraph", "VerifyReport", "bipartition", "build_graph", "normalize",
-    "verify", "verify_decomposition",
+    "Decomposition", "EdgeColoring", "GraphError", "Multigraph", "VerifyReport",
+    "bipartition", "build_graph", "normalize", "verify", "verify_decomposition",
 ]

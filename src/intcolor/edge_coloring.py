@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .multigraph import (BipartitionCert, EdgeColoring, GraphError, Multigraph,
-                         bipartition)
+from .multigraph import EdgeColoring, GraphError, Multigraph, require_bipartite
 
 
 class BudgetExceeded(GraphError):
@@ -186,14 +185,10 @@ def _konig_colors(n: int, edges: Sequence[tuple[int, int]], k: int) -> list[int]
     return st.color_in_order(flip)
 
 
-def konig_color(g: Multigraph, cert: BipartitionCert | None = None) -> EdgeColoring:
+def konig_color(g: Multigraph) -> EdgeColoring:
     """Proper coloring of a bipartite multigraph with exactly max_degree colors,
-    by _konig_colors once the certificate checks."""
-    if cert is None:
-        cert = bipartition(g)
-        if cert is None:
-            raise GraphError("graph is not bipartite")
-    cert.validate(g)
+    by _konig_colors once require_bipartite passes."""
+    require_bipartite(g)
     return EdgeColoring(g, tuple(_konig_colors(g.vertex_count, g.edges, g.max_degree)))
 
 
@@ -235,18 +230,18 @@ def shannon_color(g: Multigraph) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # Equalized bipartite k-coloring by vertex splitting.
 
-def equalized_bipartite_color(g: Multigraph, cert: BipartitionCert, k: int) -> EdgeColoring:
+def equalized_bipartite_color(g: Multigraph, k: int) -> EdgeColoring:
     """k-coloring of a bipartite multigraph with per-vertex color counts within 1.
 
     Not necessarily proper: each vertex is split into copies of degree at most k
     (edges distributed to copies in edge-id order), the split edge list is Konig
     colored with min(k, Delta) colors, and the copies are collapsed back.  Each
-    copy keeps its vertex's side, so the list is bipartite by construction and no
-    split Multigraph or certificate is built for it.
+    copy keeps its vertex's side, so the list is bipartite once g is, and no
+    split Multigraph is built for it.
     """
     if k < 1:
         raise GraphError("k must be positive")
-    cert.validate(g)
+    require_bipartite(g)
 
     first_copy = [0] * g.vertex_count
     n_h = 0

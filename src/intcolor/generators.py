@@ -6,8 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
-from .multigraph import (BipartitionCert, EdgeColoring, GraphError, Multigraph,
-                         _as_int, bipartition, build_graph)
+from .multigraph import EdgeColoring, GraphError, Multigraph, _as_int, build_graph
 
 
 class InfeasibleSpec(GraphError):
@@ -57,8 +56,10 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class GeneratedGraph:
+    """A generated graph, the proper 3-edge-coloring its family builds with it
+    (cubic_class1 only) and the family's parameters or a fixture's expected
+    values in meta.  Sides of a bipartite family are read with bipartition."""
     graph: Multigraph
-    bipartition_cert: BipartitionCert | None = None
     three_coloring: EdgeColoring | None = None
     meta: dict[str, Any] = field(default_factory=dict)
 
@@ -332,15 +333,15 @@ def generate(spec: FamilySpec) -> GeneratedGraph:
     if fam == "bipartite_random":
         g = random_bipartite(num("nx", 6), num("ny", 6), num("edges", 12),
                              num("max_degree", 6), rng, simple=bool(num("simple", 1)))
-        return GeneratedGraph(g, bipartition_cert=bipartition(g))
+        return GeneratedGraph(g)
     if fam == "biregular":
         a, b = num("a"), num("b")
         g = random_biregular(a, b, num("scale", 2), rng, simple=bool(num("simple", 0)))
-        return GeneratedGraph(g, bipartition_cert=bipartition(g), meta={"a": a, "b": b})
+        return GeneratedGraph(g, meta={"a": a, "b": b})
     if fam == "eulerian_bipartite":
         g = random_eulerian_bipartite(num("nx", 6), num("ny", 6), num("walks", 4),
                                       num("walk_len", 4), num("max_degree", 8), rng)
-        return GeneratedGraph(g, bipartition_cert=bipartition(g))
+        return GeneratedGraph(g)
     if fam == "complete_multipartite":
         given = p.get("sizes")
         pieces = str(given).split("+") if isinstance(given, (str, int)) else given
@@ -370,5 +371,5 @@ def generate(spec: FamilySpec) -> GeneratedGraph:
             raise InfeasibleSpec(f"fixture needs a parameter name, one of {sorted(FIXTURES)}; "
                                  f"got {name!r}")
         g, expected = FIXTURES[name]
-        return GeneratedGraph(g, bipartition_cert=bipartition(g), meta=dict(expected))
+        return GeneratedGraph(g, meta=dict(expected))
     raise InfeasibleSpec(f"unknown family {fam!r}")

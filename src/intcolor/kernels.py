@@ -10,7 +10,8 @@ from operator import eq
 from typing import Container, Iterable, Mapping, Sequence
 
 from .edge_coloring import petersen_two_factorization
-from .multigraph import EdgeColoring, GraphError, Multigraph, normalize, relabel
+from .multigraph import (EdgeColoring, GraphError, Multigraph, normalize, relabel,
+                         require_bipartite)
 
 
 def _as_coloring(g: Multigraph, colors: dict[int, int]) -> EdgeColoring:
@@ -358,9 +359,8 @@ def color_low_even_bipartite(g: Multigraph) -> EdgeColoring:
     back and colored 2i-1, 2i alternately.  Degree-1 vertices are paired with
     a doubled copy of the suppressed graph to restore regularity.
     """
+    require_bipartite(g)
     t = g.traversal
-    if any(cycle is not None for cycle in t.odd_cycles):
-        raise GraphError("graph must be bipartite")
     delta = g.max_degree
     if delta % 2:
         raise GraphError("maximum degree must be even")

@@ -162,32 +162,24 @@ def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]],
     return Multigraph(n, edges, allows_loops=allows_loops)
 
 
-@dataclass(frozen=True)
-class BipartitionCert:
-    """Per-vertex side labels (0 = X, 1 = Y); every edge must join X to Y."""
-    sides: tuple[int, ...]
-
-    def side_vertices(self, side: int) -> list[int]:
-        return [v for v, s in enumerate(self.sides) if s == side]
-
-    def validate(self, g: Multigraph) -> None:
-        if len(self.sides) != g.vertex_count:
-            raise GraphError("bipartition certificate does not match graph")
-        if any(s not in (0, 1) for s in self.sides):
-            raise GraphError("bipartition sides must be 0 or 1")
-        for eid, (u, v) in enumerate(g.edges):
-            if self.sides[u] == self.sides[v]:
-                raise GraphError(f"edge {eid} joins two vertices on the same side")
-
-
-def bipartition(g: Multigraph) -> BipartitionCert | None:
-    """2-color the vertices if possible; None when some cycle is odd (or a loop exists).
+def bipartition(g: Multigraph) -> tuple[int, ...] | None:
+    """Side labels (0 or 1) of every vertex, so that every edge joins the two
+    sides; None when some cycle is odd (or a loop exists).
 
     The smallest vertex of each component is on side 0."""
     t = g.traversal
     if any(cycle is not None for cycle in t.odd_cycles):
         return None
-    return BipartitionCert(tuple(t.sides))
+    return tuple(t.sides)
+
+
+def require_bipartite(g: Multigraph) -> None:
+    """Raise GraphError naming an odd cycle of g, if it has one.
+
+    g's traversal is cached, so a repeated check reads only its components."""
+    cycle = next((c for c in g.traversal.odd_cycles if c is not None), None)
+    if cycle is not None:
+        raise GraphError(f"graph is not bipartite: odd cycle {'-'.join(map(str, cycle))}")
 
 
 @dataclass(frozen=True)

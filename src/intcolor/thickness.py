@@ -18,8 +18,8 @@ from .kernels import (IncrementalHost, alternating_walk_colors,
                       balanced_multipartite_colors, color_cactus, color_forest,
                       color_low_even_bipartite, latin_bipartite_colors,
                       staircase_bipartite_colors, two_factor_pair_colors)
-from .multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
-                         Multigraph, bipartition, normalize, relabel, traverse, verify,
+from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bipartition,
+                         normalize, relabel, require_bipartite, traverse, verify,
                          verify_decomposition)
 from .oracles import INTERVAL_BUDGET, exact_interval_colorable
 from .subcubic import color_subcubic, subcubic_colors
@@ -200,22 +200,8 @@ def _general_bound(t: int) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # Bipartite decompositions.
 
-def _not_bipartite(g: Multigraph) -> GraphError:
-    cycle = next(c for c in g.traversal.odd_cycles if c is not None)
-    return GraphError(f"graph is not bipartite: odd cycle {'-'.join(map(str, cycle))}")
-
-
-def _require_cert(g: Multigraph, cert: BipartitionCert | None) -> BipartitionCert:
-    if cert is None:
-        cert = bipartition(g)
-        if cert is None:
-            raise _not_bipartite(g)
-    cert.validate(g)
-    return cert
-
-
 def _class_colors(g: Multigraph, eids: list[int]) -> dict[int, int]:
-    # Konig 3-colors an equalized class of a certified bipartite graph on the
+    # Konig 3-colors an equalized class of a bipartite graph on the
     # vertices it touches, renumbered by relabel: a hub's ceil(n/3) classes each
     # miss most of the host.  Konig uses vertex ids only as indices, so the
     # colors are the host's.  Below degree 3 the kernel alternates 1,2 whatever
@@ -225,14 +211,14 @@ def _class_colors(g: Multigraph, eids: list[int]) -> dict[int, int]:
     return subcubic_colors(g.edges, eids, c3)
 
 
-def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
+def decompose_bipartite(g: Multigraph) -> Decomposition:
     """ceil(Delta/3) certified parts with per-vertex part degrees within one.
 
     The equalized k-coloring provides the parts; each part is bipartite with
     maximum degree 3, hence interval colorable, and is colored on the host by
     its edge ids.
     """
-    cert = _require_cert(g, cert)
+    require_bipartite(g)
     if g.edge_count == 0:
         return _assemble(g, [])
     delta = g.max_degree
@@ -241,21 +227,21 @@ def decompose_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> D
         return _assemble(g, [subcubic_colors(g.edges, list(range(g.edge_count)), c3)])
     k = -(-delta // 3)
     classes: list[list[int]] = [[] for _ in range(k)]
-    for e, c in enumerate(equalized_bipartite_color(g, cert, k).colors):
+    for e, c in enumerate(equalized_bipartite_color(g, k).colors):
         classes[c - 1].append(e)
     return _assemble(g, [_class_colors(g, eids) for eids in classes])
 
 
-def decompose_eulerian_bipartite(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
+def decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
     """ceil(Delta/4) certified parts for an even-degree bipartite multigraph.
 
     Loops regularize the graph, Petersen 2-factors come back as even-cycle
     collections once loops are dropped, and consecutive pairs of factors are
     colored with four consecutive colors."""
+    require_bipartite(g)
     odd = next((v for v, d in enumerate(g.degrees) if d % 2), None)
     if odd is not None:
         raise GraphError(f"vertex {odd} has odd degree")
-    cert = _require_cert(g, cert)
     if g.edge_count == 0:
         return _assemble(g, [])
     delta = g.max_degree
@@ -273,15 +259,26 @@ def decompose_eulerian_bipartite(g: Multigraph, cert: BipartitionCert | None = N
     return _assemble(g, parts)
 
 
-def _side_degrees(g: Multigraph, cert: BipartitionCert) -> tuple[int, int]:
-    """The one positive degree on each side (0 for a side without edges)."""
-    degs = [{g.degree(v) for v in cert.side_vertices(s)} - {0} for s in (0, 1)]
-    if len(degs[0]) > 1 or len(degs[1]) > 1:
-        raise GraphError("sides are not regular")
-    return max(degs[0], default=0), max(degs[1], default=0)
+def _side_degrees(g: Multigraph) -> tuple[int, int]:
+    """The one degree on each side of every component of a bipartite graph,
+    smaller first, or (0, 0) without edges.  Each component is read off the
+    traversal and oriented by its own degrees, so the side its smallest vertex
+    lies on does not matter."""
+    require_bipartite(g)
+    t = g.traversal
+    degrees, sides = g.degrees, t.sides
+    pairs = set()
+    for comp in t.vertices:
+        degs = [{degrees[v] for v in comp if sides[v] == s} for s in (0, 1)]
+        if len(degs[0]) > 1 or len(degs[1]) > 1:
+            raise GraphError("sides are not regular")
+        pairs.add(tuple(sorted(d.pop() for d in degs)))
+    if len(pairs) > 1:
+        raise GraphError(f"components differ in side degrees: {sorted(pairs)}")
+    return next(iter(pairs), (0, 0))
 
 
-def decompose_biregular(g: Multigraph, cert: BipartitionCert | None = None) -> Decomposition:
+def decompose_biregular(g: Multigraph) -> Decomposition:
     """(k,kr)-biregular (k >= 3, r >= 2): max(2, k-2) certified parts.
 
     One equalized k-coloring splits each big-side vertex into r degree-k copies,
@@ -289,13 +286,12 @@ def decompose_biregular(g: Multigraph, cert: BipartitionCert | None = None) -> D
     once and each big-side vertex r times: a star forest.  Every pair of classes
     is (2,2r)-biregular and one part.  Classes 1..s are star-forest parts
     (s = 1 for k = 3, else k-4) and the remaining two or four classes pair up."""
-    cert = _require_cert(g, cert)
-    k, big = sorted(_side_degrees(g, cert))
+    k, big = _side_degrees(g)
     if k < 3 or big % k or big // k < 2:
         raise GraphError(f"degrees ({k},{big}) are not of (k,kr) shape with k>=3, r>=2")
     s = 1 if k == 3 else k - 4
     groups: list[list[int]] = [[] for _ in range(s + (k - s) // 2)]
-    for e, c in enumerate(equalized_bipartite_color(g, cert, k).colors):
+    for e, c in enumerate(equalized_bipartite_color(g, k).colors):
         groups[c - 1 if c <= s else s + (c - s - 1) // 2].append(e)
     return _assemble(g, [_lift(g, eids, color_forest) for eids in groups[:s]]
                      + [_lift(g, eids, color_low_even_bipartite) for eids in groups[s:]])
@@ -522,7 +518,7 @@ class _Facts:
 
     def __init__(self, g: Multigraph) -> None:
         self.g = g
-        self.cert = bipartition(g)
+        self.bipartite = bipartition(g) is not None
         self.delta = g.max_degree
         # an interval colorable graph has a proper Delta-coloring, whose classes are
         # matchings of at most floor(V/2) edges each, so an overfull graph
@@ -538,8 +534,8 @@ class _Facts:
         """The run's one proper coloring: Konig when bipartite, exact up to 20
         edges, else the fan engine (Vizing when simple, Shannon otherwise)."""
         g = self.g
-        if self.cert is not None:
-            return konig_color(g, self.cert)
+        if self.bipartite:
+            return konig_color(g)
         if g.edge_count <= 20:
             return exact_chromatic_index(g)[1]
         return vizing_color(g) if g.is_simple else shannon_color(g)
@@ -548,12 +544,6 @@ class _Facts:
 # Each row returns (decomposition, bound, formula) or raises GraphError with the
 # reason it does not apply.  Rows call decomposers and kernels through module
 # globals at call time, so a caller that rebinds them sees every call.
-
-def _bipartite_cert(f: _Facts) -> BipartitionCert:
-    if f.cert is None:
-        raise _not_bipartite(f.g)
-    return f.cert
-
 
 def _run_forest(f: _Facts):
     if f.g.edge_count >= f.g.vertex_count:
@@ -578,7 +568,7 @@ def _run_cactus(f: _Facts):
 
 
 def _run_low_even(f: _Facts):
-    if f.cert is None or f.delta < 2 or f.delta % 2:
+    if not f.bipartite or f.delta < 2 or f.delta % 2:
         raise GraphError("needs a bipartite graph of even maximum degree")
     return _one_part(color_low_even_bipartite(f.g)), 1, "degrees {1,2,2r} bipartite: 1"
 
@@ -628,22 +618,19 @@ def _run_multipartite(f: _Facts):
 
 
 def _run_biregular(f: _Facts):
-    cert = _bipartite_cert(f)
-    k = min(_side_degrees(f.g, cert))
+    k = _side_degrees(f.g)[0]
     bound = max(2, k - 2)
-    return decompose_biregular(f.g, cert), bound, f"max(2, {k}-2) = {bound}"
+    return decompose_biregular(f.g), bound, f"max(2, {k}-2) = {bound}"
 
 
 def _run_eulerian(f: _Facts):
-    cert = _bipartite_cert(f)
     bound = -(-f.delta // 4)
-    return decompose_eulerian_bipartite(f.g, cert), bound, f"ceil({f.delta}/4) = {bound}"
+    return decompose_eulerian_bipartite(f.g), bound, f"ceil({f.delta}/4) = {bound}"
 
 
 def _run_bipartite_thirds(f: _Facts):
-    cert = _bipartite_cert(f)
     bound = max(1, -(-f.delta // 3))
-    return decompose_bipartite(f.g, cert), bound, f"ceil({f.delta}/3) = {bound}"
+    return decompose_bipartite(f.g), bound, f"ceil({f.delta}/3) = {bound}"
 
 
 def _run_general(f: _Facts):
@@ -652,7 +639,7 @@ def _run_general(f: _Facts):
 
 
 def _run_forest_peel(f: _Facts):
-    if f.cert is None:
+    if not f.bipartite:
         bound, formula = f.delta, f"Delta = {f.delta}"
     else:
         side_max = f.g.traversal.side_max
@@ -680,7 +667,7 @@ CANDIDATES = (
     ("eulerian-bipartite", lambda f: f.lower, _run_eulerian),
     ("bipartite-thirds", lambda f: max(1, -(-f.delta // 3)), _run_bipartite_thirds),
     ("five-class-general",
-     lambda f: f.lower if f.cert is None else _general_bound(f.delta)[0], _run_general),
+     lambda f: _general_bound(f.delta)[0] if f.bipartite else f.lower, _run_general),
     ("forest-peel", lambda f: -(-f.g.edge_count // (f.g.vertex_count - 1)), _run_forest_peel),
 )
 METHODS = tuple(m for m, _, _ in CANDIDATES)

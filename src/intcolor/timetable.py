@@ -9,11 +9,10 @@ implemented here as translations.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .multigraph import (BipartitionCert, Decomposition, GraphError, Multigraph,
-                         VerifyReport, _as_int, verify_decomposition)
+from .multigraph import (Decomposition, GraphError, Multigraph, VerifyReport, _as_int,
+                         verify_decomposition)
 from .thickness import decompose_bipartite, dispatch_theta_upper, BoundTrace
 
 
@@ -84,7 +83,7 @@ class Timetable:
                                      for row in day) for day in obj))
 
 
-def build_requirement_graph(B: RequirementMatrix) -> tuple[Multigraph, BipartitionCert]:
+def build_requirement_graph(B: RequirementMatrix) -> Multigraph:
     """Bipartite multigraph: class i and teacher j joined by b_ij parallel edges."""
     n, m = B.n_classes, B.m_teachers
     edges: list[tuple[int, int]] = []
@@ -92,13 +91,12 @@ def build_requirement_graph(B: RequirementMatrix) -> tuple[Multigraph, Bipartiti
         for j, c in enumerate(row):
             if c:
                 edges += [(i, n + j)] * c
-    g = Multigraph(n + m, tuple(edges))
-    return g, BipartitionCert(tuple([0] * n + [1] * m))
+    return Multigraph(n + m, tuple(edges))
 
 
 def decomposition_to_timetable(B: RequirementMatrix, d: Decomposition) -> Timetable:
     """Day l, period h, class i meets teacher j iff part l colors an (i,j) edge h."""
-    g, _ = build_requirement_graph(B)
+    g = build_requirement_graph(B)
     if d.graph != g:
         raise GraphError("decomposition does not belong to this requirement graph")
     if not verify_decomposition(g, d).interval:
@@ -127,7 +125,7 @@ def timetable_to_decomposition(B: RequirementMatrix, S: Timetable) -> Decomposit
     """Inverse translation: day l is part l and period h color h; parallel (i,j)
     lectures consume edge ids in order.  A wait or a clash raises GraphError
     naming the requirement-graph vertices (classes, then teachers) at fault."""
-    g, _ = build_requirement_graph(B)
+    g = build_requirement_graph(B)
     n = B.n_classes
     queues: dict[tuple[int, int], list[int]] = {}
     for eid in reversed(range(g.edge_count)):
@@ -218,11 +216,11 @@ def make_weekly_timetable(B: RequirementMatrix, mode: str = "fewest_days",
                           ) -> tuple[Timetable, BoundTrace]:
     """No-wait weekly timetable: dispatcher-chosen day count, or the even spread
     with ceil(Delta/3) days and daily loads within one of each other."""
-    g, cert = build_requirement_graph(B)
+    g = build_requirement_graph(B)
     if mode == "fewest_days":
         d, trace = dispatch_theta_upper(g)
     elif mode == "even_spread":
-        d = decompose_bipartite(g, cert)
+        d = decompose_bipartite(g)
         delta = g.max_degree
         trace = BoundTrace("even-spread", f"ceil({delta}/3) = {max(1, -(-delta // 3))}",
                            max(1, -(-delta // 3)), d.part_count, True)

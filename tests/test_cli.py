@@ -251,16 +251,26 @@ def test_decompose_eulerian_on_an_odd_degree_vertex_exit_code(tmp_path, capsys):
     assert "vertex 0 has odd degree" in err
 
 
-def test_bipartite_row_on_an_odd_cycle_names_the_cycle(tmp_path, capsys):
-    gpath = tmp_path / "c5.json"
-    gpath.write_text('{"vertex_count": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}\n')
-    err = _exits_2_with_one_error_line(capsys, "decompose", str(gpath),
-                                       "--method", "bipartite-thirds")
+def _assert_names_an_odd_cycle_of_c5(err):
     assert "graph is not bipartite: odd cycle " in err
     cycle = [int(v) for v in err.rsplit(" ", 1)[1].split("-")]
     steps = {frozenset(e) for e in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))}
     assert len(cycle) % 2 == 1
     assert all(frozenset(p) in steps for p in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def test_bipartite_row_on_an_odd_cycle_names_the_cycle(tmp_path, capsys):
+    gpath = tmp_path / "c5.json"
+    gpath.write_text('{"vertex_count": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}\n')
+    _assert_names_an_odd_cycle_of_c5(_exits_2_with_one_error_line(
+        capsys, "decompose", str(gpath), "--method", "bipartite-thirds"))
+
+
+def test_konig_coloring_on_an_odd_cycle_names_the_cycle(tmp_path, capsys):
+    gpath = tmp_path / "c5.json"
+    gpath.write_text('{"vertex_count": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}\n')
+    _assert_names_an_odd_cycle_of_c5(_exits_2_with_one_error_line(
+        capsys, "color", str(gpath), "--method", "konig"))
 
 
 def test_graph_json_with_non_boolean_allows_loops_exit_code(tmp_path, capsys):

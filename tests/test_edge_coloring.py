@@ -11,7 +11,7 @@ from intcolor.edge_coloring import (BudgetExceeded, _KempeState, _konig_colors,
                                     shannon_color, vizing_color)
 from intcolor.generators import (complete_bipartite_graph, complete_graph,
                                  cycle_graph, random_bipartite)
-from intcolor.multigraph import BipartitionCert, GraphError, bipartition, build_graph, verify
+from intcolor.multigraph import GraphError, build_graph, verify
 
 from reference_checkers import (reference_equalized_colors, reference_fan_colors,
                                 reference_konig_colors, reference_petersen_factors)
@@ -142,20 +142,20 @@ def test_shannon_bound_on_random_multigraphs(seed):
 
 def test_equalized_star_center_counts():
     g = complete_bipartite_graph(1, 5)
-    col = equalized_bipartite_color(g, bipartition(g), 2)
+    col = equalized_bipartite_color(g, 2)
     assert sorted(Counter(col.palette(0)).values()) == [2, 3]
 
 
 def test_equalized_k33_each_class_one_regular():
     g = complete_bipartite_graph(3, 3)
-    col = equalized_bipartite_color(g, bipartition(g), 3)
+    col = equalized_bipartite_color(g, 3)
     for v in range(6):
         assert sorted(Counter(col.palette(v)).values()) == [1, 1, 1]
 
 
 def test_equalized_k1_single_class():
     g = complete_bipartite_graph(2, 3)
-    col = equalized_bipartite_color(g, bipartition(g), 1)
+    col = equalized_bipartite_color(g, 1)
     assert set(col.colors) == {1}
 
 
@@ -165,7 +165,7 @@ def test_equalized_counts_within_one(seed, k):
     rng = random.Random(seed)
     g = random_bipartite(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 18),
                          rng.randint(1, 9), rng, simple=False)
-    col = equalized_bipartite_color(g, bipartition(g), k)
+    col = equalized_bipartite_color(g, k)
     assert all(1 <= c <= k for c in col.colors)
     for v in range(g.vertex_count):
         counts = Counter(col.palette(v))
@@ -249,15 +249,15 @@ def _random_bipartite_multigraph(rng, wide):
         edges += [(0, rng.choice(side[1])) for _ in range(WIDE)]
     edges = _ordered(rng, edges)
     extra = rng.randint(0, 3)     # isolated vertices at the end
-    return build_graph(n + extra, edges), BipartitionCert(tuple(sides + [0] * extra))
+    return build_graph(n + extra, edges)
 
 
 @given(st.integers(0, 10_000), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_konig_matches_set_based_engine(seed, wide):
-    g, cert = _random_bipartite_multigraph(random.Random(seed), wide)
+    g = _random_bipartite_multigraph(random.Random(seed), wide)
     assert not wide or g.max_degree >= WIDE
-    assert konig_color(g, cert).colors == reference_konig_colors(g)
+    assert konig_color(g).colors == reference_konig_colors(g)
 
 
 @given(st.integers(0, 10_000), st.booleans())
@@ -301,9 +301,9 @@ def test_shannon_matches_set_based_engine(seed, wide):
 @given(st.integers(0, 10_000), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_equalized_matches_set_based_engine(seed, wide):
-    g, cert = _random_bipartite_multigraph(random.Random(seed), wide)
+    g = _random_bipartite_multigraph(random.Random(seed), wide)
     for k in range(1, g.max_degree + 2):
-        assert equalized_bipartite_color(g, cert, k).colors == reference_equalized_colors(g, k)
+        assert equalized_bipartite_color(g, k).colors == reference_equalized_colors(g, k)
 
 
 @given(st.integers(0, 10_000), st.booleans())

@@ -47,11 +47,11 @@ def test_balanced_2_3_is_the_octahedron():
 
 
 def test_biregular_degree_profile():
-    gen = generate(FamilySpec.parse("biregular(a=3,b=9,scale=2,seed=4)"))
-    g = gen.graph
-    cert = gen.bipartition_cert
-    assert cert is not None
-    degs = {s: {g.degree(v) for v in cert.side_vertices(s) if g.degree(v)} for s in (0, 1)}
+    g = generate(FamilySpec.parse("biregular(a=3,b=9,scale=2,seed=4)")).graph
+    sides = bipartition(g)
+    assert sides is not None
+    degs = {s: {g.degree(v) for v, side in enumerate(sides) if side == s and g.degree(v)}
+            for s in (0, 1)}
     assert degs[0] == {3} and degs[1] == {9}
 
 
@@ -109,9 +109,9 @@ def test_path_and_cycle_list_their_edges_in_walk_order(family, n, edges):
 @pytest.mark.parametrize("seed", range(5))
 def test_simple_biregular_repairs_repeated_pairs(a, b, scale, seed):
     g = random_biregular(a, b, scale, random.Random(seed), simple=True)
-    cert = bipartition(g)
-    assert g.is_simple and cert is not None
-    assert {(s, g.degree(v)) for v, s in enumerate(cert.sides)} == {(0, a), (1, b)}
+    sides = bipartition(g)
+    assert g.is_simple and sides is not None
+    assert {(s, g.degree(v)) for v, s in enumerate(sides)} == {(0, a), (1, b)}
 
 
 def test_simple_biregular_keeps_a_draw_without_repeats():

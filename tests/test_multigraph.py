@@ -4,8 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from intcolor.multigraph import (BipartitionCert, Decomposition, EdgeColoring, GraphError,
-                                 Multigraph, bipartition, build_graph, normalize, traverse,
+from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
+                                 bipartition, build_graph, normalize, traverse,
                                  verify, verify_decomposition)
 from intcolor.generators import cycle_graph, complete_graph
 from intcolor.thickness import decompose_forest_peel
@@ -38,15 +38,15 @@ def test_build_rejects_bad_endpoint():
 
 
 def test_bipartition_c4_and_k3():
-    cert = bipartition(cycle_graph(4))
-    assert cert is not None
-    assert cert.sides[0] != cert.sides[1]
+    sides = bipartition(cycle_graph(4))
+    assert sides is not None
+    assert sides[0] != sides[1]
     assert bipartition(complete_graph(3)) is None
 
 
 def test_bipartition_edgeless():
-    cert = bipartition(build_graph(3, []))
-    assert cert is not None and set(cert.sides) == {0}
+    sides = bipartition(build_graph(3, []))
+    assert sides is not None and set(sides) == {0}
 
 
 def test_verify_path_interval():
@@ -363,9 +363,9 @@ def test_traverse_matches_union_find_and_two_coloring_references(g_eids):
     whole = traverse(g)
     assert whole == g.traversal
     _assert_traversal_matches_reference(g, range(g.edge_count), whole)
-    cert = bipartition(g)
-    assert (cert is None) == any(c is not None for c in whole.odd_cycles)
-    assert cert is None or cert.sides == tuple(whole.sides)
+    sides = bipartition(g)
+    assert (sides is None) == any(c is not None for c in whole.odd_cycles)
+    assert sides is None or sides == tuple(whole.sides)
     for i in range(len(whole.components)):
         # the handed-down traversal is the one the component subgraph would find
         sub, ids = g.components_subgraph([i])

@@ -14,6 +14,7 @@ from intcolor.generators import (FIXTURES, FamilySpec, generate,
                                  circular_complete_graph, cycle_graph, multipartite_parts,
                                  random_bipartite, random_biregular, random_cactus,
                                  random_cubic_class1, random_eulerian_bipartite, random_tree)
+from intcolor.kernels import color_low_even_bipartite
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, bipartition,
                                  build_graph, traverse, verify_decomposition)
 from intcolor.oracles import exact_cyclic_interval_coloring, exact_theta
@@ -338,9 +339,38 @@ def test_biregular_k63():
     assert _certified(d) and d.part_count == 2
 
 
+def test_biregular_orients_each_component_by_its_own_degrees():
+    # K_{6,3} beside K_{3,6}: the first component's smallest vertex has degree 3,
+    # the second's degree 6, so they lie on opposite sides of the (3,6) shape
+    k63, k36 = complete_bipartite_graph(6, 3), complete_bipartite_graph(3, 6)
+    g = build_graph(18, k63.edges + tuple((u + 9, v + 9) for u, v in k36.edges))
+    d = decompose_biregular(g)
+    assert _certified(d) and d.part_count == 2
+    d, trace = run_named_method(g, "biregular")
+    assert _certified(d) and d.part_count == 2
+    assert trace.bound_formula == "max(2, 3-2) = 2"
+
+
 def test_biregular_rejects_wrong_shape():
     with pytest.raises(GraphError):
         decompose_biregular(complete_bipartite_graph(4, 4))
+    # each component is (k,kr)-biregular, but with different pairs
+    k63, k84 = complete_bipartite_graph(6, 3), complete_bipartite_graph(8, 4)
+    g = build_graph(21, k63.edges + tuple((u + 9, v + 9) for u, v in k84.edges))
+    with pytest.raises(GraphError, match="components differ in side degrees"):
+        decompose_biregular(g)
+
+
+@pytest.mark.parametrize("call", [
+    konig_color, lambda g: equalized_bipartite_color(g, 2), decompose_bipartite,
+    decompose_eulerian_bipartite, decompose_biregular, color_low_even_bipartite,
+], ids=["konig_color", "equalized_bipartite_color", "decompose_bipartite",
+        "decompose_eulerian_bipartite", "decompose_biregular", "color_low_even_bipartite"])
+def test_bipartite_entries_name_an_odd_cycle(call):
+    with pytest.raises(GraphError, match=r"^graph is not bipartite: odd cycle ") as info:
+        call(cycle_graph(5))
+    cycle = str(info.value).rsplit(" ", 1)[1].split("-")
+    assert sorted(map(int, cycle)) == [0, 1, 2, 3, 4]
 
 
 @given(st.integers(0, 100_000), st.integers(3, 6), st.integers(2, 4), st.integers(0, 3))
@@ -355,7 +385,7 @@ def test_star_matching_is_one_edge_per_small_vertex_and_r_per_big_one(seed, k, r
     edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
              for u, v in h.edges]
     g = build_graph(len(label), edges)
-    classes = equalized_bipartite_color(g, bipartition(g), k).colors
+    classes = equalized_bipartite_color(g, k).colors
     for c in range(1, k + 1):
         met = Counter(v for e, ce in enumerate(classes) if ce == c for v in g.edges[e])
         for v in range(g.vertex_count):
@@ -606,7 +636,7 @@ def test_dispatch_random_delta7(seed):
 def test_dispatch_requirement_graph():
     from intcolor.timetable import RequirementMatrix
     B = RequirementMatrix.from_rows([[2, 1], [1, 2]])
-    g, _ = build_requirement_graph(B)
+    g = build_requirement_graph(B)
     d, trace = dispatch_theta_upper(g)
     assert _certified(d) and d.part_count == 1  # Delta = 3
 
@@ -947,7 +977,7 @@ def bipartite_multigraph(draw):
 @given(bipartite_multigraph())
 def test_general_count_on_bipartite_graphs_is_its_bound(g):
     # the dispatcher's five-class-general floor on bipartite input
-    coloring = konig_color(g, bipartition(g))
+    coloring = konig_color(g)
     assert coloring.colors_used() == g.max_degree
     d = decompose_general(g, coloring)
     assert d.part_count == thickness._general_bound(g.max_degree)[0]
@@ -1143,8 +1173,8 @@ def _with_extra_part(d):
 def test_row_above_its_own_bound_raises(monkeypatch):
     original = thickness.decompose_bipartite
 
-    def one_part_too_many(g, cert=None):
-        d = _with_extra_part(original(g, cert))
+    def one_part_too_many(g):
+        d = _with_extra_part(original(g))
         assert _certified(d)
         return d
 
