@@ -28,6 +28,11 @@ from .multigraph import EdgeColoring, GraphError, Multigraph, relabel
 A, B = 0, 1
 
 
+class OddCycleComponent(GraphError):
+    """subcubic_colors refused a subset because one of its components is an
+    odd cycle, which no interval coloring admits."""
+
+
 @dataclass
 class TGraph:
     """Auxiliary graph on the subset's vertices, as per-vertex lists with -1 for none.
@@ -219,9 +224,9 @@ def subcubic_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int],
                     c3: Sequence[int]) -> dict[int, int]:
     """Interval colors (at most 6, the smallest 1) of the edges eids of a host,
     keyed by host edge id, from their proper 3-edge-coloring c3 (c3[i] colors
-    eids[i]); the subset must have maximum degree 3 and no odd-cycle component.
-    With eids ascending, the colors are color_subcubic's on the host's subgraph
-    on eids."""
+    eids[i]); the subset must have maximum degree 3 and no odd-cycle component,
+    which is refused by OddCycleComponent.  With eids ascending, the colors are
+    color_subcubic's on the host's subgraph on eids."""
     kept, ends = relabel(edges, eids)
     degrees = Counter(ends)
     if max(degrees.values(), default=0) > 3:
@@ -237,7 +242,7 @@ def subcubic_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int],
     # an odd closed walk of the edges whose ends both have degree 2
     two = [e for e, (u, v) in enumerate(local) if degrees[u] == 2 and degrees[v] == 2]
     if any(is_cycle and len(eseq) % 2 for _, eseq, is_cycle in walk_degree_two(local, two)):
-        raise GraphError("a component is an odd cycle; not interval colorable")
+        raise OddCycleComponent("a component is an odd cycle; not interval colorable")
     if max(degrees.values(), default=0) <= 2:
         return alternating_walk_colors(edges, eids)
 

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 from .edge_coloring import (_konig_colors, equalized_bipartite_color, exact_chromatic_index,
                             konig_color, petersen_two_factorization, shannon_color, vizing_color)
-from .kernels import (IncrementalHost, alternating_walk_colors,
-                      balanced_multipartite_colors, color_cactus, color_forest,
-                      color_low_even_bipartite, latin_bipartite_colors,
+from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
+                      color_forest, color_low_even_bipartite, latin_bipartite_colors,
                       staircase_bipartite_colors, two_factor_pair_colors)
 from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bipartition,
                          normalize, relabel, require_bipartite, traverse, verify,
                          verify_decomposition)
 from .oracles import INTERVAL_BUDGET, exact_interval_colorable
-from .subcubic import color_subcubic, subcubic_colors
+from .subcubic import OddCycleComponent, color_subcubic, subcubic_colors
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,17 @@ class _AbsorbStuck(Exception):
     pass
 
 
+def _by_class(colors: tuple[int, ...], eids: list[int]) -> dict[int, int]:
+    """Edges of at most two proper classes as one interval coloring: the
+    smaller class 1, the other 2.  Each vertex meets each class at most once,
+    so its palette is {1}, {2} or {1, 2}."""
+    low = min(map(colors.__getitem__, eids), default=0)
+    return {e: 1 if colors[e] == low else 2 for e in eids}
+
+
 def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColoring,
-                     h_classes: set[int], f_classes: set[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """One group component into two interval-colorable sides.
+                     h_classes: set[int], f_classes: set[int]) -> tuple[dict[int, int], list[int]]:
+    """One group component into side A's colors and side B's edges.
 
     Side A is the 3-class subgraph: its components other than odd cycles are
     colored on the host by subcubic_colors.  When there are odd cycles, side A
@@ -103,7 +111,8 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
     leaf where the growth reaches it.  Without such components the growth starts
     from one B edge that leaves an odd cycle; with none, the component is a lone
     odd cycle whose B edges are chords, and _AbsorbStuck lets the caller try
-    another class split.  Side B is what remains of the 2-class edges.
+    another class split.  Side B is what remains of the 2-class edges, left for
+    the caller to color by class.
     """
     h_edges = [e for e in comp_edges if coloring.colors[e] in h_classes]
     f_edges = [e for e in comp_edges if coloring.colors[e] in f_classes]
@@ -116,8 +125,7 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
         ids = sorted(itertools.chain.from_iterable(t.components[i] for i in rest))
         a_colors = subcubic_colors(g.edges, ids, [coloring.colors[e] for e in ids])
     if len(rest) == len(odd):
-        # side B has at most two proper classes, so no odd cycle
-        return a_colors, alternating_walk_colors(g.edges, h_edges)
+        return a_colors, h_edges
 
     host = IncrementalHost(g)
     for e, c in a_colors.items():
@@ -133,7 +141,7 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
         host.add_colored(seed, 1)
         entering = list(g.edges[seed])
     host.grow(entering, set(h_edges), cycle_at)
-    return host.color, alternating_walk_colors(g.edges, [e for e in h_edges if e not in host.color])
+    return host.color, [e for e in h_edges if e not in host.color]
 
 
 def _class_splits(classes: list[int]) -> list[tuple[set[int], set[int]]]:
@@ -149,40 +157,87 @@ def _class_splits(classes: list[int]) -> list[tuple[set[int], set[int]]]:
     return out
 
 
+def _split_group(g: Multigraph, coloring: EdgeColoring,
+                 group_edges: list[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """One group's two sides, each as host-edge colors.
+
+    Side B is the group's two smallest classes and side A the rest; a group of
+    at most two classes is side B whole.  When some vertex meets three of the
+    group's classes and side A has no odd-cycle component, side A is one
+    subcubic_colors call and side B is colored by class.  Otherwise the group is
+    split one component at a time by _split_component, and each component's
+    side B is colored by class.
+    """
+    colors = coloring.colors
+    # side B holds the classes up to h_top, the larger of the two smallest
+    h_top = sorted({colors[e] for e in group_edges})[:2][-1]
+    f_edges = [e for e in group_edges if colors[e] > h_top]
+    if not f_edges:
+        return {}, _by_class(colors, group_edges)
+    ends = Counter(itertools.chain.from_iterable(map(g.edges.__getitem__, group_edges)))
+    if max(ends.values()) >= 3:
+        # the component of a vertex meeting three classes has edges on both
+        # canonical sides, so with no odd cycle to absorb the per-component
+        # split gives two parts as well
+        try:
+            a_side = subcubic_colors(g.edges, f_edges, [colors[e] for e in f_edges])
+        except OddCycleComponent:
+            pass
+        else:
+            return a_side, _by_class(colors, [e for e in group_edges if colors[e] <= h_top])
+    a_side = {}
+    b_side: dict[int, int] = {}
+    for comp in traverse(g, group_edges).components:
+        present = sorted({colors[e] for e in comp})
+        if len(present) <= 2:
+            b_side.update(_by_class(colors, comp))
+            continue
+        for h_cls, f_cls in _class_splits(present):
+            try:
+                ca, cb = _split_component(g, comp, coloring, h_cls, f_cls)
+            except _AbsorbStuck:
+                continue
+            a_side.update(ca)
+            b_side.update(_by_class(colors, cb))
+            break
+        else:
+            raise GraphError("no class split absorbed every odd cycle of a component")
+    return a_side, b_side
+
+
+def _decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
+    """decompose_general on a coloring known to be proper."""
+    colors = coloring.colors
+    group_of = {c: i // 5 for i, c in enumerate(sorted(set(colors)))}
+    groups: list[list[int]] = [[] for _ in range(-(-len(group_of) // 5))]
+    for e, c in enumerate(colors):
+        groups[group_of[c]].append(e)
+    return _assemble(g, [side for group_edges in groups
+                         for side in _split_group(g, coloring, group_edges)])
+
+
 def decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
     """At most 2*ceil(t/5) certified parts from a proper t-coloring, one fewer
     when t % 5 is 1 or 2.
 
-    Classes are taken five at a time.  In each component of a group the last
-    three classes form a subcubic side.  Its odd cycles are absorbed by one
-    growth pass over the 2-class side: 2-class edges hang off the host as
-    pendants, and each odd cycle is attached at the leaf where the growth first
-    reaches it.  What remains of the 2-class side is the second part.
+    Classes are taken five at a time.  In each group the two smallest classes
+    form side B and the rest, at most three, the subcubic side A.  Two proper
+    classes are already an interval coloring, so side B is colored by class:
+    the smaller 1, the other 2.  When some vertex meets three of the group's
+    classes and side A has no odd-cycle component, side A is interval colored
+    by one subcubic kernel call over the whole group.  Otherwise the group is
+    split one component at a time: a component of at most two classes goes to
+    side B whole; in the others the last three classes form side A, whose odd
+    cycles are absorbed by one growth pass over the component's 2-class side
+    (2-class edges hang off the host as pendants, and each odd cycle is
+    attached at the leaf where the growth first reaches it), and another class
+    split is tried where no growth can start.  Each group gives as many parts
+    as splitting every one of its components would: the group-level split is
+    taken only where both give two.
     """
     if not verify(g, coloring, "proper").proper:
         raise GraphError("decompose_general needs a proper coloring")
-    group_of = {c: i // 5 for i, c in enumerate(sorted(set(coloring.colors)))}
-    groups: list[list[int]] = [[] for _ in range(-(-len(group_of) // 5))]
-    for e, c in enumerate(coloring.colors):
-        groups[group_of[c]].append(e)
-    part_dicts: list[dict[int, int]] = []
-    for group_edges in groups:
-        a_side: dict[int, int] = {}
-        b_side: dict[int, int] = {}
-        for comp in traverse(g, group_edges).components:
-            present = sorted({coloring.colors[e] for e in comp})
-            for h_cls, f_cls in _class_splits(present):
-                try:
-                    ca, cb = _split_component(g, comp, coloring, h_cls, f_cls)
-                except _AbsorbStuck:
-                    continue
-                a_side.update(ca)
-                b_side.update(cb)
-                break
-            else:
-                raise GraphError("no class split absorbed every odd cycle of a component")
-        part_dicts.extend([a_side, b_side])
-    return _assemble(g, part_dicts)
+    return _decompose_general(g, coloring)
 
 
 def _general_bound(t: int) -> tuple[int, str]:
@@ -635,7 +690,7 @@ def _run_bipartite_thirds(f: _Facts):
 
 def _run_general(f: _Facts):
     bound, formula = _general_bound(f.coloring.colors_used())
-    return decompose_general(f.g, f.coloring), bound, formula
+    return _decompose_general(f.g, f.coloring), bound, formula
 
 
 def _run_forest_peel(f: _Facts):

@@ -11,18 +11,25 @@ The timetable verifier at the end keeps a dict of period lists per teacher and
 a min/max per class row; the library's one pass per day keeps bitmasks and
 first/last/count instead, and both must return identical VerifyReports.
 
-The componentwise dispatcher at the very end dispatches every component on its
+The componentwise dispatcher at the end dispatches every component on its
 own subgraph; the library closes the tree and the even-cycle components in one
 batch each, and both must return identical decompositions and traces.
+
+The five-class-general split at the very end takes every group one component
+at a time and colors each component's 2-class side by alternating walks; the
+library splits a group as a whole where it can and colors that side by class,
+and both must give the same number of parts.
 """
 from __future__ import annotations
 
 from collections import Counter
 
 from intcolor.edge_coloring import _euler_circuit
+from intcolor.kernels import alternating_walk_colors
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
-                                 VerifyReport, _is_cyclically_consecutive)
-from intcolor.thickness import BoundTrace, _dispatch_connected
+                                 VerifyReport, _is_cyclically_consecutive, traverse)
+from intcolor.thickness import (BoundTrace, _AbsorbStuck, _assemble, _class_splits,
+                                _dispatch_connected, _split_component)
 from intcolor.timetable import RequirementMatrix, Timetable
 
 
@@ -466,3 +473,31 @@ def reference_dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, Boun
                        f"max over {len(comps)} components: {worst.method} [{worst.bound_formula}]",
                        worst.bound_value, decomp.part_count, True)
     return decomp, trace
+
+
+def reference_decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
+    """Five-class-general one group component at a time: each component's
+    canonical class split first and the others on _AbsorbStuck, its 2-class
+    side colored 1,2 alternately along each path and even cycle."""
+    group_of = {c: i // 5 for i, c in enumerate(sorted(set(coloring.colors)))}
+    groups: list[list[int]] = [[] for _ in range(-(-len(group_of) // 5))]
+    for e, c in enumerate(coloring.colors):
+        groups[group_of[c]].append(e)
+    part_dicts: list[dict[int, int]] = []
+    for group_edges in groups:
+        a_side: dict[int, int] = {}
+        b_side: dict[int, int] = {}
+        for comp in traverse(g, group_edges).components:
+            present = sorted({coloring.colors[e] for e in comp})
+            for h_cls, f_cls in _class_splits(present):
+                try:
+                    ca, b_edges = _split_component(g, comp, coloring, h_cls, f_cls)
+                except _AbsorbStuck:
+                    continue
+                a_side.update(ca)
+                b_side.update(alternating_walk_colors(g.edges, b_edges))
+                break
+            else:
+                raise GraphError("no class split absorbed every odd cycle of a component")
+        part_dicts.extend([a_side, b_side])
+    return _assemble(g, part_dicts)

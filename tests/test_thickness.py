@@ -26,7 +26,8 @@ from intcolor.thickness import (_Facts, decompose_bipartite,
                                 split_cyclic)
 from intcolor.timetable import build_requirement_graph
 
-from reference_checkers import reference_dispatch_componentwise, reference_verify_decomposition
+from reference_checkers import (reference_decompose_general, reference_dispatch_componentwise,
+                                reference_verify_decomposition)
 
 
 def _certified(d):
@@ -111,18 +112,32 @@ def _first_split(g, coloring):
     return thickness._split_component(g, list(range(g.edge_count)), coloring, {1, 2}, {3, 4, 5})
 
 
-def test_general_absorbs_an_odd_cycle_grown_from_a_subcubic_part():
+def _decompose_counting_splits(monkeypatch, g, coloring):
+    """decompose_general's result and how many component splits it tried."""
+    calls = []
+    original = thickness._split_component
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(thickness, "_split_component", counting)
+    return decompose_general(g, coloring), len(calls)
+
+
+def test_general_absorbs_an_odd_cycle_grown_from_a_subcubic_part(monkeypatch):
     # triangle 0-1-2 on classes 3-5, path 3-4-5 on 3-4; the growth from the
     # path borrows 5-6 and 6-0 and attaches the triangle at 0; chord 3-5 stays on B
     g, coloring = _colored(7, [((0, 1), 3), ((1, 2), 4), ((2, 0), 5), ((3, 4), 3),
                                ((4, 5), 4), ((5, 6), 1), ((6, 0), 2), ((3, 5), 2)])
     a_side, b_side = _first_split(g, coloring)
     assert sorted(a_side) == [0, 1, 2, 3, 4, 5, 6] and sorted(b_side) == [7]
-    d = decompose_general(g, coloring)
+    d, splits = _decompose_counting_splits(monkeypatch, g, coloring)
+    assert splits == 1
     assert reference_verify_decomposition(g, d).interval and d.part_count == 2
 
 
-def test_general_absorbs_odd_cycles_seeded_from_an_edge_between_them():
+def test_general_absorbs_odd_cycles_seeded_from_an_edge_between_them(monkeypatch):
     # two triangles on classes 3-5 and no other subcubic part: B edge 0-3 is
     # colored first and both triangles hang off its ends; 1-4 joins two host
     # vertices and stays on B
@@ -130,18 +145,20 @@ def test_general_absorbs_odd_cycles_seeded_from_an_edge_between_them():
                                ((4, 5), 4), ((5, 3), 5), ((0, 3), 1), ((1, 4), 2)])
     a_side, b_side = _first_split(g, coloring)
     assert sorted(a_side) == [0, 1, 2, 3, 4, 5, 6] and sorted(b_side) == [7]
-    d = decompose_general(g, coloring)
+    d, splits = _decompose_counting_splits(monkeypatch, g, coloring)
+    assert splits == 1
     assert reference_verify_decomposition(g, d).interval and d.part_count == 2
 
 
-def test_general_resplits_a_lone_odd_cycle_whose_b_edges_are_chords():
+def test_general_resplits_a_lone_odd_cycle_whose_b_edges_are_chords(monkeypatch):
     # C_5 on classes 3-5 with its three B edges all chords: the first split is
     # stuck, and another split of the five classes is taken
     g, coloring = _colored(5, [((0, 1), 3), ((1, 2), 4), ((2, 3), 3), ((3, 4), 4),
                                ((4, 0), 5), ((0, 2), 1), ((1, 3), 1), ((1, 4), 2)])
     with pytest.raises(thickness._AbsorbStuck):
         _first_split(g, coloring)
-    d = decompose_general(g, coloring)
+    d, splits = _decompose_counting_splits(monkeypatch, g, coloring)
+    assert splits >= 2
     assert reference_verify_decomposition(g, d).interval and d.part_count <= 2
 
 
@@ -177,6 +194,45 @@ def test_general_absorbs_every_odd_cycle(graph_and_coloring):
         return
     d = decompose_general(g, coloring)
     assert reference_verify_decomposition(g, d).interval and d.part_count <= 2
+
+
+@st.composite
+def properly_colored_multigraphs(draw):
+    """A random multigraph (n <= 14, m <= 30) colored edge by edge in a random
+    order, each edge taking a random color free at both ends among 1..2*Delta;
+    a group may be disconnected and its side A may hold odd cycles."""
+    n = draw(st.integers(2, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=30))
+    g = build_graph(n, pairs)
+    used = [set() for _ in range(n)]
+    colors = [0] * g.edge_count
+    for e in draw(st.permutations(range(g.edge_count))):
+        u, v = g.edges[e]
+        colors[e] = c = draw(st.sampled_from(
+            [c for c in range(1, 2 * g.max_degree + 1) if c not in used[u] | used[v]]))
+        used[u].add(c)
+        used[v].add(c)
+    return g, EdgeColoring(g, tuple(colors))
+
+
+@given(properly_colored_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_general_matches_the_per_component_part_count(graph_and_coloring):
+    g, coloring = graph_and_coloring
+    d = decompose_general(g, coloring)
+    assert reference_verify_decomposition(g, d).interval
+    assert d.part_count == reference_decompose_general(g, coloring).part_count
+
+
+def test_general_keeps_one_part_when_no_vertex_meets_three_classes():
+    # classes 1, 2 and 5 in one group, and no vertex meets all three: each
+    # component has at most two classes, so the whole group is one side B;
+    # the group-level split would put class 5 on a side A of its own
+    g, coloring = _colored(14, [((6, 2), 1), ((0, 4), 5), ((6, 12), 2)])
+    d = decompose_general(g, coloring)
+    assert reference_verify_decomposition(g, d).interval and d.part_count == 1
+    assert reference_decompose_general(g, coloring).part_count == 1
 
 
 def _triangle_chain(k):
@@ -746,7 +802,8 @@ def test_dispatch_skips_candidates_that_cannot_win(monkeypatch):
     def must_be_skipped(*args, **kwargs):
         raise RuntimeError("ran a candidate that cannot beat the best so far")
 
-    monkeypatch.setattr(thickness, "decompose_general", must_be_skipped)
+    # the row calls the core, not the public entry that re-checks the coloring
+    monkeypatch.setattr(thickness, "_decompose_general", must_be_skipped)
     monkeypatch.setattr(thickness, "decompose_forest_peel", must_be_skipped)
     assert dispatch_theta_upper(random_tree(2000, random.Random(3)))[0].part_count == 1
     assert dispatch_theta_upper(cycle_graph(8))[0].part_count == 1
@@ -1046,13 +1103,10 @@ def test_disjoint_short_paths_are_linear(method):
     assert d.part_count == 1
 
 
-def test_general_subcubic_side_per_gadget_is_linear():
-    # 4000 gadgets: a center on a spine colored 1,2 alternately, pendants 3,4,5
-    # and a star 8,9,10 at the center, and edges 6,7 at the star's 8-leaf.  Each
-    # gadget is a component of its own in the group of classes 6-10, so the
-    # subcubic kernel runs its degree-3 path once per gadget; state sized by
-    # the host's 36k vertices instead of by the star would cost 36k per call
-    k = 4000
+def _gadgets(k):
+    """k gadgets: a center on a spine colored 1,2 alternately, pendants 3,4,5
+    and a star 8,9,10 at the center, and edges 6,7 at the star's 8-leaf.  Each
+    gadget is a component of its own in the group of classes 6-10."""
     edges, colors = [], []
     for i in range(k):
         c = 9 * i
@@ -1063,10 +1117,36 @@ def test_general_subcubic_side_per_gadget_is_linear():
                   (c + 4, c + 7), (c + 4, c + 8)]
         colors += [3, 4, 5, 8, 9, 10, 6, 7]
     g = build_graph(9 * k, edges)
+    return g, EdgeColoring(g, tuple(colors))
+
+
+def test_general_subcubic_side_per_gadget_is_linear():
+    # the subcubic kernel takes its degree-3 path on the 4000 gadgets; state
+    # sized by the host's 36k vertices instead of by the subset would cost 36k
+    # per call when a group is split one component at a time
+    g, coloring = _gadgets(4000)
     start = time.perf_counter()
-    d = decompose_general(g, EdgeColoring(g, tuple(colors)))
+    d = decompose_general(g, coloring)
     assert time.perf_counter() - start < 3.0
     assert d.part_count == 4
+
+
+def test_general_splits_a_group_whole_without_a_traversal(monkeypatch):
+    # in both groups a center meets three classes and side A is stars, so
+    # neither group is traversed; split one component at a time, the 4000
+    # gadgets cost 2 group traversals and 4001 component ones
+    calls = []
+    original = thickness.traverse
+
+    def counting(g, eids=None):
+        calls.append(eids)
+        return original(g, eids)
+
+    monkeypatch.setattr(thickness, "traverse", counting)
+    g, coloring = _gadgets(4000)
+    d = decompose_general(g, coloring)
+    assert len(calls) == 0
+    assert d.part_count == 4 and reference_verify_decomposition(g, d).interval
 
 
 def test_dispatch_traverses_the_graph_once(monkeypatch):
