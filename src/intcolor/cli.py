@@ -10,12 +10,11 @@ import time
 from pathlib import Path
 
 from . import graphio
-from .edge_coloring import (exact_chromatic_index, konig_color, shannon_color,
-                            vizing_color)
+from .edge_coloring import konig_color, shannon_color, vizing_color
 from .generators import FamilySpec, generate
 from .multigraph import (EdgeColoring, GraphError, Multigraph, verify,
                          verify_decomposition)
-from .oracles import (exact_interval_colorable, exact_theta,
+from .oracles import (exact_chromatic_index, exact_interval_colorable, exact_theta,
                       nash_williams_arboricity)
 from .thickness import (METHODS, BoundTrace, dispatch_theta_upper, run_named_method,
                         split_cyclic)

@@ -1,9 +1,9 @@
 """Proper edge-coloring engines feeding the decompositions.
 
 Konig (bipartite, exactly max-degree colors), a fan/Kempe-chain engine covering
-the Vizing and Shannon bounds on multigraphs, equalized bipartite k-colorings,
-Petersen 2-factorization, and a small exact chromatic-index solver used as an
-oracle.
+the Vizing and Shannon bounds on multigraphs, equalized bipartite k-colorings and
+Petersen 2-factorization.  None of them searches: the exact chromatic index is
+`oracles.exact_chromatic_index`.
 """
 from __future__ import annotations
 
@@ -11,10 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .multigraph import EdgeColoring, GraphError, Multigraph, require_bipartite
-
-
-class BudgetExceeded(GraphError):
-    """An exact solver was asked to exceed its instance-size budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -331,59 +327,3 @@ def petersen_two_factorization(g: Multigraph) -> TwoFactorization:
     for (_, _, eid), c in zip(arcs, colors):
         factors[c - 1].append(eid)
     return TwoFactorization(tuple(tuple(sorted(f)) for f in factors))
-
-
-# ---------------------------------------------------------------------------
-# Exact chromatic index (desk-scale oracle).
-
-def exact_chromatic_index(g: Multigraph, limit: int = 20) -> tuple[int, EdgeColoring]:
-    """Exact chromatic index with a witness, by backtracking with symmetry pruning."""
-    if g.has_loop():
-        raise GraphError("chromatic index is undefined for loops")
-    if g.edge_count > limit:
-        raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {limit}")
-    m = g.edge_count
-    if m == 0:
-        return 0, EdgeColoring(g, ())
-    delta = g.max_degree
-
-    # connectivity-first static order improves propagation
-    order: list[int] = []
-    placed_v: set[int] = set()
-    remaining = sorted(range(m), key=lambda e: -(g.degree(g.edges[e][0]) + g.degree(g.edges[e][1])))
-    while remaining:
-        pick = next((e for e in remaining if g.edges[e][0] in placed_v or g.edges[e][1] in placed_v),
-                    remaining[0])
-        remaining.remove(pick)
-        order.append(pick)
-        placed_v.update(g.edges[pick])
-
-    def feasible(k: int) -> list[int] | None:
-        colors = [0] * m
-        at: list[set[int]] = [set() for _ in range(g.vertex_count)]
-
-        def bt(i: int, max_used: int) -> bool:
-            if i == m:
-                return True
-            eid = order[i]
-            u, v = g.edges[eid]
-            for c in range(1, min(k, max_used + 1) + 1):
-                if c not in at[u] and c not in at[v]:
-                    colors[eid] = c
-                    at[u].add(c)
-                    at[v].add(c)
-                    if bt(i + 1, max(max_used, c)):
-                        return True
-                    at[u].discard(c)
-                    at[v].discard(c)
-            colors[eid] = 0
-            return False
-
-        return colors if bt(0, 0) else None
-
-    k = delta
-    while True:
-        got = feasible(k)
-        if got is not None:
-            return k, EdgeColoring(g, tuple(got))
-        k += 1

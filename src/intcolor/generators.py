@@ -37,7 +37,7 @@ class FamilySpec:
             if "=" not in piece:
                 raise GraphError(f"expected key=value in {piece!r}")
             key, val = (s.strip() for s in piece.split("=", 1))
-            parsed: Any = int(val) if val.lstrip("-").isdigit() else val
+            parsed: Any = int(val) if val.removeprefix("-").isdecimal() else val
             if key == "seed":
                 if not isinstance(parsed, int):
                     raise InfeasibleSpec(f"seed must be an integer, got {val!r}")

@@ -1,16 +1,20 @@
 """Exponential-time exact references at desk scale.
 
-Both coloring oracles run one search, `_color_sweep`: it walks colors 1, 2, ...
-and picks one matching per color, each vertex being one that must be matched,
-may be matched or must not be.  The interval rule starts vertices freely and
-keeps started ones matched until done, with no empty color; the cyclic rule has
-exactly t colors, empty ones allowed, and lets a vertex matched at color 1 pause
-once and wrap around to finish at color t.  Failed states are remembered.
+Every exact coloring answer comes from one search, `_color_sweep`: it walks
+colors 1, 2, ... and picks one non-empty matching per color, each vertex being
+one that must be matched, may be matched or must not be.  The interval rule
+starts vertices freely and keeps started ones matched until done, optionally
+within a cap on the colors; the proper rule uses exactly t colors; the cyclic
+rule uses exactly t colors and lets a vertex matched at color 1 pause once and
+wrap around to finish at color t.  Failed states are remembered.
 
-No construction stands in for the search: the interval oracle refutes a component
-whose chromatic index exceeds its maximum degree (an interval colorable graph has
-chromatic index equal to its maximum degree, Asratian & Kamalian 1987) and
-otherwise sweeps, so the constructions are tested against an independent search.
+The chromatic index is each component's smallest t, from its maximum degree up,
+that the proper rule meets.  No construction stands in for the search: the
+interval oracle refutes a component whose chromatic index exceeds its maximum
+degree (an interval colorable graph has chromatic index equal to its maximum
+degree, Asratian & Kamalian 1987) with one proper sweep and otherwise sweeps
+under the interval rule, so the constructions are tested against an independent
+search.  Of the library, the module imports only the graph and its verifier.
 
 Budgets are hard limits with explicit errors, never silent truncation.
 Witnesses are always checked by `verify` before they are returned.
@@ -20,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable
 
-from .edge_coloring import BudgetExceeded, exact_chromatic_index
 from .multigraph import EdgeColoring, GraphError, Multigraph, verify
 
 INTERVAL_BUDGET = 16
@@ -33,30 +36,48 @@ __all__ = [
 ]
 
 
-def _color_sweep(sub: Multigraph, t: int | None = None) -> list[int] | None:
-    """Search a connected graph for an interval coloring (t None) or a cyclic
-    interval t-coloring, one color at a time.
+class BudgetExceeded(GraphError):
+    """An exact solver was asked to exceed its instance-size budget."""
 
-    Color c is a matching.  At each color a vertex must be matched, may be matched
-    or must not be; the two rules below differ only in that choice.
+
+def _color_sweep(sub: Multigraph, rule: str = "interval",
+                 t: int | None = None) -> list[int] | None:
+    """Search a connected graph for a coloring under rule, one color at a time:
+    "interval" (at most t colors when t is given), "proper" or "cyclic" (t colors).
+
+    Color c is one non-empty matching, under every rule.  At each color a vertex
+    must be matched, may be matched or must not be; the rules below differ only in
+    that choice.  With t colors, a vertex with more edges left than colors left is
+    a dead end, and one with as many must be matched.
 
     Interval rule: a vertex with an edge colored and an edge left must be matched,
     and one with no edge colored may start.  This is exactly an interval coloring
     with smallest color 1: the colors of a connected graph's interval coloring form
-    one interval, so no color is empty.  What may still happen after a color depends
-    only on the edges left (they fix which vertices have started), not on c.
+    one interval, so no color is empty.  Without a cap, what may still happen after a
+    color depends only on the edges left (they fix which vertices have started), not
+    on c; with one, it depends on c as well.
 
-    Cyclic rule: there are t colors and a color may be empty.  A cyclic interval
-    without color 1 is a plain interval, so a vertex first matched after color 1 runs
-    until it is done.  One with color 1 is 1..b, then, after one pause with r edges
-    left, t-r+1..t: it must not be matched from its pause to color t-r+1 and must be
-    matched from then on.  A vertex with more edges left than colors left is a dead
-    end.  Rotating the colors keeps every palette cyclic, so the first vertex is
-    matched at color 1.  What may still happen depends on c and on which vertices
-    were matched at color 1, as well as on the edges left.
+    Proper rule: any vertex may be matched, and all t colors are used.  A proper
+    coloring with fewer colors than edges can split a class to use one color more,
+    so for every t from the chromatic index up to the number of edges some proper
+    coloring uses exactly t colors, and the smallest t from the maximum degree up
+    that succeeds is the chromatic index.  Fewer edges left than colors left is a
+    dead end, so t is searched per component: a component with fewer edges than
+    another's chromatic index has no coloring that uses all of that many colors.
 
-    Either way a failed state is remembered and never searched again.
+    Cyclic rule: there are t colors, all used.  A cyclic interval without color 1 is
+    a plain interval, so a vertex first matched after color 1 runs until it is done.
+    One with color 1 is 1..b, then, after one pause with r edges left, t-r+1..t: it
+    must not be matched from its pause to color t-r+1 and must be matched from then
+    on.  Rotating the colors keeps every palette cyclic, so the first vertex's
+    colors are 1 through its degree.  A cyclic t-coloring with an empty color is,
+    rotated, an interval coloring within t-1 colors, which the capped interval rule
+    finds.  What may still happen depends on c and on which vertices were matched
+    at color 1, as well as on the edges left.
+
+    Under every rule a failed state is remembered and never searched again.
     """
+    cyclic = rule == "cyclic"
     deg = sub.degrees
     pairs = sorted(Counter(tuple(sorted(e)) for e in sub.edges).items())
     left = [k for _, k in pairs]
@@ -71,32 +92,36 @@ def _color_sweep(sub: Multigraph, t: int | None = None) -> list[int] | None:
 
     def color_from(c: int, first: frozenset[int]) -> bool:
         # first: the vertices matched at color 1 (cyclic rule only)
+        # the colors left; without a cap, at most one per edge left
+        room = sum(left) if t is None else t - c + 1
+        if rule != "interval" and sum(left) < room:
+            return False  # too few edges left to use every color left
         if not any(rem):
             return True
-        if t is None:
-            key: tuple = tuple(left)
-            must = [r < d for r, d in zip(rem, deg)]
-            decided: set[int] = set()
-        else:
-            room = t - c + 1
-            if max(rem) > room:
-                return False
-            key = (c, tuple(left), first)
-            must = [r == room or (r < d and v not in first)
-                    for v, (r, d) in enumerate(zip(rem, deg))]
-            must[order[0]] |= c == 1
-            # matched at color 1 but not at every color since: paused
-            decided = {v for v in first if rem[v] < room and deg[v] - rem[v] < c - 1}
+        if max(rem) > room:
+            return False
+        key = (room, tuple(left), first)
         if key in failed:
             return False
+        # a vertex with as many edges left as colors left is matched; under the
+        # interval and cyclic rules so is one started and not done (under the
+        # cyclic rule, one not matched at color 1)
+        must = [r == room or (rule != "proper" and r < d and v not in first)
+                for v, (r, d) in enumerate(zip(rem, deg))]
+        decided: set[int] = set()
+        if cyclic:
+            # the first vertex runs from color 1 until it is done
+            must[order[0]] |= deg[order[0]] - rem[order[0]] == c - 1
+            # matched at color 1 but not at every color since: paused
+            decided = {v for v in first if rem[v] < room and deg[v] - rem[v] < c - 1}
         matching: list[int] = []
 
         def close_color() -> bool:
-            if t is None and not matching:
+            if not matching:
                 return False
             matchings.append(list(matching))
-            if color_from(c + 1, first if c > 1 else
-                          frozenset(v for v in order if rem[v] < deg[v])):
+            if color_from(c + 1, frozenset(v for v in order if rem[v] < deg[v])
+                          if cyclic and c == 1 else first):
                 return True
             matchings.pop()
             return False
@@ -156,18 +181,39 @@ def _per_component(g: Multigraph,
     return EdgeColoring(g, tuple(colors))
 
 
-def _interval_search(sub: Multigraph) -> list[int] | None:
-    chi, _ = exact_chromatic_index(sub, limit=max(sub.edge_count, 20))
-    if chi > sub.max_degree:
+def exact_chromatic_index(g: Multigraph, limit: int = 20) -> tuple[int, EdgeColoring]:
+    """Exact chromatic index with a witness: each component takes the smallest
+    k, from its maximum degree up, for which the proper color sweep succeeds, and
+    uses every color 1..k, so the largest color is the chromatic index."""
+    if g.has_loop():
+        raise GraphError("chromatic index is undefined for loops")
+    if g.edge_count > limit:
+        raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {limit}")
+
+    def search(sub: Multigraph) -> list[int]:
+        k = sub.max_degree
+        while (found := _color_sweep(sub, "proper", k)) is None:
+            k += 1
+        return found
+
+    col = _per_component(g, search)
+    if col is None or not verify(g, col, "proper").proper:
+        raise AssertionError("oracle produced an invalid proper witness")
+    return col.max_color(), col
+
+
+def _interval_search(sub: Multigraph, cap: int | None = None) -> list[int] | None:
+    if _color_sweep(sub, "proper", sub.max_degree) is None:
         return None  # chromatic index above max degree: never interval colorable
-    return _color_sweep(sub)
+    return _color_sweep(sub, "interval", cap)
 
 
 def exact_interval_colorable(g: Multigraph, budget: int = INTERVAL_BUDGET) -> EdgeColoring | None:
     """A witness interval coloring, or a definitive negative.
 
-    Each component is refuted when its chromatic index exceeds its maximum
-    degree, and is otherwise decided by the interval color sweep.
+    Each component is refuted when the proper color sweep finds no coloring with
+    as many colors as its maximum degree, and is otherwise decided by the
+    interval color sweep.
     """
     if g.has_loop():
         raise GraphError("interval colorings are defined for loopless graphs")
@@ -240,10 +286,12 @@ def exact_cyclic_interval_coloring(g: Multigraph, t: int,
                                    budget: int = INTERVAL_BUDGET) -> EdgeColoring | None:
     """Search for a cyclic interval t-coloring (palettes consecutive mod t).
 
-    Each component runs the color sweep under the wrap rule: colors 1..t, one
-    matching each (possibly empty); a vertex matched at color 1 may pause once and
-    then runs from t-r+1 through t for its r edges left, and every other vertex
-    runs without a gap from its first color.
+    A component's coloring either leaves a color empty or uses all t.  Rotated so
+    that the empty color is t, the first is an interval coloring within t-1 colors,
+    which the interval oracle's search looks for.  Otherwise the color sweep runs
+    under the wrap rule: colors 1..t, one non-empty matching each; a vertex matched
+    at color 1 may pause once and then runs from t-r+1 through t for its r edges
+    left, and every other vertex runs without a gap from its first color.
     """
     if g.has_loop():
         raise GraphError("cyclic interval colorings are defined for loopless graphs")
@@ -251,7 +299,12 @@ def exact_cyclic_interval_coloring(g: Multigraph, t: int,
         raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {budget}")
     if t < max(g.max_degree, 1):
         return None
-    col = _per_component(g, lambda sub: _color_sweep(sub, t))
+
+    def search(sub: Multigraph) -> list[int] | None:
+        found = _interval_search(sub, t - 1)
+        return found if found is not None else _color_sweep(sub, "cyclic", t)
+
+    col = _per_component(g, search)
     if col is not None and not verify(g, col, "cyclic", t=t).cyclic_interval:
         raise AssertionError("oracle produced an invalid cyclic witness")
     return col

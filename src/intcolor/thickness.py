@@ -13,15 +13,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .edge_coloring import (_konig_colors, equalized_bipartite_color, exact_chromatic_index,
-                            konig_color, petersen_two_factorization, shannon_color, vizing_color)
+from .edge_coloring import (_konig_colors, equalized_bipartite_color, konig_color,
+                            petersen_two_factorization, shannon_color, vizing_color)
 from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
                       color_forest, color_low_even_bipartite, latin_bipartite_colors,
                       staircase_bipartite_colors, two_factor_pair_colors)
 from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bipartition,
                          normalize, relabel, require_bipartite, traverse, verify,
                          verify_decomposition)
-from .oracles import INTERVAL_BUDGET, exact_interval_colorable
+from .oracles import INTERVAL_BUDGET, exact_chromatic_index, exact_interval_colorable
 from .subcubic import OddCycleComponent, color_subcubic, subcubic_colors
 
 
@@ -586,8 +586,9 @@ class _Facts:
 
     @functools.cached_property
     def coloring(self) -> EdgeColoring:
-        """The run's one proper coloring: Konig when bipartite, exact up to 20
-        edges, else the fan engine (Vizing when simple, Shannon otherwise)."""
+        """The run's one proper coloring: Konig when bipartite, a chromatic-index
+        coloring from the exact oracle's proper sweep up to 20 edges, else the fan
+        engine (Vizing when simple, Shannon otherwise)."""
         g = self.g
         if self.bipartite:
             return konig_color(g)

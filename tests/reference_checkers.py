@@ -4,6 +4,9 @@ They build every vertex's palette (a loop contributes its color twice), sort it
 and test it pairwise, the plain way; the library instead compares set sizes and
 extremes.  Both must return identical VerifyReports.
 
+The chromatic index reference tries colors 1..k edge by edge; the library
+instead sweeps one matching per color.
+
 The set-based Kempe-chain engine is the reference for the library's bitmask
 engine: Konig, fan, equalized and Petersen colorings must be identical.
 
@@ -173,6 +176,37 @@ def reference_cyclic_interval_colorable(g: Multigraph, t: int) -> bool:
         return False
 
     return assign(0)
+
+
+def reference_chromatic_index(g: Multigraph) -> int:
+    """The chromatic index of a loopless graph: the smallest k from the maximum degree
+    up for which trying colors 1..k edge by edge, in edge-id order, finds a proper
+    coloring.
+
+    Colors are interchangeable, so an edge takes a color already used or the
+    smallest one not yet used.
+    """
+    m = g.edge_count
+    palettes: list[set[int]] = [set() for _ in range(g.vertex_count)]
+
+    def assign(eid: int, k: int, used: int) -> bool:
+        if eid == m:
+            return True
+        u, v = g.edges[eid]
+        for c in range(1, min(k, used + 1) + 1):
+            if c not in palettes[u] and c not in palettes[v]:
+                palettes[u].add(c)
+                palettes[v].add(c)
+                if assign(eid + 1, k, max(used, c)):
+                    return True
+                palettes[u].discard(c)
+                palettes[v].discard(c)
+        return False
+
+    k = g.max_degree
+    while not assign(0, k, 0):
+        k += 1
+    return k
 
 
 def reference_edge_components(g: Multigraph, eids) -> list[list[int]]:

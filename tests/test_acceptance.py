@@ -3,14 +3,14 @@ with its runtime against the stated budget."""
 import random
 import time
 
-from intcolor.edge_coloring import exact_chromatic_index, konig_color, vizing_color
+from intcolor.edge_coloring import konig_color, vizing_color
 from intcolor.generators import (FIXTURES, circular_complete_graph,
                                  complete_multipartite_graph, cycle_graph, random_bipartite,
                                  random_biregular, random_cubic_class1,
                                  random_eulerian_bipartite)
 from intcolor.multigraph import EdgeColoring, build_graph, verify, verify_decomposition
-from intcolor.oracles import (exact_cyclic_interval_coloring, exact_interval_colorable,
-                              exact_theta, nash_williams_arboricity)
+from intcolor.oracles import (exact_chromatic_index, exact_cyclic_interval_coloring,
+                              exact_interval_colorable, exact_theta, nash_williams_arboricity)
 from intcolor.subcubic import color_subcubic
 from intcolor.thickness import (decompose_bipartite, decompose_biregular,
                                 decompose_eulerian_bipartite,

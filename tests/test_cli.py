@@ -25,6 +25,7 @@ def test_gen_emits_graph_json(tmp_path, capsys):
     ("tree(n=5,seed=x)", "seed"), ("tree(n=x)", "n"), ("biregular(a=3)", "b"),
     ("balanced(n=2)", "r"), ("circular_complete(p=5)", "q"), ("fixture", "name"),
     ("complete_multipartite(sizes=3+x)", "sizes"), ("bipartite_random(simple=no)", "simple"),
+    ("tree(n=--5)", "n"), ("tree(n=5,seed=--1)", "seed"), ("tree(n=\u00b2)", "n"),
 ])
 def test_gen_missing_or_non_integer_parameter_exit_code(capsys, spec, param):
     assert f" {param}" in _exits_2_with_one_error_line(capsys, "gen", spec)

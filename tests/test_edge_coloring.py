@@ -5,13 +5,13 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intcolor.edge_coloring import (BudgetExceeded, _KempeState, _konig_colors,
-                                    equalized_bipartite_color, exact_chromatic_index,
+from intcolor.edge_coloring import (_KempeState, _konig_colors, equalized_bipartite_color,
                                     konig_color, petersen_two_factorization,
                                     shannon_color, vizing_color)
 from intcolor.generators import (complete_bipartite_graph, complete_graph,
                                  cycle_graph, random_bipartite)
 from intcolor.multigraph import GraphError, build_graph, verify
+from intcolor.oracles import BudgetExceeded, exact_chromatic_index
 
 from reference_checkers import (reference_equalized_colors, reference_fan_colors,
                                 reference_konig_colors, reference_petersen_factors)

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intcolor import oracles
-from intcolor.edge_coloring import BudgetExceeded
 from intcolor.generators import (FIXTURES, complete_bipartite_graph, complete_graph,
                                  cycle_graph, path_graph, random_cubic_class1, random_tree,
                                  sharpness_graph)
 from intcolor.multigraph import EdgeColoring, build_graph, verify
-from intcolor.oracles import (_color_sweep, exact_chromatic_index,
+from intcolor.oracles import (BudgetExceeded, _color_sweep, exact_chromatic_index,
                               exact_cyclic_interval_coloring, exact_interval_colorable,
                               exact_theta, nash_williams_arboricity)
-from reference_checkers import (reference_cyclic_interval_colorable,
+from reference_checkers import (reference_chromatic_index,
+                                reference_cyclic_interval_colorable,
                                 reference_interval_colorable)
 
 
@@ -123,13 +123,14 @@ def test_sweep_decides_the_construction_families(g, colorable):
 
 
 def test_oracles_import_no_construction():
+    # neither the constructions nor the coloring engines: the graph and its verifier only
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
     imported = {("." * node.level) + (node.module or "") for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)}
     imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names}
-    for module in ("kernels", "subcubic"):
-        assert not {f".{module}", f"intcolor.{module}"} & imported, module
+    ours = {m for m in imported if m.startswith(".") or m.split(".")[0] == "intcolor"}
+    assert ours <= {".multigraph", "intcolor.multigraph"}, ours
 
 
 @st.composite
@@ -158,6 +159,35 @@ def test_union_verdict_is_the_conjunction_of_its_components(g, extra):
     assert (w is not None) == all(reference_cyclic_interval_colorable(sub, t) for sub in parts)
     if w is not None:
         assert verify(g, w, "cyclic", t=t).cyclic_interval
+
+
+# -- chromatic index ------------------------------------------------------------------
+
+def _assert_chromatic_index(g, chi):
+    found, witness = exact_chromatic_index(g)
+    assert found == chi
+    assert verify(g, witness, "proper").proper
+    assert witness.colors_used() == chi
+
+
+@given(st.one_of(small_multigraph(), disjoint_union()))
+@settings(max_examples=200, deadline=None)
+def test_chromatic_index_matches_the_reference(g):
+    _assert_chromatic_index(g, reference_chromatic_index(g))
+
+
+@pytest.mark.parametrize("g,chi", [
+    (_petersen(), 4),
+    (complete_graph(5), 5),
+    (build_graph(7, [e for e in complete_graph(7).edges if set(e) != {0, 1}]), 7),
+    (build_graph(3, [(0, 1), (1, 2), (2, 0)] * 6), 18),
+    # the proper sweep uses every one of its colors, so each component needs its own
+    # k: one k for both would ask five colors of the single edge
+    (build_graph(7, list(complete_graph(5).edges) + [(5, 6)]), 5),
+], ids=["petersen", "k5", "k7_minus_edge", "fat_triangle", "k5_and_k2"])
+def test_chromatic_index_fixed_cases(g, chi):
+    assert reference_chromatic_index(g) == chi
+    _assert_chromatic_index(g, chi)
 
 
 def test_color_sweep_refutes_a_hard_multigraph():
@@ -261,7 +291,7 @@ def test_cyclic_verdict_matches_brute_force(g, extra):
         assert verify(g, w, "cyclic", t=t).cyclic_interval
 
 
-@pytest.mark.parametrize("n", range(3, 12))
+@pytest.mark.parametrize("n", range(3, 14))
 def test_cyclic_search_on_cycles_matches_closed_form(n):
     # an even cycle alternates two colors; along an odd cycle the colors step by
     # +-1 mod t, n odd steps summing to a nonzero multiple of t, so t is odd and
@@ -273,6 +303,19 @@ def test_cyclic_search_on_cycles_matches_closed_form(n):
         assert (w is not None) == expected, t
         if w is not None:
             assert verify(g, w, "cyclic", t=t).cyclic_interval
+
+
+@pytest.mark.parametrize("t,colorable", [(13, True), (14, False), (15, False)])
+def test_cyclic_search_decides_c13_without_empty_colors(t, colorable):
+    # with an empty color the coloring is an interval one within t-1 colors, which
+    # the chromatic index refutes on an odd cycle; without one, t colors need t edges
+    g = cycle_graph(13)
+    start = time.process_time()
+    w = exact_cyclic_interval_coloring(g, t)
+    assert time.process_time() - start < 0.5
+    assert (w is not None) == colorable
+    if w is not None:
+        assert verify(g, w, "cyclic", t=t).cyclic_interval
 
 
 def test_theta_of_empty_graph_is_zero():

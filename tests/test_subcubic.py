@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intcolor.edge_coloring import exact_chromatic_index, konig_color
+from intcolor.edge_coloring import konig_color
 from intcolor.generators import (complete_bipartite_graph, complete_graph,
                                  cycle_graph, random_cubic_class1)
 from intcolor.multigraph import EdgeColoring, GraphError, Multigraph, build_graph, verify
+from intcolor.oracles import exact_chromatic_index
 from intcolor.subcubic import color_subcubic, subcubic_colors
 
 

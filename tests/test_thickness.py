@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from intcolor import multigraph, thickness
-from intcolor.edge_coloring import (equalized_bipartite_color, exact_chromatic_index,
-                                    konig_color, vizing_color)
+from intcolor.edge_coloring import equalized_bipartite_color, konig_color, vizing_color
 from intcolor.generators import (FIXTURES, FamilySpec, generate,
                                  complete_bipartite_graph, complete_graph,
                                  complete_multipartite_graph,
@@ -17,7 +16,7 @@ from intcolor.generators import (FIXTURES, FamilySpec, generate,
 from intcolor.kernels import color_low_even_bipartite
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, bipartition,
                                  build_graph, traverse, verify_decomposition)
-from intcolor.oracles import exact_cyclic_interval_coloring, exact_theta
+from intcolor.oracles import exact_chromatic_index, exact_cyclic_interval_coloring, exact_theta
 from intcolor.thickness import (_Facts, decompose_bipartite,
                                 decompose_biregular, decompose_eulerian_bipartite,
                                 decompose_forest_peel, decompose_general,
