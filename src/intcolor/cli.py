@@ -27,6 +27,8 @@ def _load_json_or_text(path: str):
         return json.loads(text)
     except json.JSONDecodeError:
         return text
+    except RecursionError:
+        raise GraphError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_graph(path: str) -> Multigraph:

@@ -7,7 +7,6 @@ Petersen 2-factorization.  None of them searches: the exact chromatic index is
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .multigraph import EdgeColoring, GraphError, Multigraph, require_bipartite
@@ -215,9 +214,7 @@ def vizing_color(g: Multigraph) -> EdgeColoring:
 
 
 def shannon_color(g: Multigraph) -> EdgeColoring:
-    """Proper coloring of a loopless multigraph with at most floor(3*Delta/2) colors."""
-    if g.has_loop():
-        raise GraphError("shannon_color does not accept loops")
+    """Proper coloring of a multigraph with at most floor(3*Delta/2) colors."""
     delta = g.max_degree
     k = min(delta + _max_multiplicity(g), 3 * delta // 2) if delta else 0
     return _fan_color(g, k)
@@ -259,9 +256,9 @@ def equalized_bipartite_color(g: Multigraph, k: int) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # Euler circuits: Petersen 2-factorization.
 
-def _euler_circuit(g: Multigraph, start: int, used: list[bool], ptr: list[int]) -> list[int]:
+def _euler_circuit(incidence: Sequence[Sequence[int]], edges: Sequence[tuple[int, int]],
+                   start: int, used: list[bool], ptr: list[int]) -> list[int]:
     """Hierholzer circuit (edge ids in trail order) of start's component."""
-    incidence, edges = g.incidence, g.edges
     # the trail so far: vertices, and the edge that entered each (-1 at start)
     vstack, estack = [start], [-1]
     circuit: list[int] = []
@@ -288,34 +285,38 @@ def _euler_circuit(g: Multigraph, start: int, used: list[bool], ptr: list[int]) 
     return circuit
 
 
-@dataclass(frozen=True)
-class TwoFactorization:
-    """Edge-disjoint 2-regular spanning subgraphs covering E (edge ids per factor)."""
-    factors: tuple[tuple[int, ...], ...]
+def petersen_two_factorization(n: int, edges: Sequence[tuple[int, int]]
+                               ) -> tuple[tuple[int, ...], ...]:
+    """Split a 2r-regular edge list on vertices 0..n-1 into r 2-factors, the
+    edge ids of each ascending.
 
-
-def petersen_two_factorization(g: Multigraph) -> TwoFactorization:
-    """Split a 2r-regular multigraph (loops allowed) into r 2-factors.
-
-    Each component's Eulerian circuit is oriented; the out/in bipartite edge list
-    of the orientation is r-regular and its Konig color classes are the factors.
+    Loops are allowed and count 2 toward their vertex's degree: they are how
+    callers regularize a graph.  Each component's Eulerian circuit is oriented;
+    the out/in bipartite edge list of the orientation is r-regular and its Konig
+    color classes are the factors.
     """
-    degs = g.degrees
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    degs = [0] * n
+    for eid, (u, v) in enumerate(edges):
+        incidence[u].append(eid)
+        if v != u:
+            incidence[v].append(eid)    # a loop is listed once and walked once
+        degs[u] += 1
+        degs[v] += 1
     if degs and (min(degs) != max(degs) or degs[0] % 2):
         raise GraphError("graph must be 2r-regular (loops count 2)")
     r = (degs[0] // 2) if degs else 0
     if r == 0:
-        return TwoFactorization(())
+        return ()
 
-    n = g.vertex_count
-    used = [False] * g.edge_count
+    used = [False] * len(edges)
     ptr = [0] * n
     arcs: list[tuple[int, int, int]] = []
     for v in range(n):
-        circuit = _euler_circuit(g, v, used, ptr)
         cur = v
-        for eid in circuit:
-            head = g.other_end(eid, cur)
+        for eid in _euler_circuit(incidence, edges, v, used, ptr):
+            a, b = edges[eid]
+            head = b if a == cur else a
             arcs.append((cur, head, eid))
             cur = head
         if cur != v:
@@ -326,4 +327,4 @@ def petersen_two_factorization(g: Multigraph) -> TwoFactorization:
     factors: list[list[int]] = [[] for _ in range(r)]
     for (_, _, eid), c in zip(arcs, colors):
         factors[c - 1].append(eid)
-    return TwoFactorization(tuple(tuple(sorted(f)) for f in factors))
+    return tuple(tuple(sorted(f)) for f in factors)

@@ -32,7 +32,6 @@ def graph_to_json(g: Multigraph) -> dict[str, Any]:
     return {
         "vertex_count": g.vertex_count,
         "edges": [{"id": eid, "u": u, "v": v} for eid, (u, v) in enumerate(g.edges)],
-        "allows_loops": g.allows_loops,
     }
 
 
@@ -46,9 +45,10 @@ def graph_from_json(obj: Any) -> Multigraph:
                 raise GraphError("edge ids must be dense and in order")
             e = (e.get("u"), e.get("v"))
         pairs.append(e)
+    # a flag of older files: loops are rejected by Multigraph whatever it says
     if not isinstance(obj.get("allows_loops", False), bool):
         raise GraphError(f"'allows_loops' must be true or false, got {obj['allows_loops']!r}")
-    return build_graph(obj.get("vertex_count"), pairs, allows_loops=obj.get("allows_loops", False))
+    return build_graph(obj.get("vertex_count"), pairs)
 
 
 def coloring_to_json(c: EdgeColoring) -> list[int]:

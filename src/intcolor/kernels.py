@@ -316,8 +316,6 @@ def color_cactus(g: Multigraph) -> EdgeColoring:
     ends: a vertex's cycle block is attached the moment the vertex enters the
     host (while it is still a leaf), bridge edges are pendant extensions.
     """
-    if g.has_loop():
-        raise GraphError("cacti have no loops")
     if len(g.traversal.components) > 1:
         raise GraphError("cactus must be connected")
 
@@ -412,8 +410,7 @@ def _color_suppressed_component(g: Multigraph, comp: list[int], comp_edges: list
     for v in anchors:
         if g.degree(v) == 1:
             d_edges.extend((a_index[v], na + a_index[v]) for _ in range(2 * r - 1))
-    doubled = Multigraph(2 * na, tuple(d_edges), allows_loops=True)
-    factors = petersen_two_factorization(doubled).factors
+    factors = petersen_two_factorization(2 * na, d_edges)
     if len(factors) != r:
         raise AssertionError("suppressed component is not 2r-regular")
 

@@ -21,7 +21,6 @@ class GraphError(ValueError):
 class Multigraph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    allows_loops: bool = False
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
@@ -29,7 +28,7 @@ class Multigraph:
         for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise GraphError(f"edge {eid} endpoint out of range: ({u}, {v})")
-            if u == v and not self.allows_loops:
+            if u == v:
                 raise GraphError(f"edge {eid} is a loop ({u},{v}) but loops are disallowed")
 
     @property
@@ -38,12 +37,11 @@ class Multigraph:
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Edge ids incident to each vertex, in edge-id order (loops listed once)."""
+        """Edge ids incident to each vertex, in edge-id order."""
         inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for eid, (u, v) in enumerate(self.edges):
             inc[u].append(eid)
-            if v != u:
-                inc[v].append(eid)
+            inc[v].append(eid)
         return tuple(tuple(x) for x in inc)
 
     def degree(self, v: int) -> int:
@@ -51,7 +49,7 @@ class Multigraph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        """Degree of every vertex; a loop contributes 2."""
+        """Degree of every vertex."""
         deg = [0] * self.vertex_count
         for u, v in self.edges:
             deg[u] += 1
@@ -66,15 +64,12 @@ class Multigraph:
         u, w = self.edges[eid]
         return w if u == v else u
 
-    def has_loop(self) -> bool:
-        return any(u == v for u, v in self.edges)
-
     @cached_property
     def is_simple(self) -> bool:
-        """No loops and no parallel edges."""
+        """No parallel edges (the constructor admits no loops)."""
         n = self.vertex_count
         keys = {u * n + v if u < v else v * n + u for u, v in self.edges}
-        return len(keys) == self.edge_count and not (self.allows_loops and self.has_loop())
+        return len(keys) == self.edge_count
 
     @cached_property
     def traversal(self) -> "Traversal":
@@ -97,8 +92,12 @@ class Multigraph:
         a pass of its own.
 
         subgraph keeps the host's vertex and edge order, so a pass over the
-        subgraph would find the same trees, labels and odd cycles."""
+        subgraph would find the same trees, labels and odd cycles.  Picking
+        every component of a graph without isolated vertices gives the graph
+        itself."""
         t = self.traversal
+        if len(picked) == len(t.components) and sum(map(len, t.vertices)) == self.vertex_count:
+            return self, tuple(range(self.edge_count))
         comps = [t.components[i] for i in picked]
         sub, ids = self.subgraph(chain.from_iterable(comps))
         if len(comps) == 1:
@@ -131,8 +130,7 @@ class Multigraph:
             bad = ids[0] if ids[0] < 0 else ids[bisect_left(ids, self.edge_count)]
             raise GraphError(f"unknown edge id {bad}")
         kept, ends = relabel(self.edges, ids)
-        return Multigraph(len(kept), tuple(zip(ends[::2], ends[1::2])),
-                          allows_loops=self.allows_loops), ids
+        return Multigraph(len(kept), tuple(zip(ends[::2], ends[1::2]))), ids
 
 
 def _as_int(x: object) -> int:
@@ -149,8 +147,7 @@ def _as_int(x: object) -> int:
     raise GraphError(f"expected an integer, got {x!r}")
 
 
-def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]],
-                allows_loops: bool = False) -> Multigraph:
+def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]]) -> Multigraph:
     """Multigraph with dense edge ids in input order."""
     try:
         n = _as_int(vertex_count)
@@ -159,12 +156,12 @@ def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]],
         raise
     except (TypeError, ValueError) as exc:
         raise GraphError(f"expected an integer vertex count and integer pairs: {exc}") from None
-    return Multigraph(n, edges, allows_loops=allows_loops)
+    return Multigraph(n, edges)
 
 
 def bipartition(g: Multigraph) -> tuple[int, ...] | None:
     """Side labels (0 or 1) of every vertex, so that every edge joins the two
-    sides; None when some cycle is odd (or a loop exists).
+    sides; None when some cycle is odd.
 
     The smallest vertex of each component is on side 0."""
     t = g.traversal
@@ -192,10 +189,9 @@ class Traversal:
     vertex of each component 0, so that every edge of a bipartite component
     joins the two sides; it is a list over all vertices for the whole graph and
     a dict over the touched ones for an edge subset.  ``odd_cycles[i]`` is None
-    for a bipartite component, else the vertices of one odd cycle in walk order
-    (a loop is the cycle of its vertex).  ``side_max[i]`` is the largest degree
-    within the edge set on each side; its larger entry is the component's
-    maximum degree, bipartite or not.
+    for a bipartite component, else the vertices of one odd cycle in walk order.
+    ``side_max[i]`` is the largest degree within the edge set on each side; its
+    larger entry is the component's maximum degree, bipartite or not.
     """
     components: list[list[int]]
     vertices: list[list[int]]
@@ -245,7 +241,6 @@ def traverse(g: Multigraph, eids: Iterable[int] | None = None) -> Traversal:
         kept, ends = relabel(edges, ids)
         n = len(kept)
         pairs, heads = zip(*[iter(ends)] * 2), ends[::2]
-    # a loop lists its vertex twice, so a neighbor list is as long as the degree
     nbr: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
         nbr[u].append(v)
@@ -321,14 +316,8 @@ class EdgeColoring:
             raise GraphError("coloring must assign a color to every edge")
 
     def palette(self, v: int) -> list[int]:
-        """Colors on edges incident to v (loops contribute their color twice)."""
-        out = []
-        for eid in self.graph.incidence[v]:
-            u, w = self.graph.edges[eid]
-            out.append(self.colors[eid])
-            if u == w:
-                out.append(self.colors[eid])
-        return out
+        """Colors on edges incident to v."""
+        return [self.colors[eid] for eid in self.graph.incidence[v]]
 
     def colors_used(self) -> int:
         return len(set(self.colors))
@@ -411,8 +400,8 @@ def verify(g: Multigraph, c: EdgeColoring, mode: str = "interval",
     color_of = colors.__getitem__
     degrees = g.degrees
 
-    # a vertex's n colors (a loop counted twice) are distinct and consecutive
-    # iff their set has n members and max - min + 1 == n
+    # a vertex's n colors are distinct and consecutive iff their set has n
+    # members and max - min + 1 == n
     for v, inc in enumerate(g.incidence):
         n = degrees[v]
         if n < 2:
@@ -466,17 +455,17 @@ class Decomposition:
 
 def verify_decomposition(g: Multigraph, d: Decomposition) -> VerifyReport:
     """True iff every part's coloring is interval: at each vertex, the colors of each
-    part's edges are distinct and consecutive (a loop counts its color twice).
+    part's edges are distinct and consecutive.
 
     The offending lists name the failing vertices and the edges of a color clash.
     """
     if d.graph is not g and d.graph != g:
         raise GraphError("decomposition belongs to a different graph")
-    edges, parts, colors = g.edges, d.parts, d.colors
+    parts, colors = d.parts, d.colors
     # key = part * span + color - lo puts each part's colors in a run of its own
-    # with a gap of at least 2 to the next part's, so at a vertex whose keys
-    # (loops counted twice) are distinct, every part's colors are consecutive
-    # iff exactly one key per part has no predecessor among them
+    # with a gap of at least 2 to the next part's, so at a vertex whose keys are
+    # distinct, every part's colors are consecutive iff exactly one key per part
+    # has no predecessor among them
     lo = min(colors, default=0)
     span = max(colors, default=0) - lo + 2
     key = [p * span + c - lo for p, c in zip(parts, colors)]
@@ -497,8 +486,7 @@ def verify_decomposition(g: Multigraph, d: Decomposition) -> VerifyReport:
         for eid in inc:
             by_part.setdefault(parts[eid], []).append(eid)
         for eids in by_part.values():
-            if (len({colors[e] for e in eids}) != len(eids)
-                    or any(edges[e][0] == edges[e][1] for e in eids)):
+            if len({colors[e] for e in eids}) != len(eids):
                 bad_edges.update(_clashing_edges(eids, colors))
     ok = not bad_vertices
     return VerifyReport(proper=ok, interval=ok, cyclic_interval=None,

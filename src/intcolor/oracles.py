@@ -185,8 +185,6 @@ def exact_chromatic_index(g: Multigraph, limit: int = 20) -> tuple[int, EdgeColo
     """Exact chromatic index with a witness: each component takes the smallest
     k, from its maximum degree up, for which the proper color sweep succeeds, and
     uses every color 1..k, so the largest color is the chromatic index."""
-    if g.has_loop():
-        raise GraphError("chromatic index is undefined for loops")
     if g.edge_count > limit:
         raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {limit}")
 
@@ -215,8 +213,6 @@ def exact_interval_colorable(g: Multigraph, budget: int = INTERVAL_BUDGET) -> Ed
     as many colors as its maximum degree, and is otherwise decided by the
     interval color sweep.
     """
-    if g.has_loop():
-        raise GraphError("interval colorings are defined for loopless graphs")
     if g.edge_count > budget:
         raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {budget}")
     col = _per_component(g, _interval_search)
@@ -263,8 +259,6 @@ def exact_theta(g: Multigraph, budget: int = THETA_BUDGET) -> int:
 
 def nash_williams_arboricity(g: Multigraph, budget: int = ARBORICITY_BUDGET) -> int:
     """Exact arboricity: max over vertex subsets X of ceil(|E(G[X])| / (|X|-1))."""
-    if g.has_loop():
-        raise GraphError("arboricity is defined for loopless graphs")
     if g.vertex_count > budget:
         raise BudgetExceeded(f"{g.vertex_count} vertices exceed the budget of {budget}")
     if g.edge_count == 0:
@@ -293,8 +287,6 @@ def exact_cyclic_interval_coloring(g: Multigraph, t: int,
     at color 1 may pause once and then runs from t-r+1 through t for its r edges
     left, and every other vertex runs without a gap from its first color.
     """
-    if g.has_loop():
-        raise GraphError("cyclic interval colorings are defined for loopless graphs")
     if g.edge_count > budget:
         raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {budget}")
     if t < max(g.max_degree, 1):

@@ -40,12 +40,6 @@ class BoundTrace:
                 "certified": self.certified}
 
 
-def _reject_loops(g: Multigraph) -> None:
-    # a loop repeats its color at its vertex, so no part holding it is interval colorable
-    if g.allows_loops and g.has_loop():
-        raise GraphError("a graph with a loop has no decomposition into interval colorable parts")
-
-
 def _certified(d: Decomposition) -> Decomposition:
     rep = verify_decomposition(d.graph, d)
     if not rep.interval:
@@ -290,7 +284,7 @@ def decompose_bipartite(g: Multigraph) -> Decomposition:
 def decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
     """ceil(Delta/4) certified parts for an even-degree bipartite multigraph.
 
-    Loops regularize the graph, Petersen 2-factors come back as even-cycle
+    Loops regularize its edge list, Petersen 2-factors come back as even-cycle
     collections once loops are dropped, and consecutive pairs of factors are
     colored with four consecutive colors."""
     require_bipartite(g)
@@ -303,9 +297,8 @@ def decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
     extra: list[tuple[int, int]] = []
     for v in range(g.vertex_count):
         extra.extend((v, v) for _ in range((delta - g.degree(v)) // 2))
-    gstar = Multigraph(g.vertex_count, g.edges + tuple(extra), allows_loops=True)
     factors = [[e for e in f if e < g.edge_count]
-               for f in petersen_two_factorization(gstar).factors]
+               for f in petersen_two_factorization(g.vertex_count, g.edges + tuple(extra))]
     parts = []
     for i in range(0, len(factors), 2):
         fa = factors[i]
@@ -413,7 +406,6 @@ def decompose_forest_peel(g: Multigraph) -> Decomposition:
     Each forest meets every vertex that still has an edge, so every round lowers
     all those degrees by one at least; either side of a bipartite graph meets
     every edge, so no edge is left once that side's degrees reach 0."""
-    _reject_loops(g)
     remaining = set(range(g.edge_count))
     parts: list[dict[int, int]] = []
     while remaining:
@@ -753,9 +745,7 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     components together by one subcubic run, and every other component alone.
     A graph with isolated vertices is dispatched without them, so they never
     change the answer.  A certification failure inside a candidate, or a
-    candidate above its own bound, is a bug and propagates.  A graph with a loop
-    raises GraphError."""
-    _reject_loops(g)
+    candidate above its own bound, is a bug and propagates."""
     if g.edge_count == 0:
         return _assemble(g, []), BoundTrace("empty", "no edges", 0, 0, True)
     t = g.traversal
@@ -790,6 +780,5 @@ def run_named_method(g: Multigraph, method: str) -> tuple[Decomposition, BoundTr
         raise GraphError(f"unknown method {method!r}; have {', '.join(('auto',) + METHODS)}")
     if method == "auto" or g.edge_count == 0:
         return dispatch_theta_upper(g)
-    _reject_loops(g)
     run = next(run for m, _, run in CANDIDATES if m == method)
     return _run_row(method, run, _Facts(g))

@@ -407,21 +407,26 @@ def reference_equalized_colors(g: Multigraph, k: int) -> tuple[int, ...]:
     return reference_konig_colors(Multigraph(n_h, tuple(h_edges)))
 
 
-def reference_petersen_factors(g: Multigraph) -> tuple[tuple[int, ...], ...]:
-    """2-factors of a 2r-regular multigraph the old way: orient each component's
-    Euler circuit, build the out/in bipartite multigraph and Konig color it on the
-    set-based engine."""
-    r = g.max_degree // 2
-    n = g.vertex_count
-    used = [False] * g.edge_count
+def reference_petersen_factors(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """2-factors of a 2r-regular edge list on vertices 0..n-1 (loops count 2) the
+    old way: orient each component's Euler circuit, build the out/in bipartite
+    multigraph and Konig color it on the set-based engine."""
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        incidence[u].append(eid)
+        if v != u:
+            incidence[v].append(eid)
+    r = len(edges) // n if n else 0     # 2r-regular: r edges per vertex
+    used = [False] * len(edges)
     ptr = [0] * n
     arcs = []
     for v in range(n):
-        if all(used[e] for e in g.incidence[v]):
+        if all(used[e] for e in incidence[v]):
             continue
         cur = v
-        for eid in _euler_circuit(g, v, used, ptr):
-            head = g.other_end(eid, cur)
+        for eid in _euler_circuit(incidence, edges, v, used, ptr):
+            a, b = edges[eid]
+            head = b if a == cur else a
             arcs.append((cur, head, eid))
             cur = head
     colors = reference_konig_colors(Multigraph(2 * n, tuple((t, n + h) for t, h, _ in arcs)))

@@ -215,8 +215,7 @@ def test_criterion_09_oracle_dominance():
         ok &= _certified(d) and d.part_count >= theta
         peel = decompose_forest_peel(g)
         ok &= _certified(peel) and peel.part_count >= theta
-        if not g.has_loop():
-            ok &= peel.part_count >= nash_williams_arboricity(g)
+        ok &= peel.part_count >= nash_williams_arboricity(g)
     ok &= nash_williams_arboricity(FIXTURES["k5"][0]) == 3
     from intcolor.generators import complete_graph
     ok &= nash_williams_arboricity(complete_graph(7)) == 4

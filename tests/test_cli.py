@@ -238,10 +238,39 @@ def _exits_2_with_one_error_line(capsys, *argv):
     return err
 
 
+LOOP_GRAPH = '{"vertex_count": 2, "edges": [[0, 1], [1, 1]], "allows_loops": true}\n'
+
+
 def test_decompose_graph_with_loop_exit_code(tmp_path, capsys):
     gpath = tmp_path / "loop.json"
-    gpath.write_text('{"vertex_count": 2, "edges": [[0, 1], [1, 1]], "allows_loops": true}\n')
-    _exits_2_with_one_error_line(capsys, "decompose", str(gpath))
+    gpath.write_text(LOOP_GRAPH)
+    err = _exits_2_with_one_error_line(capsys, "decompose", str(gpath))
+    assert "edge 1 is a loop (1,1) but loops are disallowed" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "{g}", "{c}"], ["color", "{g}"],
+                                  ["oracle", "{g}", "chi"]], ids=["verify", "color", "oracle"])
+def test_every_command_reading_a_graph_with_a_loop_names_the_edge(tmp_path, capsys, argv):
+    gpath, cpath = tmp_path / "loop.json", tmp_path / "col.json"
+    gpath.write_text(LOOP_GRAPH)
+    cpath.write_text("[1, 2]\n")
+    err = _exits_2_with_one_error_line(
+        capsys, *(a.format(g=gpath, c=cpath) for a in argv))
+    assert "edge 1 is a loop (1,1) but loops are disallowed" in err
+
+
+@pytest.mark.parametrize("argv", [["decompose", "{deep}"], ["verify", "{deep}", "{c}"],
+                                  ["verify", "{g}", "{deep}"], ["timetable", "{deep}"]],
+                         ids=["decompose", "verify-graph", "verify-target", "timetable"])
+def test_deeply_nested_json_exit_code(tmp_path, capsys, argv):
+    # json.loads recurses once per bracket, so this overflows the stack
+    deep, gpath, cpath = tmp_path / "deep.json", tmp_path / "g.json", tmp_path / "col.json"
+    deep.write_text("[" * 100_000)
+    gpath.write_text('{"vertex_count": 2, "edges": [[0, 1]]}\n')
+    cpath.write_text("[1]\n")
+    err = _exits_2_with_one_error_line(
+        capsys, *(a.format(deep=deep, g=gpath, c=cpath) for a in argv))
+    assert f"{deep}: JSON nested too deeply" in err
 
 
 def test_decompose_eulerian_on_an_odd_degree_vertex_exit_code(tmp_path, capsys):

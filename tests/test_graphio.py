@@ -96,6 +96,12 @@ def test_fractional_endpoint_is_rejected_not_truncated():
     assert graphio.graph_from_text("2 1\n0 1\n").edges == ((0, 1),)
 
 
+def test_a_loop_is_rejected_whatever_allows_loops_says():
+    with pytest.raises(GraphError, match=r"^edge 1 is a loop \(1,1\)"):
+        graphio.graph_from_json({"vertex_count": 2, "edges": [[0, 1], [1, 1]],
+                                 "allows_loops": True})
+
+
 @pytest.mark.parametrize("flag", ["no", "true", 1, 0, None, []])
 def test_allows_loops_must_be_a_json_boolean(flag):
     with pytest.raises(GraphError, match="allows_loops"):

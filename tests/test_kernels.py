@@ -220,7 +220,7 @@ def test_two_factor_pair_single_cycle():
 
 def test_two_factor_pair_k44():
     g = complete_bipartite_graph(4, 4)
-    fa, fb = petersen_two_factorization(g).factors
+    fa, fb = petersen_two_factorization(g.vertex_count, g.edges)
     col = _coloring(g, two_factor_pair_colors(g, list(fa), list(fb)))
     assert verify(col.graph, col).interval
     assert all(sorted(col.palette(v)) == [1, 2, 3, 4] for v in range(8))

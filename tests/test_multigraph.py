@@ -26,10 +26,8 @@ def test_build_digon_keeps_parallel_edges():
 
 
 def test_build_rejects_loop():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^edge 0 is a loop \(0,0\) but loops are disallowed$"):
         build_graph(4, [(0, 0)])
-    g = build_graph(4, [(0, 0)], allows_loops=True)
-    assert g.degree(0) == 2
 
 
 def test_build_rejects_bad_endpoint():
@@ -178,12 +176,24 @@ def test_decomposition_color_lookup():
 
 
 def test_subgraph_keeps_only_endpoints_in_host_order():
-    g = build_graph(4, [(0, 1), (2, 3), (1, 2), (3, 3)], allows_loops=True)
+    g = build_graph(4, [(0, 1), (2, 3), (1, 2), (3, 1)])
     sub, ids = g.subgraph([3, 1, 2])
     assert ids == (1, 2, 3)
-    assert sub.vertex_count == 3 and sub.edges == ((1, 2), (0, 1), (2, 2))
+    assert sub.vertex_count == 3 and sub.edges == ((1, 2), (0, 1), (2, 0))
     spanning, _ = g.subgraph([0, 1])
     assert spanning.vertex_count == 4 and spanning.edges == g.edges[:2]
+
+
+def test_components_subgraph_of_every_component_is_the_graph_itself():
+    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    for host in (g, complete_graph(4)):
+        sub, ids = host.components_subgraph(range(len(host.traversal.components)))
+        assert sub is host and ids == tuple(range(host.edge_count))
+    # the isolated vertex 4 is left out, so every component gets a compact copy
+    host = build_graph(5, [(0, 1), (2, 3), (1, 0)])
+    sub, ids = host.components_subgraph([0, 1])
+    assert sub is not host and sub.vertex_count == 4 and sub.edges == host.edges
+    assert ids == (0, 1, 2)
 
 
 def test_subgraph_rejects_unknown_edge():
@@ -224,11 +234,13 @@ def _assert_matches_reference(g, d):
 @st.composite
 def labelled_multigraph(draw):
     n = draw(st.integers(1, 6))
-    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    edges = [(u, v) for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                        st.integers(0, n - 1)), max_size=12))
+             if u != v]
     m = len(edges)
     parts = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
     colors = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
-    g = build_graph(n, edges, allows_loops=True)
+    g = build_graph(n, edges)
     return g, Decomposition(g, tuple(parts), tuple(colors))
 
 
@@ -266,16 +278,18 @@ def _report_or_error(check, *args, **kwargs):
 
 
 @st.composite
-def loop_multigraph_coloring(draw):
+def multigraph_coloring(draw):
     n = draw(st.integers(1, 6))
-    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))
-    g = build_graph(n, edges, allows_loops=True)
+    edges = [(u, v) for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                        st.integers(0, n - 1)), max_size=14))
+             if u != v]
+    g = build_graph(n, edges)
     top = draw(st.integers(1, 6))
     colors = draw(st.lists(st.integers(1, top), min_size=len(edges), max_size=len(edges)))
     return g, EdgeColoring(g, tuple(colors))
 
 
-@given(loop_multigraph_coloring(), st.sampled_from(["proper", "interval", "cyclic"]),
+@given(multigraph_coloring(), st.sampled_from(["proper", "interval", "cyclic"]),
        st.integers(0, 7))
 def test_verify_matches_sort_based_reference(gc, mode, t):
     g, c = gc
@@ -315,10 +329,10 @@ def test_verify_decomposition_matches_reference_on_corrupted_peels(seed):
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))))
 def test_degrees_and_simplicity_match_plain_definitions(n_edges):
     n, edges = n_edges
-    g = build_graph(n, edges, allows_loops=True)
+    edges = [(u, w) for u, w in edges if u != w]
+    g = build_graph(n, edges)
     assert g.degrees == tuple(sum((u == v) + (w == v) for u, w in edges) for v in range(n))
-    assert g.is_simple == (all(u != w for u, w in edges)
-                           and len({frozenset(e) for e in edges}) == len(edges))
+    assert g.is_simple == (len({frozenset(e) for e in edges}) == len(edges))
 
 
 def _assert_closed_odd_walk(g, eids, cycle):
@@ -349,8 +363,7 @@ def _assert_traversal_matches_reference(g, eids, t):
 def multigraph_and_subset(draw):
     n = draw(st.integers(1, 9))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16))
-    loops = draw(st.booleans())
-    g = build_graph(n, [(u, v) for u, v in edges if loops or u != v], allows_loops=loops)
+    g = build_graph(n, [(u, v) for u, v in edges if u != v])
     eids = draw(st.lists(st.sampled_from(range(g.edge_count)), unique=True)
                 if g.edge_count else st.just([]))
     return g, eids
@@ -369,7 +382,7 @@ def test_traverse_matches_union_find_and_two_coloring_references(g_eids):
     for i in range(len(whole.components)):
         # the handed-down traversal is the one the component subgraph would find
         sub, ids = g.components_subgraph([i])
-        fresh = Multigraph(sub.vertex_count, sub.edges, allows_loops=sub.allows_loops)
+        fresh = Multigraph(sub.vertex_count, sub.edges)
         assert sub.traversal == traverse(fresh)
         assert bipartition(sub) == bipartition(fresh)
     picked = [i for i in range(len(whole.components)) if i % 2 == len(eids) % 2]
@@ -377,7 +390,7 @@ def test_traverse_matches_union_find_and_two_coloring_references(g_eids):
         # and so is that of several components
         sub, ids = g.components_subgraph(picked)
         assert list(ids) == sorted(e for i in picked for e in whole.components[i])
-        fresh = Multigraph(sub.vertex_count, sub.edges, allows_loops=sub.allows_loops)
+        fresh = Multigraph(sub.vertex_count, sub.edges)
         assert sub.traversal == traverse(fresh)
 
 

@@ -99,9 +99,9 @@ def test_rejects_parallel_pair_sharing_a_color():
 
 
 def test_rejects_a_loop():
-    # a loop meets its vertex twice in its own color
-    g = Multigraph(3, ((0, 0), (0, 1), (1, 2)), allows_loops=True)
-    assert _error(g, (1, 2, 3)) == "the supplied 3-edge-coloring is not proper"
+    # a loop meets its vertex twice in its own color; only a bare edge list holds one
+    with pytest.raises(GraphError, match="^the supplied 3-edge-coloring is not proper$"):
+        subcubic_colors([(0, 0), (0, 1), (1, 2)], [0, 1, 2], [1, 2, 3])
 
 
 @pytest.mark.parametrize("n,edges,colors,message", [
@@ -180,7 +180,7 @@ def test_mixed_components():
 def test_subset_entry_matches_color_subcubic_on_the_subgraph(seed):
     # eids is a random edge subset of a larger host, which has vertices and
     # edges the subset leaves untouched; its colors are mostly proper 3-colors
-    # and sometimes not, and it sometimes has a loop or a vertex of degree 4
+    # and sometimes not, and it sometimes has a vertex of degree 4
     rng = random.Random(seed)
     n = rng.randint(2, 12)
     limit = 3 if rng.random() < 0.8 else 4
@@ -188,7 +188,7 @@ def test_subset_entry_matches_color_subcubic_on_the_subgraph(seed):
     edges, eids, c3 = [], [], []
     for _ in range(rng.randint(0, 4 * n)):
         u, v = rng.randrange(n), rng.randrange(n)
-        if u == v and rng.random() < 0.9:
+        if u == v:
             continue
         if degree[u] < limit and degree[v] < limit and rng.random() < 0.7:
             degree[u] += 1
@@ -198,7 +198,7 @@ def test_subset_entry_matches_color_subcubic_on_the_subgraph(seed):
             c3.append(free[0] if free and rng.random() < 0.95 else rng.randint(1, 4))
             eids.append(len(edges))
         edges.append((u, v))
-    host = Multigraph(n + rng.randint(0, 4), tuple(edges), allows_loops=True)
+    host = Multigraph(n + rng.randint(0, 4), tuple(edges))
     sub, ids = host.subgraph(eids)
     assert list(ids) == eids
     try:
