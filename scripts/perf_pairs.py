@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Run the benchmark in two checkouts as interleaved pairs and compare them.
+
+    python3 scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --workload timetable \\
+        --seed 101 --seconds 8 --pairs 5
+
+Each pair runs ``perfbench/run.py`` once in each checkout, one after the other,
+and the side that runs first alternates from pair to pair.  A checkout of the
+parent commit serves as PARENT_DIR (``git worktree add`` or ``git archive`` of
+it).  For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
+median and interquartile range and the number of pairs the change won, ties
+counting for neither side.  Exits 1 if any run reports an output that is not
+correct.
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def end_to_end_metrics() -> list[dict]:
+    """The end-to-end metrics of BENCHMARK.json: name, unit, better, bound."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one benchmark run in checkout."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds)],
+                          cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+    """One row per metric from (parent, change) result lines: each side's
+    median and IQR, and the pairs the change won."""
+    rows = []
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        rows.append({"name": name, "unit": m["unit"],
+                     "parent_median": statistics.median(parent), "parent_iqr": _iqr(parent),
+                     "change_median": statistics.median(change), "change_iqr": _iqr(change),
+                     "wins": wins, "pairs": len(pairs)})
+    return rows
+
+
+def format_rows(rows: list[dict]) -> list[str]:
+    lines = [f"{'metric':<16} {'unit':<8} {'parent median (IQR)':>24} "
+             f"{'change median (IQR)':>24} {'change won':>10}"]
+    for r in rows:
+        parent = f"{r['parent_median']:.4g} ({r['parent_iqr']:.3g})"
+        change = f"{r['change_median']:.4g} ({r['change_iqr']:.3g})"
+        lines.append(f"{r['name']:<16} {r['unit']:<8} {parent:>24} {change:>24} "
+                     f"{r['wins']:>4} of {r['pairs']}")
+    return lines
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    args = ap.parse_args()
+    checkouts = (args.parent, args.change)
+    pairs = []
+    correct = True
+    for i in range(args.pairs):
+        pair = [{}, {}]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            pair[side] = run_once(checkouts[side], args.workload, args.seed, args.seconds)
+        correct = correct and all(r["correct"] for r in pair)
+        pairs.append((pair[0], pair[1]))
+        print(f"pair {i + 1}: {args.workload} edges_per_s parent "
+              f"{pair[0]['metrics']['edges_per_s']['value']:.0f} change "
+              f"{pair[1]['metrics']['edges_per_s']['value']:.0f}", flush=True)
+    for line in format_rows(summarize(pairs, end_to_end_metrics())):
+        print(line)
+    if not correct:
+        print("error: a run reported outputs that are not correct", file=sys.stderr)
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (piped into head, say): stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

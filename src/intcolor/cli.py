@@ -100,10 +100,12 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_timetable(args) -> int:
     obj = _load_json_or_text(args.matrix)
-    if isinstance(obj, str):
-        B = RequirementMatrix.from_csv(obj)
-    else:
+    if isinstance(obj, (list, dict)):
         B = RequirementMatrix.from_rows(obj.get("b") if isinstance(obj, dict) else obj)
+    else:
+        # text, or a one-cell CSV such as "3" or "1e2" that also parses as a JSON scalar
+        B = RequirementMatrix.from_csv(obj if isinstance(obj, str)
+                                       else Path(args.matrix).read_text())
     # make_weekly_timetable certifies the timetable and raises if the check fails
     S, trace = make_weekly_timetable(B, "even_spread" if args.even else "fewest_days")
     if args.grid:

@@ -81,29 +81,31 @@ class _KempeState:
         used[v] |= bit
 
     def swap_chain(self, y: int, a: int, b: int, x: int) -> bool:
-        """Swap colors on the maximal a/b-chain from y unless it ends at x."""
+        """Swap colors on the maximal a/b-chain from y unless it ends at x.
+
+        y misses a, so the chain is a path from y; its vertices are collected
+        while walking it and the swap is one pass: every chain edge flips, every
+        chain vertex swaps its a and b slots, and only the two ends flip bits a
+        and b of used, since interior vertices keep both colors."""
         edges, colors, used, at, width = self.edges, self.colors, self.used, self.at, self.width
-        chain = []
+        chain, verts = [], [y]
         z, cur = y, b
         while (e := at[z * width + cur]) >= 0:
             chain.append(e)
             p, q = edges[e]
             z = q if p == z else p
+            verts.append(z)
             cur = a if cur == b else b
         if z == x:
             return False
         for e in chain:
-            old = colors[e]
-            for w in edges[e]:
-                if at[w * width + old] == e:
-                    at[w * width + old] = -1
-                    used[w] &= ~(1 << old)
-        for e in chain:
-            c = colors[e] = a if colors[e] == b else b
-            bit = 1 << c
-            for w in edges[e]:
-                at[w * width + c] = e
-                used[w] |= bit
+            colors[e] = a if colors[e] == b else b
+        for w in verts:
+            i = w * width
+            at[i + a], at[i + b] = at[i + b], at[i + a]
+        flip = (1 << a) | (1 << b)
+        used[y] ^= flip
+        used[z] ^= flip
         return True
 
     def fold(self, x: int, fan: list[int], rim: list[int]) -> None:
@@ -161,23 +163,30 @@ class _KempeState:
 # ---------------------------------------------------------------------------
 # Konig: bipartite multigraphs, exactly Delta colors.
 
-def _konig_colors(n: int, edges: Sequence[tuple[int, int]], k: int) -> list[int]:
-    """Proper k-coloring of a bipartite edge list on vertices 0..n-1 of maximum
-    degree at most k, the caller's guarantee.
+def _konig_state(n: int, edges: Sequence[tuple[int, int]], k: int) -> _KempeState:
+    """The Kempe state of a proper k-coloring of a bipartite edge list on
+    vertices 0..n-1 of maximum degree at most k, the caller's guarantee.
 
     Each edge gets the smallest color free at both ends, flipping one alternating
     (Kempe) chain when no common free color exists; in a bipartite graph the
     chain never closes back on the other endpoint.
     """
     st = _KempeState(n, edges, k)
+    full, used = st.full, st.used
 
     def flip(eid: int, u: int, v: int) -> None:
-        a, b = _smallest(st.missing(u)), _smallest(st.missing(v))
+        a, b = _smallest(full & ~used[u]), _smallest(full & ~used[v])
         if not st.swap_chain(v, b, a, u):
             raise AssertionError("a Kempe chain closed in a bipartite graph")
         st.set_color(eid, a)
 
-    return st.color_in_order(flip)
+    st.color_in_order(flip)
+    return st
+
+
+def _konig_colors(n: int, edges: Sequence[tuple[int, int]], k: int) -> list[int]:
+    """The edge colors of _konig_state."""
+    return _konig_state(n, edges, k).colors
 
 
 def konig_color(g: Multigraph) -> EdgeColoring:
@@ -313,6 +322,8 @@ def petersen_two_factorization(n: int, edges: Sequence[tuple[int, int]]
     ptr = [0] * n
     arcs: list[tuple[int, int, int]] = []
     for v in range(n):
+        if ptr[v] == len(incidence[v]):
+            continue    # walked: a circuit leaves every vertex it passes exhausted
         cur = v
         for eid in _euler_circuit(incidence, edges, v, used, ptr):
             a, b = edges[eid]

@@ -424,18 +424,6 @@ def _color_suppressed_component(g: Multigraph, comp: list[int], comp_edges: list
 
 
 # ---------------------------------------------------------------------------
-# Pairs of even-cycle 2-factors: four consecutive colors.
-
-def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int]) -> dict[int, int]:
-    """Host-edge colors: fa cycles alternate 1,2; fb 3,4."""
-    if set(fa) & set(fb):
-        raise GraphError("factors must be edge-disjoint")
-    out = alternating_walk_colors(g.edges, fa)
-    out.update(alternating_walk_colors(g.edges, fb, 2))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Balanced complete multipartite graphs.
 
 def round_robin_rounds(k: int) -> list[list[tuple[int, int]]]:

@@ -25,8 +25,17 @@ class Multigraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise GraphError("vertex_count must be nonnegative")
+        # one bare comparison pass finds a loop or an endpoint out of range (in
+        # Python 3.11 it beats min/max and map passes over the flattened ends);
+        # only then does a second pass name the first offending edge
+        n = self.vertex_count
+        for u, v in self.edges:
+            if u == v or u < 0 or v < 0 or u >= n or v >= n:
+                break
+        else:
+            return
         for eid, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {eid} endpoint out of range: ({u}, {v})")
             if u == v:
                 raise GraphError(f"edge {eid} is a loop ({u},{v}) but loops are disallowed")

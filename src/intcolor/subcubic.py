@@ -14,6 +14,13 @@ touches, so the checks and the construction run on flat lists of the subset's
 size: properness is one set of (endpoint, color) pairs, odd-cycle components
 are found by walking the edges between degree-2 vertices, and the auxiliary
 graph and its labels are lists indexed by vertex.
+
+Callers: the dispatcher's subcubic row (color_subcubic on a whole graph, and on
+the even-cycle components a disconnected graph closes in one run) and the
+general bound's three-class side (subcubic_colors on a group or a group
+component).  decompose_bipartite does not call it: its classes are bipartite,
+so thickness._class_pass reads the same construction, without the checks and
+the repair, off one Konig coloring of all of them.
 """
 from __future__ import annotations
 

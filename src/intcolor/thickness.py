@@ -13,11 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .edge_coloring import (_konig_colors, equalized_bipartite_color, konig_color,
+from .edge_coloring import (_KempeState, _konig_state, equalized_bipartite_color, konig_color,
                             petersen_two_factorization, shannon_color, vizing_color)
 from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
                       color_forest, color_low_even_bipartite, latin_bipartite_colors,
-                      staircase_bipartite_colors, two_factor_pair_colors)
+                      staircase_bipartite_colors)
 from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bipartition,
                          normalize, relabel, require_bipartite, traverse, verify,
                          verify_decomposition)
@@ -249,44 +249,169 @@ def _general_bound(t: int) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # Bipartite decompositions.
 
-def _class_colors(g: Multigraph, eids: list[int]) -> dict[int, int]:
-    # Konig 3-colors an equalized class of a bipartite graph on the
-    # vertices it touches, renumbered by relabel: a hub's ceil(n/3) classes each
-    # miss most of the host.  Konig uses vertex ids only as indices, so the
-    # colors are the host's.  Below degree 3 the kernel alternates 1,2 whatever
-    # the coloring
-    kept, ends = relabel(g.edges, eids)
-    c3 = _konig_colors(len(kept), list(zip(ends[::2], ends[1::2])), 3)
-    return subcubic_colors(g.edges, eids, c3)
+def _class_pass(st: _KempeState, cubic: list[bool]) -> list[int]:
+    """Interval colors, unshifted, of the classes whose (vertex, class) slots the
+    Konig 3-coloring st colors; cubic[s] says whether a slot of s's class meets
+    all three colors.  Each class comes out as subcubic_colors colors it.
+
+    A class of maximum degree 2 alternates 1, 2 along its walks: its paths from
+    their smaller ends, then its cycles from their smallest slots by their
+    smaller edge ids.  In a cubic class color 1 is the matching M (the class's
+    first edge took it and no Kempe swap loses it), and the paths and cycles of
+    the class minus M alternate Konig colors 2 and 3, so at[s*4 + c] steps along
+    them.  The A/B labels of the auxiliary graph are carried along its
+    components, each from A at its smallest end or, for a cycle, its smallest
+    slot: an M edge takes 1 at A and 4 at B, a path 2 from an A end and 3 from
+    a B end, and the label flips across a path of even length.  Around a cycle
+    of the auxiliary graph the host closed walk has the parity of its number of
+    even paths, so in a bipartite class the labels always close and the repair
+    of subcubic_colors is never needed.  The cycles of the class minus M
+    alternate 2, 3 as the walks of the degree-2 classes do.
+    """
+    edges, used, at, konig = st.edges, st.used, st.at, st.colors
+    out = [0] * len(edges)
+
+    def walk(s: int, e: int, col: int, mask: int) -> tuple[int, int]:
+        # color the walk of the Konig colors in mask from slot s by edge e,
+        # alternately col and its partner; the slot and color it stops at
+        total = 3 if mask & 2 else 5
+        while True:
+            out[e] = col
+            col = total - col
+            p, q = edges[e]
+            s = q if p == s else p
+            rest = used[s] & mask & ~(1 << konig[e])
+            if not rest:
+                return s, col
+            e = at[4 * s + rest.bit_length() - 1]
+            if out[e]:
+                return s, col
+
+    def aux_walk(s: int, red: bool) -> None:
+        lab = 0     # A
+        while True:
+            if red:
+                e = at[4 * s + 1]
+                if e < 0:
+                    return
+                if out[e]:
+                    if lab:
+                        raise AssertionError("labels do not close around a bipartite cycle")
+                    return
+                out[e] = 4 if lab else 1
+                p, q = edges[e]
+                s = q if p == s else p
+            else:
+                bits = used[s] & 12
+                if bits != 4 and bits != 8:
+                    return
+                s, col = walk(s, at[4 * s + bits.bit_length() - 1], 3 if lab else 2, 12)
+                lab = col == 2
+            red = not red
+
+    aux_cycles, cycles = [], []     # the slots where the later passes may start
+    for s, u in enumerate(used):
+        if cubic[s]:
+            # an end of the auxiliary graph has an M edge or ends a path, not both
+            bits, m = u & 12, at[4 * s + 1]
+            if bits == 4 or bits == 8:
+                if m >= 0:
+                    aux_cycles.append(s)
+                elif not out[at[4 * s + bits.bit_length() - 1]]:
+                    aux_walk(s, False)
+            else:
+                if bits:
+                    cycles.append(s)
+                if m >= 0 and not out[m]:
+                    aux_walk(s, True)
+        elif u == 2 or u == 4 or u == 8:
+            e = at[4 * s + u.bit_length() - 1]
+            if not out[e]:
+                walk(s, e, 1, 14)
+        else:
+            cycles.append(s)
+    # an M edge left is on a cycle of the auxiliary graph
+    for s in aux_cycles:
+        if not out[at[4 * s + 1]]:
+            aux_walk(s, True)
+    # an edge left is on a cycle of a degree-2 class or of a cubic class minus M
+    for s in cycles:
+        mask = 12 if cubic[s] else 14
+        bits = used[s] & mask
+        e, f = at[4 * s + (bits & -bits).bit_length() - 1], at[4 * s + bits.bit_length() - 1]
+        if not out[e]:
+            walk(s, min(e, f), 2 if cubic[s] else 1, mask)
+    if 0 in out:
+        raise AssertionError("construction left edges uncolored")
+    return out
 
 
 def decompose_bipartite(g: Multigraph) -> Decomposition:
     """ceil(Delta/3) certified parts with per-vertex part degrees within one.
 
     The equalized k-coloring provides the parts; each part is bipartite with
-    maximum degree 3, hence interval colorable, and is colored on the host by
-    its edge ids.
+    maximum degree 3, hence interval colorable.  Every class is colored in one
+    pass: each edge is put on the (vertex, class) slots of its ends, numbered
+    u*k + c and compacted by relabel (ascending, so each class keeps the host's
+    vertex order), one Konig 3-coloring colors all slots, and _class_pass reads
+    the interval colors off its state.  Each class's colors are shifted so its
+    smallest is 1.
     """
     require_bipartite(g)
     if g.edge_count == 0:
         return _assemble(g, [])
-    delta = g.max_degree
-    if delta <= 3:
-        c3 = _konig_colors(g.vertex_count, g.edges, 3)
-        return _assemble(g, [subcubic_colors(g.edges, list(range(g.edge_count)), c3)])
-    k = -(-delta // 3)
-    classes: list[list[int]] = [[] for _ in range(k)]
-    for e, c in enumerate(equalized_bipartite_color(g, k).colors):
-        classes[c - 1].append(e)
-    return _assemble(g, [_class_colors(g, eids) for eids in classes])
+    k = -(-g.max_degree // 3)
+    parts = [c - 1 for c in equalized_bipartite_color(g, k).colors]
+    kept, ends = relabel([(u * k + c, v * k + c) for (u, v), c in zip(g.edges, parts)],
+                         range(g.edge_count))
+    st = _konig_state(len(kept), list(zip(ends[::2], ends[1::2])), 3)
+    cubic_classes = {kept[s] % k for s, u in enumerate(st.used) if u == 14}
+    colors = _class_pass(st, [w % k in cubic_classes for w in kept])
+    # a cubic class whose matching edges all took 4 starts at 2
+    low = set(range(k)) - set(itertools.compress(parts, map((1).__eq__, colors)))
+    if low:
+        colors = [c - (p in low) for p, c in zip(parts, colors)]
+    return _certified(Decomposition(g, tuple(parts), tuple(colors)))
+
+
+def _factor_colors(g: Multigraph, factor_of: list[int], r: int) -> list[int]:
+    """Colors of one walk over the (vertex, factor) slots, v*r + f, of every edge
+    of g in its factor_of of r Petersen factors: even factors alternate 1, 2
+    along their cycles and odd ones 3, 4.
+
+    A vertex meets a factor in two edges or in loops alone, so the edges of a
+    factor are cycles; each is walked from its smallest slot by the smaller of
+    the two edges there, as alternating_walk_colors walks it.  Petersen's Konig
+    state already has 2V(r+1) entries, so slots indexed by V*r add no more.
+    """
+    first, second = [-1] * (g.vertex_count * r), [-1] * (g.vertex_count * r)
+    for e, ((u, v), f) in enumerate(zip(g.edges, factor_of)):
+        for s in (u * r + f, v * r + f):
+            if first[s] < 0:
+                first[s] = e
+            else:
+                second[s] = e
+    edges, colors = g.edges, [0] * g.edge_count
+    for s0, e in enumerate(first):
+        if e < 0 or colors[e]:
+            continue
+        s, f = s0, s0 % r
+        c, total = (1, 3) if f % 2 == 0 else (3, 7)
+        while not colors[e]:
+            colors[e] = c
+            c = total - c
+            u, v = edges[e]
+            s = (v if u * r + f == s else u) * r + f
+            e = second[s] if first[s] == e else first[s]
+    return colors
 
 
 def decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
     """ceil(Delta/4) certified parts for an even-degree bipartite multigraph.
 
-    Loops regularize its edge list, Petersen 2-factors come back as even-cycle
-    collections once loops are dropped, and consecutive pairs of factors are
-    colored with four consecutive colors."""
+    Loops regularize its edge list, and Petersen 2-factors come back as
+    even-cycle collections once loops are dropped.  Factors 2i and 2i+1 form
+    part i, colored by one walk over every factor's cycles (_factor_colors)."""
     require_bipartite(g)
     odd = next((v for v, d in enumerate(g.degrees) if d % 2), None)
     if odd is not None:
@@ -297,14 +422,14 @@ def decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
     extra: list[tuple[int, int]] = []
     for v in range(g.vertex_count):
         extra.extend((v, v) for _ in range((delta - g.degree(v)) // 2))
-    factors = [[e for e in f if e < g.edge_count]
-               for f in petersen_two_factorization(g.vertex_count, g.edges + tuple(extra))]
-    parts = []
-    for i in range(0, len(factors), 2):
-        fa = factors[i]
-        fb = factors[i + 1] if i + 1 < len(factors) else []
-        parts.append(two_factor_pair_colors(g, fa, fb))
-    return _assemble(g, parts)
+    factors = petersen_two_factorization(g.vertex_count, g.edges + tuple(extra))
+    factor_of = [0] * (g.edge_count + len(extra))
+    for f, eids in enumerate(factors):
+        for e in eids:
+            factor_of[e] = f
+    del factor_of[g.edge_count:]     # the loops
+    return _certified(Decomposition(g, tuple(f // 2 for f in factor_of),
+                                    tuple(_factor_colors(g, factor_of, len(factors)))))
 
 
 def _side_degrees(g: Multigraph) -> tuple[int, int]:

@@ -8,7 +8,16 @@ The chromatic index reference tries colors 1..k edge by edge; the library
 instead sweeps one matching per color.
 
 The set-based Kempe-chain engine is the reference for the library's bitmask
-engine: Konig, fan, equalized and Petersen colorings must be identical.
+engine: Konig, fan, equalized and Petersen colorings must be identical.  The
+two-pass chain swap is the reference for the bitmask engine's one-pass swap:
+run on the library's engine in its place, it must give identical colorings.
+
+The bipartite decomposers' references color one equalized class, or one pair
+of Petersen factors, at a time: each class renumbered onto its own vertices,
+Konig 3-colored and given to subcubic_colors, each pair of factors walked by
+two_factor_pair_colors.  The library colors every class, and every pair, in
+one pass over (vertex, class) slots, and both must return identical
+decompositions.
 
 The timetable verifier at the end keeps a dict of period lists per teacher and
 a min/max per class row; the library's one pass per day keeps bitmasks and
@@ -27,10 +36,12 @@ from __future__ import annotations
 
 from collections import Counter
 
-from intcolor.edge_coloring import _euler_circuit
+from intcolor.edge_coloring import (_euler_circuit, _konig_colors, equalized_bipartite_color,
+                                    petersen_two_factorization)
 from intcolor.kernels import alternating_walk_colors
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
-                                 VerifyReport, _is_cyclically_consecutive, traverse)
+                                 VerifyReport, _is_cyclically_consecutive, relabel, traverse)
+from intcolor.subcubic import subcubic_colors
 from intcolor.thickness import (BoundTrace, _AbsorbStuck, _assemble, _class_splits,
                                 _dispatch_connected, _split_component)
 from intcolor.timetable import RequirementMatrix, Timetable
@@ -434,6 +445,85 @@ def reference_petersen_factors(n: int, edges) -> tuple[tuple[int, ...], ...]:
     for (_, _, eid), c in zip(arcs, colors):
         factors[c - 1].append(eid)
     return tuple(tuple(sorted(f)) for f in factors)
+
+
+def two_pass_swap_chain(self, y: int, a: int, b: int, x: int) -> bool:
+    """The bitmask engine's chain swap in two passes: every chain edge's old
+    color is cleared at both ends, then its new color is set at both ends.
+    Run in place of edge_coloring._KempeState.swap_chain."""
+    edges, colors, used, at, width = self.edges, self.colors, self.used, self.at, self.width
+    chain = []
+    z, cur = y, b
+    while (e := at[z * width + cur]) >= 0:
+        chain.append(e)
+        p, q = edges[e]
+        z = q if p == z else p
+        cur = a if cur == b else b
+    if z == x:
+        return False
+    for e in chain:
+        old = colors[e]
+        for w in edges[e]:
+            if at[w * width + old] == e:
+                at[w * width + old] = -1
+                used[w] &= ~(1 << old)
+    for e in chain:
+        c = colors[e] = a if colors[e] == b else b
+        bit = 1 << c
+        for w in edges[e]:
+            at[w * width + c] = e
+            used[w] |= bit
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Bipartite decomposers one class, or one pair of factors, at a time.
+
+def reference_decompose_bipartite(g: Multigraph) -> Decomposition:
+    """ceil(Delta/3) parts the per-class way: a graph of maximum degree at most 3
+    Konig 3-colored whole on the host, otherwise each equalized class renumbered
+    by relabel onto the vertices it touches and Konig 3-colored there, then
+    colored by subcubic_colors and assembled."""
+    if g.edge_count == 0:
+        return _assemble(g, [])
+    delta = g.max_degree
+    if delta <= 3:
+        c3 = _konig_colors(g.vertex_count, g.edges, 3)
+        return _assemble(g, [subcubic_colors(g.edges, list(range(g.edge_count)), c3)])
+    k = -(-delta // 3)
+    classes: list[list[int]] = [[] for _ in range(k)]
+    for e, c in enumerate(equalized_bipartite_color(g, k).colors):
+        classes[c - 1].append(e)
+    parts = []
+    for eids in classes:
+        kept, ends = relabel(g.edges, eids)
+        c3 = _konig_colors(len(kept), list(zip(ends[::2], ends[1::2])), 3)
+        parts.append(subcubic_colors(g.edges, eids, c3))
+    return _assemble(g, parts)
+
+
+def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int]) -> dict[int, int]:
+    """Host-edge colors: fa cycles alternate 1,2; fb 3,4."""
+    if set(fa) & set(fb):
+        raise GraphError("factors must be edge-disjoint")
+    out = alternating_walk_colors(g.edges, fa)
+    out.update(alternating_walk_colors(g.edges, fb, 2))
+    return out
+
+
+def reference_decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
+    """ceil(Delta/4) parts of an even-degree bipartite multigraph the per-pair
+    way: loops regularize it, and each consecutive pair of its Petersen factors
+    is colored by two_factor_pair_colors."""
+    if g.edge_count == 0:
+        return _assemble(g, [])
+    extra = [(v, v) for v in range(g.vertex_count)
+             for _ in range((g.max_degree - g.degree(v)) // 2)]
+    factors = [[e for e in f if e < g.edge_count]
+               for f in petersen_two_factorization(g.vertex_count, g.edges + tuple(extra))]
+    return _assemble(g, [two_factor_pair_colors(g, factors[i], factors[i + 1]
+                                                if i + 1 < len(factors) else [])
+                         for i in range(0, len(factors), 2)])
 
 
 def _busy_interruptions(busy: list[int] | set[int]) -> bool:

@@ -196,6 +196,21 @@ def test_timetable_accepts_json_matrix(tmp_path, capsys):
     assert code == 0 and len(json.loads(out)) == 1
 
 
+def test_timetable_reads_a_one_cell_csv_as_text(tmp_path, capsys):
+    # "3" also parses as a JSON number; it is one class meeting one teacher 3 times
+    mpath = tmp_path / "b.csv"
+    mpath.write_text("3\n")
+    code, out = run(capsys, "timetable", str(mpath))
+    assert code == 0 and json.loads(out) == [[[0, 0, 0]]]
+
+
+def test_timetable_one_cell_csv_that_is_no_integer_names_the_cell(tmp_path, capsys):
+    mpath = tmp_path / "b.csv"
+    mpath.write_text("1e2\n")
+    assert _exits_2_with_one_error_line(capsys, "timetable", str(mpath)) == (
+        "error: expected an integer, got '1e2'\n")
+
+
 def test_unknown_decompose_method(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     main(["gen", "fixture(name=c4)", "--out", str(gpath)])

@@ -14,7 +14,8 @@ from intcolor.multigraph import GraphError, build_graph, verify
 from intcolor.oracles import BudgetExceeded, exact_chromatic_index
 
 from reference_checkers import (reference_equalized_colors, reference_fan_colors,
-                                reference_konig_colors, reference_petersen_factors)
+                                reference_konig_colors, reference_petersen_factors,
+                                two_pass_swap_chain)
 
 
 def petersen_graph():
@@ -319,6 +320,62 @@ def test_petersen_matches_set_based_engine(seed, wide):
     # a bare list: only a Multigraph rejects loops
     assert Counter(v for e in edges for v in e) == Counter({v: 2 * r for v in range(n)})
     assert petersen_two_factorization(n, edges) == reference_petersen_factors(n, edges)
+
+
+# -- one-pass chain swap against the two-pass reference ---------------------------
+
+def _kempe_outputs(rng):
+    """Konig, every equalized, Vizing, Shannon and Petersen coloring of random inputs."""
+    bip = _random_bipartite_multigraph(rng, rng.random() < 0.2)
+    n = rng.randint(2, 16)
+    simple = build_graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < 0.5])
+    m = rng.randint(2, 6)
+    multi = build_graph(m, [pair for pair in combinations(range(m), 2)
+                            for _ in range(rng.randint(0, 6))])
+    regular = [(v, w) for _ in range(rng.randint(1, 5))
+               for v, w in enumerate(rng.sample(range(n), n))]
+    return (konig_color(bip).colors,
+            [equalized_bipartite_color(bip, k).colors for k in range(1, bip.max_degree + 1)],
+            vizing_color(simple).colors, shannon_color(multi).colors,
+            petersen_two_factorization(n, regular))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_one_pass_chain_swap_matches_the_two_pass_reference(seed):
+    one = _kempe_outputs(random.Random(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_KempeState, "swap_chain", two_pass_swap_chain)
+        assert _kempe_outputs(random.Random(seed)) == one
+
+
+def _chain_state():
+    # the path 0-1-2-3-4 colored 1, 2, 1, 2 and the edge 4-5 colored 3: the
+    # 2/1-chain from 0 is the path, and it ends at 4
+    st = _KempeState(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 3)
+    for eid, c in enumerate((1, 2, 1, 2, 3)):
+        st.set_color(eid, c)
+    return st
+
+
+def _snapshot(st):
+    return list(st.colors), list(st.used), list(st.at)
+
+
+def test_chain_swap_in_one_pass_leaves_the_two_pass_state():
+    one, two = _chain_state(), _chain_state()
+    assert one.swap_chain(0, 2, 1, 5) and two_pass_swap_chain(two, 0, 2, 1, 5)
+    assert _snapshot(one) == _snapshot(two)
+    assert one.colors == [2, 1, 2, 1, 3]
+    # every vertex keeps its colors but the chain's ends, whose color changed
+    assert one.used == [0b100, 0b110, 0b110, 0b110, 0b1010, 0b1000]
+
+
+def test_chain_swap_ending_at_the_anchor_changes_nothing():
+    st = _chain_state()
+    before = _snapshot(st)
+    assert not st.swap_chain(0, 2, 1, 4)
+    assert _snapshot(st) == before
 
 
 # -- exact chromatic index -------------------------------------------------------

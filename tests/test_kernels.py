@@ -10,9 +10,10 @@ from intcolor.generators import (complete_bipartite_graph, complete_multipartite
 from intcolor.kernels import (IncrementalHost, alternating_walk_colors,
                               balanced_multipartite_colors, color_cactus, color_forest,
                               color_low_even_bipartite, round_robin_rounds,
-                              staircase_bipartite_colors, two_factor_pair_colors,
-                              walk_degree_two)
+                              staircase_bipartite_colors, walk_degree_two)
 from intcolor.multigraph import EdgeColoring, GraphError, build_graph, normalize, verify
+
+from reference_checkers import two_factor_pair_colors
 
 
 def _coloring(g, colors):
@@ -210,7 +211,7 @@ def test_low_even_with_pendant_edges():
     assert sorted(col.palette(0)) == [1, 2, 3, 4]
 
 
-# -- paired 2-factors --------------------------------------------------------------
+# -- paired 2-factors: the per-pair reference of decompose_eulerian_bipartite ------
 
 def test_two_factor_pair_single_cycle():
     g = cycle_graph(4)

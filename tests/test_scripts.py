@@ -80,3 +80,51 @@ def test_closed_stdout_gives_no_traceback(name, args):
         os.close(write_end)
     assert "BrokenPipeError" not in proc.stderr
     assert proc.returncode == 1
+
+
+def _pairs_module():
+    spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPTS / "perf_pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    return pairs
+
+
+def _result(correct=True, **values):
+    return {"correct": correct, "metrics": {k: {"value": v} for k, v in values.items()}}
+
+
+_METRICS = [{"name": "edges_per_s", "unit": "edges/s", "better": "higher"},
+            {"name": "latency_p50_ms", "unit": "ms", "better": "lower"}]
+
+
+def test_perf_pairs_summary_counts_the_pairs_the_change_won():
+    pairs = [(_result(edges_per_s=p, latency_p50_ms=lp), _result(edges_per_s=c, latency_p50_ms=lc))
+             for p, c, lp, lc in [(100, 130, 5.0, 4.0), (80, 120, 6.0, 6.0),
+                                  (90, 85, 5.5, 5.0), (110, 140, 4.0, 4.5)]]
+    throughput, latency = _pairs_module().summarize(pairs, _METRICS)
+    # quartiles of statistics.quantiles' default method: 80,90,100,110 -> 82.5, 107.5
+    assert throughput == {"name": "edges_per_s", "unit": "edges/s",
+                          "parent_median": 95, "parent_iqr": 25.0,
+                          "change_median": 125, "change_iqr": 43.75, "wins": 3, "pairs": 4}
+    # lower is better for latency, and a tie counts for neither side
+    assert (latency["wins"], latency["parent_median"], latency["change_median"]) == (2, 5.25, 4.75)
+
+
+def test_perf_pairs_alternates_the_first_side_and_fails_on_an_incorrect_run(monkeypatch, capsys):
+    perf_pairs = _pairs_module()
+    order = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        order.append(str(checkout))
+        return _result(correct=len(order) != 4, **{m["name"]: 1.0
+                                                    for m in perf_pairs.end_to_end_metrics()})
+
+    monkeypatch.setattr(perf_pairs, "run_once", fake_run)
+    monkeypatch.setattr(sys, "argv", ["perf_pairs.py", "p", "c", "--workload", "timetable",
+                                      "--seed", "1", "--seconds", "1", "--pairs", "3"])
+    assert perf_pairs.main() == 1
+    assert order == ["p", "c", "c", "p", "p", "c"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[3].split()[:2] == ["metric", "unit"]
+    assert [line.split()[0] for line in out[4:]] == [m["name"]
+                                                     for m in perf_pairs.end_to_end_metrics()]

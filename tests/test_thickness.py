@@ -25,7 +25,9 @@ from intcolor.thickness import (_Facts, decompose_bipartite,
                                 split_cyclic)
 from intcolor.timetable import build_requirement_graph
 
-from reference_checkers import (reference_decompose_general, reference_dispatch_componentwise,
+from reference_checkers import (reference_decompose_bipartite,
+                                reference_decompose_eulerian_bipartite,
+                                reference_decompose_general, reference_dispatch_componentwise,
                                 reference_verify_decomposition)
 
 
@@ -367,6 +369,19 @@ def test_eulerian_random(seed):
     d = decompose_eulerian_bipartite(g)
     assert _certified(d)
     assert d.part_count <= -(-g.max_degree // 4)
+
+
+@given(st.integers(0, 100_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_eulerian_matches_the_per_pair_reference(seed, spread):
+    # one walk over the (vertex, factor) slots colors every pair of factors as
+    # two_factor_pair_colors colors each pair on its own
+    rng = random.Random(seed)
+    g = random_eulerian_bipartite(rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 8),
+                                  rng.randint(1, 5), rng.choice((2, 4, 6, 8, 12)), rng)
+    if spread:
+        g = _spread(g, rng)
+    assert decompose_eulerian_bipartite(g) == reference_decompose_eulerian_bipartite(g)
 
 
 # -- biregular -----------------------------------------------------------------------------
@@ -724,31 +739,47 @@ def test_bipartite_thirds_of_a_hub_is_linear():
     assert _certified(d) and d.part_count == 2000
 
 
-def test_bipartite_classes_on_their_own_vertices_keep_the_host_colors(monkeypatch):
-    # each graph's vertices are spread among 2E isolated ones, so relabel really
-    # renumbers every equalized class before Konig; an identity relabel keeps
-    # Konig on the host's vertices, and both must agree.  A graph of maximum
-    # degree at most 3 is colored whole on the host, with no relabel
-    rng = random.Random(11)
-    graphs = [complete_bipartite_graph(1, 40)]
-    for _ in range(20):
-        g = random_bipartite(rng.randint(2, 10), rng.randint(2, 10), rng.randint(8, 40),
-                             rng.randint(2, 9), rng, simple=False)
-        n = 2 * g.edge_count + g.vertex_count
-        spread = sorted(rng.sample(range(n), g.vertex_count))
-        graphs.append(build_graph(n, [(spread[u], spread[v]) for u, v in g.edges]))
-    relabeled = []
-    original = thickness.relabel
+def _spread(g, rng):
+    """g with its vertices spread among 2E isolated ones, so relabel really renumbers."""
+    n = 2 * g.edge_count + g.vertex_count
+    spread = sorted(rng.sample(range(n), g.vertex_count))
+    return build_graph(n, [(spread[u], spread[v]) for u, v in g.edges])
+
+
+@given(st.integers(0, 100_000), st.sampled_from(["any", "subcubic", "hub"]), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_bipartite_thirds_match_the_per_class_reference(seed, shape, spread):
+    # the one pass over (vertex, class) slots colors every class as the per-class
+    # construction does: renumbered onto its own vertices, Konig 3-colored and
+    # given to subcubic_colors
+    rng = random.Random(seed)
+    if shape == "hub":
+        g = complete_bipartite_graph(rng.randint(1, 3), rng.randint(4, 40))
+    else:
+        g = random_bipartite(rng.randint(1, 10), rng.randint(1, 10), rng.randint(1, 40),
+                             3 if shape == "subcubic" else rng.randint(4, 12), rng,
+                             simple=rng.random() < 0.3)
+    if spread:
+        g = _spread(g, rng)
+    assert decompose_bipartite(g) == reference_decompose_bipartite(g)
+
+
+def test_bipartite_thirds_make_one_konig_3_coloring(monkeypatch):
+    # no class is renumbered, Konig colored or given to subcubic_colors on its own
+    calls = []
+    konig, relabel = thickness._konig_state, thickness.relabel
+    monkeypatch.setattr(thickness, "_konig_state",
+                        lambda n, edges, k: calls.append(("konig", k)) or konig(n, edges, k))
     monkeypatch.setattr(thickness, "relabel",
-                        lambda edges, eids: relabeled.append(eids) or original(edges, eids))
-    on_class = [decompose_bipartite(g) for g in graphs]
-    assert len(relabeled) == sum(d.part_count for g, d in zip(graphs, on_class)
-                                 if g.max_degree > 3)
-    assert any(g.max_degree <= 3 for g in graphs)
-    for g, d in zip(graphs, on_class):
-        monkeypatch.setattr(thickness, "relabel", lambda edges, eids, n=g.vertex_count: (
-            range(n), [w for e in eids for w in edges[e]]))
-        assert decompose_bipartite(g) == d and _certified(d)
+                        lambda edges, eids: calls.append("relabel") or relabel(edges, eids))
+    monkeypatch.setattr(thickness, "subcubic_colors", None)
+    rng = random.Random(3)
+    for g in (_spread(random_bipartite(8, 8, 60, 12, rng, simple=False), rng),
+              complete_bipartite_graph(3, 3), complete_bipartite_graph(1, 300)):
+        calls.clear()
+        d = decompose_bipartite(g)
+        assert calls == ["relabel", ("konig", 3)]
+        assert _certified(d) and d.part_count == -(-g.max_degree // 3)
 
 
 def test_bipartite_with_parallel_edges():
@@ -838,19 +869,32 @@ def _clash_at_one_vertex(kernel):
     return corrupted
 
 
+def _clash(edges, eids, colors):
+    """colors with two of the edges eids that meet at a vertex given one color."""
+    at = {}
+    for e in eids:
+        for v in edges[e]:
+            at.setdefault(v, []).append(e)
+    first, second = next(es for es in at.values() if len(es) >= 2)[:2]
+    colors[second] = colors[first]
+    return colors
+
+
 def _clash_in_subset(kernel):
     """subset kernel with its output corrupted: two edges of the subset at one
     vertex share a color."""
-    def corrupted(edges, eids, c3):
-        colors = kernel(edges, eids, c3)
-        at = {}
-        for e in eids:
-            for v in edges[e]:
-                at.setdefault(v, []).append(e)
-        first, second = next(es for es in at.values() if len(es) >= 2)[:2]
-        colors[second] = colors[first]
-        return colors
-    return corrupted
+    return lambda edges, eids, c3: _clash(edges, eids, kernel(edges, eids, c3))
+
+
+def _clash_in_walk(kernel):
+    """_factor_colors with its output corrupted: two edges at one vertex share a color."""
+    return lambda g, *args: _clash(g.edges, range(g.edge_count), kernel(g, *args))
+
+
+def _clash_in_slots(kernel):
+    """_class_pass with its output corrupted: two edges at one (vertex, class)
+    slot share a color."""
+    return lambda st, cubic: _clash(st.edges, range(len(st.edges)), kernel(st, cubic))
 
 
 def _general_from_konig(g):
@@ -871,17 +915,19 @@ _CACTUS = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)
     ("color_low_even_bipartite", complete_bipartite_graph(2, 4), dispatch_theta_upper,
      "low-even-bipartite"),
     ("color_subcubic", complete_bipartite_graph(3, 3), dispatch_theta_upper, "subcubic"),
-    ("subcubic_colors", complete_bipartite_graph(5, 5), decompose_bipartite, None),
+    ("_class_pass", complete_bipartite_graph(5, 5), decompose_bipartite, None),
     ("color_forest", _disjoint_union(_trees(3)), dispatch_theta_upper, "componentwise"),
     ("subcubic_colors", complete_bipartite_graph(5, 5), _general_from_konig, None),
     ("color_subcubic", _disjoint_union(map(cycle_graph, (4, 2, 6, 4))), dispatch_theta_upper,
      "componentwise"),
+    ("_factor_colors", complete_bipartite_graph(4, 4), decompose_eulerian_bipartite, None),
 ])
 def test_corrupted_kernel_output_fails_certification(monkeypatch, kernel, g, run, method):
     # kernels do not check their own output; the certification of the result does
     if method is not None:
         assert dispatch_theta_upper(g)[1].method == method
-    corrupt = _clash_in_subset if kernel == "subcubic_colors" else _clash_at_one_vertex
+    corrupt = {"subcubic_colors": _clash_in_subset, "_class_pass": _clash_in_slots,
+               "_factor_colors": _clash_in_walk}.get(kernel, _clash_at_one_vertex)
     monkeypatch.setattr(thickness, kernel, corrupt(getattr(thickness, kernel)))
     with pytest.raises(AssertionError, match="failed certification"):
         run(g)
