@@ -5,6 +5,7 @@ so parallel edges are first class.  All values are immutable after construction.
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,9 @@ class Multigraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise GraphError("vertex_count must be nonnegative")
+        # a larger count cannot size a list, so it would overflow on first use
+        if self.vertex_count > sys.maxsize:
+            raise GraphError(f"vertex_count must be at most {sys.maxsize}")
         # one bare comparison pass finds a loop or an endpoint out of range (in
         # Python 3.11 it beats min/max and map passes over the flattened ends);
         # only then does a second pass name the first offending edge

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .edge_coloring import (_KempeState, _konig_state, equalized_bipartite_color, konig_color,
+from .edge_coloring import (_konig_state, equalized_bipartite_color, konig_color,
                             petersen_two_factorization, shannon_color, vizing_color)
 from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
                       color_forest, color_low_even_bipartite, latin_bipartite_colors,
@@ -22,7 +22,7 @@ from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bi
                          normalize, relabel, require_bipartite, traverse, verify,
                          verify_decomposition)
 from .oracles import INTERVAL_BUDGET, exact_chromatic_index, exact_interval_colorable
-from .subcubic import OddCycleComponent, color_subcubic, subcubic_colors
+from .subcubic import OddCycleComponent, _slot_pass, color_subcubic, subcubic_colors
 
 
 @dataclass(frozen=True)
@@ -249,103 +249,6 @@ def _general_bound(t: int) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # Bipartite decompositions.
 
-def _class_pass(st: _KempeState, cubic: list[bool]) -> list[int]:
-    """Interval colors, unshifted, of the classes whose (vertex, class) slots the
-    Konig 3-coloring st colors; cubic[s] says whether a slot of s's class meets
-    all three colors.  Each class comes out as subcubic_colors colors it.
-
-    A class of maximum degree 2 alternates 1, 2 along its walks: its paths from
-    their smaller ends, then its cycles from their smallest slots by their
-    smaller edge ids.  In a cubic class color 1 is the matching M (the class's
-    first edge took it and no Kempe swap loses it), and the paths and cycles of
-    the class minus M alternate Konig colors 2 and 3, so at[s*4 + c] steps along
-    them.  The A/B labels of the auxiliary graph are carried along its
-    components, each from A at its smallest end or, for a cycle, its smallest
-    slot: an M edge takes 1 at A and 4 at B, a path 2 from an A end and 3 from
-    a B end, and the label flips across a path of even length.  Around a cycle
-    of the auxiliary graph the host closed walk has the parity of its number of
-    even paths, so in a bipartite class the labels always close and the repair
-    of subcubic_colors is never needed.  The cycles of the class minus M
-    alternate 2, 3 as the walks of the degree-2 classes do.
-    """
-    edges, used, at, konig = st.edges, st.used, st.at, st.colors
-    out = [0] * len(edges)
-
-    def walk(s: int, e: int, col: int, mask: int) -> tuple[int, int]:
-        # color the walk of the Konig colors in mask from slot s by edge e,
-        # alternately col and its partner; the slot and color it stops at
-        total = 3 if mask & 2 else 5
-        while True:
-            out[e] = col
-            col = total - col
-            p, q = edges[e]
-            s = q if p == s else p
-            rest = used[s] & mask & ~(1 << konig[e])
-            if not rest:
-                return s, col
-            e = at[4 * s + rest.bit_length() - 1]
-            if out[e]:
-                return s, col
-
-    def aux_walk(s: int, red: bool) -> None:
-        lab = 0     # A
-        while True:
-            if red:
-                e = at[4 * s + 1]
-                if e < 0:
-                    return
-                if out[e]:
-                    if lab:
-                        raise AssertionError("labels do not close around a bipartite cycle")
-                    return
-                out[e] = 4 if lab else 1
-                p, q = edges[e]
-                s = q if p == s else p
-            else:
-                bits = used[s] & 12
-                if bits != 4 and bits != 8:
-                    return
-                s, col = walk(s, at[4 * s + bits.bit_length() - 1], 3 if lab else 2, 12)
-                lab = col == 2
-            red = not red
-
-    aux_cycles, cycles = [], []     # the slots where the later passes may start
-    for s, u in enumerate(used):
-        if cubic[s]:
-            # an end of the auxiliary graph has an M edge or ends a path, not both
-            bits, m = u & 12, at[4 * s + 1]
-            if bits == 4 or bits == 8:
-                if m >= 0:
-                    aux_cycles.append(s)
-                elif not out[at[4 * s + bits.bit_length() - 1]]:
-                    aux_walk(s, False)
-            else:
-                if bits:
-                    cycles.append(s)
-                if m >= 0 and not out[m]:
-                    aux_walk(s, True)
-        elif u == 2 or u == 4 or u == 8:
-            e = at[4 * s + u.bit_length() - 1]
-            if not out[e]:
-                walk(s, e, 1, 14)
-        else:
-            cycles.append(s)
-    # an M edge left is on a cycle of the auxiliary graph
-    for s in aux_cycles:
-        if not out[at[4 * s + 1]]:
-            aux_walk(s, True)
-    # an edge left is on a cycle of a degree-2 class or of a cubic class minus M
-    for s in cycles:
-        mask = 12 if cubic[s] else 14
-        bits = used[s] & mask
-        e, f = at[4 * s + (bits & -bits).bit_length() - 1], at[4 * s + bits.bit_length() - 1]
-        if not out[e]:
-            walk(s, min(e, f), 2 if cubic[s] else 1, mask)
-    if 0 in out:
-        raise AssertionError("construction left edges uncolored")
-    return out
-
-
 def decompose_bipartite(g: Multigraph) -> Decomposition:
     """ceil(Delta/3) certified parts with per-vertex part degrees within one.
 
@@ -353,9 +256,10 @@ def decompose_bipartite(g: Multigraph) -> Decomposition:
     maximum degree 3, hence interval colorable.  Every class is colored in one
     pass: each edge is put on the (vertex, class) slots of its ends, numbered
     u*k + c and compacted by relabel (ascending, so each class keeps the host's
-    vertex order), one Konig 3-coloring colors all slots, and _class_pass reads
-    the interval colors off its state.  Each class's colors are shifted so its
-    smallest is 1.
+    vertex order), one Konig 3-coloring colors all slots, and the subcubic
+    construction's _slot_pass reads the interval colors off its state; a
+    bipartite class has no odd cycle, so the pass never repairs one.  Each
+    class's colors are shifted so its smallest is 1.
     """
     require_bipartite(g)
     if g.edge_count == 0:
@@ -366,7 +270,8 @@ def decompose_bipartite(g: Multigraph) -> Decomposition:
                          range(g.edge_count))
     st = _konig_state(len(kept), list(zip(ends[::2], ends[1::2])), 3)
     cubic_classes = {kept[s] % k for s, u in enumerate(st.used) if u == 14}
-    colors = _class_pass(st, [w % k in cubic_classes for w in kept])
+    colors = _slot_pass(st.edges, st.used, st.at, st.colors,
+                        [w % k in cubic_classes for w in kept])
     # a cubic class whose matching edges all took 4 starts at 2
     low = set(range(k)) - set(itertools.compress(parts, map((1).__eq__, colors)))
     if low:

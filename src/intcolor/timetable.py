@@ -9,6 +9,7 @@ implemented here as translations.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .multigraph import (Decomposition, GraphError, Multigraph, VerifyReport, _as_int,
@@ -29,6 +30,9 @@ class RequirementMatrix:
                 raise GraphError("ragged requirement matrix")
             if min(row) < 0:
                 raise GraphError("lecture counts must be nonnegative")
+            # each lecture is an edge, so a larger count cannot size the edge list
+            if max(row) > sys.maxsize:
+                raise GraphError(f"lecture counts must be at most {sys.maxsize}")
 
     @property
     def n_classes(self) -> int:

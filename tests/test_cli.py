@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -251,6 +252,32 @@ def _exits_2_with_one_error_line(capsys, *argv):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     return err
+
+
+HUGE = 10 ** 30        # above sys.maxsize, so nothing is ever sized by it
+
+
+@pytest.mark.parametrize("command,graph,target", [
+    ("verify", {"vertex_count": HUGE, "edges": [[7, 1]]}, [1]),
+    ("decompose", {"vertex_count": HUGE, "edges": [[7, 1]]}, None),
+    ("verify", {"vertex_count": 10 ** 19, "edges": []}, []),
+])
+def test_vertex_count_beyond_an_index_exit_code(tmp_path, capsys, command, graph, target):
+    gpath, tpath = tmp_path / "g.json", tmp_path / "t.json"
+    gpath.write_text(json.dumps(graph))
+    argv = [command, str(gpath)]
+    if target is not None:
+        tpath.write_text(json.dumps(target))
+        argv.append(str(tpath))
+    assert _exits_2_with_one_error_line(capsys, *argv) == (
+        f"error: vertex_count must be at most {sys.maxsize}\n")
+
+
+def test_timetable_lecture_count_beyond_an_index_exit_code(tmp_path, capsys):
+    mpath = tmp_path / "b.csv"
+    mpath.write_text(f"1,{10 ** 29}\n2,3\n")
+    assert _exits_2_with_one_error_line(capsys, "timetable", str(mpath)) == (
+        f"error: lecture counts must be at most {sys.maxsize}\n")
 
 
 LOOP_GRAPH = '{"vertex_count": 2, "edges": [[0, 1], [1, 1]], "allows_loops": true}\n'

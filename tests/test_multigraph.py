@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -33,6 +34,13 @@ def test_build_rejects_loop():
 def test_build_rejects_bad_endpoint():
     with pytest.raises(GraphError):
         build_graph(2, [(0, 5)])
+
+
+def test_rejects_a_vertex_count_beyond_an_index():
+    # the check comes before any list is sized by the count
+    for n in (sys.maxsize + 1, 10 ** 30):
+        with pytest.raises(GraphError, match=f"^vertex_count must be at most {sys.maxsize}$"):
+            Multigraph(n, ((7, 1),))
 
 
 def test_bipartition_c4_and_k3():

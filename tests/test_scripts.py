@@ -35,11 +35,15 @@ def test_timetable_demo():
     assert lines[-1].startswith("largest daily-load spread over all parties: ")
 
 
+def _script_module(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _digest_module():
-    spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
-    return digest
+    return _script_module("output_digest.py")
 
 
 # golden lines of `output_digest.py 101 202`: any change to a decomposition the
@@ -69,7 +73,8 @@ def test_output_digest_prints_only_the_workloads_named():
 
 @pytest.mark.parametrize("name,args", [("thickness_gap_scan.py", ("--trials", "5")),
                                        ("timetable_demo.py", ()),
-                                       ("output_digest.py", ("101",))])
+                                       ("output_digest.py", ("101",)),
+                                       ("code_lines.py", ())])
 def test_closed_stdout_gives_no_traceback(name, args):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -83,10 +88,7 @@ def test_closed_stdout_gives_no_traceback(name, args):
 
 
 def _pairs_module():
-    spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPTS / "perf_pairs.py")
-    pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pairs)
-    return pairs
+    return _script_module("perf_pairs.py")
 
 
 def _result(correct=True, **values):
@@ -128,3 +130,37 @@ def test_perf_pairs_alternates_the_first_side_and_fails_on_an_incorrect_run(monk
     assert out[3].split()[:2] == ["metric", "unit"]
     assert [line.split()[0] for line in out[4:]] == [m["name"]
                                                      for m in perf_pairs.end_to_end_metrics()]
+
+
+_CANNED_SOURCE = '''"""Module docstring,
+over two lines."""
+import os  # a trailing comment keeps its line
+
+# a comment alone
+
+
+class Point:
+    """Class docstring."""
+    x: int = 0
+
+
+def f(a,
+      b):
+    """Function docstring
+    over two lines."""
+    text = """a multi-line string
+that is no docstring"""
+    return (a +
+            b)
+'''
+
+
+def test_code_lines_counts_tokens_outside_docstrings_and_comments():
+    # import, class, x, then def, text and return over two lines each
+    assert _script_module("code_lines.py").code_lines(_CANNED_SOURCE) == 9
+
+
+def test_code_lines_prints_each_module_and_the_total(tmp_path):
+    (tmp_path / "a.py").write_text(_CANNED_SOURCE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# c\n")
+    assert _run("code_lines.py", str(tmp_path)) == ["a.py 9", "b.py 1", "total 10"]

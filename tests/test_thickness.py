@@ -751,7 +751,7 @@ def _spread(g, rng):
 def test_bipartite_thirds_match_the_per_class_reference(seed, shape, spread):
     # the one pass over (vertex, class) slots colors every class as the per-class
     # construction does: renumbered onto its own vertices, Konig 3-colored and
-    # given to subcubic_colors
+    # given to the T-graph labeler
     rng = random.Random(seed)
     if shape == "hub":
         g = complete_bipartite_graph(rng.randint(1, 3), rng.randint(4, 40))
@@ -892,9 +892,9 @@ def _clash_in_walk(kernel):
 
 
 def _clash_in_slots(kernel):
-    """_class_pass with its output corrupted: two edges at one (vertex, class)
+    """_slot_pass with its output corrupted: two edges at one (vertex, class)
     slot share a color."""
-    return lambda st, cubic: _clash(st.edges, range(len(st.edges)), kernel(st, cubic))
+    return lambda edges, *state: _clash(edges, range(len(edges)), kernel(edges, *state))
 
 
 def _general_from_konig(g):
@@ -915,7 +915,7 @@ _CACTUS = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)
     ("color_low_even_bipartite", complete_bipartite_graph(2, 4), dispatch_theta_upper,
      "low-even-bipartite"),
     ("color_subcubic", complete_bipartite_graph(3, 3), dispatch_theta_upper, "subcubic"),
-    ("_class_pass", complete_bipartite_graph(5, 5), decompose_bipartite, None),
+    ("_slot_pass", complete_bipartite_graph(5, 5), decompose_bipartite, None),
     ("color_forest", _disjoint_union(_trees(3)), dispatch_theta_upper, "componentwise"),
     ("subcubic_colors", complete_bipartite_graph(5, 5), _general_from_konig, None),
     ("color_subcubic", _disjoint_union(map(cycle_graph, (4, 2, 6, 4))), dispatch_theta_upper,
@@ -926,7 +926,7 @@ def test_corrupted_kernel_output_fails_certification(monkeypatch, kernel, g, run
     # kernels do not check their own output; the certification of the result does
     if method is not None:
         assert dispatch_theta_upper(g)[1].method == method
-    corrupt = {"subcubic_colors": _clash_in_subset, "_class_pass": _clash_in_slots,
+    corrupt = {"subcubic_colors": _clash_in_subset, "_slot_pass": _clash_in_slots,
                "_factor_colors": _clash_in_walk}.get(kernel, _clash_at_one_vertex)
     monkeypatch.setattr(thickness, kernel, corrupt(getattr(thickness, kernel)))
     with pytest.raises(AssertionError, match="failed certification"):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +206,11 @@ def test_csv_errors_name_the_first_bad_cell(text, message):
     with pytest.raises(GraphError) as by_rows:
         RequirementMatrix.from_rows([line.split(",") for line in text.splitlines()])
     assert str(by_rows.value) == message
+
+
+def test_rejects_a_lecture_count_beyond_an_index():
+    with pytest.raises(GraphError, match=f"^lecture counts must be at most {sys.maxsize}$"):
+        RequirementMatrix(((1, sys.maxsize + 1), (2, 3)))
 
 
 def test_rows_parse_exact_integers_only():
