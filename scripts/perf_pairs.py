@@ -8,12 +8,21 @@ Each pair runs ``perfbench/run.py`` once in each checkout, one after the other,
 and the side that runs first alternates from pair to pair.  A checkout of the
 parent commit serves as PARENT_DIR (``git worktree add`` or ``git archive`` of
 it).  For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
-median and interquartile range and the number of pairs the change won, ties
-counting for neither side.  Exits 1 if any run reports an output that is not
-correct.
+median and interquartile range, the number of pairs the change won (ties
+count for neither side), ``Δ/IQR``, that is |change median - parent median|
+divided by the parent's IQR, and a verdict:
+
+- ``gain`` when the change won at least nine tenths of the pairs and Δ/IQR is
+  above 1;
+- ``worse`` when the change's median is worse than the parent's by more than
+  the metric's bound in BENCHMARK.json;
+- ``flat`` otherwise.
+
+Exits 1 if any run reports an output that is not correct.
 """
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -59,14 +68,28 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     return rows
 
 
-def format_rows(rows: list[dict]) -> list[str]:
+def verdict(row: dict, metric: dict) -> tuple[float, str]:
+    """(|Δ median| / parent IQR, "gain" | "worse" | "flat") for one summary row."""
+    delta = row["change_median"] - row["parent_median"]
+    iqr = row["parent_iqr"]
+    ratio = abs(delta) / iqr if iqr else (math.inf if delta else 0.0)
+    worse_by = -delta if metric["better"] == "higher" else delta
+    if worse_by > metric["bound"] * abs(row["parent_median"]):
+        return ratio, "worse"
+    if worse_by < 0 and 10 * row["wins"] >= 9 * row["pairs"] and ratio > 1:
+        return ratio, "gain"
+    return ratio, "flat"
+
+
+def format_rows(rows: list[dict], metrics: list[dict]) -> list[str]:
     lines = [f"{'metric':<16} {'unit':<8} {'parent median (IQR)':>24} "
-             f"{'change median (IQR)':>24} {'change won':>10}"]
-    for r in rows:
+             f"{'change median (IQR)':>24} {'change won':>10} {'Δ/IQR':>7} verdict"]
+    for r, m in zip(rows, metrics):
         parent = f"{r['parent_median']:.4g} ({r['parent_iqr']:.3g})"
         change = f"{r['change_median']:.4g} ({r['change_iqr']:.3g})"
+        ratio, word = verdict(r, m)
         lines.append(f"{r['name']:<16} {r['unit']:<8} {parent:>24} {change:>24} "
-                     f"{r['wins']:>4} of {r['pairs']}")
+                     f"{r['wins']:>4} of {r['pairs']} {ratio:>7.2f} {word}")
     return lines
 
 
@@ -91,7 +114,8 @@ def main() -> int:
         print(f"pair {i + 1}: {args.workload} edges_per_s parent "
               f"{pair[0]['metrics']['edges_per_s']['value']:.0f} change "
               f"{pair[1]['metrics']['edges_per_s']['value']:.0f}", flush=True)
-    for line in format_rows(summarize(pairs, end_to_end_metrics())):
+    metrics = end_to_end_metrics()
+    for line in format_rows(summarize(pairs, metrics), metrics):
         print(line)
     if not correct:
         print("error: a run reported outputs that are not correct", file=sys.stderr)

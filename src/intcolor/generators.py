@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
@@ -320,6 +321,9 @@ def generate(spec: FamilySpec) -> GeneratedGraph:
         val = p.get(key, default)
         if not isinstance(val, int):
             raise InfeasibleSpec(f"{fam} needs an integer parameter {key}, got {val!r}")
+        # a larger value cannot size a list; the family would grow one until killed
+        if val > sys.maxsize:
+            raise InfeasibleSpec(f"{fam} parameter {key} must be at most {sys.maxsize}")
         return val
 
     if fam == "path":
@@ -350,6 +354,8 @@ def generate(spec: FamilySpec) -> GeneratedGraph:
         except (TypeError, ValueError):
             raise InfeasibleSpec(f"{fam} needs sizes as integers joined by '+', "
                                  f"got {given!r}") from None
+        if max(sizes, default=0) > sys.maxsize:
+            raise InfeasibleSpec(f"{fam} sizes must be at most {sys.maxsize}")
         return GeneratedGraph(complete_multipartite_graph(sizes), meta={"sizes": sizes})
     if fam == "balanced":
         n, r = num("n"), num("r")

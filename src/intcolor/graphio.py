@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any
 
 from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, _as_int,
@@ -38,8 +39,21 @@ def graph_to_json(g: Multigraph) -> dict[str, Any]:
 def graph_from_json(obj: Any) -> Multigraph:
     if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
         raise GraphError("graph JSON needs 'vertex_count' and a list of 'edges'")
+    edges, n = obj["edges"], obj.get("vertex_count")
+    # the file graph_to_json writes (dict edges, ids 0..E-1, int ends and count)
+    # is read in C-level passes; anything else takes the checked path below,
+    # which names what is wrong.  Multigraph checks the ends either way.
+    if type(n) is int and isinstance(obj.get("allows_loops", False), bool) \
+            and set(map(type, edges)) <= {dict}:
+        try:
+            ids, us, vs = (list(map(itemgetter(key), edges)) for key in ("id", "u", "v"))
+        except KeyError:
+            pass
+        else:
+            if ids == list(range(len(edges))) and {*map(type, us), *map(type, vs)} <= {int}:
+                return Multigraph(n, tuple(zip(us, vs)))
     pairs = []
-    for i, e in enumerate(obj["edges"]):
+    for i, e in enumerate(edges):
         if isinstance(e, dict):
             if e.get("id", i) != i:
                 raise GraphError("edge ids must be dense and in order")

@@ -455,7 +455,7 @@ class Decomposition:
     def __post_init__(self) -> None:
         if len(self.parts) != self.graph.edge_count or len(self.colors) != self.graph.edge_count:
             raise GraphError("decomposition must assign a part and a color to every edge")
-        if any(p < 0 for p in self.parts):
+        if self.parts and min(self.parts) < 0:
             raise GraphError("part indices must lie in [0, k)")
 
     @cached_property
@@ -484,6 +484,8 @@ def verify_decomposition(g: Multigraph, d: Decomposition) -> VerifyReport:
     key = [p * span + c - lo for p, c in zip(parts, colors)]
     key_of, succ_of = key.__getitem__, [k + 1 for k in key].__getitem__
     part_of = parts.__getitem__
+    # with one part (every index is 0) each vertex meets exactly one part
+    one_part = d.part_count == 1
     degrees = g.degrees
     bad_vertices: list[int] = []
     bad_edges: set[int] = set()
@@ -492,7 +494,8 @@ def verify_decomposition(g: Multigraph, d: Decomposition) -> VerifyReport:
         if n < 2:
             continue
         keys = set(map(key_of, inc))
-        if len(keys) == n and len(keys.difference(map(succ_of, inc))) == len(set(map(part_of, inc))):
+        if len(keys) == n and len(keys.difference(map(succ_of, inc))) == (
+                1 if one_part else len(set(map(part_of, inc)))):
             continue
         bad_vertices.append(v)
         by_part: dict[int, list[int]] = {}

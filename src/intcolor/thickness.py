@@ -590,17 +590,27 @@ def _dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
 
 
 class _Facts:
-    """What the candidate rows read about one graph, computed once per run from
-    the graph's traversal."""
+    """What the candidate rows read about one graph, each computed once per run
+    on first read, so a row that reads none of them (forest) costs no pass."""
 
     def __init__(self, g: Multigraph) -> None:
         self.g = g
-        self.bipartite = bipartition(g) is not None
-        self.delta = g.max_degree
+
+    @functools.cached_property
+    def bipartite(self) -> bool:
+        return bipartition(self.g) is not None
+
+    @functools.cached_property
+    def delta(self) -> int:
+        return self.g.max_degree
+
+    @functools.cached_property
+    def lower(self) -> int:
         # an interval colorable graph has a proper Delta-coloring, whose classes are
         # matchings of at most floor(V/2) edges each, so an overfull graph
         # (E > Delta*floor(V/2); a regular graph of odd order, for one) needs two
-        self.lower = 2 if g.edge_count > self.delta * (g.vertex_count // 2) else 1
+        g = self.g
+        return 2 if g.edge_count > self.delta * (g.vertex_count // 2) else 1
 
     @functools.cached_property
     def multipartite(self) -> list[list[int]] | None:
@@ -775,9 +785,19 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     components together by one subcubic run, and every other component alone.
     A graph with isolated vertices is dispatched without them, so they never
     change the answer.  A certification failure inside a candidate, or a
-    candidate above its own bound, is a bug and propagates."""
+    candidate above its own bound, is a bug and propagates.
+
+    When E = V - 1 the forest row runs before the traversal: if it succeeds the
+    graph is acyclic with V - 1 edges, a spanning tree, on which the forest row
+    is the first candidate and wins with one part.  If it finds a cycle the
+    dispatch goes on as above."""
     if g.edge_count == 0:
         return _assemble(g, []), BoundTrace("empty", "no edges", 0, 0, True)
+    if g.edge_count == g.vertex_count - 1:
+        try:
+            return _run_row("forest", _run_forest, _Facts(g))
+        except GraphError:
+            pass
     t = g.traversal
     if len(t.components) > 1 or len(t.vertices[0]) < g.vertex_count:
         return _dispatch_componentwise(g)

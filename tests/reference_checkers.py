@@ -33,10 +33,14 @@ The componentwise dispatcher at the end dispatches every component on its
 own subgraph; the library closes the tree and the even-cycle components in one
 batch each, and both must return identical decompositions and traces.
 
-The five-class-general split at the very end takes every group one component
-at a time and colors each component's 2-class side by alternating walks; the
-library splits a group as a whole where it can and colors that side by class,
-and both must give the same number of parts.
+The five-class-general split takes every group one component at a time and
+colors each component's 2-class side by alternating walks; the library splits a
+group as a whole where it can and colors that side by class, and both must give
+the same number of parts.
+
+The graph-JSON reader at the very end checks every edge in Python and converts
+every value through build_graph; the library reads a well-formed file in
+C-level passes, and both must return the same graph, or the same error.
 """
 from __future__ import annotations
 
@@ -49,7 +53,8 @@ from intcolor.edge_coloring import (_euler_circuit, _konig_colors, equalized_bip
                                     petersen_two_factorization)
 from intcolor.kernels import alternating_walk_colors, walk_degree_two
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
-                                 VerifyReport, _is_cyclically_consecutive, relabel, traverse)
+                                 VerifyReport, _is_cyclically_consecutive, build_graph, relabel,
+                                 traverse)
 from intcolor.subcubic import OddCycleComponent
 from intcolor.thickness import (BoundTrace, _AbsorbStuck, _assemble, _class_splits,
                                 _dispatch_connected, _split_component)
@@ -922,3 +927,19 @@ def reference_decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomp
                 raise GraphError("no class split absorbed every odd cycle of a component")
         part_dicts.extend([a_side, b_side])
     return _assemble(g, part_dicts)
+
+
+def reference_graph_from_json(obj) -> Multigraph:
+    """graph_from_json with every edge checked in one Python loop."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
+        raise GraphError("graph JSON needs 'vertex_count' and a list of 'edges'")
+    pairs = []
+    for i, e in enumerate(obj["edges"]):
+        if isinstance(e, dict):
+            if e.get("id", i) != i:
+                raise GraphError("edge ids must be dense and in order")
+            e = (e.get("u"), e.get("v"))
+        pairs.append(e)
+    if not isinstance(obj.get("allows_loops", False), bool):
+        raise GraphError(f"'allows_loops' must be true or false, got {obj['allows_loops']!r}")
+    return build_graph(obj.get("vertex_count"), pairs)

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from intcolor import cli, graphio
+from intcolor import cli, generators, graphio
 from intcolor.cli import main
 
 
@@ -271,6 +271,13 @@ def test_vertex_count_beyond_an_index_exit_code(tmp_path, capsys, command, graph
         argv.append(str(tpath))
     assert _exits_2_with_one_error_line(capsys, *argv) == (
         f"error: vertex_count must be at most {sys.maxsize}\n")
+
+
+def test_gen_parameter_beyond_an_index_exit_code(capsys, monkeypatch):
+    # a tree of that many vertices would grow a list until killed
+    monkeypatch.setattr(generators, "random_tree", lambda *args: pytest.fail("sized a tree"))
+    assert _exits_2_with_one_error_line(capsys, "gen", f"tree(n={HUGE})") == (
+        f"error: tree parameter n must be at most {sys.maxsize}\n")
 
 
 def test_timetable_lecture_count_beyond_an_index_exit_code(tmp_path, capsys):

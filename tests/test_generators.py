@@ -1,7 +1,10 @@
 import random
+import re
+import sys
 
 import pytest
 
+from intcolor import generators
 from intcolor.generators import (FIXTURES, FamilySpec, InfeasibleSpec,
                                  circular_complete_graph, generate, random_biregular)
 from intcolor.multigraph import bipartition, verify
@@ -90,6 +93,21 @@ def test_fixture_catalog_contents():
     sharp, expected = FIXTURES["sharpness"]
     assert sharp.vertex_count == 6 and sharp.edge_count == 9 and sharp.max_degree == 4
     assert expected["interval_colorable"] is False
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("tree(n=99999999999999999999)", "tree parameter n must be at most"),
+    ("path(n=99999999999999999999)", "path parameter n must be at most"),
+    ("balanced(n=2,r=99999999999999999999)", "balanced parameter r must be at most"),
+    ("complete_multipartite(sizes=2+99999999999999999999)",
+     "complete_multipartite sizes must be at most"),
+])
+def test_a_parameter_beyond_an_index_is_infeasible(spec, message, monkeypatch):
+    # a builder reached with such a value would grow a list until killed
+    for builder in ("random_tree", "path_graph", "complete_multipartite_graph"):
+        monkeypatch.setattr(generators, builder, lambda *args: pytest.fail("sized a graph"))
+    with pytest.raises(InfeasibleSpec, match=f"^{re.escape(message)} {sys.maxsize}$"):
+        generate(FamilySpec.parse(spec))
 
 
 def test_unknown_family_and_fixture():

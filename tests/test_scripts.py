@@ -132,6 +132,34 @@ def test_perf_pairs_alternates_the_first_side_and_fails_on_an_incorrect_run(monk
                                                      for m in perf_pairs.end_to_end_metrics()]
 
 
+def test_perf_pairs_verdict_per_metric():
+    metrics = [{"name": "edges_per_s", "unit": "edges/s", "better": "higher", "bound": 0.25},
+               {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+               {"name": "latency_p90_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+    # ten pairs: throughput wins 9 and moves 2.5 parent IQRs, p50 wins 10 but by
+    # less than one IQR, p90 loses by 30% and RSS wins only 8
+    parent_p50 = [3.0, 3.2, 3.4, 3.6, 3.8, 4.0, 4.2, 4.4, 4.6, 4.8]
+    pairs = [(_result(edges_per_s=100 + 4 * i, latency_p50_ms=lp, latency_p90_ms=10.0,
+                      peak_rss_mb=20.0),
+              _result(edges_per_s=(90 if i == 0 else 144 + 4 * i), latency_p50_ms=lp - 0.5,
+                      latency_p90_ms=13.0, peak_rss_mb=19.0 if i < 8 else 21.0))
+             for i, lp in enumerate(parent_p50)]
+    perf_pairs = _pairs_module()
+    rows = perf_pairs.summarize(pairs, metrics)
+    verdicts = [perf_pairs.verdict(r, m) for r, m in zip(rows, metrics)]
+    # parent throughput 100..136: median 118, IQR 107..129 by statistics.quantiles'
+    # default method; the change's median is 162, 44 = 2 IQRs above
+    assert rows[0]["parent_iqr"] == 22 and verdicts[0] == (2.0, "gain")
+    assert verdicts[1][1] == "flat" and verdicts[1][0] < 1 and rows[1]["wins"] == 10
+    assert verdicts[2] == (float("inf"), "worse")
+    assert verdicts[3] == (float("inf"), "flat") and rows[3]["wins"] == 8
+    lines = perf_pairs.format_rows(rows, metrics)
+    assert lines[0].split()[-2:] == ["Δ/IQR", "verdict"]
+    assert [line.split()[-1] for line in lines[1:]] == ["gain", "flat", "worse", "flat"]
+    assert lines[1].split()[-2] == "2.00"
+
+
 _CANNED_SOURCE = '''"""Module docstring,
 over two lines."""
 import os  # a trailing comment keeps its line

@@ -1215,6 +1215,50 @@ def test_dispatch_traverses_the_graph_once(monkeypatch):
     assert whole == [g.edge_count]
 
 
+@given(st.integers(2, 60), st.integers(0, 100_000))
+@settings(max_examples=100, deadline=None)
+def test_a_spanning_tree_is_answered_before_any_traversal(n, seed):
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+             for u, v in random_tree(n, rng).edges]
+    rng.shuffle(edges)
+    g = build_graph(n, edges)
+    d, trace = dispatch_theta_upper(g)
+    assert "traversal" not in g.__dict__
+    ref_d, ref_trace = thickness._dispatch_connected(build_graph(n, edges))
+    assert (d.parts, d.colors) == (ref_d.parts, ref_d.colors)
+    assert repr(trace) == repr(ref_trace)
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(4, [(0, 1), (1, 2), (2, 0)]),
+    build_graph(3, [(0, 1), (1, 0)]),
+], ids=["triangle-and-isolated-vertex", "doubled-edge-and-isolated-vertex"])
+def test_a_cycle_with_v_minus_one_edges_falls_through_the_tree_exit(g):
+    d, trace = dispatch_theta_upper(g)
+    ref_d, ref_trace = reference_dispatch_componentwise(build_graph(g.vertex_count, g.edges))
+    assert (d.parts, d.colors) == (ref_d.parts, ref_d.colors)
+    assert repr(trace) == repr(ref_trace)
+    assert trace.method != "forest"
+
+
+@given(st.integers(2, 12), st.integers(0, 100_000))
+@settings(max_examples=150, deadline=None)
+def test_v_minus_one_edges_match_the_componentwise_reference(n, seed):
+    # loopless multigraphs with E = V - 1: trees take the exit, the rest (a
+    # cycle or parallel pair, hence a second component) fall through
+    rng = random.Random(seed)
+    edges = [tuple(rng.sample(range(n), 2)) for _ in range(n - 1)]
+    g = build_graph(n, edges)
+    d, trace = dispatch_theta_upper(g)
+    ref_d, ref_trace = reference_dispatch_componentwise(build_graph(n, edges))
+    assert (d.parts, d.colors) == (ref_d.parts, ref_d.colors)
+    assert repr(trace) == repr(ref_trace)
+    assert ("traversal" in g.__dict__) == (trace.method != "forest")
+
+
 def test_forest_row_rejects_a_graph_with_as_many_edges_as_vertices():
     with pytest.raises(GraphError, match="fewer edges than vertices"):
         run_named_method(cycle_graph(4), "forest")
