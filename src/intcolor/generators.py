@@ -134,10 +134,12 @@ def random_tree(n: int, rng: random.Random) -> Multigraph:
 
 def random_cactus(blocks: int, rng: random.Random) -> Multigraph:
     """Connected cactus with pairwise vertex-disjoint cycles and a bridge root."""
+    if blocks < 1:
+        raise InfeasibleSpec(f"cactus needs blocks >= 1, got {blocks}")
     edges: list[tuple[int, int]] = [(0, 1)]
     n = 2
     on_cycle: set[int] = set()
-    for b in range(max(1, blocks)):
+    for b in range(blocks):
         make_cycle = b == 0 or rng.random() < 0.5
         if make_cycle:
             anchors = [v for v in range(n) if v not in on_cycle]
@@ -166,6 +168,8 @@ def random_bipartite(nx: int, ny: int, n_edges: int, max_degree: int,
                      rng: random.Random, simple: bool = True) -> Multigraph:
     if nx < 1 or ny < 1:
         raise InfeasibleSpec("both sides must be nonempty")
+    if n_edges < 0:
+        raise InfeasibleSpec(f"bipartite_random needs edges >= 0, got {n_edges}")
     deg = [0] * (nx + ny)
     chosen: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -233,10 +237,14 @@ def random_eulerian_bipartite(nx: int, ny: int, n_walks: int, walk_len: int,
     """Union of closed even walks: every degree even, capped by max_degree."""
     if max_degree < 2 or max_degree % 2:
         raise InfeasibleSpec("max_degree must be even and at least 2")
+    for name, value, least in (("nx", nx, 1), ("ny", ny, 1), ("walks", n_walks, 0),
+                               ("walk_len", walk_len, 1)):
+        if value < least:
+            raise InfeasibleSpec(f"eulerian_bipartite needs {name} >= {least}, got {value}")
     deg = [0] * (nx + ny)
     edges: list[tuple[int, int]] = []
     for _ in range(n_walks):
-        length = rng.randint(1, max(1, walk_len))
+        length = rng.randint(1, walk_len)
         xs, ys = [], []
         ok = True
         for _ in range(length):

@@ -3,92 +3,65 @@
 Kernels only construct: the color_* operations return a normalized coloring and
 the *_colors helpers host-edge color maps, unchecked.  The callers certify:
 thickness._certified every decomposition, the oracles every witness.
+
+One walk, _factor_walk, alternates two colors along the paths and cycles of
+every factor of an edge labelling at once; the degree-{1,2,2r} kernel and
+thickness.decompose_eulerian_bipartite both color their Petersen factors by it.
 """
 from __future__ import annotations
 
-from operator import eq
+import itertools
+from operator import add
 from typing import Container, Iterable, Mapping, Sequence
 
 from .edge_coloring import petersen_two_factorization
-from .multigraph import (EdgeColoring, GraphError, Multigraph, normalize, relabel,
-                         require_bipartite)
+from .multigraph import EdgeColoring, GraphError, Multigraph, normalize, require_bipartite
 
 
-def _as_coloring(g: Multigraph, colors: dict[int, int]) -> EdgeColoring:
-    if len(colors) != g.edge_count:
-        raise AssertionError("construction left edges uncolored")
-    return normalize(EdgeColoring(g, tuple(colors[e] for e in range(g.edge_count))))
+def _factor_walk(edges: Sequence[tuple[int, int]], vertex_count: int,
+                 factor_of: Sequence[int], lows: Sequence[int]) -> list[int]:
+    """Colors of one walk over the (vertex, factor) slots, v*r + f, of every edge
+    in its factor_of of r = len(lows) factors: factor f alternates lows[f]+1 and
+    lows[f]+2 along its paths and cycles.
 
-
-def walk_degree_two(edges: Sequence[tuple[int, int]],
-                    eids: Sequence[int]) -> list[tuple[list[int], list[int], bool]]:
-    """Path/cycle components of the edges eids of an edge list, with max degree 2.
-
-    Returns (vertex_seq, edge_seq, is_cycle) triples: the paths from their
-    smaller end in ascending order of it, then the cycles from their smallest
-    vertex; each step takes the first unused edge at the vertex in eids order.
-    For cycles the vertex sequence closes back on its first entry.
-
-    The state is sized by the subset, never by the host: each touched vertex has
-    one slot (relabel's ascending order), holding the positions in eids of its
-    first and second edge, and a bytearray marks the positions walked.
+    A vertex meets a factor in at most two edges, so the edges of a factor are
+    paths and cycles.  The paths are walked first, each from its smaller end
+    slot, then the cycles, each from its smallest slot by the smaller of the two
+    edges there.  An odd cycle closes on a clash, for the caller's
+    certification to find.  When the slots outnumber the edge ends, the used
+    ones are numbered in ascending order, so the state stays linear in E.
     """
-    kept, ends = relabel(edges, eids)
-    if any(map(eq, ends[::2], ends[1::2])):
-        raise GraphError("degree-two walks do not accept loops")
-    first = [-1] * len(kept)
-    second = [-1] * len(kept)
-    for i, s in enumerate(ends):
-        if first[s] < 0:
-            first[s] = i >> 1
-        elif second[s] < 0:
-            second[s] = i >> 1
-        else:
-            raise GraphError("edge subset has a vertex of degree exceeding 2")
-
-    seen = bytearray(len(eids))
-    comps: list[tuple[list[int], list[int], bool]] = []
-
-    def walk(s: int) -> tuple[list[int], list[int]]:
-        # at most two edges meet at a slot, so the next step is the first
-        # unwalked one of them
-        slots, eseq = [s], []
-        while True:
-            p = first[s]
-            if seen[p]:
-                p = second[s]
-                if p < 0 or seen[p]:
-                    return list(map(kept.__getitem__, slots)), eseq
-            seen[p] = 1
-            eseq.append(eids[p])
-            a = ends[2 * p]
-            s = ends[2 * p + 1] if a == s else a
-            slots.append(s)
-
-    for s in range(len(kept)):
-        if second[s] < 0 and not seen[first[s]]:
-            vseq, eseq = walk(s)
-            comps.append((vseq, eseq, False))
-    # every path is walked by now, so an unseen edge lies on an unwalked cycle
-    for s in range(len(kept)):
-        if not seen[first[s]]:
-            vseq, eseq = walk(s)
-            if vseq[0] != vseq[-1]:
-                raise AssertionError("cycle walk did not close")
-            comps.append((vseq, eseq, True))
-    return comps
-
-
-def alternating_walk_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int],
-                            base: int = 0) -> dict[int, int]:
-    """Host-edge colors base+1, base+2 alternating along each path and cycle of
-    the edges eids, of max degree 2; an odd cycle raises GraphError."""
-    colors: dict[int, int] = {}
-    for _, eseq, is_cycle in walk_degree_two(edges, eids):
-        if is_cycle and len(eseq) % 2:
-            raise GraphError("odd cycle component is not interval colorable")
-        for i, e in enumerate(eseq):
-            colors[e] = base + 1 + (i % 2)
+    r = len(lows)
+    n = vertex_count * r
+    us = [u * r + f for (u, _), f in zip(edges, factor_of)]
+    vs = [v * r + f for (_, v), f in zip(edges, factor_of)]
+    if n > 2 * len(edges):
+        index = {s: i for i, s in enumerate(sorted({*us, *vs}))}
+        us, vs, n = [index[s] for s in us], [index[s] for s in vs], len(index)
+    # each slot keeps its last edge and the one before it, the smaller of two
+    last, other = [-1] * n, [-1] * n
+    for e, pair in enumerate(zip(us, vs)):
+        for s in pair:
+            other[s] = last[s]
+            last[s] = e
+    across = list(map(add, us, vs))     # edge e leads from slot s to across[e] - s
+    # colors[-1] is a colored stand-in for the edge a path's end slot lacks
+    colors = [0] * len(edges) + [1]
+    starts: Iterable[tuple[int, int]] = enumerate(other)
+    # the 2E edge ends fill E slots of two edges unless some slot holds one: a path end
+    if n - other.count(-1) != len(edges):
+        ends = [(s, e) for s, (e, e2) in enumerate(zip(last, other)) if e2 < 0 <= e]
+        starts = itertools.chain(ends, starts)
+    for s, e in starts:
+        if colors[e]:
+            continue
+        c, total = lows[factor_of[e]] + 1, 2 * lows[factor_of[e]] + 3
+        while not colors[e]:
+            colors[e] = c
+            c = total - c
+            s = across[e] - s
+            e = other[s] if last[s] == e else last[s]
+    colors.pop()
     return colors
 
 
@@ -343,7 +316,9 @@ def color_cactus(g: Multigraph) -> EdgeColoring:
     host = IncrementalHost(g)
     host.add_colored(root, 1)
     host.grow(g.edges[root], bridges, cycle_at)
-    return _as_coloring(g, host.color)
+    if len(host.color) != g.edge_count:
+        raise AssertionError("construction left edges uncolored")
+    return normalize(EdgeColoring(g, tuple(host.color[e] for e in range(g.edge_count))))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +328,11 @@ def color_low_even_bipartite(g: Multigraph) -> EdgeColoring:
     """Interval 2r-coloring with every degree-2 palette a pair {2i-1, 2i}.
 
     Degree-2 chains are suppressed into single edges (or loops), the remaining
-    2r-regular multigraph is split into r 2-factors, and factor i is lifted
-    back and colored 2i-1, 2i alternately.  Degree-1 vertices are paired with
-    a doubled copy of the suppressed graph to restore regularity.
+    2r-regular multigraph is split into r 2-factors, and every edge of a chain
+    takes its chain's factor.  Degree-1 vertices are paired with a doubled copy
+    of the suppressed graph to restore regularity.  A component of maximum
+    degree 2 is factor 0.  One _factor_walk colors factor i (counted from 0)
+    2i+1, 2i+2 alternately along its paths and cycles.
     """
     require_bipartite(g)
     t = g.traversal
@@ -365,23 +342,25 @@ def color_low_even_bipartite(g: Multigraph) -> EdgeColoring:
     if any(d not in (0, 1, 2, delta) for d in g.degrees):
         raise GraphError("degrees must lie in {1, 2, 2r}")
 
-    colors: dict[int, int] = {}
+    factor_of = [0] * g.edge_count
     for comp, comp_edges, side_max in zip(t.vertices, t.components, t.side_max):
-        if max(side_max) <= 2:
-            colors.update(alternating_walk_colors(g.edges, comp_edges))
-            continue
-        _color_suppressed_component(g, comp, comp_edges, delta // 2, colors)
-    return _as_coloring(g, colors)
+        if max(side_max) > 2:
+            _suppressed_factors(g, comp, comp_edges, delta // 2, factor_of)
+    # every component has factor-0 edges, whose walks start with color 1: no shift
+    colors = _factor_walk(g.edges, g.vertex_count, factor_of, range(0, delta, 2))
+    return EdgeColoring(g, tuple(colors))
 
 
-def _color_suppressed_component(g: Multigraph, comp: list[int], comp_edges: list[int],
-                                r: int, colors: dict[int, int]) -> None:
-    anchors = [v for v in comp if g.degree(v) in (1, 2 * r) and g.degree(v) != 2]
+def _suppressed_factors(g: Multigraph, comp: list[int], comp_edges: list[int],
+                        r: int, factor_of: list[int]) -> None:
+    """Set factor_of of every edge of a component with a vertex of degree 2r >= 4
+    to the Petersen factor of its degree-2 chain."""
+    anchors = [v for v in comp if g.degree(v) != 2]
     a_index = {v: i for i, v in enumerate(anchors)}
 
     # walk degree-2 chains between anchors; each becomes one suppressed edge
     chains: list[list[int]] = []
-    chain_ends: list[tuple[int, int]] = []
+    chain_ends: list[tuple[int, int]] = []     # as indices into anchors
     used: set[int] = set()
     for a in anchors:
         for start in g.incidence[a]:
@@ -396,17 +375,13 @@ def _color_suppressed_component(g: Multigraph, comp: list[int], comp_edges: list
                 used.add(nxt)
                 cur = g.other_end(nxt, cur)
             chains.append(chain)
-            chain_ends.append((a, cur))
+            chain_ends.append((a_index[a], a_index[cur]))
     if len(used) != len(comp_edges):
         raise AssertionError("chain walk did not cover the component")
 
     # doubled graph: two copies plus 2r-1 cross edges per degree-1 anchor
     na = len(anchors)
-    d_edges: list[tuple[int, int]] = []
-    for a, b in chain_ends:
-        d_edges.append((a_index[a], a_index[b]))
-    for a, b in chain_ends:
-        d_edges.append((na + a_index[a], na + a_index[b]))
+    d_edges = chain_ends + [(na + a, na + b) for a, b in chain_ends]
     for v in anchors:
         if g.degree(v) == 1:
             d_edges.extend((a_index[v], na + a_index[v]) for _ in range(2 * r - 1))
@@ -414,13 +389,10 @@ def _color_suppressed_component(g: Multigraph, comp: list[int], comp_edges: list
     if len(factors) != r:
         raise AssertionError("suppressed component is not 2r-regular")
 
-    n_chains = len(chains)
     for i, factor in enumerate(factors):
-        lifted: list[int] = []
-        for d_eid in factor:
-            if d_eid < n_chains:
-                lifted.extend(chains[d_eid])
-        colors.update(alternating_walk_colors(g.edges, lifted, 2 * i))
+        for d_eid in factor:     # the copy and the cross edges lift to no edge
+            for e in chains[d_eid] if d_eid < len(chains) else ():
+                factor_of[e] = i
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ class Multigraph:
         for eid, (u, v) in enumerate(self.edges):
             inc[u].append(eid)
             inc[v].append(eid)
-        return tuple(tuple(x) for x in inc)
+        return tuple(map(tuple, inc))
 
     def degree(self, v: int) -> int:
         return self.degrees[v]

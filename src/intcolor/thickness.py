@@ -15,9 +15,9 @@ from typing import Callable
 
 from .edge_coloring import (_konig_state, equalized_bipartite_color, konig_color,
                             petersen_two_factorization, shannon_color, vizing_color)
-from .kernels import (IncrementalHost, balanced_multipartite_colors, color_cactus,
-                      color_forest, color_low_even_bipartite, latin_bipartite_colors,
-                      staircase_bipartite_colors)
+from .kernels import (IncrementalHost, _factor_walk, balanced_multipartite_colors,
+                      color_cactus, color_forest, color_low_even_bipartite,
+                      latin_bipartite_colors, staircase_bipartite_colors)
 from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bipartition,
                          normalize, relabel, require_bipartite, traverse, verify,
                          verify_decomposition)
@@ -279,44 +279,12 @@ def decompose_bipartite(g: Multigraph) -> Decomposition:
     return _certified(Decomposition(g, tuple(parts), tuple(colors)))
 
 
-def _factor_colors(g: Multigraph, factor_of: list[int], r: int) -> list[int]:
-    """Colors of one walk over the (vertex, factor) slots, v*r + f, of every edge
-    of g in its factor_of of r Petersen factors: even factors alternate 1, 2
-    along their cycles and odd ones 3, 4.
-
-    A vertex meets a factor in two edges or in loops alone, so the edges of a
-    factor are cycles; each is walked from its smallest slot by the smaller of
-    the two edges there, as alternating_walk_colors walks it.  Petersen's Konig
-    state already has 2V(r+1) entries, so slots indexed by V*r add no more.
-    """
-    first, second = [-1] * (g.vertex_count * r), [-1] * (g.vertex_count * r)
-    for e, ((u, v), f) in enumerate(zip(g.edges, factor_of)):
-        for s in (u * r + f, v * r + f):
-            if first[s] < 0:
-                first[s] = e
-            else:
-                second[s] = e
-    edges, colors = g.edges, [0] * g.edge_count
-    for s0, e in enumerate(first):
-        if e < 0 or colors[e]:
-            continue
-        s, f = s0, s0 % r
-        c, total = (1, 3) if f % 2 == 0 else (3, 7)
-        while not colors[e]:
-            colors[e] = c
-            c = total - c
-            u, v = edges[e]
-            s = (v if u * r + f == s else u) * r + f
-            e = second[s] if first[s] == e else first[s]
-    return colors
-
-
 def decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
     """ceil(Delta/4) certified parts for an even-degree bipartite multigraph.
 
     Loops regularize its edge list, and Petersen 2-factors come back as
     even-cycle collections once loops are dropped.  Factors 2i and 2i+1 form
-    part i, colored by one walk over every factor's cycles (_factor_colors)."""
+    part i, colored 1, 2 and 3, 4 by one _factor_walk over every factor's cycles."""
     require_bipartite(g)
     odd = next((v for v, d in enumerate(g.degrees) if d % 2), None)
     if odd is not None:
@@ -333,8 +301,9 @@ def decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
         for e in eids:
             factor_of[e] = f
     del factor_of[g.edge_count:]     # the loops
-    return _certified(Decomposition(g, tuple(f // 2 for f in factor_of),
-                                    tuple(_factor_colors(g, factor_of, len(factors)))))
+    lows = [2 * (f % 2) for f in range(len(factors))]
+    colors = _factor_walk(g.edges, g.vertex_count, factor_of, lows)
+    return _certified(Decomposition(g, tuple(f // 2 for f in factor_of), tuple(colors)))
 
 
 def _side_degrees(g: Multigraph) -> tuple[int, int]:

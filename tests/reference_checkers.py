@@ -12,6 +12,11 @@ engine: Konig, fan, equalized and Petersen colorings must be identical.  The
 two-pass chain swap is the reference for the bitmask engine's one-pass swap:
 run on the library's engine in its place, it must give identical colorings.
 
+The walks of paths and cycles behind every reference alternation are plain:
+per-vertex lists, each step taking the first unused edge there.  The library
+walks every factor of a graph at once over flat (vertex, factor) slots, and
+both must give identical colors.
+
 The subcubic construction's reference is a T-graph labeler: it walks the
 degree-2 edges for odd cycles, walks the subset minus the matching into paths
 and cycles, labels an auxiliary graph of per-vertex lists and repairs its odd
@@ -51,7 +56,6 @@ from typing import Sequence
 
 from intcolor.edge_coloring import (_euler_circuit, _konig_colors, equalized_bipartite_color,
                                     petersen_two_factorization)
-from intcolor.kernels import alternating_walk_colors, walk_degree_two
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
                                  VerifyReport, _is_cyclically_consecutive, build_graph, relabel,
                                  traverse)
@@ -674,6 +678,51 @@ def _label_cycle_components(t: TGraph) -> list[_Repair]:
     return repairs
 
 
+def plain_walks(edges: Sequence[tuple[int, int]],
+                eids: Sequence[int]) -> list[tuple[list[int], list[int], bool]]:
+    """(vertex_seq, edge_seq, is_cycle) of the paths and cycles of the edges eids,
+    of maximum degree 2: the paths from their smaller end, then the cycles from
+    their smallest vertex, closing back on it; each step takes the vertex's
+    first unused edge in eids order."""
+    inc: dict[int, list[int]] = {}
+    for e in eids:
+        for x in edges[e]:
+            inc.setdefault(x, []).append(e)
+    used: set[int] = set()
+    out = []
+
+    def walk(v):
+        vseq, eseq = [v], []
+        while [e for e in inc[v] if e not in used]:
+            e = [e for e in inc[v] if e not in used][0]
+            used.add(e)
+            eseq.append(e)
+            v = sum(edges[e]) - v
+            vseq.append(v)
+        return vseq, eseq
+
+    for v in sorted(inc):
+        if len(inc[v]) == 1 and inc[v][0] not in used:
+            out.append((*walk(v), False))
+    for v in sorted(inc):
+        if any(e not in used for e in inc[v]):
+            out.append((*walk(v), True))
+    return out
+
+
+def alternating_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int],
+                       base: int = 0) -> dict[int, int]:
+    """Host-edge colors base+1, base+2 alternating along each of plain_walks'
+    paths and cycles of the edges eids; an odd cycle raises GraphError."""
+    colors: dict[int, int] = {}
+    for _, eseq, is_cycle in plain_walks(edges, eids):
+        if is_cycle and len(eseq) % 2:
+            raise GraphError("odd cycle component is not interval colorable")
+        for i, e in enumerate(eseq):
+            colors[e] = base + 1 + (i % 2)
+    return colors
+
+
 def reference_subcubic_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int],
                     c3: Sequence[int]) -> dict[int, int]:
     """Interval colors (at most 6, the smallest 1) of the edges eids of a host,
@@ -694,17 +743,17 @@ def reference_subcubic_colors(edges: Sequence[tuple[int, int]], eids: Sequence[i
     # a component is an odd cycle iff all its vertices have degree 2, so it is
     # an odd closed walk of the edges whose ends both have degree 2
     two = [e for e, (u, v) in enumerate(local) if degrees[u] == 2 and degrees[v] == 2]
-    if any(is_cycle and len(eseq) % 2 for _, eseq, is_cycle in walk_degree_two(local, two)):
+    if any(is_cycle and len(eseq) % 2 for _, eseq, is_cycle in plain_walks(local, two)):
         raise OddCycleComponent("a component is an odd cycle; not interval colorable")
     if max(degrees.values(), default=0) <= 2:
-        return alternating_walk_colors(edges, eids)
+        return alternating_colors(edges, eids)
 
     matching = classes[0]
     m_eids = [e for e, c in enumerate(c3) if c == matching]
     rest = [e for e, c in enumerate(c3) if c != matching]
     gm_paths: list[tuple[list[int], list[int]]] = []
     gm_cycles: list[list[int]] = []
-    for vseq, eseq, is_cycle in walk_degree_two(local, rest):
+    for vseq, eseq, is_cycle in plain_walks(local, rest):
         if is_cycle:
             gm_cycles.append(eseq)
         else:
@@ -803,8 +852,8 @@ def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int]) -> dict[
     """Host-edge colors: fa cycles alternate 1,2; fb 3,4."""
     if set(fa) & set(fb):
         raise GraphError("factors must be edge-disjoint")
-    out = alternating_walk_colors(g.edges, fa)
-    out.update(alternating_walk_colors(g.edges, fb, 2))
+    out = alternating_colors(g.edges, fa)
+    out.update(alternating_colors(g.edges, fb, 2))
     return out
 
 
@@ -921,7 +970,7 @@ def reference_decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomp
                 except _AbsorbStuck:
                     continue
                 a_side.update(ca)
-                b_side.update(alternating_walk_colors(g.edges, b_edges))
+                b_side.update(alternating_colors(g.edges, b_edges))
                 break
             else:
                 raise GraphError("no class split absorbed every odd cycle of a component")

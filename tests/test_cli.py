@@ -27,6 +27,10 @@ def test_gen_emits_graph_json(tmp_path, capsys):
     ("balanced(n=2)", "r"), ("circular_complete(p=5)", "q"), ("fixture", "name"),
     ("complete_multipartite(sizes=3+x)", "sizes"), ("bipartite_random(simple=no)", "simple"),
     ("tree(n=--5)", "n"), ("tree(n=5,seed=--1)", "seed"), ("tree(n=\u00b2)", "n"),
+    ("cactus(blocks=0)", "blocks"), ("cactus(blocks=-3)", "blocks"),
+    ("bipartite_random(nx=2,ny=2,edges=-3)", "edges"), ("eulerian_bipartite(nx=-1,ny=3)", "nx"),
+    ("eulerian_bipartite(ny=0)", "ny"), ("eulerian_bipartite(walks=-1)", "walks"),
+    ("eulerian_bipartite(walk_len=0)", "walk_len"), ("eulerian_bipartite(walk_len=-4)", "walk_len"),
 ])
 def test_gen_missing_or_non_integer_parameter_exit_code(capsys, spec, param):
     assert f" {param}" in _exits_2_with_one_error_line(capsys, "gen", spec)

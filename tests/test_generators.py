@@ -110,6 +110,30 @@ def test_a_parameter_beyond_an_index_is_infeasible(spec, message, monkeypatch):
         generate(FamilySpec.parse(spec))
 
 
+@pytest.mark.parametrize("build,name", [
+    (lambda rng: generators.random_cactus(0, rng), "blocks"),
+    (lambda rng: generators.random_cactus(-3, rng), "blocks"),
+    (lambda rng: generators.random_bipartite(2, 2, -3, 4, rng), "edges"),
+    (lambda rng: generators.random_eulerian_bipartite(-1, 3, 4, 4, 8, rng), "nx"),
+    (lambda rng: generators.random_eulerian_bipartite(3, 0, 4, 4, 8, rng), "ny"),
+    (lambda rng: generators.random_eulerian_bipartite(3, 3, -1, 4, 8, rng), "walks"),
+    (lambda rng: generators.random_eulerian_bipartite(3, 3, 4, 0, 8, rng), "walk_len"),
+    (lambda rng: generators.random_eulerian_bipartite(3, 3, 4, -2, 8, rng), "walk_len"),
+], ids=["blocks=0", "blocks=-3", "edges=-3", "nx=-1", "ny=0", "walks=-1", "walk_len=0",
+        "walk_len=-2"])
+def test_a_size_below_its_least_is_infeasible_before_any_draw(build, name):
+    # an object without methods stands in for the generator, so a draw would
+    # raise AttributeError instead
+    with pytest.raises(InfeasibleSpec, match=f" {name} >= "):
+        build(object())
+
+
+@pytest.mark.parametrize("spec", ["cactus(blocks=1)", "bipartite_random(edges=0)",
+                                  "eulerian_bipartite(nx=1,ny=1,walks=0,walk_len=1)"])
+def test_the_least_sizes_are_feasible(spec):
+    assert generate(FamilySpec.parse(spec)).graph.vertex_count > 0
+
+
 def test_unknown_family_and_fixture():
     with pytest.raises(InfeasibleSpec):
         generate(FamilySpec("nonsense", {}))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +8,12 @@ from intcolor.edge_coloring import petersen_two_factorization
 from intcolor.generators import (complete_bipartite_graph, complete_multipartite_graph,
                                  cycle_graph, multipartite_parts, random_biregular,
                                  random_cactus, random_tree)
-from intcolor.kernels import (IncrementalHost, alternating_walk_colors,
-                              balanced_multipartite_colors, color_cactus, color_forest,
-                              color_low_even_bipartite, round_robin_rounds,
-                              staircase_bipartite_colors, walk_degree_two)
+from intcolor.kernels import (IncrementalHost, _factor_walk, balanced_multipartite_colors,
+                              color_cactus, color_forest, color_low_even_bipartite,
+                              round_robin_rounds, staircase_bipartite_colors)
 from intcolor.multigraph import EdgeColoring, GraphError, build_graph, normalize, verify
 
-from reference_checkers import two_factor_pair_colors
+from reference_checkers import alternating_colors, two_factor_pair_colors
 
 
 def _coloring(g, colors):
@@ -198,6 +198,73 @@ def test_low_even_random_biregular(seed):
             assert pal[0] % 2 == 1 and pal[1] == pal[0] + 1
 
 
+def _assert_low_even_palettes(g, col):
+    # degree-2 vertices get a pair {2i-1, 2i}, Delta-vertices all of 1..Delta
+    assert verify(g, col).interval
+    for v in range(g.vertex_count):
+        pal = sorted(col.palette(v))
+        if g.degree(v) == g.max_degree:
+            assert pal == list(range(1, g.max_degree + 1))
+        elif g.degree(v) == 2:
+            assert pal[0] % 2 == 1 and pal[1] == pal[0] + 1
+
+
+def test_low_even_degree_two_components_beside_pendants():
+    # a 4-cycle and a path beside a hub of degree 4 with two pendants and a chain
+    # 0-3-4-5-0 back to it; the components of maximum degree 2 are factor 0
+    g = build_graph(13, [(9, 10), (10, 11), (11, 12), (12, 9), (7, 8), (8, 6),
+                         (0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 0)][::-1])
+    col = color_low_even_bipartite(g)
+    _assert_low_even_palettes(g, col)
+    assert sorted(col.colors[-6:]) == [1, 1, 1, 2, 2, 2]
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=40, deadline=None)
+def test_low_even_mixed_components_keep_the_pair_palettes(seed):
+    # a (2, 2r)-biregular multigraph with some degree-2 vertices split into two
+    # pendants, beside an even cycle and a path, on spread ids with shuffled edges
+    rng = random.Random(seed)
+    h = random_biregular(2, 2 * rng.randint(2, 3), 1, rng)
+    edges, n = list(h.edges), h.vertex_count
+    for v in range(n):
+        if h.degree(v) == 2 and rng.random() < 0.4:
+            e = [i for i, (a, _) in enumerate(edges) if a == v][-1]
+            edges[e] = (n, edges[e][1])
+            n += 1
+    k = 2 * rng.randint(1, 3)
+    edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+    n += k
+    m = rng.randint(2, 5)
+    edges += [(n + i, n + i + 1) for i in range(m - 1)]
+    n += m
+    ids = rng.sample(range(2 * n), n)
+    edges = [(ids[u], ids[v]) for u, v in edges]
+    rng.shuffle(edges)
+    g = build_graph(2 * n, edges)
+    _assert_low_even_palettes(g, color_low_even_bipartite(g))
+
+
+def test_low_even_state_of_a_hub_with_many_chains_is_linear():
+    # 400 cycles of length 10 through one hub: 3601 vertices and 4000 edges in 200
+    # factors, so one slot per (vertex, factor) pair would take about 24 MB
+    edges, n = [], 1
+    for _ in range(400):
+        ring = [0, *range(n, n + 9)]
+        n += 9
+        edges += zip(ring, ring[1:] + ring[:1])
+    g = build_graph(n, edges)
+    g.traversal     # cached on the graph, not part of the coloring's state
+    tracemalloc.start()
+    try:
+        col = color_low_even_bipartite(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    _assert_low_even_palettes(g, col)
+
+
 def test_low_even_rejects_bad_degrees():
     with pytest.raises(GraphError):
         color_low_even_bipartite(complete_bipartite_graph(3, 4))
@@ -269,12 +336,13 @@ def test_balanced_multipartite_rejects_odd_nr():
                                      multipartite_parts([3] * 3))
 
 
-# -- alternation helper ---------------------------------------------------------------
+# -- alternation reference ------------------------------------------------------------
 
 def test_paths_and_even_cycles_rejects_odd_cycle():
+    # the library walk is only given bipartite graphs; its reference refuses an odd cycle
     g = cycle_graph(5)
     with pytest.raises(GraphError):
-        alternating_walk_colors(g.edges, range(g.edge_count))
+        alternating_colors(g.edges, range(g.edge_count))
 
 
 # -- host preservation -----------------------------------------------------------------
@@ -302,51 +370,29 @@ def test_cactus_with_digon_block():
     assert verify(g, color_cactus(g)).interval
 
 
-def _plain_walks(g, eids):
-    """Paths from their smaller end, then cycles from their smallest vertex; each
-    step takes the vertex's first unused edge in eids order."""
-    inc = {}
-    for e in eids:
-        for x in g.edges[e]:
-            inc.setdefault(x, []).append(e)
-    used, out = set(), []
-
-    def walk(v):
-        vseq, eseq = [v], []
-        while [e for e in inc[v] if e not in used]:
-            e = [e for e in inc[v] if e not in used][0]
-            used.add(e)
-            eseq.append(e)
-            v = sum(g.edges[e]) - v
-            vseq.append(v)
-        return vseq, eseq
-
-    for v in sorted(inc):
-        if len(inc[v]) == 1 and inc[v][0] not in used:
-            out.append((*walk(v), False))
-    for v in sorted(inc):
-        if any(e not in used for e in inc[v]):
-            out.append((*walk(v), True))
-    return out
-
-
 @given(st.integers(0, 100_000))
-def test_walk_degree_two_matches_plain_walks(seed):
-    # eids is a max-degree-2 subset of a larger host, which has vertices and
-    # edges the subset leaves untouched
+def test_factor_walk_matches_the_plain_walks(seed):
+    # every factor is vertex-disjoint paths and even cycles (digons included) on
+    # spread vertex ids; factors share vertices and the edges come shuffled
     rng = random.Random(seed)
     n = rng.randint(2, 12)
-    degree = [0] * n
-    edges, eids = [], []
-    for _ in range(rng.randint(0, 3 * n)):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u == v:
-            continue
-        if degree[u] < 2 and degree[v] < 2 and rng.random() < 0.7:
-            degree[u] += 1
-            degree[v] += 1
-            eids.append(len(edges))
-        edges.append((u, v))
-    g = build_graph(n + rng.randint(0, 4), edges)
-    rng.shuffle(eids)
-    assert walk_degree_two(g.edges, eids) == _plain_walks(g, eids)
+    verts = rng.sample(range(3 * n), n)
+    lows = [rng.randint(0, 6) for _ in range(rng.randint(1, 4))]
+    pieces = []
+    for f in range(len(lows)):
+        rest = rng.sample(verts, rng.randint(0, n))
+        while rest:
+            k = rng.randint(1, len(rest))
+            piece, rest = rest[:k], rest[k:]
+            ends = piece[1:] + piece[:1] if k % 2 == 0 and rng.random() < 0.5 else piece[1:]
+            pieces.extend(((u, v) if rng.random() < 0.5 else (v, u), f)
+                          for u, v in zip(piece, ends))
+    rng.shuffle(pieces)
+    edges, factor_of = [e for e, _ in pieces], [f for _, f in pieces]
+    g = build_graph(3 * n, edges)
+    expected = {}
+    for f, low in enumerate(lows):
+        expected.update(alternating_colors(
+            g.edges, [e for e, ef in enumerate(factor_of) if ef == f], low))
+    assert _factor_walk(g.edges, g.vertex_count, factor_of, lows) == [
+        expected[e] for e in range(g.edge_count)]

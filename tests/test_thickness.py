@@ -886,14 +886,9 @@ def _clash_in_subset(kernel):
     return lambda edges, eids, c3: _clash(edges, eids, kernel(edges, eids, c3))
 
 
-def _clash_in_walk(kernel):
-    """_factor_colors with its output corrupted: two edges at one vertex share a color."""
-    return lambda g, *args: _clash(g.edges, range(g.edge_count), kernel(g, *args))
-
-
 def _clash_in_slots(kernel):
-    """_slot_pass with its output corrupted: two edges at one (vertex, class)
-    slot share a color."""
+    """_slot_pass or _factor_walk with its output corrupted: the first two edges
+    at one vertex, a (vertex, class) slot for _slot_pass, share a color."""
     return lambda edges, *state: _clash(edges, range(len(edges)), kernel(edges, *state))
 
 
@@ -920,14 +915,14 @@ _CACTUS = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)
     ("subcubic_colors", complete_bipartite_graph(5, 5), _general_from_konig, None),
     ("color_subcubic", _disjoint_union(map(cycle_graph, (4, 2, 6, 4))), dispatch_theta_upper,
      "componentwise"),
-    ("_factor_colors", complete_bipartite_graph(4, 4), decompose_eulerian_bipartite, None),
+    ("_factor_walk", complete_bipartite_graph(4, 4), decompose_eulerian_bipartite, None),
 ])
 def test_corrupted_kernel_output_fails_certification(monkeypatch, kernel, g, run, method):
     # kernels do not check their own output; the certification of the result does
     if method is not None:
         assert dispatch_theta_upper(g)[1].method == method
     corrupt = {"subcubic_colors": _clash_in_subset, "_slot_pass": _clash_in_slots,
-               "_factor_colors": _clash_in_walk}.get(kernel, _clash_at_one_vertex)
+               "_factor_walk": _clash_in_slots}.get(kernel, _clash_at_one_vertex)
     monkeypatch.setattr(thickness, kernel, corrupt(getattr(thickness, kernel)))
     with pytest.raises(AssertionError, match="failed certification"):
         run(g)
