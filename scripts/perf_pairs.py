@@ -19,11 +19,21 @@ divided by the parent's IQR, and a verdict:
 - ``flat`` otherwise.
 
 Exits 1 if any run reports an output that is not correct.
+
+``--out BENCH_<n>.json`` also merges the summary into that record, keyed by
+workload and seed, with both checkouts' commits (``-dirty`` when a tracked file
+differs from it, null outside a git checkout), ``--seconds``, ``--pairs``, the
+Python version and the CPU count.  ``--compare OLD NEW`` prints, for every
+workload and seed in both records, each metric's change median in NEW over the
+one in OLD:
+
+    python3 scripts/perf_pairs.py --compare BENCH_31.json BENCH_32.json
 """
 import argparse
 import json
 import math
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -93,15 +103,62 @@ def format_rows(rows: list[dict], metrics: list[dict]) -> list[str]:
     return lines
 
 
+def commit(checkout: Path) -> str | None:
+    """The commit checked out in checkout, "-dirty" when a tracked file differs
+    from it; None outside a git checkout."""
+    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty",
+                           "--abbrev=40"], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def merge_record(path: Path, run: dict) -> None:
+    """Write run into the record at path, in place of a run of the same
+    workload and seed; runs are kept sorted by workload and seed."""
+    runs = json.loads(path.read_text())["runs"] if path.exists() else []
+    key = (run["workload"], run["seed"])
+    runs = sorted([r for r in runs if (r["workload"], r["seed"]) != key] + [run],
+                  key=lambda r: (r["workload"], r["seed"]))
+    path.write_text(json.dumps({"runs": runs}, indent=1) + "\n")
+
+
+def compare_records(old: dict, new: dict) -> list[str]:
+    """For every workload and seed in both records, each metric's change median
+    in new over the one in old."""
+    lines = [f"{'workload':<10} {'seed':>5} {'metric':<16} {'old':>12} {'new':>12} {'new/old':>8}"]
+    old_runs = {(r["workload"], r["seed"]): r for r in old["runs"]}
+    for run in new["runs"]:
+        before = old_runs.get((run["workload"], run["seed"]))
+        if before is None:
+            continue
+        old_rows = {row["name"]: row for row in before["rows"]}
+        for row in run["rows"]:
+            if row["name"] in old_rows:
+                a, b = old_rows[row["name"]]["change_median"], row["change_median"]
+                ratio = f"{b / a:.3f}" if a else "-"
+                lines.append(f"{run['workload']:<10} {run['seed']:>5} {row['name']:<16} "
+                             f"{a:>12.4g} {b:>12.4g} {ratio:>8}")
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("parent", type=Path, nargs="?")
+    ap.add_argument("change", type=Path, nargs="?")
+    ap.add_argument("--workload")
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--seconds", type=float)
+    ap.add_argument("--pairs", type=int)
+    ap.add_argument("--out", type=Path, help="merge the summary into this BENCH_*.json record")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                    help="print the ratios between two records and run nothing")
     args = ap.parse_args()
+    if args.compare:
+        old, new = (json.loads(path.read_text()) for path in args.compare)
+        for line in compare_records(old, new):
+            print(line)
+        return 0
+    if None in (args.parent, args.change, args.workload, args.seed, args.seconds, args.pairs):
+        ap.error("PARENT, CHANGE, --workload, --seed, --seconds and --pairs are required")
     checkouts = (args.parent, args.change)
     pairs = []
     correct = True
@@ -115,8 +172,18 @@ def main() -> int:
               f"{pair[0]['metrics']['edges_per_s']['value']:.0f} change "
               f"{pair[1]['metrics']['edges_per_s']['value']:.0f}", flush=True)
     metrics = end_to_end_metrics()
-    for line in format_rows(summarize(pairs, metrics), metrics):
+    rows = summarize(pairs, metrics)
+    for line in format_rows(rows, metrics):
         print(line)
+    if args.out is not None:
+        for row, m in zip(rows, metrics):
+            ratio, row["verdict"] = verdict(row, m)
+            row["delta_over_iqr"] = ratio if math.isfinite(ratio) else None
+        merge_record(args.out, {
+            "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+            "pairs": args.pairs, "parent_commit": commit(args.parent),
+            "change_commit": commit(args.change), "correct": correct,
+            "python": platform.python_version(), "cpu_count": os.cpu_count(), "rows": rows})
     if not correct:
         print("error: a run reported outputs that are not correct", file=sys.stderr)
     return 0 if correct else 1

@@ -20,6 +20,13 @@ def _smallest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+class _Slots(dict):
+    """A sparse at table of _KempeState: a slot never written holds no edge."""
+
+    def __missing__(self, key: int) -> int:
+        return -1
+
+
 class _KempeState:
     """Partial proper k-coloring of an edge list on vertices 0..n-1, on flat state:
     colors[e] is the color of edge e (0 while uncolored), used[v] a bitmask of the
@@ -28,6 +35,10 @@ class _KempeState:
     the smallest color of a mask is its lowest set bit, and "c is free at w" is a
     bit test.  Python ints are unbounded, so a palette wider than a machine word
     (k >= 63) needs nothing special.
+
+    at is that flat list while n*(k+1) <= 4*E + n, and otherwise a dict of the
+    slots ever written, -1 for the others, so the state stays linear in E on a
+    hub, where k is about n.
 
     Konig colors on it straight from an edge list, so equalized coloring and
     Petersen 2-factorization no longer build a split Multigraph for it; the fan
@@ -39,7 +50,7 @@ class _KempeState:
         self.full = ((1 << k) - 1) << 1
         self.colors = [0] * len(edges)
         self.used = [0] * n
-        self.at = [-1] * (n * (k + 1))
+        self.at = [-1] * (n * (k + 1)) if n * k <= 4 * len(edges) else _Slots()
 
     def missing(self, v: int) -> int:
         return self.full & ~self.used[v]
@@ -207,26 +218,42 @@ def _max_multiplicity(g: Multigraph) -> int:
     return max(counts.values(), default=0)
 
 
-def _fan_color(g: Multigraph, k: int) -> EdgeColoring:
-    st = _KempeState(g.vertex_count, g.edges, k)
-    return EdgeColoring(g, tuple(st.color_in_order(
-        lambda eid, u, v: st.color_edge_with_fan(g, eid))))
+def _fan_state(g: Multigraph) -> _KempeState:
+    """The fan engine's Kempe state of g with k = min(Delta + mu, floor(3*Delta/2))
+    colors, mu the largest multiplicity (1 on a simple graph): Vizing's bound on
+    a simple graph, Shannon's on a multigraph."""
+    delta = g.max_degree
+    mu = 1 if g.is_simple else _max_multiplicity(g)
+    st = _KempeState(g.vertex_count, g.edges, min(delta + mu, 3 * delta // 2))
+    st.color_in_order(lambda eid, u, v: st.color_edge_with_fan(g, eid))
+    return st
 
 
 def vizing_color(g: Multigraph) -> EdgeColoring:
     """Proper coloring of a simple graph with at most max_degree + 1 colors."""
     if not g.is_simple:
         raise GraphError("vizing_color requires a simple graph")
-    delta = g.max_degree
-    k = min(delta + 1, max(3 * delta // 2, 1)) if delta else 0
-    return _fan_color(g, k)
+    return EdgeColoring(g, tuple(_fan_state(g).colors))
 
 
 def shannon_color(g: Multigraph) -> EdgeColoring:
     """Proper coloring of a multigraph with at most floor(3*Delta/2) colors."""
-    delta = g.max_degree
-    k = min(delta + _max_multiplicity(g), 3 * delta // 2) if delta else 0
-    return _fan_color(g, k)
+    return EdgeColoring(g, tuple(_fan_state(g).colors))
+
+
+def _coloring_state(n: int, edges: Sequence[tuple[int, int]],
+                    colors: Sequence[int]) -> _KempeState:
+    """The Kempe state of a coloring of a loop-free edge list on vertices
+    0..n-1, its classes renumbered 1..t in order; GraphError when the coloring
+    is not proper, that is when a vertex meets one class twice."""
+    classes = sorted(set(colors))
+    st = _KempeState(n, edges, len(classes))
+    rank = dict(zip(classes, range(1, len(classes) + 1)))
+    for eid, ((u, v), c) in enumerate(zip(edges, map(rank.__getitem__, colors))):
+        if (st.used[u] | st.used[v]) >> c & 1:
+            raise GraphError("the coloring is not proper")
+        st.set_color(eid, c)
+    return st
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ Only the supplied 3-edge-coloring is checked; callers certify the output.
 
 The construction is one pass, _slot_pass, over flat per-slot state: each edge's
 color 1-3, a bitmask of the colors at each slot and the edge of each color
-there.  It has two callers.  subcubic_colors colors the edges eids of a host
+there.  It has three callers.  subcubic_colors colors the edges eids of a host
 from their supplied coloring, renumbered by relabel onto the vertices they
 touch (color_subcubic colors a whole graph through it); the dispatcher's
-subcubic row and the general bound's three-class side use it.
+subcubic row and the general bound's per-component split use it.
 thickness.decompose_bipartite runs the pass once on the Konig 3-coloring of
-the (vertex, class) slots of all its classes.
+the (vertex, class) slots of all its classes, and the general bound runs it on
+each group's three-class side, its state gathered from the coloring's Kempe
+state.
 """
 from __future__ import annotations
 

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .edge_coloring import (_konig_state, equalized_bipartite_color, konig_color,
-                            petersen_two_factorization, shannon_color, vizing_color)
+from .edge_coloring import (_KempeState, _coloring_state, _fan_state, _konig_state,
+                            equalized_bipartite_color, petersen_two_factorization)
 from .kernels import (IncrementalHost, _factor_walk, balanced_multipartite_colors,
                       color_cactus, color_forest, color_low_even_bipartite,
                       latin_bipartite_colors, staircase_bipartite_colors)
@@ -54,15 +53,14 @@ def _assemble(g: Multigraph, part_color_dicts: list[dict[int, int]]) -> Decompos
     """
     parts = [-1] * g.edge_count
     colors = [0] * g.edge_count
-    for i, d in enumerate(d for d in part_color_dicts if d):
+    dicts = [d for d in part_color_dicts if d]
+    for i, d in enumerate(dicts):
         shift = 1 - min(d.values())
-        for eid, c in d.items():
-            if parts[eid] != -1:
-                raise AssertionError(f"edge {eid} assigned to two parts")
-            parts[eid] = i
-            colors[eid] = c + shift
-    if -1 in parts:
-        raise AssertionError("parts do not cover every edge")
+        # C-level scatters: map runs each __setitem__ and any() drains its Nones
+        any(map(parts.__setitem__, d, itertools.repeat(i)))
+        any(map(colors.__setitem__, d, map(shift.__add__, d.values())))
+    if sum(map(len, dicts)) != g.edge_count or -1 in parts:
+        raise AssertionError("parts do not cover every edge exactly once")
     return _certified(Decomposition(g, tuple(parts), tuple(colors)))
 
 
@@ -86,7 +84,7 @@ class _AbsorbStuck(Exception):
     pass
 
 
-def _by_class(colors: tuple[int, ...], eids: list[int]) -> dict[int, int]:
+def _by_class(colors: Sequence[int], eids: list[int]) -> dict[int, int]:
     """Edges of at most two proper classes as one interval coloring: the
     smaller class 1, the other 2.  Each vertex meets each class at most once,
     so its palette is {1}, {2} or {1, 2}."""
@@ -94,7 +92,7 @@ def _by_class(colors: tuple[int, ...], eids: list[int]) -> dict[int, int]:
     return {e: 1 if colors[e] == low else 2 for e in eids}
 
 
-def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColoring,
+def _split_component(g: Multigraph, comp_edges: list[int], colors: Sequence[int],
                      h_classes: set[int], f_classes: set[int]) -> tuple[dict[int, int], list[int]]:
     """One group component into side A's colors and side B's edges.
 
@@ -108,8 +106,8 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
     another class split.  Side B is what remains of the 2-class edges, left for
     the caller to color by class.
     """
-    h_edges = [e for e in comp_edges if coloring.colors[e] in h_classes]
-    f_edges = [e for e in comp_edges if coloring.colors[e] in f_classes]
+    h_edges = [e for e in comp_edges if colors[e] in h_classes]
+    f_edges = [e for e in comp_edges if colors[e] in f_classes]
     t = traverse(g, f_edges)
     odd = [t.is_odd_cycle(i) for i in range(len(t.components))]
     rest = [i for i, is_odd in enumerate(odd) if not is_odd]
@@ -117,7 +115,7 @@ def _split_component(g: Multigraph, comp_edges: list[int], coloring: EdgeColorin
     a_colors: dict[int, int] = {}
     if rest:
         ids = sorted(itertools.chain.from_iterable(t.components[i] for i in rest))
-        a_colors = subcubic_colors(g.edges, ids, [coloring.colors[e] for e in ids])
+        a_colors = subcubic_colors(g.edges, ids, [colors[e] for e in ids])
     if len(rest) == len(odd):
         return a_colors, h_edges
 
@@ -151,34 +149,63 @@ def _class_splits(classes: list[int]) -> list[tuple[set[int], set[int]]]:
     return out
 
 
-def _split_group(g: Multigraph, coloring: EdgeColoring,
-                 group_edges: list[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """One group's two sides, each as host-edge colors.
+def _side_a(edges: Sequence[tuple[int, int]], st: _KempeState, f_edges: list[int],
+            classes: list[int]) -> dict[int, int] | None:
+    """Side A's interval colors, unshifted, when some vertex meets three of the
+    group's classes and side A, the edges f_edges of all but the two smallest,
+    has no odd-cycle component; else None.
+
+    The slot state of _slot_pass is gathered from st for only the vertices side
+    A touches, renumbered by relabel: the edge of each of its classes at each
+    of them, as a position in f_edges, and their used bits, the classes ranked
+    1-3 in order.  A side of fewer than three classes reads bit 0 of used for
+    the ones it lacks, which no color sets."""
+    kept, ends = relabel(edges, f_edges)
+    used = list(map(st.used.__getitem__, kept))
+    group = sum(1 << c for c in classes)
+    # a vertex meeting three of the group's classes meets one of side A's
+    if not any(map((3).__le__, map(int.bit_count, map(group.__and__, used)))):
+        return None
+    position = dict(zip([-1, *f_edges], range(-1, len(f_edges))))
+    bases = [v * st.width for v in kept]
+    at = [-1] * (4 * len(kept))
+    for rank, c in enumerate(classes[2:], 1):
+        at[rank::4] = map(position.__getitem__, map(st.at.__getitem__, map(c.__add__, bases)))
+    c1, c2, c3 = (*classes[2:], 0, 0)[:3]
+    slots = [(u >> c1 & 1) << 1 | (u >> c2 & 1) << 2 | (u >> c3 & 1) << 3 for u in used]
+    rank_of = dict(zip(classes[2:], (1, 2, 3)))
+    colors3 = list(map(rank_of.__getitem__, map(st.colors.__getitem__, f_edges)))
+    try:
+        return dict(zip(f_edges, _slot_pass(list(zip(ends[::2], ends[1::2])), slots, at,
+                                            colors3, [14 in slots] * len(kept))))
+    except OddCycleComponent:
+        return None
+
+
+def _split_group(g: Multigraph, st: _KempeState, group_edges: list[int],
+                 classes: list[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """One group's two sides, each as host-edge colors; classes are the group's
+    classes in order.
 
     Side B is the group's two smallest classes and side A the rest; a group of
     at most two classes is side B whole.  When some vertex meets three of the
     group's classes and side A has no odd-cycle component, side A is one
-    subcubic_colors call and side B is colored by class.  Otherwise the group is
-    split one component at a time by _split_component, and each component's
-    side B is colored by class.
+    _slot_pass over state read off st and side B is colored by class.
+    Otherwise the group is split one component at a time by _split_component,
+    and each component's side B is colored by class.
     """
-    colors = coloring.colors
+    colors = st.colors
     # side B holds the classes up to h_top, the larger of the two smallest
-    h_top = sorted({colors[e] for e in group_edges})[:2][-1]
+    h_top = classes[:2][-1]
     f_edges = [e for e in group_edges if colors[e] > h_top]
     if not f_edges:
         return {}, _by_class(colors, group_edges)
-    ends = Counter(itertools.chain.from_iterable(map(g.edges.__getitem__, group_edges)))
-    if max(ends.values()) >= 3:
-        # the component of a vertex meeting three classes has edges on both
-        # canonical sides, so with no odd cycle to absorb the per-component
-        # split gives two parts as well
-        try:
-            a_side = subcubic_colors(g.edges, f_edges, [colors[e] for e in f_edges])
-        except OddCycleComponent:
-            pass
-        else:
-            return a_side, _by_class(colors, [e for e in group_edges if colors[e] <= h_top])
+    # the component of a vertex meeting three classes has edges on both
+    # canonical sides, so with no odd cycle to absorb the per-component split
+    # gives two parts as well
+    a_side = _side_a(g.edges, st, f_edges, classes)
+    if a_side is not None:
+        return a_side, _by_class(colors, [e for e in group_edges if colors[e] <= h_top])
     a_side = {}
     b_side: dict[int, int] = {}
     for comp in traverse(g, group_edges).components:
@@ -188,7 +215,7 @@ def _split_group(g: Multigraph, coloring: EdgeColoring,
             continue
         for h_cls, f_cls in _class_splits(present):
             try:
-                ca, cb = _split_component(g, comp, coloring, h_cls, f_cls)
+                ca, cb = _split_component(g, comp, colors, h_cls, f_cls)
             except _AbsorbStuck:
                 continue
             a_side.update(ca)
@@ -199,15 +226,16 @@ def _split_group(g: Multigraph, coloring: EdgeColoring,
     return a_side, b_side
 
 
-def _decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
-    """decompose_general on a coloring known to be proper."""
-    colors = coloring.colors
-    group_of = {c: i // 5 for i, c in enumerate(sorted(set(colors)))}
-    groups: list[list[int]] = [[] for _ in range(-(-len(group_of) // 5))]
+def _decompose_general(g: Multigraph, st: _KempeState) -> Decomposition:
+    """decompose_general on the Kempe state of a proper coloring."""
+    colors = st.colors
+    classes = sorted(set(colors))
+    group_of = {c: i // 5 for i, c in enumerate(classes)}
+    groups: list[list[int]] = [[] for _ in range(-(-len(classes) // 5))]
     for e, c in enumerate(colors):
         groups[group_of[c]].append(e)
-    return _assemble(g, [side for group_edges in groups
-                         for side in _split_group(g, coloring, group_edges)])
+    return _assemble(g, [side for i, group_edges in enumerate(groups)
+                         for side in _split_group(g, st, group_edges, classes[5 * i:5 * i + 5])])
 
 
 def decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
@@ -219,7 +247,7 @@ def decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
     classes are already an interval coloring, so side B is colored by class:
     the smaller 1, the other 2.  When some vertex meets three of the group's
     classes and side A has no odd-cycle component, side A is interval colored
-    by one subcubic kernel call over the whole group.  Otherwise the group is
+    by one subcubic construction over the whole group.  Otherwise the group is
     split one component at a time: a component of at most two classes goes to
     side B whole; in the others the last three classes form side A, whose odd
     cycles are absorbed by one growth pass over the component's 2-class side
@@ -228,10 +256,13 @@ def decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
     split is tried where no growth can start.  Each group gives as many parts
     as splitting every one of its components would: the group-level split is
     taken only where both give two.
+
+    Every group reads the coloring's Kempe state, filled once; the fill is the
+    check that the coloring is proper.
     """
-    if not verify(g, coloring, "proper").proper:
-        raise GraphError("decompose_general needs a proper coloring")
-    return _decompose_general(g, coloring)
+    if coloring.graph is not g and coloring.graph != g:
+        raise GraphError("coloring belongs to a different graph")
+    return _decompose_general(g, _coloring_state(g.vertex_count, g.edges, coloring.colors))
 
 
 def _general_bound(t: int) -> tuple[int, str]:
@@ -586,16 +617,21 @@ class _Facts:
         return detect_complete_multipartite(self.g)
 
     @functools.cached_property
-    def coloring(self) -> EdgeColoring:
-        """The run's one proper coloring: Konig when bipartite, a chromatic-index
-        coloring from the exact oracle's proper sweep up to 20 edges, else the fan
-        engine (Vizing when simple, Shannon otherwise)."""
+    def kempe(self) -> _KempeState:
+        """The Kempe state of the run's one proper coloring: Konig's when
+        bipartite, filled from a chromatic-index coloring of the exact oracle's
+        proper sweep up to 20 edges (its colors are 1..t already), else the fan
+        engine's."""
         g = self.g
         if self.bipartite:
-            return konig_color(g)
+            return _konig_state(g.vertex_count, g.edges, self.delta)
         if g.edge_count <= 20:
-            return exact_chromatic_index(g)[1]
-        return vizing_color(g) if g.is_simple else shannon_color(g)
+            return _coloring_state(g.vertex_count, g.edges, exact_chromatic_index(g)[1].colors)
+        return _fan_state(g)
+
+    @functools.cached_property
+    def coloring(self) -> EdgeColoring:
+        return EdgeColoring(self.g, tuple(self.kempe.colors))
 
 
 # Each row returns (decomposition, bound, formula) or raises GraphError with the
@@ -692,7 +728,7 @@ def _run_bipartite_thirds(f: _Facts):
 
 def _run_general(f: _Facts):
     bound, formula = _general_bound(f.coloring.colors_used())
-    return _decompose_general(f.g, f.coloring), bound, formula
+    return _decompose_general(f.g, f.kempe), bound, formula
 
 
 def _run_forest_peel(f: _Facts):

@@ -41,7 +41,12 @@ batch each, and both must return identical decompositions and traces.
 The five-class-general split takes every group one component at a time and
 colors each component's 2-class side by alternating walks; the library splits a
 group as a whole where it can and colors that side by class, and both must give
-the same number of parts.
+the same number of parts.  The group-level reference splits a group as the
+library does, but hands its three-class side to subcubic_colors, which checks
+and rebuilds the slot state from the colors, and assembles per-part dicts one
+edge at a time; the library reads that state off the coloring's Kempe state and
+scatters each part into flat lists, and both must return identical
+decompositions.  Every reference decomposition is assembled the plain way.
 
 The graph-JSON reader at the very end checks every edge in Python and converts
 every value through build_graph; the library reads a well-formed file in
@@ -49,6 +54,7 @@ C-level passes, and both must return the same graph, or the same error.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -59,8 +65,8 @@ from intcolor.edge_coloring import (_euler_circuit, _konig_colors, equalized_bip
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
                                  VerifyReport, _is_cyclically_consecutive, build_graph, relabel,
                                  traverse)
-from intcolor.subcubic import OddCycleComponent
-from intcolor.thickness import (BoundTrace, _AbsorbStuck, _assemble, _class_splits,
+from intcolor.subcubic import OddCycleComponent, subcubic_colors
+from intcolor.thickness import (BoundTrace, _AbsorbStuck, _certified, _class_splits,
                                 _dispatch_connected, _split_component)
 from intcolor.timetable import RequirementMatrix, Timetable
 
@@ -825,17 +831,36 @@ def reference_subcubic_colors(edges: Sequence[tuple[int, int]], eids: Sequence[i
 # ---------------------------------------------------------------------------
 # Bipartite decomposers one class, or one pair of factors, at a time.
 
+def reference_assemble(g: Multigraph, part_color_dicts: list[dict[int, int]]) -> Decomposition:
+    """Certified Decomposition from per-part host-edge color maps, one edge at a
+    time: empty parts are dropped and each part's colors are shifted so its
+    smallest is 1."""
+    parts = [-1] * g.edge_count
+    colors = [0] * g.edge_count
+    for i, d in enumerate(d for d in part_color_dicts if d):
+        shift = 1 - min(d.values())
+        for eid, c in d.items():
+            if parts[eid] != -1:
+                raise AssertionError(f"edge {eid} assigned to two parts")
+            parts[eid] = i
+            colors[eid] = c + shift
+    if -1 in parts:
+        raise AssertionError("parts do not cover every edge")
+    return _certified(Decomposition(g, tuple(parts), tuple(colors)))
+
+
 def reference_decompose_bipartite(g: Multigraph) -> Decomposition:
     """ceil(Delta/3) parts the per-class way: a graph of maximum degree at most 3
     Konig 3-colored whole on the host, otherwise each equalized class renumbered
     by relabel onto the vertices it touches and Konig 3-colored there, then
     colored by reference_subcubic_colors and assembled."""
     if g.edge_count == 0:
-        return _assemble(g, [])
+        return reference_assemble(g, [])
     delta = g.max_degree
     if delta <= 3:
         c3 = _konig_colors(g.vertex_count, g.edges, 3)
-        return _assemble(g, [reference_subcubic_colors(g.edges, list(range(g.edge_count)), c3)])
+        return reference_assemble(
+            g, [reference_subcubic_colors(g.edges, list(range(g.edge_count)), c3)])
     k = -(-delta // 3)
     classes: list[list[int]] = [[] for _ in range(k)]
     for e, c in enumerate(equalized_bipartite_color(g, k).colors):
@@ -845,7 +870,7 @@ def reference_decompose_bipartite(g: Multigraph) -> Decomposition:
         kept, ends = relabel(g.edges, eids)
         c3 = _konig_colors(len(kept), list(zip(ends[::2], ends[1::2])), 3)
         parts.append(reference_subcubic_colors(g.edges, eids, c3))
-    return _assemble(g, parts)
+    return reference_assemble(g, parts)
 
 
 def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int]) -> dict[int, int]:
@@ -862,12 +887,12 @@ def reference_decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
     way: loops regularize it, and each consecutive pair of its Petersen factors
     is colored by two_factor_pair_colors."""
     if g.edge_count == 0:
-        return _assemble(g, [])
+        return reference_assemble(g, [])
     extra = [(v, v) for v in range(g.vertex_count)
              for _ in range((g.max_degree - g.degree(v)) // 2)]
     factors = [[e for e in f if e < g.edge_count]
                for f in petersen_two_factorization(g.vertex_count, g.edges + tuple(extra))]
-    return _assemble(g, [two_factor_pair_colors(g, factors[i], factors[i + 1]
+    return reference_assemble(g, [two_factor_pair_colors(g, factors[i], factors[i + 1]
                                                 if i + 1 < len(factors) else [])
                          for i in range(0, len(factors), 2)])
 
@@ -966,7 +991,7 @@ def reference_decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomp
             present = sorted({coloring.colors[e] for e in comp})
             for h_cls, f_cls in _class_splits(present):
                 try:
-                    ca, b_edges = _split_component(g, comp, coloring, h_cls, f_cls)
+                    ca, b_edges = _split_component(g, comp, coloring.colors, h_cls, f_cls)
                 except _AbsorbStuck:
                     continue
                 a_side.update(ca)
@@ -975,7 +1000,65 @@ def reference_decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomp
             else:
                 raise GraphError("no class split absorbed every odd cycle of a component")
         part_dicts.extend([a_side, b_side])
-    return _assemble(g, part_dicts)
+    return reference_assemble(g, part_dicts)
+
+
+def _by_class(colors: tuple[int, ...], eids: list[int]) -> dict[int, int]:
+    """Edges of at most two proper classes as one interval coloring: the
+    smaller class 1, the other 2."""
+    low = min(map(colors.__getitem__, eids), default=0)
+    return {e: 1 if colors[e] == low else 2 for e in eids}
+
+
+def reference_split_group(g: Multigraph, coloring: EdgeColoring,
+                          group_edges: list[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """One group's two sides, each as host-edge colors: side A by one
+    subcubic_colors call when some vertex meets three of the group's classes
+    and side A has no odd-cycle component, else one component at a time."""
+    colors = coloring.colors
+    # side B holds the classes up to h_top, the larger of the two smallest
+    h_top = sorted({colors[e] for e in group_edges})[:2][-1]
+    f_edges = [e for e in group_edges if colors[e] > h_top]
+    if not f_edges:
+        return {}, _by_class(colors, group_edges)
+    ends = Counter(itertools.chain.from_iterable(map(g.edges.__getitem__, group_edges)))
+    if max(ends.values()) >= 3:
+        try:
+            a_side = subcubic_colors(g.edges, f_edges, [colors[e] for e in f_edges])
+        except OddCycleComponent:
+            pass
+        else:
+            return a_side, _by_class(colors, [e for e in group_edges if colors[e] <= h_top])
+    a_side = {}
+    b_side: dict[int, int] = {}
+    for comp in traverse(g, group_edges).components:
+        present = sorted({colors[e] for e in comp})
+        if len(present) <= 2:
+            b_side.update(_by_class(colors, comp))
+            continue
+        for h_cls, f_cls in _class_splits(present):
+            try:
+                ca, cb = _split_component(g, comp, colors, h_cls, f_cls)
+            except _AbsorbStuck:
+                continue
+            a_side.update(ca)
+            b_side.update(_by_class(colors, cb))
+            break
+        else:
+            raise GraphError("no class split absorbed every odd cycle of a component")
+    return a_side, b_side
+
+
+def reference_general_by_groups(g: Multigraph, coloring: EdgeColoring) -> Decomposition:
+    """decompose_general with each group split by reference_split_group and
+    the sides assembled as per-part dicts."""
+    colors = coloring.colors
+    group_of = {c: i // 5 for i, c in enumerate(sorted(set(colors)))}
+    groups: list[list[int]] = [[] for _ in range(-(-len(group_of) // 5))]
+    for e, c in enumerate(colors):
+        groups[group_of[c]].append(e)
+    return reference_assemble(g, [side for group_edges in groups
+                         for side in reference_split_group(g, coloring, group_edges)])
 
 
 def reference_graph_from_json(obj) -> Multigraph:

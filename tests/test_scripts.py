@@ -1,7 +1,9 @@
 """The scripts under scripts/ run end to end: each exits 0 and prints its headers,
 and stops quietly when its stdout is closed early."""
 import importlib.util
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +160,68 @@ def test_perf_pairs_verdict_per_metric():
     assert lines[0].split()[-2:] == ["Δ/IQR", "verdict"]
     assert [line.split()[-1] for line in lines[1:]] == ["gain", "flat", "worse", "flat"]
     assert lines[1].split()[-2] == "2.00"
+
+
+def _run_pairs(monkeypatch, perf_pairs, argv, values):
+    """perf_pairs.main on canned result lines: the parent's values, then the
+    change's, for every end-to-end metric."""
+    def fake_run(checkout, workload, seed, seconds):
+        value = values[str(checkout) == "c"]
+        return _result(**{m["name"]: value for m in perf_pairs.end_to_end_metrics()})
+
+    monkeypatch.setattr(perf_pairs, "run_once", fake_run)
+    monkeypatch.setattr(perf_pairs, "commit", lambda checkout: f"{checkout}-commit")
+    monkeypatch.setattr(sys, "argv", ["perf_pairs.py", *argv])
+    return perf_pairs.main()
+
+
+def test_perf_pairs_out_merges_runs_by_workload_and_seed(monkeypatch, tmp_path, capsys):
+    perf_pairs = _pairs_module()
+    out = tmp_path / "BENCH.json"
+    for workload, seed, values in [("general", 202, (4.0, 2.0)), ("general", 101, (4.0, 3.0)),
+                                   ("general", 202, (4.0, 1.0))]:
+        argv = ["p", "c", "--workload", workload, "--seed", str(seed), "--seconds", "2",
+                "--pairs", "3", "--out", str(out)]
+        assert _run_pairs(monkeypatch, perf_pairs, argv, values) == 0
+    runs = json.loads(out.read_text())["runs"]
+    # the second run of seed 202 replaced the first, and runs sort by seed
+    assert [(r["workload"], r["seed"]) for r in runs] == [("general", 101), ("general", 202)]
+    run = runs[1]
+    assert {k: run[k] for k in ("seconds", "pairs", "parent_commit", "change_commit",
+                                "correct", "python", "cpu_count")} == {
+        "seconds": 2.0, "pairs": 3, "parent_commit": "p-commit", "change_commit": "c-commit",
+        "correct": True, "python": platform.python_version(), "cpu_count": os.cpu_count()}
+    assert [row["name"] for row in run["rows"]] == [m["name"]
+                                                    for m in perf_pairs.end_to_end_metrics()]
+    p50 = next(row for row in run["rows"] if row["name"] == "latency_p50_ms")
+    # every pair ties within a side, so the IQR is 0 and the ratio has no finite value
+    assert (p50["parent_median"], p50["change_median"], p50["wins"]) == (4.0, 1.0, 3)
+    assert (p50["verdict"], p50["delta_over_iqr"]) == ("gain", None)
+
+
+def test_perf_pairs_compare_prints_the_ratio_of_change_medians(monkeypatch, tmp_path, capsys):
+    perf_pairs = _pairs_module()
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    for path, values in ((old, (4.0, 2.0)), (new, (2.0, 1.5))):
+        argv = ["p", "c", "--workload", "general", "--seed", "101", "--seconds", "2",
+                "--pairs", "2", "--out", str(path)]
+        assert _run_pairs(monkeypatch, perf_pairs, argv, values) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["perf_pairs.py", "--compare", str(old), str(new)])
+    assert perf_pairs.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["workload", "seed", "metric", "old", "new", "new/old"]
+    assert [line.split() for line in lines[1:3]] == [
+        ["general", "101", "edges_per_s", "2", "1.5", "0.750"],
+        ["general", "101", "latency_p50_ms", "2", "1.5", "0.750"]]
+    assert len(lines) == 1 + len(perf_pairs.end_to_end_metrics())
+
+
+def test_perf_pairs_without_checkouts_exits_with_usage(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["perf_pairs.py", "--workload", "general"])
+    with pytest.raises(SystemExit) as exc:
+        _pairs_module().main()
+    assert exc.value.code == 2
 
 
 _CANNED_SOURCE = '''"""Module docstring,

@@ -1,12 +1,14 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from intcolor import multigraph, thickness
-from intcolor.edge_coloring import equalized_bipartite_color, konig_color, vizing_color
+from intcolor.edge_coloring import (equalized_bipartite_color, konig_color, shannon_color,
+                                    vizing_color)
 from intcolor.generators import (FIXTURES, FamilySpec, generate,
                                  complete_bipartite_graph, complete_graph,
                                  complete_multipartite_graph,
@@ -28,7 +30,7 @@ from intcolor.timetable import build_requirement_graph
 from reference_checkers import (reference_decompose_bipartite,
                                 reference_decompose_eulerian_bipartite,
                                 reference_decompose_general, reference_dispatch_componentwise,
-                                reference_verify_decomposition)
+                                reference_general_by_groups, reference_verify_decomposition)
 
 
 def _certified(d):
@@ -110,7 +112,8 @@ def _colored(n, colored_edges):
 
 
 def _first_split(g, coloring):
-    return thickness._split_component(g, list(range(g.edge_count)), coloring, {1, 2}, {3, 4, 5})
+    return thickness._split_component(g, list(range(g.edge_count)), coloring.colors,
+                                      {1, 2}, {3, 4, 5})
 
 
 def _decompose_counting_splits(monkeypatch, g, coloring):
@@ -224,6 +227,81 @@ def test_general_matches_the_per_component_part_count(graph_and_coloring):
     d = decompose_general(g, coloring)
     assert reference_verify_decomposition(g, d).interval
     assert d.part_count == reference_decompose_general(g, coloring).part_count
+
+
+def _general_input(kind, rng):
+    """A graph and the coloring the five-class-general row colors it with:
+    - "fan": a multigraph of more than 20 edges beside one to three odd cycles,
+      some with parallel copies, so that a group may hold an odd cycle on its
+      three-class side;
+    - "konig": a bipartite multigraph;
+    - "exact": a multigraph of at most 20 edges beside odd cycles, or odd cycles
+      alone, whose groups no vertex meets three classes of."""
+    if kind == "konig":
+        g = random_bipartite(rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 60),
+                             rng.randint(1, 14), rng, simple=rng.random() < 0.3)
+        return g, konig_color(g)
+    n = rng.randint(3, 12)
+    edges = [tuple(rng.sample(range(n), 2))
+             for _ in range(rng.randint(21, 60) if kind == "fan" else rng.randint(0, 20))]
+    for _ in range(rng.randint(1, 3)):
+        cycle = range(n, n + rng.choice((3, 5, 7)))
+        edges += [(v, v + 1 if v + 1 in cycle else cycle[0]) for v in cycle
+                  for _ in range(rng.choice((1, 1, 2)))]
+        n = cycle[-1] + 1
+    g = build_graph(n, edges[-20:] if kind == "exact" else edges)
+    if kind == "exact":
+        return g, exact_chromatic_index(g)[1]
+    return g, vizing_color(g) if g.is_simple else shannon_color(g)
+
+
+@given(st.sampled_from(["fan", "konig", "exact"]), st.integers(0, 100_000))
+@settings(max_examples=150, deadline=None)
+def test_general_row_matches_the_group_level_reference(kind, seed):
+    # the row reads its groups off the Kempe state its engine kept; the
+    # reference hands each three-class side to subcubic_colors and assembles dicts
+    g, coloring = _general_input(kind, random.Random(seed))
+    assume(kind == "konig" or bipartition(g) is None)
+    assert (g.edge_count > 20) == (kind == "fan") or kind == "konig"
+    expected = reference_general_by_groups(g, coloring)
+    assert run_named_method(g, "five-class-general")[0] == expected
+    assert decompose_general(g, coloring) == expected
+
+
+@given(properly_colored_multigraphs(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_general_on_relabeled_caller_colorings_matches_the_group_level_reference(
+        graph_and_coloring, rng):
+    # the caller's labels are mapped one to one into -10..29: zero, negative and
+    # gapped labels, and groups in another order than the classes' own
+    g, coloring = graph_and_coloring
+    labels = sorted(set(coloring.colors))
+    label = dict(zip(labels, rng.sample(range(-10, 30), len(labels))))
+    relabeled = EdgeColoring(g, tuple(label[c] for c in coloring.colors))
+    assert decompose_general(g, relabeled) == reference_general_by_groups(g, relabeled)
+
+
+def test_general_reference_inputs_reach_both_group_splits(monkeypatch):
+    # the inputs above split some groups as a whole and some by component
+    whole, by_component = [], []
+    side_a, split = thickness._side_a, thickness._split_component
+
+    def counting_side_a(*args):
+        got = side_a(*args)
+        if got is not None:
+            whole.append(1)
+        return got
+
+    monkeypatch.setattr(thickness, "_side_a", counting_side_a)
+    monkeypatch.setattr(thickness, "_split_component",
+                        lambda *a: by_component.append(1) or split(*a))
+    for kind in ("fan", "konig", "exact"):
+        whole.clear()
+        by_component.clear()
+        for seed in range(30):
+            g, _ = _general_input(kind, random.Random(seed))
+            run_named_method(g, "five-class-general")
+        assert whole and (by_component or kind == "konig")
 
 
 def test_general_keeps_one_part_when_no_vertex_meets_three_classes():
@@ -880,15 +958,11 @@ def _clash(edges, eids, colors):
     return colors
 
 
-def _clash_in_subset(kernel):
-    """subset kernel with its output corrupted: two edges of the subset at one
-    vertex share a color."""
-    return lambda edges, eids, c3: _clash(edges, eids, kernel(edges, eids, c3))
-
-
 def _clash_in_slots(kernel):
     """_slot_pass or _factor_walk with its output corrupted: the first two edges
-    at one vertex, a (vertex, class) slot for _slot_pass, share a color."""
+    at one vertex share a color.  The vertices of _slot_pass are slots: (vertex,
+    class) pairs under decompose_bipartite, the vertices of a group's side A
+    under five-class-general."""
     return lambda edges, *state: _clash(edges, range(len(edges)), kernel(edges, *state))
 
 
@@ -912,7 +986,7 @@ _CACTUS = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)
     ("color_subcubic", complete_bipartite_graph(3, 3), dispatch_theta_upper, "subcubic"),
     ("_slot_pass", complete_bipartite_graph(5, 5), decompose_bipartite, None),
     ("color_forest", _disjoint_union(_trees(3)), dispatch_theta_upper, "componentwise"),
-    ("subcubic_colors", complete_bipartite_graph(5, 5), _general_from_konig, None),
+    ("_slot_pass", complete_bipartite_graph(5, 5), _general_from_konig, None),
     ("color_subcubic", _disjoint_union(map(cycle_graph, (4, 2, 6, 4))), dispatch_theta_upper,
      "componentwise"),
     ("_factor_walk", complete_bipartite_graph(4, 4), decompose_eulerian_bipartite, None),
@@ -921,7 +995,7 @@ def test_corrupted_kernel_output_fails_certification(monkeypatch, kernel, g, run
     # kernels do not check their own output; the certification of the result does
     if method is not None:
         assert dispatch_theta_upper(g)[1].method == method
-    corrupt = {"subcubic_colors": _clash_in_subset, "_slot_pass": _clash_in_slots,
+    corrupt = {"_slot_pass": _clash_in_slots,
                "_factor_walk": _clash_in_slots}.get(kernel, _clash_at_one_vertex)
     monkeypatch.setattr(thickness, kernel, corrupt(getattr(thickness, kernel)))
     with pytest.raises(AssertionError, match="failed certification"):
@@ -1420,3 +1494,61 @@ def test_every_row_earns_its_place(method, monkeypatch):
     monkeypatch.setattr(thickness, "CANDIDATES",
                         tuple(row for row in thickness.CANDIDATES if row[0] != method))
     assert all(dispatch_theta_upper(g)[0].part_count > k for g, k in zip(graphs, with_row))
+
+
+# -- hubs: memory and work linear in E ---------------------------------------------
+
+def _wheel(n):
+    """A hub joined to every vertex of an n-cycle."""
+    return build_graph(n + 1, [(0, v) for v in range(1, n + 1)]
+                       + [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def _triangle_star(n):
+    """n triangles sharing one vertex, the hub."""
+    return build_graph(2 * n + 1, [e for v in range(1, 2 * n, 2)
+                                   for e in ((0, v), (0, v + 1), (v, v + 1))])
+
+
+_HUBS = {"wheel": _wheel, "triangle-star": _triangle_star,
+         "K_1,n": lambda n: complete_bipartite_graph(1, n),
+         "K_2,n": lambda n: complete_bipartite_graph(2, n)}
+
+
+def _named_peak(method, g):
+    """The tracemalloc peak of one run of the named row on g."""
+    g.traversal     # cached on the graph, not part of the row's state
+    tracemalloc.start()
+    try:
+        run_named_method(g, method)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method,shape", [("five-class-general", shape) for shape in _HUBS]
+                         + [("bipartite-thirds", "K_1,n"), ("bipartite-thirds", "K_2,n")])
+def test_hub_rows_allocate_linearly_in_the_edges(method, shape):
+    """The allocation peak of a row run by name grows at most 8x when a hub graph
+    grows 4x: rows linear in E grow about 5x, while a Kempe table of n*(k+1)
+    slots on a hub of degree k ~ n grows about 15x.  Peaks repeat exactly from
+    run to run, where times on a shared machine do not.  The bipartite shapes
+    are the ones bipartite-thirds applies to.  eulerian-bipartite is left out:
+    it regularizes a hub with about n*Delta/2 loops, so its peak stays quadratic
+    until the loops at a vertex are colored as one bundle."""
+    small, large = (_named_peak(method, _HUBS[shape](n)) for n in (250, 1000))
+    assert large <= 8 * small
+
+
+def test_general_on_a_wheel_passes_each_side_a_edge_to_the_slot_pass_once(monkeypatch):
+    # every group's side A is gathered for the vertices it touches alone, so the
+    # slots over all groups are at most two per edge, not V per group
+    slots = []
+    slot_pass = thickness._slot_pass
+    monkeypatch.setattr(thickness, "_slot_pass",
+                        lambda edges, used, *rest: slots.append(len(used)) or
+                        slot_pass(edges, used, *rest))
+    g = _wheel(1200)
+    d, _ = run_named_method(g, "five-class-general")
+    assert len(slots) > 200 and sum(slots) <= 2 * g.edge_count
+    assert _certified(d)
