@@ -16,8 +16,7 @@ touch (color_subcubic colors a whole graph through it); the dispatcher's
 subcubic row and the general bound's per-component split use it.
 thickness.decompose_bipartite runs the pass once on the Konig 3-coloring of
 the (vertex, class) slots of all its classes, and the general bound runs it on
-each group's three-class side, its state gathered from the coloring's Kempe
-state.
+each group's three-class side.
 """
 from __future__ import annotations
 

@@ -42,11 +42,10 @@ The five-class-general split takes every group one component at a time and
 colors each component's 2-class side by alternating walks; the library splits a
 group as a whole where it can and colors that side by class, and both must give
 the same number of parts.  The group-level reference splits a group as the
-library does, but hands its three-class side to subcubic_colors, which checks
-and rebuilds the slot state from the colors, and assembles per-part dicts one
-edge at a time; the library reads that state off the coloring's Kempe state and
-scatters each part into flat lists, and both must return identical
-decompositions.  Every reference decomposition is assembled the plain way.
+library does, but counts every group's edge ends to find a vertex meeting three
+classes and hands the three-class side to subcubic_colors, which checks the
+colors and ranks them; the library reads both off the coloring's Kempe state
+and runs the slot pass itself, and both must return identical decompositions.
 
 The graph-JSON reader at the very end checks every edge in Python and converts
 every value through build_graph; the library reads a well-formed file in
@@ -66,7 +65,7 @@ from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multig
                                  VerifyReport, _is_cyclically_consecutive, build_graph, relabel,
                                  traverse)
 from intcolor.subcubic import OddCycleComponent, subcubic_colors
-from intcolor.thickness import (BoundTrace, _AbsorbStuck, _certified, _class_splits,
+from intcolor.thickness import (BoundTrace, _AbsorbStuck, _assemble, _class_splits,
                                 _dispatch_connected, _split_component)
 from intcolor.timetable import RequirementMatrix, Timetable
 
@@ -831,36 +830,17 @@ def reference_subcubic_colors(edges: Sequence[tuple[int, int]], eids: Sequence[i
 # ---------------------------------------------------------------------------
 # Bipartite decomposers one class, or one pair of factors, at a time.
 
-def reference_assemble(g: Multigraph, part_color_dicts: list[dict[int, int]]) -> Decomposition:
-    """Certified Decomposition from per-part host-edge color maps, one edge at a
-    time: empty parts are dropped and each part's colors are shifted so its
-    smallest is 1."""
-    parts = [-1] * g.edge_count
-    colors = [0] * g.edge_count
-    for i, d in enumerate(d for d in part_color_dicts if d):
-        shift = 1 - min(d.values())
-        for eid, c in d.items():
-            if parts[eid] != -1:
-                raise AssertionError(f"edge {eid} assigned to two parts")
-            parts[eid] = i
-            colors[eid] = c + shift
-    if -1 in parts:
-        raise AssertionError("parts do not cover every edge")
-    return _certified(Decomposition(g, tuple(parts), tuple(colors)))
-
-
 def reference_decompose_bipartite(g: Multigraph) -> Decomposition:
     """ceil(Delta/3) parts the per-class way: a graph of maximum degree at most 3
     Konig 3-colored whole on the host, otherwise each equalized class renumbered
     by relabel onto the vertices it touches and Konig 3-colored there, then
     colored by reference_subcubic_colors and assembled."""
     if g.edge_count == 0:
-        return reference_assemble(g, [])
+        return _assemble(g, [])
     delta = g.max_degree
     if delta <= 3:
         c3 = _konig_colors(g.vertex_count, g.edges, 3)
-        return reference_assemble(
-            g, [reference_subcubic_colors(g.edges, list(range(g.edge_count)), c3)])
+        return _assemble(g, [reference_subcubic_colors(g.edges, list(range(g.edge_count)), c3)])
     k = -(-delta // 3)
     classes: list[list[int]] = [[] for _ in range(k)]
     for e, c in enumerate(equalized_bipartite_color(g, k).colors):
@@ -870,7 +850,7 @@ def reference_decompose_bipartite(g: Multigraph) -> Decomposition:
         kept, ends = relabel(g.edges, eids)
         c3 = _konig_colors(len(kept), list(zip(ends[::2], ends[1::2])), 3)
         parts.append(reference_subcubic_colors(g.edges, eids, c3))
-    return reference_assemble(g, parts)
+    return _assemble(g, parts)
 
 
 def two_factor_pair_colors(g: Multigraph, fa: list[int], fb: list[int]) -> dict[int, int]:
@@ -887,12 +867,12 @@ def reference_decompose_eulerian_bipartite(g: Multigraph) -> Decomposition:
     way: loops regularize it, and each consecutive pair of its Petersen factors
     is colored by two_factor_pair_colors."""
     if g.edge_count == 0:
-        return reference_assemble(g, [])
+        return _assemble(g, [])
     extra = [(v, v) for v in range(g.vertex_count)
              for _ in range((g.max_degree - g.degree(v)) // 2)]
     factors = [[e for e in f if e < g.edge_count]
                for f in petersen_two_factorization(g.vertex_count, g.edges + tuple(extra))]
-    return reference_assemble(g, [two_factor_pair_colors(g, factors[i], factors[i + 1]
+    return _assemble(g, [two_factor_pair_colors(g, factors[i], factors[i + 1]
                                                 if i + 1 < len(factors) else [])
                          for i in range(0, len(factors), 2)])
 
@@ -1000,7 +980,7 @@ def reference_decompose_general(g: Multigraph, coloring: EdgeColoring) -> Decomp
             else:
                 raise GraphError("no class split absorbed every odd cycle of a component")
         part_dicts.extend([a_side, b_side])
-    return reference_assemble(g, part_dicts)
+    return _assemble(g, part_dicts)
 
 
 def _by_class(colors: tuple[int, ...], eids: list[int]) -> dict[int, int]:
@@ -1057,7 +1037,7 @@ def reference_general_by_groups(g: Multigraph, coloring: EdgeColoring) -> Decomp
     groups: list[list[int]] = [[] for _ in range(-(-len(group_of) // 5))]
     for e, c in enumerate(colors):
         groups[group_of[c]].append(e)
-    return reference_assemble(g, [side for group_edges in groups
+    return _assemble(g, [side for group_edges in groups
                          for side in reference_split_group(g, coloring, group_edges)])
 
 
