@@ -106,8 +106,11 @@ def format_rows(rows: list[dict], metrics: list[dict]) -> list[str]:
 def commit(checkout: Path) -> str | None:
     """The commit checked out in checkout, "-dirty" when a tracked file differs
     from it; None outside a git checkout."""
-    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty",
-                           "--abbrev=40"], capture_output=True, text=True)
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty",
+                               "--abbrev=40"], capture_output=True, text=True)
+    except OSError:     # no git on this machine
+        return None
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
@@ -153,8 +156,11 @@ def main() -> int:
                     help="print the ratios between two records and run nothing")
     args = ap.parse_args()
     if args.compare:
-        old, new = (json.loads(path.read_text()) for path in args.compare)
-        for line in compare_records(old, new):
+        try:
+            lines = compare_records(*(json.loads(path.read_text()) for path in args.compare))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            ap.error(f"cannot compare {args.compare[0]} and {args.compare[1]}: {exc!r}")
+        for line in lines:
             print(line)
         return 0
     if None in (args.parent, args.change, args.workload, args.seed, args.seconds, args.pairs):

@@ -217,8 +217,11 @@ def test_perf_pairs_compare_prints_the_ratio_of_change_medians(monkeypatch, tmp_
     assert len(lines) == 1 + len(perf_pairs.end_to_end_metrics())
 
 
-def test_perf_pairs_without_checkouts_exits_with_usage(monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["perf_pairs.py", "--workload", "general"])
+@pytest.mark.parametrize("argv", [["--workload", "general"],
+                                  ["--compare", "missing.json", "missing.json"]])
+def test_perf_pairs_without_checkouts_or_records_exits_with_usage(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["perf_pairs.py", *argv])
     with pytest.raises(SystemExit) as exc:
         _pairs_module().main()
     assert exc.value.code == 2
