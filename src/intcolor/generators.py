@@ -170,6 +170,11 @@ def random_bipartite(nx: int, ny: int, n_edges: int, max_degree: int,
         raise InfeasibleSpec("both sides must be nonempty")
     if n_edges < 0:
         raise InfeasibleSpec(f"bipartite_random needs edges >= 0, got {n_edges}")
+    d = max(max_degree, 0)
+    room = min(nx * min(d, ny), ny * min(d, nx)) if simple else d * min(nx, ny)
+    if n_edges > room:
+        raise InfeasibleSpec(f"bipartite_random fits at most {room} edges on these sides "
+                             f"and max_degree, got edges={n_edges}")
     deg = [0] * (nx + ny)
     chosen: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -186,6 +191,9 @@ def random_bipartite(nx: int, ny: int, n_edges: int, max_degree: int,
         chosen.append((u, v))
         deg[u] += 1
         deg[v] += 1
+    if len(chosen) < n_edges:
+        raise InfeasibleSpec(f"bipartite_random placed {len(chosen)} of edges={n_edges} "
+                             "before its draws ran out; try fewer edges")
     return build_graph(nx + ny, chosen)
 
 

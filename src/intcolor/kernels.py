@@ -7,6 +7,9 @@ thickness._certified every decomposition, the oracles every witness.
 One walk, _factor_walk, alternates two colors along the paths and cycles of
 every factor of an edge labelling at once; the degree-{1,2,2r} kernel and
 thickness.decompose_eulerian_bipartite both color their Petersen factors by it.
+Another, _dfs_tree, is the one depth-first walk behind the cactus kernel, which
+reads its cycles off the tree, and thickness.decompose_forest_peel, which
+colors each forest off it.
 """
 from __future__ import annotations
 
@@ -63,6 +66,42 @@ def _factor_walk(edges: Sequence[tuple[int, int]], vertex_count: int,
             e = other[s] if last[s] == e else last[s]
     colors.pop()
     return colors
+
+
+def _dfs_tree(g: Multigraph, live: Container[int]) -> tuple[list[int], list[int]]:
+    """Depth-first spanning forest of the edges in live: each vertex's tree edge
+    to its parent (-1 at a root) and the vertices in the order the walk reached them.
+
+    Roots are taken in ascending order and each vertex's edges in incidence
+    order, so each tree is rooted at its smallest vertex and a vertex's
+    children come in the order of their tree edges at it.  Every live edge
+    outside the tree joins a vertex to one of its ancestors.
+    """
+    edges, incidence = g.edges, g.incidence
+    parent = [-1] * g.vertex_count
+    seen = [False] * g.vertex_count
+    order: list[int] = []
+    for root in range(g.vertex_count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        stack = [(root, iter(incidence[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for e in rest:
+                a, w = edges[e]
+                if w == v:
+                    w = a
+                if not seen[w] and e in live:
+                    seen[w] = True
+                    parent[w] = e
+                    order.append(w)
+                    stack.append((w, iter(incidence[w])))
+                    break
+            else:
+                stack.pop()
+    return parent, order
 
 
 # ---------------------------------------------------------------------------
@@ -229,93 +268,52 @@ class IncrementalHost:
 # ---------------------------------------------------------------------------
 # Cacti: connected, cycles pairwise vertex-disjoint.
 
-def _biconnected_blocks(g: Multigraph) -> list[list[int]]:
-    """Blocks as edge-id lists (Hopcroft-Tarjan, iterative)."""
-    n = g.vertex_count
-    disc = [-1] * n
-    low = [0] * n
-    parent_edge = [-1] * n
-    estack: list[int] = []
-    blocks: list[list[int]] = []
-    counter = 0
-    for s in range(n):
-        if disc[s] != -1 or not g.incidence[s]:
-            continue
-        disc[s] = low[s] = counter
-        counter += 1
-        stack: list[tuple[int, int]] = [(s, 0)]
-        while stack:
-            v, ptr = stack[-1]
-            advanced = False
-            while ptr < len(g.incidence[v]):
-                eid = g.incidence[v][ptr]
-                ptr += 1
-                if eid == parent_edge[v]:
-                    continue
-                w = g.other_end(eid, v)
-                if disc[w] == -1:
-                    estack.append(eid)
-                    parent_edge[w] = eid
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack[-1] = (v, ptr)
-                    stack.append((w, 0))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    estack.append(eid)
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    block = []
-                    while True:
-                        e = estack.pop()
-                        block.append(e)
-                        if e == parent_edge[v]:
-                            break
-                    blocks.append(block)
-    return blocks
-
-
 def color_cactus(g: Multigraph) -> EdgeColoring:
     """Interval coloring of a connected cactus (vertex-disjoint cycles, Delta >= 3).
 
-    Colors the smallest bridge 1 and grows the host over the bridges from its
-    ends: a vertex's cycle block is attached the moment the vertex enters the
-    host (while it is still a leaf), bridge edges are pendant extensions.
+    The cycles are the fundamental cycles of the depth-first tree: a graph is
+    such a cactus exactly when those are pairwise vertex-disjoint.  Colors the
+    smallest bridge 1 and grows the host over the bridges from its ends: a
+    vertex's cycle is attached the moment the vertex enters the host (while it
+    is still a leaf), bridge edges are pendant extensions.
     """
-    if len(g.traversal.components) > 1:
+    edges = g.edges
+    parent, order = _dfs_tree(g, range(g.edge_count))
+    if sum(1 for v in order if parent[v] < 0 and g.incidence[v]) > 1:
         raise GraphError("cactus must be connected")
-
-    blocks = _biconnected_blocks(g)
-    if all(len(b) == 1 for b in blocks):
+    tree = set(parent)
+    chords = [e for e in range(g.edge_count) if e not in tree]
+    if not chords:
         return color_forest(g)
     if g.max_degree <= 2:
         raise GraphError("a bare cycle is not a cactus instance")
 
+    position = {v: i for i, v in enumerate(order)}
     cycle_at: dict[int, list[int]] = {}
-    for b in blocks:
-        if len(b) > 1:
-            verts = {w for e in b for w in g.edges[e]}
-            if len(b) != len(verts):
-                raise GraphError("two cycles share an edge or a pair of vertices")
-            for v in verts:
-                if v in cycle_at:
-                    raise GraphError(f"cycles intersect at vertex {v}")
-                cycle_at[v] = b
+    bridges = tree - {-1}
+    for e in chords:
+        # every chord joins a vertex to its ancestor, which the walk reached first
+        top, v = sorted(edges[e], key=position.__getitem__)
+        cycle, verts = [e], [v]
+        while v != top:
+            cycle.append(parent[v])
+            a, b = edges[parent[v]]
+            v = a if b == v else b
+            verts.append(v)
+        shared = [v for v in verts if v in cycle_at]
+        if len({id(cycle_at[v]) for v in shared}) < len(shared):
+            raise GraphError("two cycles share an edge or a pair of vertices")
+        if shared:
+            raise GraphError(f"cycles intersect at vertex {shared[0]}")
+        cycle_at.update(dict.fromkeys(verts, cycle))
+        bridges.difference_update(cycle)
 
-    bridges = {b[0] for b in blocks if len(b) == 1}
     if not bridges:
         raise AssertionError("disjoint-cycle cactus with several blocks must have a bridge")
     root = min(bridges)
     host = IncrementalHost(g)
     host.add_colored(root, 1)
-    host.grow(g.edges[root], bridges, cycle_at)
+    host.grow(edges[root], bridges, cycle_at)
     if len(host.color) != g.edge_count:
         raise AssertionError("construction left edges uncolored")
     return normalize(EdgeColoring(g, tuple(host.color[e] for e in range(g.edge_count))))

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from .edge_coloring import (_KempeState, _coloring_state, _fan_state, _konig_state,
                             equalized_bipartite_color, petersen_two_factorization)
-from .kernels import (IncrementalHost, _factor_walk, balanced_multipartite_colors,
+from .kernels import (IncrementalHost, _dfs_tree, _factor_walk, balanced_multipartite_colors,
                       color_cactus, color_forest, color_low_even_bipartite,
                       latin_bipartite_colors, staircase_bipartite_colors)
 from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bipartition,
@@ -432,39 +432,28 @@ def decompose_forest_peel(g: Multigraph) -> Decomposition:
 
     Each forest meets every vertex that still has an edge, so every round lowers
     all those degrees by one at least; either side of a bipartite graph meets
-    every edge, so no edge is left once that side's degrees reach 0."""
+    every edge, so no edge is left once that side's degrees reach 0.  A forest
+    is colored as color_forest colors it, in the order the walk reached its
+    vertices: each child's edge one above the last color at its parent, whose
+    count starts from the color of its own entry edge (0 at a root)."""
+    edges = g.edges
     remaining = set(range(g.edge_count))
-    parts: list[dict[int, int]] = []
+    parts, colors = [0] * g.edge_count, [0] * g.edge_count
+    rounds = 0
     while remaining:
-        forest: list[int] = []
-        seen = [False] * g.vertex_count
-        for s in range(g.vertex_count):
-            if seen[s]:
-                continue
-            seen[s] = True
-            stack = [(s, 0)]
-            while stack:
-                v, ptr = stack[-1]
-                moved = False
-                while ptr < len(g.incidence[v]):
-                    e = g.incidence[v][ptr]
-                    ptr += 1
-                    if e not in remaining:
-                        continue
-                    w = g.other_end(e, v)
-                    if seen[w]:
-                        continue
-                    seen[w] = True
-                    forest.append(e)
-                    stack[-1] = (v, ptr)
-                    stack.append((w, 0))
-                    moved = True
-                    break
-                if not moved:
-                    stack.pop()
-        remaining -= set(forest)
-        parts.append(_lift(g, forest, color_forest))
-    return _assemble(g, parts)
+        parent, order = _dfs_tree(g, remaining)
+        last = [0] * g.vertex_count     # the last color at each vertex so far
+        for w in order:
+            e = parent[w]
+            if e >= 0:
+                a, b = edges[e]
+                v = a if b == w else b
+                last[v] += 1
+                last[w] = colors[e] = last[v]
+                parts[e] = rounds
+                remaining.remove(e)
+        rounds += 1
+    return _certified(Decomposition(g, tuple(parts), tuple(colors)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .multigraph import (Decomposition, GraphError, Multigraph, VerifyReport, _as_int,
                          verify_decomposition)
-from .thickness import decompose_bipartite, dispatch_theta_upper, BoundTrace
+from .thickness import BoundTrace, _Facts, _run_bipartite_thirds, _run_row, dispatch_theta_upper
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,7 @@ def make_weekly_timetable(B: RequirementMatrix, mode: str = "fewest_days",
     if mode == "fewest_days":
         d, trace = dispatch_theta_upper(g)
     elif mode == "even_spread":
-        d = decompose_bipartite(g)
-        delta = g.max_degree
-        trace = BoundTrace("even-spread", f"ceil({delta}/3) = {max(1, -(-delta // 3))}",
-                           max(1, -(-delta // 3)), d.part_count, True)
+        d, trace = _run_row("even-spread", _run_bipartite_thirds, _Facts(g))
     else:
         raise GraphError(f"unknown mode {mode!r}")
     S = _timetable(B, d)

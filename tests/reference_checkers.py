@@ -47,9 +47,15 @@ classes and hands the three-class side to subcubic_colors, which checks the
 colors and ranks them; the library reads both off the coloring's Kempe state
 and runs the slot pass itself, and both must return identical decompositions.
 
-The graph-JSON reader at the very end checks every edge in Python and converts
-every value through build_graph; the library reads a well-formed file in
-C-level passes, and both must return the same graph, or the same error.
+The graph-JSON reader checks every edge in Python and converts every value
+through build_graph; the library reads a well-formed file in C-level passes,
+and both must return the same graph, or the same error.
+
+The cactus reference at the very end finds its cycles as biconnected blocks
+(Hopcroft-Tarjan) and the forest-peel reference runs its own DFS per round and
+colors each forest by color_forest on its subgraph; the library reads both off
+one depth-first walk, and both must return identical colorings and
+decompositions, or refuse the same inputs.
 """
 from __future__ import annotations
 
@@ -62,11 +68,12 @@ from typing import Sequence
 from intcolor.edge_coloring import (_euler_circuit, _konig_colors, equalized_bipartite_color,
                                     petersen_two_factorization)
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
-                                 VerifyReport, _is_cyclically_consecutive, build_graph, relabel,
-                                 traverse)
+                                 VerifyReport, _is_cyclically_consecutive, build_graph, normalize,
+                                 relabel, traverse)
 from intcolor.subcubic import OddCycleComponent, subcubic_colors
+from intcolor.kernels import IncrementalHost, color_forest
 from intcolor.thickness import (BoundTrace, _AbsorbStuck, _assemble, _class_splits,
-                                _dispatch_connected, _split_component)
+                                _dispatch_connected, _lift, _split_component)
 from intcolor.timetable import RequirementMatrix, Timetable
 
 
@@ -1055,3 +1062,187 @@ def reference_graph_from_json(obj) -> Multigraph:
     if not isinstance(obj.get("allows_loops", False), bool):
         raise GraphError(f"'allows_loops' must be true or false, got {obj['allows_loops']!r}")
     return build_graph(obj.get("vertex_count"), pairs)
+
+
+def reference_biconnected_blocks(g: Multigraph) -> list[list[int]]:
+    """Blocks as edge-id lists (Hopcroft-Tarjan, iterative)."""
+    n = g.vertex_count
+    disc = [-1] * n
+    low = [0] * n
+    parent_edge = [-1] * n
+    estack: list[int] = []
+    blocks: list[list[int]] = []
+    counter = 0
+    for s in range(n):
+        if disc[s] != -1 or not g.incidence[s]:
+            continue
+        disc[s] = low[s] = counter
+        counter += 1
+        stack: list[tuple[int, int]] = [(s, 0)]
+        while stack:
+            v, ptr = stack[-1]
+            advanced = False
+            while ptr < len(g.incidence[v]):
+                eid = g.incidence[v][ptr]
+                ptr += 1
+                if eid == parent_edge[v]:
+                    continue
+                w = g.other_end(eid, v)
+                if disc[w] == -1:
+                    estack.append(eid)
+                    parent_edge[w] = eid
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    stack[-1] = (v, ptr)
+                    stack.append((w, 0))
+                    advanced = True
+                    break
+                if disc[w] < disc[v]:
+                    estack.append(eid)
+                    low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = []
+                    while True:
+                        e = estack.pop()
+                        block.append(e)
+                        if e == parent_edge[v]:
+                            break
+                    blocks.append(block)
+    return blocks
+
+
+def reference_color_cactus(g: Multigraph) -> EdgeColoring:
+    """color_cactus with its cycles read off the biconnected blocks: a connected
+    cactus (vertex-disjoint cycles, Delta >= 3).
+
+    Colors the smallest bridge 1 and grows the host over the bridges from its
+    ends: a vertex's cycle block is attached the moment the vertex enters the
+    host (while it is still a leaf), bridge edges are pendant extensions.
+    """
+    if len(g.traversal.components) > 1:
+        raise GraphError("cactus must be connected")
+
+    blocks = reference_biconnected_blocks(g)
+    if all(len(b) == 1 for b in blocks):
+        return color_forest(g)
+    if g.max_degree <= 2:
+        raise GraphError("a bare cycle is not a cactus instance")
+
+    cycle_at: dict[int, list[int]] = {}
+    for b in blocks:
+        if len(b) > 1:
+            verts = {w for e in b for w in g.edges[e]}
+            if len(b) != len(verts):
+                raise GraphError("two cycles share an edge or a pair of vertices")
+            for v in verts:
+                if v in cycle_at:
+                    raise GraphError(f"cycles intersect at vertex {v}")
+                cycle_at[v] = b
+
+    bridges = {b[0] for b in blocks if len(b) == 1}
+    if not bridges:
+        raise AssertionError("disjoint-cycle cactus with several blocks must have a bridge")
+    root = min(bridges)
+    host = IncrementalHost(g)
+    host.add_colored(root, 1)
+    host.grow(g.edges[root], bridges, cycle_at)
+    if len(host.color) != g.edge_count:
+        raise AssertionError("construction left edges uncolored")
+    return normalize(EdgeColoring(g, tuple(host.color[e] for e in range(g.edge_count))))
+
+
+def reference_forest_peel(g: Multigraph) -> Decomposition:
+    """decompose_forest_peel with its own DFS per round, each forest colored
+    by color_forest on its subgraph and the parts assembled as dicts."""
+    remaining = set(range(g.edge_count))
+    parts: list[dict[int, int]] = []
+    while remaining:
+        forest: list[int] = []
+        seen = [False] * g.vertex_count
+        for s in range(g.vertex_count):
+            if seen[s]:
+                continue
+            seen[s] = True
+            stack = [(s, 0)]
+            while stack:
+                v, ptr = stack[-1]
+                moved = False
+                while ptr < len(g.incidence[v]):
+                    e = g.incidence[v][ptr]
+                    ptr += 1
+                    if e not in remaining:
+                        continue
+                    w = g.other_end(e, v)
+                    if seen[w]:
+                        continue
+                    seen[w] = True
+                    forest.append(e)
+                    stack[-1] = (v, ptr)
+                    stack.append((w, 0))
+                    moved = True
+                    break
+                if not moved:
+                    stack.pop()
+        remaining -= set(forest)
+        parts.append(_lift(g, forest, color_forest))
+    return _assemble(g, parts)
+
+
+def cactus_like_graph(rng, kind: int) -> Multigraph:
+    """A random input for the cactus and forest-peel references, by kind: 0 a
+    cactus whose vertex-disjoint cycles have 2 to 6 edges (2 is a digon block),
+    1 such a cactus with one added chord, 2 with a parallel copy of one edge,
+    3 a multigraph on up to 9 vertices.  Vertex ids and edge order are shuffled."""
+    if kind == 3:
+        n = rng.randint(2, 9)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 14))]
+    else:
+        edges, n, on_cycle = [(0, 1)], 2, set()
+        for _ in range(rng.randint(1, 6)):
+            free = [v for v in range(n) if v not in on_cycle]
+            if free and rng.random() < 0.6:
+                ring = [rng.choice(free), *range(n, n + rng.randint(1, 5))]
+                n += len(ring) - 1
+                on_cycle.update(ring)
+                edges += [(ring[i - 1], ring[i]) for i in range(len(ring))]
+            else:
+                edges.append((rng.randrange(n), n))
+                n += 1
+        if kind == 1:
+            edges.append(tuple(rng.sample(range(n), 2)))
+        elif kind == 2:
+            edges.append(rng.choice(edges))
+    names = rng.sample(range(n), n)
+    edges = [(names[u], names[v]) for u, v in edges]
+    rng.shuffle(edges)
+    return build_graph(n, edges)
+
+
+def bipartite_up_to(nx: int, ny: int, n_edges: int, max_degree: int, rng,
+                    simple: bool = True) -> Multigraph:
+    """A random bipartite graph of at most n_edges edges: random_bipartite as it
+    was before it refused edge counts it cannot place, so that the property
+    tests that ask for more edges than fit keep drawing the same graphs."""
+    deg = [0] * (nx + ny)
+    chosen: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for _ in range(20 * n_edges + 100):
+        if len(chosen) == n_edges:
+            break
+        i, j = rng.randrange(nx), rng.randrange(ny)
+        u, v = i, nx + j
+        if deg[u] >= max_degree or deg[v] >= max_degree:
+            continue
+        if simple and (u, v) in seen:
+            continue
+        seen.add((u, v))
+        chosen.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    return build_graph(nx + ny, chosen)

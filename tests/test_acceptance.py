@@ -5,7 +5,7 @@ import time
 
 from intcolor.edge_coloring import konig_color, vizing_color
 from intcolor.generators import (FIXTURES, circular_complete_graph,
-                                 complete_multipartite_graph, cycle_graph, random_bipartite,
+                                 complete_multipartite_graph, cycle_graph,
                                  random_biregular, random_cubic_class1,
                                  random_eulerian_bipartite)
 from intcolor.multigraph import EdgeColoring, build_graph, verify, verify_decomposition
@@ -20,6 +20,8 @@ from intcolor.thickness import (decompose_bipartite, decompose_biregular,
 from intcolor.timetable import (RequirementMatrix, daily_loads,
                                 decomposition_to_timetable, make_weekly_timetable,
                                 timetable_to_decomposition, verify_timetable)
+
+from reference_checkers import bipartite_up_to
 
 
 class _Criterion:
@@ -68,8 +70,8 @@ def test_criterion_02_subcubic_colorings():
         ok &= verify(g, col).interval and len(set(col.colors)) <= 6
     for seed in range(200):
         rng = random.Random(10_000 + seed)
-        g = random_bipartite(rng.randint(2, 12), rng.randint(2, 12),
-                             rng.randint(1, 30), 3, rng, simple=False)
+        g = bipartite_up_to(rng.randint(2, 12), rng.randint(2, 12),
+                            rng.randint(1, 30), 3, rng, simple=False)
         if g.edge_count == 0:
             continue
         col = color_subcubic(g, konig_color(g))
@@ -82,8 +84,8 @@ def test_criterion_03_bipartite_thirds():
     ok = True
     for seed in range(300):
         rng = random.Random(seed)
-        g = random_bipartite(rng.randint(1, 25), rng.randint(1, 25),
-                             rng.randint(1, 80), rng.randint(1, 10), rng, simple=False)
+        g = bipartite_up_to(rng.randint(1, 25), rng.randint(1, 25),
+                            rng.randint(1, 80), rng.randint(1, 10), rng, simple=False)
         if g.edge_count == 0:
             continue
         d = decompose_bipartite(g)

@@ -31,6 +31,7 @@ def test_gen_emits_graph_json(tmp_path, capsys):
     ("bipartite_random(nx=2,ny=2,edges=-3)", "edges"), ("eulerian_bipartite(nx=-1,ny=3)", "nx"),
     ("eulerian_bipartite(ny=0)", "ny"), ("eulerian_bipartite(walks=-1)", "walks"),
     ("eulerian_bipartite(walk_len=0)", "walk_len"), ("eulerian_bipartite(walk_len=-4)", "walk_len"),
+    ("bipartite_random(nx=1,ny=1,edges=5,max_degree=1)", "edges=5"),
 ])
 def test_gen_missing_or_non_integer_parameter_exit_code(capsys, spec, param):
     assert f" {param}" in _exits_2_with_one_error_line(capsys, "gen", spec)

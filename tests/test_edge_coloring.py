@@ -9,13 +9,13 @@ from intcolor.edge_coloring import (_KempeState, _konig_colors, equalized_bipart
                                     konig_color, petersen_two_factorization,
                                     shannon_color, vizing_color)
 from intcolor.generators import (complete_bipartite_graph, complete_graph,
-                                 cycle_graph, random_bipartite)
+                                 cycle_graph)
 from intcolor.multigraph import GraphError, build_graph, verify
 from intcolor.oracles import BudgetExceeded, exact_chromatic_index
 
-from reference_checkers import (reference_equalized_colors, reference_fan_colors,
-                                reference_konig_colors, reference_petersen_factors,
-                                two_pass_swap_chain)
+from reference_checkers import (bipartite_up_to, reference_equalized_colors,
+                                reference_fan_colors, reference_konig_colors,
+                                reference_petersen_factors, two_pass_swap_chain)
 
 
 def petersen_graph():
@@ -61,8 +61,8 @@ def test_konig_rejects_non_bipartite():
 @settings(max_examples=60, deadline=None)
 def test_konig_exactly_delta_on_random_bipartite(seed):
     rng = random.Random(seed)
-    g = random_bipartite(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 20),
-                         rng.randint(1, 8), rng, simple=False)
+    g = bipartite_up_to(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 20),
+                        rng.randint(1, 8), rng, simple=False)
     if g.edge_count == 0:
         return
     col = konig_color(g)
@@ -164,8 +164,8 @@ def test_equalized_k1_single_class():
 @settings(max_examples=60, deadline=None)
 def test_equalized_counts_within_one(seed, k):
     rng = random.Random(seed)
-    g = random_bipartite(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 18),
-                         rng.randint(1, 9), rng, simple=False)
+    g = bipartite_up_to(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 18),
+                        rng.randint(1, 9), rng, simple=False)
     col = equalized_bipartite_color(g, k)
     assert all(1 <= c <= k for c in col.colors)
     for v in range(g.vertex_count):
@@ -401,8 +401,8 @@ def test_exact_chi_budget():
 @settings(max_examples=30, deadline=None)
 def test_exact_chi_matches_konig_on_bipartite(seed):
     rng = random.Random(seed)
-    g = random_bipartite(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 12),
-                         rng.randint(1, 6), rng, simple=False)
+    g = bipartite_up_to(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 12),
+                        rng.randint(1, 6), rng, simple=False)
     if not 0 < g.edge_count <= 14:
         return
     assert exact_chromatic_index(g)[0] == max(konig_color(g).colors_used(), 1)

@@ -128,6 +128,23 @@ def test_a_size_below_its_least_is_infeasible_before_any_draw(build, name):
         build(object())
 
 
+@pytest.mark.parametrize("args,simple,room", [
+    ((1, 1, 5, 1), True, 1), ((3, 4, 13, 4), True, 12), ((3, 4, 10, 2), True, 6),
+    ((2, 5, 13, 6), False, 12), ((2, 2, 1, 0), False, 0),
+])
+def test_bipartite_random_refuses_more_edges_than_its_sides_hold(args, simple, room):
+    # simple: min(nx*min(d,ny), ny*min(d,nx)); multigraph: d*min(nx,ny)
+    with pytest.raises(InfeasibleSpec, match=f"at most {room} edges .* edges={args[2]}$"):
+        generators.random_bipartite(*args, object(), simple=simple)
+
+
+def test_bipartite_random_refuses_a_placement_that_stalls_short():
+    # six random draws of a perfect matching of K_{6,6}: seed 8 runs out of draws
+    with pytest.raises(InfeasibleSpec, match="^bipartite_random placed 5 of edges=6 "):
+        generators.random_bipartite(6, 6, 6, 1, random.Random(8))
+    assert generators.random_bipartite(6, 6, 6, 1, random.Random(0)).edge_count == 6
+
+
 @pytest.mark.parametrize("spec", ["cactus(blocks=1)", "bipartite_random(edges=0)",
                                   "eulerian_bipartite(nx=1,ny=1,walks=0,walk_len=1)"])
 def test_the_least_sizes_are_feasible(spec):

@@ -13,7 +13,8 @@ from intcolor.kernels import (IncrementalHost, _factor_walk, balanced_multiparti
                               round_robin_rounds, staircase_bipartite_colors)
 from intcolor.multigraph import EdgeColoring, GraphError, build_graph, normalize, verify
 
-from reference_checkers import alternating_colors, two_factor_pair_colors
+from reference_checkers import (alternating_colors, cactus_like_graph, reference_color_cactus,
+                                two_factor_pair_colors)
 
 
 def _coloring(g, colors):
@@ -155,11 +156,34 @@ def test_cactus_tree_delegates_to_forest():
 
 
 def test_cactus_rejects_bare_cycle_and_shared_cycles():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="bare cycle"):
         color_cactus(cycle_graph(6))
     bowtie = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^cycles intersect at vertex 2$"):
         color_cactus(bowtie)
+
+
+def test_cactus_names_two_cycles_sharing_a_pair_of_vertices():
+    # a theta graph: paths of 1, 2 and 3 edges between 0 and 1
+    theta = build_graph(5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)])
+    with pytest.raises(GraphError, match="^two cycles share an edge or a pair of vertices$"):
+        color_cactus(theta)
+    with pytest.raises(GraphError, match="^two cycles share an edge or a pair of vertices$"):
+        reference_color_cactus(theta)
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_cactus_matches_the_block_reference(seed):
+    # cacti with digon blocks, with one chord or parallel copy added, and multigraphs
+    g = cactus_like_graph(random.Random(seed), seed % 4)
+    try:
+        want = reference_color_cactus(g)
+    except GraphError:
+        with pytest.raises(GraphError):
+            color_cactus(g)
+    else:
+        assert color_cactus(g) == want
 
 
 @given(st.integers(0, 10_000))

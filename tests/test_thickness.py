@@ -27,10 +27,12 @@ from intcolor.thickness import (_Facts, decompose_bipartite,
                                 split_cyclic)
 from intcolor.timetable import build_requirement_graph
 
-from reference_checkers import (reference_decompose_bipartite,
+from reference_checkers import (bipartite_up_to, cactus_like_graph,
+                                reference_decompose_bipartite,
                                 reference_decompose_eulerian_bipartite,
                                 reference_decompose_general, reference_dispatch_componentwise,
-                                reference_general_by_groups, reference_verify_decomposition)
+                                reference_forest_peel, reference_general_by_groups,
+                                reference_verify_decomposition)
 
 
 def _certified(d):
@@ -238,8 +240,8 @@ def _general_input(kind, rng):
     - "exact": a multigraph of at most 20 edges beside odd cycles, or odd cycles
       alone, whose groups no vertex meets three classes of."""
     if kind == "konig":
-        g = random_bipartite(rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 60),
-                             rng.randint(1, 14), rng, simple=rng.random() < 0.3)
+        g = bipartite_up_to(rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 60),
+                            rng.randint(1, 14), rng, simple=rng.random() < 0.3)
         return g, konig_color(g)
     n = rng.randint(3, 12)
     edges = [tuple(rng.sample(range(n), 2))
@@ -404,8 +406,8 @@ def test_bipartite_k77_three_parts():
 @settings(max_examples=30, deadline=None)
 def test_bipartite_balance_property(seed):
     rng = random.Random(seed)
-    g = random_bipartite(rng.randint(2, 12), rng.randint(2, 12), rng.randint(4, 40),
-                         rng.randint(2, 10), rng, simple=False)
+    g = bipartite_up_to(rng.randint(2, 12), rng.randint(2, 12), rng.randint(4, 40),
+                        rng.randint(2, 10), rng, simple=False)
     if g.edge_count == 0:
         return
     d = decompose_bipartite(g)
@@ -683,6 +685,23 @@ def test_forest_peel_c4_plus_chord():
     assert _certified(d) and d.part_count == 2
 
 
+@given(st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_forest_peel_matches_the_subgraph_reference(seed):
+    rng = random.Random(seed)
+    g = cactus_like_graph(rng, seed % 4) if seed % 5 else _random_connected(rng, seed % 2)[0]
+    assert decompose_forest_peel(g) == reference_forest_peel(g)
+
+
+def test_forest_peel_builds_no_subgraph(monkeypatch):
+    def refused(self, edge_ids):
+        raise AssertionError("decompose_forest_peel built a subgraph")
+
+    monkeypatch.setattr(multigraph.Multigraph, "subgraph", refused)
+    g = complete_graph(6)
+    assert decompose_forest_peel(g).part_count == 3
+
+
 # -- cyclic split ------------------------------------------------------------------------------
 
 def test_split_cyclic_c5():
@@ -834,9 +853,9 @@ def test_bipartite_thirds_match_the_per_class_reference(seed, shape, spread):
     if shape == "hub":
         g = complete_bipartite_graph(rng.randint(1, 3), rng.randint(4, 40))
     else:
-        g = random_bipartite(rng.randint(1, 10), rng.randint(1, 10), rng.randint(1, 40),
-                             3 if shape == "subcubic" else rng.randint(4, 12), rng,
-                             simple=rng.random() < 0.3)
+        g = bipartite_up_to(rng.randint(1, 10), rng.randint(1, 10), rng.randint(1, 40),
+                            3 if shape == "subcubic" else rng.randint(4, 12), rng,
+                            simple=rng.random() < 0.3)
     if spread:
         g = _spread(g, rng)
     assert decompose_bipartite(g) == reference_decompose_bipartite(g)
