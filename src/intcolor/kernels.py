@@ -279,16 +279,17 @@ def color_cactus(g: Multigraph) -> EdgeColoring:
     """
     edges = g.edges
     parent, order = _dfs_tree(g, range(g.edge_count))
-    if sum(1 for v in order if parent[v] < 0 and g.incidence[v]) > 1:
+    # every tree of the walk has one root, and an isolated vertex is a tree alone
+    if parent.count(-1) - g.degrees.count(0) > 1:
         raise GraphError("cactus must be connected")
     tree = set(parent)
-    chords = [e for e in range(g.edge_count) if e not in tree]
+    chords = sorted(set(range(g.edge_count)) - tree)
     if not chords:
         return color_forest(g)
     if g.max_degree <= 2:
         raise GraphError("a bare cycle is not a cactus instance")
 
-    position = {v: i for i, v in enumerate(order)}
+    position = dict(zip(order, itertools.count()))
     cycle_at: dict[int, list[int]] = {}
     bridges = tree - {-1}
     for e in chords:
