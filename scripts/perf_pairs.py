@@ -16,7 +16,12 @@ divided by the parent's IQR, and a verdict:
   above 1;
 - ``worse`` when the change's median is worse than the parent's by more than
   the metric's bound in BENCHMARK.json;
+- ``unresolved`` when the parent's IQR is wider than that bound times the
+  parent's median, so a change within the bound could not be told from noise,
+  unless every change run beat every parent run;
 - ``flat`` otherwise.
+
+``worse`` comes first, then ``gain``, then ``unresolved``.
 
 Exits 1 if any run reports an output that is not correct.
 
@@ -64,30 +69,36 @@ def _iqr(values: list[float]) -> float:
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per metric from (parent, change) result lines: each side's
-    median and IQR, and the pairs the change won."""
+    median and IQR, the pairs the change won, and whether every change run
+    beat every parent run."""
     rows = []
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        apart = min(change) > max(parent) if higher else max(change) < min(parent)
         rows.append({"name": name, "unit": m["unit"],
                      "parent_median": statistics.median(parent), "parent_iqr": _iqr(parent),
                      "change_median": statistics.median(change), "change_iqr": _iqr(change),
-                     "wins": wins, "pairs": len(pairs)})
+                     "wins": wins, "pairs": len(pairs), "beats_every_parent_run": apart})
     return rows
 
 
 def verdict(row: dict, metric: dict) -> tuple[float, str]:
-    """(|Δ median| / parent IQR, "gain" | "worse" | "flat") for one summary row."""
+    """(|Δ median| / parent IQR, "gain" | "worse" | "unresolved" | "flat") for
+    one summary row."""
     delta = row["change_median"] - row["parent_median"]
     iqr = row["parent_iqr"]
     ratio = abs(delta) / iqr if iqr else (math.inf if delta else 0.0)
     worse_by = -delta if metric["better"] == "higher" else delta
-    if worse_by > metric["bound"] * abs(row["parent_median"]):
+    bound = metric["bound"] * abs(row["parent_median"])
+    if worse_by > bound:
         return ratio, "worse"
     if worse_by < 0 and 10 * row["wins"] >= 9 * row["pairs"] and ratio > 1:
         return ratio, "gain"
+    if iqr > bound and not row["beats_every_parent_run"]:
+        return ratio, "unresolved"
     return ratio, "flat"
 
 

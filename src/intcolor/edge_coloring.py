@@ -195,16 +195,11 @@ def _konig_state(n: int, edges: Sequence[tuple[int, int]], k: int) -> _KempeStat
     return st
 
 
-def _konig_colors(n: int, edges: Sequence[tuple[int, int]], k: int) -> list[int]:
-    """The edge colors of _konig_state."""
-    return _konig_state(n, edges, k).colors
-
-
 def konig_color(g: Multigraph) -> EdgeColoring:
     """Proper coloring of a bipartite multigraph with exactly max_degree colors,
-    by _konig_colors once require_bipartite passes."""
+    by _konig_state once require_bipartite passes."""
     require_bipartite(g)
-    return EdgeColoring(g, tuple(_konig_colors(g.vertex_count, g.edges, g.max_degree)))
+    return EdgeColoring(g, tuple(_konig_state(g.vertex_count, g.edges, g.max_degree).colors))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +281,7 @@ def equalized_bipartite_color(g: Multigraph, k: int) -> EdgeColoring:
         cv = first_copy[v] + seen[v] // k
         seen[v] += 1
         h_edges.append((cu, cv))
-    return EdgeColoring(g, tuple(_konig_colors(n_h, h_edges, min(k, g.max_degree))))
+    return EdgeColoring(g, tuple(_konig_state(n_h, h_edges, min(k, g.max_degree)).colors))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +356,7 @@ def petersen_two_factorization(n: int, edges: Sequence[tuple[int, int]]
             raise AssertionError("Euler trail did not close")
 
     # tails on 0..n-1, heads on n..2n-1: bipartite and r-regular by construction
-    colors = _konig_colors(2 * n, [(tail, n + head) for tail, head, _ in arcs], r)
+    colors = _konig_state(2 * n, [(tail, n + head) for tail, head, _ in arcs], r).colors
     factors: list[list[int]] = [[] for _ in range(r)]
     for (_, _, eid), c in zip(arcs, colors):
         factors[c - 1].append(eid)

@@ -166,6 +166,10 @@ def random_cactus(blocks: int, rng: random.Random) -> Multigraph:
 
 def random_bipartite(nx: int, ny: int, n_edges: int, max_degree: int,
                      rng: random.Random, simple: bool = True) -> Multigraph:
+    """n_edges edges between sides of nx and ny vertices, no degree above
+    max_degree, placed by uniform draws of a pair; when those draws run out
+    short, the rest are drawn among the pairs still open (both ends below
+    max_degree, and not placed yet when simple)."""
     if nx < 1 or ny < 1:
         raise InfeasibleSpec("both sides must be nonempty")
     if n_edges < 0:
@@ -178,22 +182,27 @@ def random_bipartite(nx: int, ny: int, n_edges: int, max_degree: int,
     deg = [0] * (nx + ny)
     chosen: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for _ in range(20 * n_edges + 100):
-        if len(chosen) == n_edges:
-            break
-        i, j = rng.randrange(nx), rng.randrange(ny)
-        u, v = i, nx + j
-        if deg[u] >= max_degree or deg[v] >= max_degree:
-            continue
-        if simple and (u, v) in seen:
-            continue
+
+    def place(u: int, v: int) -> None:
         seen.add((u, v))
         chosen.append((u, v))
         deg[u] += 1
         deg[v] += 1
-    if len(chosen) < n_edges:
-        raise InfeasibleSpec(f"bipartite_random placed {len(chosen)} of edges={n_edges} "
-                             "before its draws ran out; try fewer edges")
+
+    for _ in range(20 * n_edges + 100):
+        if len(chosen) == n_edges:
+            break
+        u, v = rng.randrange(nx), nx + rng.randrange(ny)
+        if deg[u] < max_degree and deg[v] < max_degree and not (simple and (u, v) in seen):
+            place(u, v)
+    while len(chosen) < n_edges:
+        xs = [u for u in range(nx) if deg[u] < max_degree]
+        ys = [v for v in range(nx, nx + ny) if deg[v] < max_degree]
+        open_pairs = [(u, v) for u in xs for v in ys if not (simple and (u, v) in seen)]
+        if not open_pairs:
+            raise InfeasibleSpec(f"bipartite_random placed {len(chosen)} of edges={n_edges} "
+                                 "with no open pair left; try fewer edges")
+        place(*rng.choice(open_pairs))
     return build_graph(nx + ny, chosen)
 
 

@@ -99,36 +99,6 @@ class Multigraph:
         comps.sort(key=lambda c: c[0])
         return comps
 
-    def components_subgraph(self, picked: Sequence[int]) -> tuple["Multigraph", tuple[int, ...]]:
-        """subgraph on the edges of the components picked (ascending) from this
-        graph's own traversal, handed their part of it, renumbered, in place of
-        a pass of its own.
-
-        subgraph keeps the host's vertex and edge order, so a pass over the
-        subgraph would find the same trees, labels and odd cycles.  Picking
-        every component of a graph without isolated vertices gives the graph
-        itself."""
-        t = self.traversal
-        if len(picked) == len(t.components) and sum(map(len, t.vertices)) == self.vertex_count:
-            return self, tuple(range(self.edge_count))
-        comps = [t.components[i] for i in picked]
-        sub, ids = self.subgraph(chain.from_iterable(comps))
-        if len(comps) == 1:
-            sub_comps = [list(range(len(ids)))]
-        else:
-            position = dict(zip(ids, range(len(ids)))).__getitem__
-            sub_comps = [list(map(position, comp)) for comp in comps]
-        kept = sorted(chain.from_iterable(t.vertices[i] for i in picked))
-        new_id = dict(zip(kept, range(len(kept)))).__getitem__
-        cycles = [t.odd_cycles[i] for i in picked]
-        sides = t.sides
-        # the slot the traversal cached_property fills on first read
-        sub.__dict__["traversal"] = Traversal(
-            sub_comps, [list(map(new_id, t.vertices[i])) for i in picked],
-            [None if cycle is None else tuple(map(new_id, cycle)) for cycle in cycles],
-            [t.side_max[i] for i in picked], [sides[v] for v in kept])
-        return sub, ids
-
     def subgraph(self, edge_ids: Iterable[int]) -> tuple["Multigraph", tuple[int, ...]]:
         """Subgraph on a subset of edges, without the vertices it leaves isolated.
 

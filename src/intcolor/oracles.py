@@ -169,10 +169,13 @@ def _color_sweep(sub: Multigraph, rule: str = "interval",
 def _per_component(g: Multigraph,
                    search: Callable[[Multigraph], list[int] | None]) -> EdgeColoring | None:
     """search run on each component's subgraph, its colors merged by host edge
-    id; None at the first component it refutes."""
+    id; None at the first component it refutes.  A graph that is one component
+    without isolated vertices is searched itself, not copied."""
+    t = g.traversal
+    whole = len(t.components) == 1 and len(t.vertices[0]) == g.vertex_count
     colors = [0] * g.edge_count
-    for i in range(len(g.traversal.components)):
-        sub, ids = g.components_subgraph([i])
+    for comp in t.components:
+        sub, ids = (g, comp) if whole else g.subgraph(comp)
         found = search(sub)
         if found is None:
             return None

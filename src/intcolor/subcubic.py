@@ -192,6 +192,20 @@ def _slot_pass(edges: Sequence[tuple[int, int]], used: list[int], at: list[int],
     return out
 
 
+def _slot_state(n: int, ends: list[int], colors3: list[int]) -> tuple[
+        list[tuple[int, int]], list[int], list[int], list[int], list[bool]]:
+    """_slot_pass's arguments for the edges whose ends, on slots 0..n-1 as
+    relabel renumbers them, are ends[2i] and ends[2i + 1] and whose proper
+    colors are colors3 (1-3): the slots are one class, cubic when some slot
+    meets all three colors."""
+    used, at = [0] * n, [-1] * (4 * n)
+    for i, s in enumerate(ends):
+        c = colors3[i >> 1]
+        used[s] |= 1 << c
+        at[4 * s + c] = i >> 1
+    return list(zip(ends[::2], ends[1::2])), used, at, colors3, [14 in used] * n
+
+
 def color_subcubic(g: Multigraph, c3: EdgeColoring) -> EdgeColoring:
     """Interval coloring (at most 6 colors) of a subcubic graph with a proper
     3-edge-coloring and no odd-cycle component."""
@@ -209,8 +223,7 @@ def subcubic_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int],
     which is refused by OddCycleComponent.  With eids ascending, the colors are
     color_subcubic's on the host's subgraph on eids."""
     kept, ends = relabel(edges, eids)
-    degree = max(Counter(ends).values(), default=0)
-    if degree > 3:
+    if max(Counter(ends).values(), default=0) > 3:
         raise GraphError("maximum degree must be at most 3")
     # proper iff no (endpoint, color) pair repeats; a loop repeats its own
     if len(set(zip(ends, chain.from_iterable(zip(c3, c3))))) != len(ends):
@@ -220,13 +233,6 @@ def subcubic_colors(edges: Sequence[tuple[int, int]], eids: Sequence[int],
         raise GraphError("the supplied coloring uses more than 3 colors")
     # the smallest class is color 1, the matching M
     rank = {c: i for i, c in enumerate(classes, 1)}
-    colors3 = [rank[c] for c in c3]
-    used, at = [0] * len(kept), [-1] * (4 * len(kept))
-    for i, s in enumerate(ends):
-        c = colors3[i >> 1]
-        used[s] |= 1 << c
-        at[4 * s + c] = i >> 1
-    out = _slot_pass(list(zip(ends[::2], ends[1::2])), used, at, colors3,
-                     [degree == 3] * len(kept))
+    out = _slot_pass(*_slot_state(len(kept), ends, [rank[c] for c in c3]))
     shift = 1 - min(out, default=1)
     return {e: c + shift for e, c in zip(eids, out)}

@@ -21,7 +21,8 @@ from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bi
                          normalize, relabel, require_bipartite, traverse, verify,
                          verify_decomposition)
 from .oracles import INTERVAL_BUDGET, exact_chromatic_index, exact_interval_colorable
-from .subcubic import OddCycleComponent, _slot_pass, color_subcubic, subcubic_colors
+from .subcubic import (OddCycleComponent, _slot_pass, _slot_state, color_subcubic,
+                       subcubic_colors)
 
 
 @dataclass(frozen=True)
@@ -157,9 +158,9 @@ def _side_a(edges: Sequence[tuple[int, int]], st: _KempeState, f_edges: list[int
     all but the two smallest, has no odd-cycle component; else None.
 
     The slot state of _slot_pass covers only the vertices side A touches,
-    renumbered by relabel, its classes ranked 1-3 in order.  It is filled from
-    relabel's ends: that measured faster in CPython than gathering st's table
-    entries for the same vertices."""
+    renumbered by relabel, its classes ranked 1-3 in order.  _slot_state
+    fills it from relabel's ends: that measured faster in CPython than
+    gathering st's table entries for the same vertices."""
     kept, ends = relabel(edges, f_edges)
     mask, used = sum(1 << c for c in classes), st.used
     # a vertex meeting three of the group's classes meets one of side A's
@@ -167,14 +168,8 @@ def _side_a(edges: Sequence[tuple[int, int]], st: _KempeState, f_edges: list[int
         return None
     rank = dict(zip(classes[2:], (1, 2, 3)))
     colors3 = [rank[c] for c in map(st.colors.__getitem__, f_edges)]
-    slots, at = [0] * len(kept), [-1] * (4 * len(kept))
-    for i, s in enumerate(ends):
-        c = colors3[i >> 1]
-        slots[s] |= 1 << c
-        at[4 * s + c] = i >> 1
     try:
-        return dict(zip(f_edges, _slot_pass(list(zip(ends[::2], ends[1::2])), slots, at,
-                                            colors3, [14 in slots] * len(kept))))
+        return dict(zip(f_edges, _slot_pass(*_slot_state(len(kept), ends, colors3))))
     except OddCycleComponent:
         return None
 
@@ -525,8 +520,8 @@ def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
 
 
 def _dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
-    """Dispatch g's components on compact subgraphs, handed their part of g's
-    traversal; part i of every component goes into part i of the whole.
+    """Dispatch g's components on compact subgraphs; part i of every component
+    goes into part i of the whole.
 
     Two families always take one part and are closed in batches, each by its
     winning row run once on the union of its members: the tree components
@@ -559,7 +554,7 @@ def _dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     colors = [0] * g.edge_count
     traces: list[tuple[int, BoundTrace]] = []
     for picked, row in runs:
-        sub, ids = g.components_subgraph(picked)
+        sub, ids = g.subgraph(itertools.chain.from_iterable(comps[i] for i in picked))
         d_sub, t_sub = _dispatch_connected(sub) if row is None else _run_row(*row, _Facts(sub))
         for pos, eid in enumerate(ids):
             parts[eid] = d_sub.parts[pos]

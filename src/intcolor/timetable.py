@@ -99,12 +99,18 @@ def build_requirement_graph(B: RequirementMatrix) -> Multigraph:
 
 
 def decomposition_to_timetable(B: RequirementMatrix, d: Decomposition) -> Timetable:
-    """Day l, period h, class i meets teacher j iff part l colors an (i,j) edge h."""
+    """Day l, period h, class i meets teacher j iff part l colors an (i,j) edge h.
+
+    Periods start at 1, so a part with a color below 1 is refused."""
     g = build_requirement_graph(B)
     if d.graph != g:
         raise GraphError("decomposition does not belong to this requirement graph")
     if not verify_decomposition(g, d).interval:
         raise GraphError("decomposition is not certified")
+    # the first part colored below 1, with its smallest color
+    low = min(((p, h) for p, h in zip(d.parts, d.colors) if h < 1), default=None)
+    if low is not None:
+        raise GraphError(f"part {low[0]} has smallest color {low[1]}; periods start at 1")
     return _timetable(B, d)
 
 

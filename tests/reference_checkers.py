@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from intcolor.edge_coloring import (_euler_circuit, _konig_colors, equalized_bipartite_color,
+from intcolor.edge_coloring import (_euler_circuit, _konig_state, equalized_bipartite_color,
                                     petersen_two_factorization)
 from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph,
                                  VerifyReport, _is_cyclically_consecutive, build_graph, normalize,
@@ -846,7 +846,7 @@ def reference_decompose_bipartite(g: Multigraph) -> Decomposition:
         return _assemble(g, [])
     delta = g.max_degree
     if delta <= 3:
-        c3 = _konig_colors(g.vertex_count, g.edges, 3)
+        c3 = _konig_state(g.vertex_count, g.edges, 3).colors
         return _assemble(g, [reference_subcubic_colors(g.edges, list(range(g.edge_count)), c3)])
     k = -(-delta // 3)
     classes: list[list[int]] = [[] for _ in range(k)]
@@ -855,7 +855,7 @@ def reference_decompose_bipartite(g: Multigraph) -> Decomposition:
     parts = []
     for eids in classes:
         kept, ends = relabel(g.edges, eids)
-        c3 = _konig_colors(len(kept), list(zip(ends[::2], ends[1::2])), 3)
+        c3 = _konig_state(len(kept), list(zip(ends[::2], ends[1::2])), 3).colors
         parts.append(reference_subcubic_colors(g.edges, eids, c3))
     return _assemble(g, parts)
 
@@ -945,7 +945,7 @@ def reference_dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, Boun
     worst: BoundTrace | None = None
     comps = g.traversal.components
     for i in range(len(comps)):
-        sub, ids = g.components_subgraph([i])
+        sub, ids = g.subgraph(g.traversal.components[i])
         d_sub, t_sub = _dispatch_connected(sub)
         for pos, eid in enumerate(ids):
             parts[eid] = d_sub.parts[pos]

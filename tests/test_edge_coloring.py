@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intcolor.edge_coloring import (_KempeState, _konig_colors, equalized_bipartite_color,
+from intcolor.edge_coloring import (_KempeState, _konig_state, equalized_bipartite_color,
                                     konig_color, petersen_two_factorization,
                                     shannon_color, vizing_color)
 from intcolor.generators import (complete_bipartite_graph, complete_graph,
@@ -73,7 +73,7 @@ def test_konig_exactly_delta_on_random_bipartite(seed):
 def test_konig_core_raises_on_a_closed_chain():
     # a triangle is not bipartite: its third edge's Kempe chain returns to it
     with pytest.raises(AssertionError, match="a Kempe chain closed in a bipartite graph"):
-        _konig_colors(3, [(0, 1), (1, 2), (2, 0)], 2)
+        _konig_state(3, [(0, 1), (1, 2), (2, 0)], 2)
 
 
 def test_fold_with_no_fan_vertex_to_take_the_old_color_raises():

@@ -192,18 +192,6 @@ def test_subgraph_keeps_only_endpoints_in_host_order():
     assert spanning.vertex_count == 4 and spanning.edges == g.edges[:2]
 
 
-def test_components_subgraph_of_every_component_is_the_graph_itself():
-    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-    for host in (g, complete_graph(4)):
-        sub, ids = host.components_subgraph(range(len(host.traversal.components)))
-        assert sub is host and ids == tuple(range(host.edge_count))
-    # the isolated vertex 4 is left out, so every component gets a compact copy
-    host = build_graph(5, [(0, 1), (2, 3), (1, 0)])
-    sub, ids = host.components_subgraph([0, 1])
-    assert sub is not host and sub.vertex_count == 4 and sub.edges == host.edges
-    assert ids == (0, 1, 2)
-
-
 def test_subgraph_rejects_unknown_edge():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(GraphError):
@@ -387,19 +375,6 @@ def test_traverse_matches_union_find_and_two_coloring_references(g_eids):
     sides = bipartition(g)
     assert (sides is None) == any(c is not None for c in whole.odd_cycles)
     assert sides is None or sides == tuple(whole.sides)
-    for i in range(len(whole.components)):
-        # the handed-down traversal is the one the component subgraph would find
-        sub, ids = g.components_subgraph([i])
-        fresh = Multigraph(sub.vertex_count, sub.edges)
-        assert sub.traversal == traverse(fresh)
-        assert bipartition(sub) == bipartition(fresh)
-    picked = [i for i in range(len(whole.components)) if i % 2 == len(eids) % 2]
-    if picked:
-        # and so is that of several components
-        sub, ids = g.components_subgraph(picked)
-        assert list(ids) == sorted(e for i in picked for e in whole.components[i])
-        fresh = Multigraph(sub.vertex_count, sub.edges)
-        assert sub.traversal == traverse(fresh)
 
 
 def test_components_keep_their_order_and_isolated_vertices():

@@ -109,7 +109,8 @@ def test_perf_pairs_summary_counts_the_pairs_the_change_won():
     # quartiles of statistics.quantiles' default method: 80,90,100,110 -> 82.5, 107.5
     assert throughput == {"name": "edges_per_s", "unit": "edges/s",
                           "parent_median": 95, "parent_iqr": 25.0,
-                          "change_median": 125, "change_iqr": 43.75, "wins": 3, "pairs": 4}
+                          "change_median": 125, "change_iqr": 43.75, "wins": 3, "pairs": 4,
+                          "beats_every_parent_run": False}
     # lower is better for latency, and a tie counts for neither side
     assert (latency["wins"], latency["parent_median"], latency["change_median"]) == (2, 5.25, 4.75)
 
@@ -140,7 +141,8 @@ def test_perf_pairs_verdict_per_metric():
                {"name": "latency_p90_ms", "unit": "ms", "better": "lower", "bound": 0.25},
                {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
     # ten pairs: throughput wins 9 and moves 2.5 parent IQRs, p50 wins 10 but by
-    # less than one IQR, p90 loses by 30% and RSS wins only 8
+    # less than one IQR on a parent IQR wider than its bound, p90 loses by 30%
+    # and RSS wins only 8
     parent_p50 = [3.0, 3.2, 3.4, 3.6, 3.8, 4.0, 4.2, 4.4, 4.6, 4.8]
     pairs = [(_result(edges_per_s=100 + 4 * i, latency_p50_ms=lp, latency_p90_ms=10.0,
                       peak_rss_mb=20.0),
@@ -153,12 +155,12 @@ def test_perf_pairs_verdict_per_metric():
     # parent throughput 100..136: median 118, IQR 107..129 by statistics.quantiles'
     # default method; the change's median is 162, 44 = 2 IQRs above
     assert rows[0]["parent_iqr"] == 22 and verdicts[0] == (2.0, "gain")
-    assert verdicts[1][1] == "flat" and verdicts[1][0] < 1 and rows[1]["wins"] == 10
+    assert verdicts[1][1] == "unresolved" and verdicts[1][0] < 1 and rows[1]["wins"] == 10
     assert verdicts[2] == (float("inf"), "worse")
     assert verdicts[3] == (float("inf"), "flat") and rows[3]["wins"] == 8
     lines = perf_pairs.format_rows(rows, metrics)
     assert lines[0].split()[-2:] == ["Δ/IQR", "verdict"]
-    assert [line.split()[-1] for line in lines[1:]] == ["gain", "flat", "worse", "flat"]
+    assert [line.split()[-1] for line in lines[1:]] == ["gain", "unresolved", "worse", "flat"]
     assert lines[1].split()[-2] == "2.00"
 
 
@@ -197,6 +199,37 @@ def test_perf_pairs_out_merges_runs_by_workload_and_seed(monkeypatch, tmp_path, 
     # every pair ties within a side, so the IQR is 0 and the ratio has no finite value
     assert (p50["parent_median"], p50["change_median"], p50["wins"]) == (4.0, 1.0, 3)
     assert (p50["verdict"], p50["delta_over_iqr"]) == ("gain", None)
+
+
+@pytest.mark.parametrize("change, lower, higher", [
+    # medians tie on a parent IQR of 2 around a median of 5: wider than any bound
+    ((4.5, 5.5, 4.5, 5.5), "unresolved", "unresolved"),
+    # every change run beats every parent run when lower is better
+    ((3.0, 3.5, 3.0, 3.5), "flat", "worse"),
+    # 4 of 4 pairs won and 1.375 parent IQRs, though 4.5 does not beat the parent's 4
+    ((2.0, 2.5, 2.0, 4.5), "gain", "worse"),
+])
+def test_perf_pairs_marks_a_bound_the_parent_runs_cannot_resolve(monkeypatch, tmp_path, capsys,
+                                                                 change, lower, higher):
+    perf_pairs = _pairs_module()
+    runs = {"p": iter((4.0, 6.0, 4.0, 6.0)), "c": iter(change)}
+
+    def fake_run(checkout, workload, seed, seconds):
+        value = next(runs[str(checkout)])
+        return _result(**{m["name"]: value for m in perf_pairs.end_to_end_metrics()})
+
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(perf_pairs, "run_once", fake_run)
+    monkeypatch.setattr(perf_pairs, "commit", lambda checkout: None)
+    monkeypatch.setattr(sys, "argv", ["perf_pairs.py", "p", "c", "--workload", "sparse",
+                                      "--seed", "1", "--seconds", "1", "--pairs", "4",
+                                      "--out", str(out)])
+    assert perf_pairs.main() == 0
+    want = [higher if m["better"] == "higher" else lower for m in perf_pairs.end_to_end_metrics()]
+    printed = capsys.readouterr().out.splitlines()[-len(want):]
+    assert [line.split()[-1] for line in printed] == want
+    rows = json.loads(out.read_text())["runs"][0]["rows"]
+    assert [row["verdict"] for row in rows] == want
 
 
 def test_perf_pairs_compare_prints_the_ratio_of_change_medians(monkeypatch, tmp_path, capsys):

@@ -1285,12 +1285,13 @@ def test_general_splits_a_group_whole_without_a_traversal(monkeypatch):
 
 
 def test_dispatch_traverses_the_graph_once(monkeypatch):
+    # the host once, and each component subgraph at most once on its own
     whole = []
     original = multigraph.traverse
 
     def counting(g, eids=None):
         if eids is None:
-            whole.append(g.edge_count)
+            whole.append(g)
         return original(g, eids)
 
     monkeypatch.setattr(multigraph, "traverse", counting)
@@ -1300,7 +1301,7 @@ def test_dispatch_traverses_the_graph_once(monkeypatch):
     g = _disjoint_union(pieces, 2)
     d, trace = dispatch_theta_upper(g)
     assert trace.method == "componentwise" and d.part_count == 1
-    assert whole == [g.edge_count]
+    assert whole[0] is g and len(set(map(id, whole))) == len(whole)
 
 
 @given(st.integers(2, 60), st.integers(0, 100_000))

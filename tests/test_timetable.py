@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intcolor import timetable
-from intcolor.multigraph import GraphError, bipartition
+from intcolor.multigraph import Decomposition, GraphError, bipartition
 from intcolor.timetable import (RequirementMatrix, Timetable, build_requirement_graph,
                                 daily_loads, decomposition_to_timetable,
                                 make_weekly_timetable, render_timetable,
@@ -154,6 +154,17 @@ def test_round_trip_and_no_interruptions(seed):
     assert rep.interval
     d = timetable_to_decomposition(B, S)
     assert decomposition_to_timetable(B, d) == S
+
+
+@pytest.mark.parametrize("colors, lowest", [((0, 1, 0), 0), ((-1, 0, -1), -1)])
+def test_timetable_refuses_a_part_colored_below_period_one(colors, lowest):
+    # certified decompositions both: one raised AssertionError, the other IndexError
+    B = RequirementMatrix.from_rows([[1, 1], [0, 1]])
+    d = Decomposition(build_requirement_graph(B), (0, 0, 0), colors)
+    with pytest.raises(GraphError, match=f"^part 0 has smallest color {lowest}; "):
+        decomposition_to_timetable(B, d)
+    shifted = Decomposition(d.graph, d.parts, tuple(c + 1 - lowest for c in colors))
+    assert verify_timetable(B, decomposition_to_timetable(B, shifted)).interval
 
 
 @given(st.integers(0, 100_000))
