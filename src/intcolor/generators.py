@@ -169,7 +169,8 @@ def random_bipartite(nx: int, ny: int, n_edges: int, max_degree: int,
     """n_edges edges between sides of nx and ny vertices, no degree above
     max_degree, placed by uniform draws of a pair; when those draws run out
     short, the rest are drawn among the pairs still open (both ends below
-    max_degree, and not placed yet when simple)."""
+    max_degree, and not placed yet when simple), and when none is open, among
+    the swaps that trade one placed edge for two."""
     if nx < 1 or ny < 1:
         raise InfeasibleSpec("both sides must be nonempty")
     if n_edges < 0:
@@ -199,10 +200,22 @@ def random_bipartite(nx: int, ny: int, n_edges: int, max_degree: int,
         xs = [u for u in range(nx) if deg[u] < max_degree]
         ys = [v for v in range(nx, nx + ny) if deg[v] < max_degree]
         open_pairs = [(u, v) for u in xs for v in ys if not (simple and (u, v) in seen)]
-        if not open_pairs:
+        if open_pairs:
+            place(*rng.choice(open_pairs))
+            continue
+        # one swap: a placed x-y gives way to u-y and x-v for a free u and a free v
+        swaps = [(i, u, v) for i, (x, y) in enumerate(chosen) for u in xs for v in ys
+                 if (u, y) not in seen and (x, v) not in seen]
+        if not swaps:
             raise InfeasibleSpec(f"bipartite_random placed {len(chosen)} of edges={n_edges} "
-                                 "with no open pair left; try fewer edges")
-        place(*rng.choice(open_pairs))
+                                 "with no open pair or swap left; try fewer edges")
+        i, u, v = rng.choice(swaps)
+        x, y = chosen.pop(i)
+        seen.remove((x, y))
+        deg[x] -= 1
+        deg[y] -= 1
+        place(u, y)
+        place(x, v)
     return build_graph(nx + ny, chosen)
 
 

@@ -178,35 +178,36 @@ class IncrementalHost:
     """Grow an interval-colored edge subset of a fixed host graph.
 
     A vertex is in the host once an edge at it is colored.  Colors may go below
-    1 while growing; callers normalize on emission.
+    1 while growing; callers normalize on emission.  A host vertex's palette is
+    an interval, kept as its (smallest, largest) color.
     """
 
     def __init__(self, g: Multigraph):
         self.g = g
         self.color: dict[int, int] = {}
-        self._pal: dict[int, set[int]] = {}
+        self._pal: dict[int, tuple[int, int]] = {}
 
     def add_colored(self, eid: int, c: int) -> None:
         if eid in self.color:
             raise AssertionError(f"edge {eid} already colored")
         u, v = self.g.edges[eid]
         self.color[eid] = c
-        self._pal.setdefault(u, set()).add(c)
-        self._pal.setdefault(v, set()).add(c)
+        for w in (u, v):
+            lo, hi = self._pal.get(w, (c, c))
+            self._pal[w] = (min(lo, c), max(hi, c))
 
     def add_pendant(self, eid: int, anchor: int) -> None:
         """Color eid one above the largest color at its host end anchor."""
-        self.add_colored(eid, max(self._pal[anchor]) + 1)
+        self.add_colored(eid, self._pal[anchor][1] + 1)
 
     def add_cycle(self, anchor: int, cycle: list[int]) -> list[int]:
         """Attach the cycle on the edges cycle at a leaf of the host, walked from
         anchor out along its smaller edge id: even cycles alternate k+1,k+2; odd
         ones walk k-1, then k,k-1 alternating, closing with k+1.  Returns the
         cycle's vertices in walk order, anchor first."""
-        pal = self._pal.get(anchor, ())
-        if len(pal) != 1:
+        k, hi = self._pal.get(anchor, (0, 1))    # no palette outside the host
+        if k != hi:
             raise GraphError(f"cycle anchor {anchor} is not a leaf of the host")
-        k = next(iter(pal))
         L = len(cycle)
         if L < 2:
             raise GraphError("cycles need at least 2 edges")

@@ -27,6 +27,7 @@ from typing import Callable
 from .multigraph import EdgeColoring, GraphError, Multigraph, verify
 
 INTERVAL_BUDGET = 16
+CHROMATIC_BUDGET = 20
 THETA_BUDGET = 10
 ARBORICITY_BUDGET = 14
 
@@ -184,12 +185,12 @@ def _per_component(g: Multigraph,
     return EdgeColoring(g, tuple(colors))
 
 
-def exact_chromatic_index(g: Multigraph, limit: int = 20) -> tuple[int, EdgeColoring]:
+def exact_chromatic_index(g: Multigraph) -> tuple[int, EdgeColoring]:
     """Exact chromatic index with a witness: each component takes the smallest
     k, from its maximum degree up, for which the proper color sweep succeeds, and
     uses every color 1..k, so the largest color is the chromatic index."""
-    if g.edge_count > limit:
-        raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {limit}")
+    if g.edge_count > CHROMATIC_BUDGET:
+        raise BudgetExceeded(f"{g.edge_count} edges exceed the budget of {CHROMATIC_BUDGET}")
 
     def search(sub: Multigraph) -> list[int]:
         k = sub.max_degree

@@ -20,7 +20,8 @@ from .kernels import (IncrementalHost, _dfs_tree, _factor_walk, balanced_multipa
 from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bipartition,
                          normalize, relabel, require_bipartite, traverse, verify,
                          verify_decomposition)
-from .oracles import INTERVAL_BUDGET, exact_chromatic_index, exact_interval_colorable
+from .oracles import (CHROMATIC_BUDGET, INTERVAL_BUDGET, exact_chromatic_index,
+                      exact_interval_colorable)
 from .subcubic import (OddCycleComponent, _slot_pass, _slot_state, color_subcubic,
                        subcubic_colors)
 
@@ -371,29 +372,28 @@ def decompose_biregular(g: Multigraph) -> Decomposition:
 # Complete multipartite families.
 
 def multipartite_part_count(r: int) -> int:
-    """T(2)=1, T(r)=T(ceil(r/2))+1."""
-    if r < 2:
-        return 0
-    return 1 if r == 2 else multipartite_part_count(-(-r // 2)) + 1
+    """T(r) = ceil(log2 r) for r >= 1: T(2)=1, T(r)=T(ceil(r/2))+1."""
+    return (r - 1).bit_length()
 
 
 def _multipartite_dicts(g: Multigraph, parts: list[list[int]]) -> list[dict[int, int]]:
-    level_sets: list[list[int]] = [list(range(len(parts)))]
-    out: list[dict[int, int]] = []
-    while any(len(s) >= 2 for s in level_sets):
-        level_colors: dict[int, int] = {}
-        nxt: list[list[int]] = []
-        for s in level_sets:
-            if len(s) < 2:
-                continue
-            half = -(-len(s) // 2)
-            left, right = s[:half], s[half:]
-            xs = [v for pi in left for v in parts[pi]]
-            ys = [v for pi in right for v in parts[pi]]
-            level_colors.update(staircase_bipartite_colors(g, xs, ys))
-            nxt.extend([left, right])
-        out.append(level_colors)
-        level_sets = nxt
+    """One level per bit of the part index: an edge between parts p and q goes on
+    the level of the highest bit b in which p and q differ, where the parts that
+    agree with p above b form a block whose bit-b halves make a staircase-colored
+    complete bipartite graph (each side counted from the start of its half), the
+    blocks vertex-disjoint.  Every level has an edge: r > 2^(B-1) for B levels."""
+    levels = multipartite_part_count(len(parts))
+    start = list(itertools.accumulate(map(len, parts), initial=0))
+    part, place = [0] * g.vertex_count, [0] * g.vertex_count
+    for p, vs in enumerate(parts):
+        for i, v in enumerate(vs, start[p]):
+            part[v], place[v] = p, i
+    out: list[dict[int, int]] = [{} for _ in range(levels)]
+    for eid, (u, v) in enumerate(g.edges):
+        p, q = part[u], part[v]
+        b = (p ^ q).bit_length() - 1
+        out[levels - 1 - b][eid] = (place[u] - start[p >> b << b]
+                                    + place[v] - start[q >> b << b] + 1)
     return out
 
 
@@ -490,7 +490,8 @@ def split_cyclic(g: Multigraph, c: EdgeColoring, t: int) -> Decomposition:
 # Dispatcher.
 
 def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
-    """Vertex parts when g is a simple complete multipartite graph, else None.
+    """Vertex parts when g is a simple complete multipartite graph, else None;
+    the parts come in order of their smallest vertex.
 
     A vertex of the smallest of r >= 2 parts sees the other parts, at least
     V - V/r >= V/2 vertices, so a graph with 2*Delta < V is rejected unscanned."""
@@ -500,23 +501,14 @@ def detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-    assigned = [-1] * g.vertex_count
-    parts: list[list[int]] = []
-    for v in range(g.vertex_count):
-        if assigned[v] != -1:
-            continue
-        part = [v] + [w for w in range(v + 1, g.vertex_count)
-                      if assigned[w] == -1 and w not in adj[v]]
-        for w in part:
-            assigned[w] = len(parts)
-        parts.append(part)
-    if len(parts) < 2:
+    # a class of equal neighbourhood N with |N| + |class| = V has N = V - class,
+    # as no vertex is its own neighbour, so the classes are the parts
+    groups: dict[frozenset[int], list[int]] = {}
+    for v, nbrs in enumerate(adj):
+        groups.setdefault(frozenset(nbrs), []).append(v)
+    if len(groups) < 2 or any(len(n) + len(p) != g.vertex_count for n, p in groups.items()):
         return None
-    for u in range(g.vertex_count):
-        for w in range(u + 1, g.vertex_count):
-            if (assigned[u] == assigned[w]) == (w in adj[u]):
-                return None
-    return parts
+    return list(groups.values())
 
 
 def _dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
@@ -601,12 +593,12 @@ class _Facts:
     def kempe(self) -> _KempeState:
         """The Kempe state of the run's one proper coloring: Konig's when
         bipartite, filled from a chromatic-index coloring of the exact oracle's
-        proper sweep up to 20 edges (its colors are 1..t already), else the fan
-        engine's."""
+        proper sweep within its budget (its colors are 1..t already), else the
+        fan engine's."""
         g = self.g
         if self.bipartite:
             return _konig_state(g.vertex_count, g.edges, self.delta)
-        if g.edge_count <= 20:
+        if g.edge_count <= CHROMATIC_BUDGET:
             return _coloring_state(g.vertex_count, g.edges, exact_chromatic_index(g)[1].colors)
         return _fan_state(g)
 
@@ -703,7 +695,7 @@ def _run_eulerian(f: _Facts):
 
 
 def _run_bipartite_thirds(f: _Facts):
-    bound = max(1, -(-f.delta // 3))
+    bound = -(-f.delta // 3)
     return decompose_bipartite(f.g), bound, f"ceil({f.delta}/3) = {bound}"
 
 
@@ -739,7 +731,7 @@ CANDIDATES = (
     ("complete-multipartite", lambda f: f.lower, _run_multipartite),
     ("biregular", lambda f: f.lower, _run_biregular),
     ("eulerian-bipartite", lambda f: f.lower, _run_eulerian),
-    ("bipartite-thirds", lambda f: max(1, -(-f.delta // 3)), _run_bipartite_thirds),
+    ("bipartite-thirds", lambda f: -(-f.delta // 3), _run_bipartite_thirds),
     ("five-class-general",
      lambda f: _general_bound(f.delta)[0] if f.bipartite else f.lower, _run_general),
     ("forest-peel", lambda f: -(-f.g.edge_count // (f.g.vertex_count - 1)), _run_forest_peel),

@@ -56,6 +56,14 @@ The cactus reference at the very end finds its cycles as biconnected blocks
 colors each forest by color_forest on its subgraph; the library reads both off
 one depth-first walk, and both must return identical colorings and
 decompositions, or refuse the same inputs.
+
+The complete-multipartite references at the very end assign each vertex the
+non-neighbours after it and check every vertex pair, and halve the list of parts
+level by level, one staircase kernel call per split; the library groups the
+vertices by neighbourhood and puts every edge on the level of the highest bit in
+which its ends' part indices differ, in one pass.  Detection must agree on
+every graph, and for a power-of-two number of parts the levels must be
+identical.
 """
 from __future__ import annotations
 
@@ -71,7 +79,7 @@ from intcolor.multigraph import (Decomposition, EdgeColoring, GraphError, Multig
                                  VerifyReport, _is_cyclically_consecutive, build_graph, normalize,
                                  relabel, traverse)
 from intcolor.subcubic import OddCycleComponent, subcubic_colors
-from intcolor.kernels import IncrementalHost, color_forest
+from intcolor.kernels import IncrementalHost, color_forest, staircase_bipartite_colors
 from intcolor.thickness import (BoundTrace, _AbsorbStuck, _assemble, _class_splits,
                                 _dispatch_connected, _lift, _split_component)
 from intcolor.timetable import RequirementMatrix, Timetable
@@ -1246,3 +1254,57 @@ def bipartite_up_to(nx: int, ny: int, n_edges: int, max_degree: int, rng,
         deg[u] += 1
         deg[v] += 1
     return build_graph(nx + ny, chosen)
+
+
+# ---------------------------------------------------------------------------
+# Complete multipartite graphs.
+
+def reference_detect_complete_multipartite(g: Multigraph) -> list[list[int]] | None:
+    """Each unassigned vertex opens a part with the unassigned non-neighbours
+    after it; accept when there are two parts at least and every pair of
+    vertices is adjacent exactly when they are in different parts."""
+    if g.edge_count == 0 or not g.is_simple:
+        return None
+    adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    assigned = [-1] * g.vertex_count
+    parts: list[list[int]] = []
+    for v in range(g.vertex_count):
+        if assigned[v] != -1:
+            continue
+        part = [v] + [w for w in range(v + 1, g.vertex_count)
+                      if assigned[w] == -1 and w not in adj[v]]
+        for w in part:
+            assigned[w] = len(parts)
+        parts.append(part)
+    if len(parts) < 2:
+        return None
+    for u in range(g.vertex_count):
+        for w in range(u + 1, g.vertex_count):
+            if (assigned[u] == assigned[w]) == (w in adj[u]):
+                return None
+    return parts
+
+
+def reference_multipartite_dicts(g: Multigraph, parts: list[list[int]]) -> list[dict[int, int]]:
+    """Halve every list of two or more parts (the first half the larger) on each
+    level, the staircase between the halves' vertices in part order."""
+    level_sets: list[list[int]] = [list(range(len(parts)))]
+    out: list[dict[int, int]] = []
+    while any(len(s) >= 2 for s in level_sets):
+        level_colors: dict[int, int] = {}
+        nxt: list[list[int]] = []
+        for s in level_sets:
+            if len(s) < 2:
+                continue
+            half = -(-len(s) // 2)
+            left, right = s[:half], s[half:]
+            xs = [v for pi in left for v in parts[pi]]
+            ys = [v for pi in right for v in parts[pi]]
+            level_colors.update(staircase_bipartite_colors(g, xs, ys))
+            nxt.extend([left, right])
+        out.append(level_colors)
+        level_sets = nxt
+    return out

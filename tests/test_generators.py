@@ -138,15 +138,17 @@ def test_bipartite_random_refuses_more_edges_than_its_sides_hold(args, simple, r
         generators.random_bipartite(*args, object(), simple=simple)
 
 
-def test_bipartite_random_refuses_a_placement_that_stalls_short():
+def test_bipartite_random_completes_a_placement_that_stalls_short():
     # a perfect matching of K_{6,6} by random draws: at seed 8 its 220 draws place
     # 5 edges, and the sixth is drawn among the pairs still open
     for seed in (8, 0):
         g = generators.random_bipartite(6, 6, 6, 1, random.Random(seed))
         assert g.edge_count == 6 and g.max_degree == 1
-    # a 6-cycle on K_{3,3}: at seed 2 the placement is left a pair that is taken
-    with pytest.raises(InfeasibleSpec, match="^bipartite_random placed 5 of edges=6 with no open"):
-        generators.random_bipartite(3, 3, 6, 2, random.Random(2))
+    # a 6-cycle on K_{3,3}: at seed 2 the placement is left a pair that is taken,
+    # so a placed edge gives way to two
+    g = generators.random_bipartite(3, 3, 6, 2, random.Random(2))
+    assert g.edge_count == 6 and g.is_simple and set(g.degrees) == {2}
+    assert len(g.traversal.components) == 1
 
 
 @pytest.mark.parametrize("spec", ["cactus(blocks=1)", "bipartite_random(edges=0)",

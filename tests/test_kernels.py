@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -191,6 +192,17 @@ def test_cactus_matches_the_block_reference(seed):
 def test_cactus_random(seed):
     g = random_cactus(7, random.Random(seed))
     assert verify(g, color_cactus(g)).interval
+
+
+def test_cactus_on_a_hub_with_many_bridges_is_linear():
+    # a triangle and 16,000 bridges at one hub: taking the largest color of the
+    # hub's whole palette for each bridge took about 2 s, its kept end 0.05 s
+    n = 16_000
+    g = build_graph(n + 3, [(0, 1), (1, 2), (2, 0)] + [(0, v) for v in range(3, n + 3)])
+    start = time.process_time()
+    col = color_cactus(g)
+    assert time.process_time() - start < 0.3
+    assert verify(g, col).interval
 
 
 # -- degrees {1,2,2r} bipartite ---------------------------------------------------

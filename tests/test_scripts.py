@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def _run(name: str, *args: str) -> list[str]:
@@ -42,6 +43,30 @@ def _script_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_perfbench_selftest_passes_and_its_tracer_installs_and_uninstalls():
+    # a library name the benchmark wraps (Multigraph.subgraph, say) that is
+    # deleted fails here rather than in the benchmark's trace run
+    out = PERFBENCH / "out"
+    before = sorted(out.iterdir()) if out.exists() else []
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "PASS", proc.stdout + proc.stderr
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = [importlib.import_module(f"intcolor.{m}") for m in spans.MODULES]
+    owners = [importlib.import_module("intcolor"), *modules, modules[0].Multigraph]
+    bound = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert modules[0].Multigraph.subgraph is not bound[-1]["subgraph"]
+    finally:
+        tracer.uninstall()
+    assert all(dict(vars(owner)) == was for owner, was in zip(owners, bound))
+    assert (sorted(out.iterdir()) if out.exists() else []) == before
 
 
 def _digest_module():

@@ -29,6 +29,8 @@ from intcolor.timetable import build_requirement_graph
 
 from reference_checkers import (bipartite_up_to, cactus_like_graph,
                                 reference_decompose_bipartite,
+                                reference_detect_complete_multipartite,
+                                reference_multipartite_dicts,
                                 reference_decompose_eulerian_bipartite,
                                 reference_decompose_general, reference_dispatch_componentwise,
                                 reference_forest_peel, reference_general_by_groups,
@@ -557,6 +559,69 @@ def test_multipartite_recurrence_values():
 def test_multipartite_exact_part_counts(sizes, parts):
     d, _ = run_named_method(complete_multipartite_graph(sizes), "complete-multipartite")
     assert _certified(d) and d.part_count == parts == multipartite_part_count(len(sizes))
+
+
+def _shuffled(g, rng):
+    """g with its vertices relabelled and its edges reordered at random."""
+    label = list(range(g.vertex_count))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return build_graph(g.vertex_count, edges)
+
+
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=40), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_multipartite_row_on_random_part_sizes(sizes, seed):
+    g = _shuffled(complete_multipartite_graph(sizes), random.Random(seed))
+    d, trace = run_named_method(g, "complete-multipartite")
+    assert _certified(d) and d.part_count == trace.bound_value == (len(sizes) - 1).bit_length()
+
+
+@given(st.sampled_from([2, 4, 8, 16, 32]), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_multipartite_levels_of_a_power_of_two_are_the_halvings(r, seed):
+    # the highest differing bit of two part indices is the halving that splits them
+    rng = random.Random(seed)
+    g = _shuffled(complete_multipartite_graph([rng.randint(1, 3) for _ in range(r)]), rng)
+    parts = detect_complete_multipartite(g)
+    assert thickness._multipartite_dicts(g, parts) == reference_multipartite_dicts(g, parts)
+
+
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=12), st.integers(0, 10_000),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_multipartite_near_misses_are_refused_as_by_the_pair_check(sizes, seed, remove):
+    # one edge removed or added; the result is complete multipartite again only
+    # when two singleton parts lose their edge or a part of two gains one
+    rng = random.Random(seed)
+    g = complete_multipartite_graph(sizes)
+    part_of = {v: len(p) for p in multipartite_parts(sizes) for v in p}
+    edges = list(g.edges)
+    if remove:
+        u, v = edges.pop(rng.randrange(len(edges)))
+        still = part_of[u] == part_of[v] == 1 and len(sizes) > 2
+    else:
+        u, v = rng.sample(range(g.vertex_count), 2)
+        edges.append((u, v))
+        still = part_of[u] == 2 and (u, v) not in g.edges and (v, u) not in g.edges
+    h = _shuffled(build_graph(g.vertex_count, edges), rng)
+    parts = detect_complete_multipartite(h)
+    assert parts == reference_detect_complete_multipartite(h)
+    assert (parts is not None) == still
+
+
+def test_multipartite_row_calls_no_kernel_per_split(monkeypatch):
+    # one pass over the edges: halving the parts made r - 1 staircase calls,
+    # each scanning every edge, so 99 scans of 11,125 edges here
+    calls = []
+    for name in ("staircase_bipartite_colors", "latin_bipartite_colors",
+                 "balanced_multipartite_colors"):
+        kernel = getattr(thickness, name)
+        monkeypatch.setattr(thickness, name,
+                            lambda *args, _kernel=kernel: calls.append(1) or _kernel(*args))
+    d, _ = run_named_method(complete_multipartite_graph([1, 2] * 50), "complete-multipartite")
+    assert calls == [] and _certified(d) and d.part_count == 7
 
 
 def test_detect_complete_multipartite():

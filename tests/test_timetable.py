@@ -131,6 +131,12 @@ def test_empty_matrix_gives_empty_timetable():
     assert S.day_count == 0
 
 
+def test_even_spread_of_an_empty_matrix_is_bound_by_zero_days():
+    S, trace = make_weekly_timetable(RequirementMatrix.from_rows([[0, 0], [0, 0]]), "even_spread")
+    assert S.day_count == 0
+    assert (trace.bound_formula, trace.bound_value, trace.parts) == ("ceil(0/3) = 0", 0, 0)
+
+
 def test_json_round_trip():
     B = RequirementMatrix.from_rows([[1, 2], [2, 1]])
     S, _ = make_weekly_timetable(B, "even_spread")
