@@ -29,11 +29,12 @@ from intcolor.timetable import build_requirement_graph
 
 from reference_checkers import (bipartite_up_to, cactus_like_graph,
                                 reference_decompose_bipartite,
-                                reference_detect_complete_multipartite,
-                                reference_multipartite_dicts,
                                 reference_decompose_eulerian_bipartite,
-                                reference_decompose_general, reference_dispatch_componentwise,
+                                reference_decompose_general,
+                                reference_detect_complete_multipartite,
+                                reference_dispatch_componentwise,
                                 reference_forest_peel, reference_general_by_groups,
+                                reference_multipartite_dicts,
                                 reference_verify_decomposition)
 
 
@@ -612,8 +613,8 @@ def test_multipartite_near_misses_are_refused_as_by_the_pair_check(sizes, seed, 
 
 
 def test_multipartite_row_calls_no_kernel_per_split(monkeypatch):
-    # one pass over the edges: halving the parts made r - 1 staircase calls,
-    # each scanning every edge, so 99 scans of 11,125 edges here
+    # one pass over the edges: a kernel call per split of the 100 parts would
+    # scan all 11,125 edges 99 times
     calls = []
     for name in ("staircase_bipartite_colors", "latin_bipartite_colors",
                  "balanced_multipartite_colors"):
