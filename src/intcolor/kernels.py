@@ -18,7 +18,7 @@ from operator import add
 from typing import Container, Iterable, Mapping, Sequence
 
 from .edge_coloring import petersen_two_factorization
-from .multigraph import EdgeColoring, GraphError, Multigraph, normalize, require_bipartite
+from .multigraph import EdgeColoring, GraphError, Multigraph, require_bipartite
 
 
 def _factor_walk(edges: Sequence[tuple[int, int]], vertex_count: int,
@@ -278,47 +278,90 @@ def color_cactus(g: Multigraph) -> EdgeColoring:
     vertex's cycle is attached the moment the vertex enters the host (while it
     is still a leaf), bridge edges are pendant extensions.
     """
-    edges = g.edges
     parent, order = _dfs_tree(g, range(g.edge_count))
+    roots = parent.count(-1)
     # every tree of the walk has one root, and an isolated vertex is a tree alone
-    if parent.count(-1) - g.degrees.count(0) > 1:
+    if roots - g.degrees.count(0) > 1:
         raise GraphError("cactus must be connected")
-    tree = set(parent)
-    chords = sorted(set(range(g.edge_count)) - tree)
-    if not chords:
+    if g.edge_count == g.vertex_count - roots:      # the walk's tree holds every edge
         return color_forest(g)
-    if g.max_degree <= 2:
-        raise GraphError("a bare cycle is not a cactus instance")
+    colors, refused = _cactus_colors(g, parent, order)
+    if refused:
+        raise refused[0][1]
+    return EdgeColoring(g, tuple(colors))
 
+
+def _cactus_colors(g: Multigraph, parent: list[int], order: list[int]
+                   ) -> tuple[list[int], list[tuple[list[int], GraphError]]]:
+    """color_cactus on every component of g at once, from g's _dfs_tree walk.
+
+    Each component with a cycle is colored as color_cactus colors it alone,
+    from 1, since the walk, the bridges and the growth keep the relative order
+    of its vertices and edges; a tree is grown from its smallest edge, where
+    color_cactus hands it to color_forest.  A component color_cactus would
+    refuse keeps color 0 and is returned with its edges, ascending, and the
+    reason, in the order of its smallest vertex.
+    """
+    edges, degrees = g.edges, g.degrees
+    comp_of = [0] * g.vertex_count
+    top: list[int] = []     # the maximum degree of each tree of the walk
+    for w in order:
+        if parent[w] < 0:
+            top.append(0)
+        comp_of[w] = len(top) - 1
+        top[-1] = max(top[-1], degrees[w])
+    tree = set(parent)
     position = dict(zip(order, itertools.count()))
     cycle_at: dict[int, list[int]] = {}
     bridges = tree - {-1}
-    for e in chords:
+    reasons: dict[int, GraphError] = {}
+    for e in sorted(set(range(g.edge_count)) - tree):
+        k = comp_of[edges[e][0]]
+        if k in reasons:
+            continue
+        if top[k] <= 2:
+            reasons[k] = GraphError("a bare cycle is not a cactus instance")
+            continue
         # every chord joins a vertex to its ancestor, which the walk reached first
-        top, v = sorted(edges[e], key=position.__getitem__)
+        anc, v = sorted(edges[e], key=position.__getitem__)
         cycle, verts = [e], [v]
-        while v != top:
+        while v != anc:
             cycle.append(parent[v])
             a, b = edges[parent[v]]
             v = a if b == v else b
             verts.append(v)
         shared = [v for v in verts if v in cycle_at]
         if len({id(cycle_at[v]) for v in shared}) < len(shared):
-            raise GraphError("two cycles share an edge or a pair of vertices")
-        if shared:
-            raise GraphError(f"cycles intersect at vertex {shared[0]}")
-        cycle_at.update(dict.fromkeys(verts, cycle))
-        bridges.difference_update(cycle)
+            reasons[k] = GraphError("two cycles share an edge or a pair of vertices")
+        elif shared:
+            reasons[k] = GraphError(f"cycles intersect at vertex {shared[0]}")
+        else:
+            cycle_at.update(dict.fromkeys(verts, cycle))
+            bridges.difference_update(cycle)
 
-    if not bridges:
-        raise AssertionError("disjoint-cycle cactus with several blocks must have a bridge")
-    root = min(bridges)
     host = IncrementalHost(g)
-    host.add_colored(root, 1)
-    host.grow(edges[root], bridges, cycle_at)
-    if len(host.color) != g.edge_count:
+    grown: set[int] = set(reasons)
+    for e in sorted(bridges):       # the smallest bridge of each component
+        k = comp_of[edges[e][0]]
+        if k not in grown:
+            grown.add(k)
+            host.add_colored(e, 1)
+            host.grow(edges[e], bridges, cycle_at)
+    low = [1] * len(top)
+    for e, c in host.color.items():
+        k = comp_of[edges[e][0]]
+        low[k] = min(low[k], c)
+    colors = [0] * g.edge_count
+    for e, c in host.color.items():
+        colors[e] = c + 1 - low[comp_of[edges[e][0]]]
+    refused: dict[int, list[int]] = {k: [] for k in sorted(reasons)}
+    if refused:
+        for e, (u, _) in enumerate(edges):
+            if comp_of[u] in refused:
+                refused[comp_of[u]].append(e)
+    if len(host.color) + sum(map(len, refused.values())) != g.edge_count:
         raise AssertionError("construction left edges uncolored")
-    return normalize(EdgeColoring(g, tuple(host.color[e] for e in range(g.edge_count))))
+    return colors, [(eids, reasons[k]) for k, eids in refused.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -436,45 +436,83 @@ class Decomposition:
         return [eid for eid, p in enumerate(self.parts) if p == i]
 
 
+# Above this degree a vertex's colors in a part are kept in a list, not in a
+# bitmask: a mask that wide is no longer a one-word int, and growing it edge by
+# edge would make a hub quadratic.
+_MASK_DEGREE = 62
+
+
 def verify_decomposition(g: Multigraph, d: Decomposition) -> VerifyReport:
     """True iff every part's coloring is interval: at each vertex, the colors of each
     part's edges are distinct and consecutive.
 
-    The offending lists name the failing vertices and the edges of a color clash.
+    One pass over each part's edges.  Each vertex keeps its smallest color in the
+    part so far and a bitmask of its colors above that one, and fails at once on
+    a repeated color or on a palette wider than its degree, so no mask is wider
+    than 62 bits; when the part ends every mask must be all ones.  A vertex of
+    higher degree collects its colors in a list, checked by a set when the part
+    ends.  The offending lists name the failing vertices and the edges of a
+    color clash, gathered at those vertices only.
     """
     if d.graph is not g and d.graph != g:
         raise GraphError("decomposition belongs to a different graph")
-    parts, colors = d.parts, d.colors
-    # key = part * span + color - lo puts each part's colors in a run of its own
-    # with a gap of at least 2 to the next part's, so at a vertex whose keys are
-    # distinct, every part's colors are consecutive iff exactly one key per part
-    # has no predecessor among them
-    lo = min(colors, default=0)
-    span = max(colors, default=0) - lo + 2
-    key = [p * span + c - lo for p, c in zip(parts, colors)]
-    key_of, succ_of = key.__getitem__, [k + 1 for k in key].__getitem__
-    part_of = parts.__getitem__
-    # with one part (every index is 0) each vertex meets exactly one part
-    one_part = d.part_count == 1
-    degrees = g.degrees
-    bad_vertices: list[int] = []
+    edges, degrees, parts, colors = g.edges, g.degrees, d.parts, d.colors
+    k = d.part_count
+    if k > len(parts):      # part indices sparser than the edges: number them densely
+        index = {p: i for i, p in enumerate(set(parts))}
+        parts, k = list(map(index.__getitem__, parts)), len(index)
+    groups: list[Sequence[int]] = [range(len(parts))]
+    if k > 1:
+        groups = [[] for _ in range(k)]
+        for e, p in enumerate(parts):
+            groups[p].append(e)
+    # mask[v] is 0 before v meets the part, -1 for a list-kept vertex and -2 once
+    # v has failed; else bit i is set when low[v] + i is among v's colors
+    mask = [-1 if n > _MASK_DEGREE else 0 for n in degrees]
+    low = [0] * g.vertex_count
+    bad: set[int] = set()
+    for eids in groups:
+        met: list[int] = []
+        listed: dict[int, list[int]] = {}
+        for e in eids:
+            c = colors[e]
+            for w in edges[e]:
+                m = mask[w]
+                if m > 0:
+                    i = c - low[w]
+                    if i > 0:
+                        if i < degrees[w] and not m >> i & 1:
+                            mask[w] = m | 1 << i
+                            continue
+                    elif i < 0 and m.bit_length() - i <= degrees[w]:
+                        mask[w] = m << -i | 1
+                        low[w] = c
+                        continue
+                    mask[w] = -2
+                    bad.add(w)
+                elif m == 0:
+                    mask[w] = 1
+                    low[w] = c
+                    met.append(w)
+                elif m == -1:
+                    listed.setdefault(w, []).append(c)
+        for w in met:
+            m = mask[w]
+            if m > 0:
+                if m & (m + 1):
+                    bad.add(w)
+                mask[w] = 0
+        for w, cs in listed.items():
+            if len(set(cs)) != len(cs) or max(cs) - min(cs) + 1 != len(cs):
+                bad.add(w)
     bad_edges: set[int] = set()
-    for v, inc in enumerate(g.incidence):
-        n = degrees[v]
-        if n < 2:
-            continue
-        keys = set(map(key_of, inc))
-        if len(keys) == n and len(keys.difference(map(succ_of, inc))) == (
-                1 if one_part else len(set(map(part_of, inc)))):
-            continue
-        bad_vertices.append(v)
+    for v in bad:
         by_part: dict[int, list[int]] = {}
-        for eid in inc:
+        for eid in g.incidence[v]:
             by_part.setdefault(parts[eid], []).append(eid)
         for eids in by_part.values():
-            if len({colors[e] for e in eids}) != len(eids):
-                bad_edges.update(_clashing_edges(eids, colors))
-    ok = not bad_vertices
+            bad_edges.update(_clashing_edges(eids, colors))
+    ok = not bad
     return VerifyReport(proper=ok, interval=ok, cyclic_interval=None,
-                        offending_vertices=tuple(bad_vertices),
+                        offending_vertices=tuple(sorted(bad)),
                         offending_edges=tuple(sorted(bad_edges)))

@@ -14,9 +14,10 @@ from typing import Callable, Sequence
 
 from .edge_coloring import (_KempeState, _coloring_state, _fan_state, _konig_state,
                             equalized_bipartite_color, petersen_two_factorization)
-from .kernels import (IncrementalHost, _dfs_tree, _factor_walk, balanced_multipartite_colors,
-                      color_cactus, color_forest, color_low_even_bipartite,
-                      latin_bipartite_colors, staircase_bipartite_colors)
+from .kernels import (IncrementalHost, _cactus_colors, _dfs_tree, _factor_walk,
+                      balanced_multipartite_colors, color_cactus, color_forest,
+                      color_low_even_bipartite, latin_bipartite_colors,
+                      staircase_bipartite_colors)
 from .multigraph import (Decomposition, EdgeColoring, GraphError, Multigraph, bipartition,
                          normalize, relabel, require_bipartite, traverse, verify,
                          verify_decomposition)
@@ -515,49 +516,71 @@ def _dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     """Dispatch g's components on compact subgraphs; part i of every component
     goes into part i of the whole.
 
-    Two families always take one part and are closed in batches, each by its
-    winning row run once on the union of its members: the tree components
-    (E = V - 1) by the forest row, the even-cycle components (bipartite, all
-    degrees 2) by the subcubic row.  Every other component is dispatched
-    alone.  The result is what one dispatch per component gives: color_forest
-    roots each tree at its smallest vertex and colors from 1, the subcubic row
-    alternates 1,2 along each cycle from its smallest vertex, and a one-part
-    row meets lower = 1, so no later row would run on such a component.  The
-    trace is the first component's, in component order, with the most parts.
-    The merge is not re-certified: each batch and each lone component was
-    certified by the row that built it, and components share no vertex."""
+    Three families take one part and are closed in batches, each by one run on
+    the union of its members: the tree components (E = V - 1) by the forest
+    row, the even-cycle components (bipartite, all degrees 2) by the subcubic
+    row, and the components that may be cacti (V <= E <= V - 1 + floor(V/2),
+    Delta >= 3) by the cactus kernel, which colors each as color_cactus colors
+    it alone.  A component the cactus kernel refuses, and every other
+    component, is dispatched alone.  The result is what one dispatch per
+    component gives: color_forest roots each tree at its smallest vertex and
+    colors from 1, the subcubic row alternates 1,2 along each cycle from its
+    smallest vertex, the forest row refuses a cactus and the cactus row (next)
+    refuses a cycle, and a one-part row meets lower = 1 (a cactus with
+    Delta >= 3 is not overfull), so no later row would run on such a component.
+    The trace is the first component's, in component order, with the most
+    parts.  The merge is not re-certified: each batch and each lone component
+    was certified by the run that built it, and components share no vertex."""
     t = g.traversal
-    comps = t.components
     trees: list[int] = []
     cycles: list[int] = []
-    runs: list[tuple[list[int], tuple[str, Callable] | None]] = []
-    for i, (comp, verts) in enumerate(zip(comps, t.vertices)):
-        if len(comp) == len(verts) - 1:
-            trees.append(i)
-        elif len(comp) == len(verts) and t.odd_cycles[i] is None and t.side_max[i] == (2, 2):
-            cycles.append(i)
+    cacti: list[int] = []
+    alone: list[list[int]] = []
+    for comp, verts, odd, side_max in zip(t.components, t.vertices, t.odd_cycles, t.side_max):
+        e, v = len(comp), len(verts)
+        if e == v - 1:
+            trees.extend(comp)
+        elif e == v and odd is None and side_max == (2, 2):
+            cycles.extend(comp)
+        elif v <= e <= v - 1 + v // 2 and max(side_max) >= 3:
+            cacti.extend(comp)
         else:
-            runs.append(([i], None))
-    if trees:
-        runs.append((trees, ("forest", _run_forest)))
-    if cycles:
-        runs.append((cycles, ("subcubic", _run_subcubic)))
+            alone.append(comp)
     parts = [0] * g.edge_count
     colors = [0] * g.edge_count
+    # each run's trace keyed by its smallest edge, which is its first component's
     traces: list[tuple[int, BoundTrace]] = []
-    for picked, row in runs:
-        sub, ids = g.subgraph(itertools.chain.from_iterable(comps[i] for i in picked))
-        d_sub, t_sub = _dispatch_connected(sub) if row is None else _run_row(*row, _Facts(sub))
+
+    def merge(ids: Sequence[int], d_sub: Decomposition, t_sub: BoundTrace) -> None:
         for pos, eid in enumerate(ids):
             parts[eid] = d_sub.parts[pos]
             colors[eid] = d_sub.colors[pos]
-        traces.append((picked[0], t_sub))
+        traces.append((ids[0], t_sub))
+
+    if cacti:
+        sub, ids = g.subgraph(cacti)
+        sub_colors, refused = _cactus_colors(sub, *_dfs_tree(sub, range(sub.edge_count)))
+        alone.extend([ids[e] for e in eids] for eids, _ in refused)
+        if refused:
+            sub, kept = sub.subgraph(e for e, c in enumerate(sub_colors) if c)
+            ids, sub_colors = [ids[e] for e in kept], [sub_colors[e] for e in kept]
+        if ids:
+            merge(ids, _one_part(EdgeColoring(sub, tuple(sub_colors))),
+                  BoundTrace("cactus", "cactus: 1", 1, 1, True))
+    for picked, row in ((trees, ("forest", _run_forest)), (cycles, ("subcubic", _run_subcubic))):
+        if picked:
+            sub, ids = g.subgraph(picked)
+            merge(ids, *_run_row(*row, _Facts(sub)))
+    for comp in alone:
+        sub, ids = g.subgraph(comp)
+        merge(ids, *_dispatch_connected(sub))
     decomp = Decomposition(g, tuple(parts), tuple(colors))
     worst = min(traces, key=lambda it: (-it[1].parts, it[0]))[1]
-    if len(comps) == 1:
+    if len(t.components) == 1:
         return decomp, worst
     trace = BoundTrace("componentwise",
-                       f"max over {len(comps)} components: {worst.method} [{worst.bound_formula}]",
+                       f"max over {len(t.components)} components: {worst.method} "
+                       f"[{worst.bound_formula}]",
                        worst.bound_value, decomp.part_count, True)
     return decomp, trace
 
@@ -630,6 +653,9 @@ def _run_cactus(f: _Facts):
     # a cactus has E = V - 1 + #cycles, its cycles vertex-disjoint
     if g.edge_count > g.vertex_count - 1 + g.vertex_count // 2:
         raise GraphError("too many edges for a cactus")
+    # with Delta <= 2 a cycle is all the graph can hold: no walk needed to say so
+    if f.delta <= 2 and g.edge_count >= g.vertex_count:
+        raise GraphError("a bare cycle is not a cactus instance")
     return _one_part(color_cactus(g)), 1, "cactus: 1"
 
 
@@ -722,8 +748,8 @@ def _run_forest_peel(f: _Facts):
 # _general_bound(Delta) parts; a forest on V vertices has at most V-1 edges.
 CANDIDATES = (
     ("forest", lambda f: f.lower, _run_forest),
-    ("subcubic", lambda f: f.lower, _run_subcubic),
     ("cactus", lambda f: f.lower, _run_cactus),
+    ("subcubic", lambda f: f.lower, _run_subcubic),
     ("low-even-bipartite", lambda f: f.lower, _run_low_even),
     ("interval-oracle", lambda f: f.lower, _run_interval_oracle),
     ("balanced-multipartite", lambda f: f.lower, _run_balanced),
@@ -760,7 +786,9 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     Disconnected graphs are dispatched by component and the parts are merged,
     since interval colorability is decided component by component: the tree
     components are closed together by one forest run, the even-cycle
-    components together by one subcubic run, and every other component alone.
+    components together by one subcubic run, the components that may be cacti
+    together by one run of the cactus kernel, and every other component, or
+    one the cactus kernel refuses, alone.
     A graph with isolated vertices is dispatched without them, so they never
     change the answer.  A certification failure inside a candidate, or a
     candidate above its own bound, is a bug and propagates.

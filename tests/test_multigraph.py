@@ -1,5 +1,7 @@
 import random
 import sys
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -386,3 +388,71 @@ def test_components_keep_their_order_and_isolated_vertices():
 def test_part_count_is_computed_once():
     d = Decomposition(build_graph(3, [(0, 1), (1, 2)]), (1, 0), (1, 1))
     assert d.part_count == 2 and vars(d)["part_count"] == 2
+
+
+# -- the one-pass certificate check ----------------------------------------------
+
+@given(st.integers(0, 100_000))
+def test_verify_decomposition_on_hubs_and_sparse_part_indices_matches_reference(seed):
+    # a hub of degree 63-90 keeps its palette in a list, its leaves in bitmasks
+    rng = random.Random(seed)
+    n = rng.randint(63, 90)
+    edges = [(0, v) for v in range(1, n + 1)] + [(v, v + 1) for v in range(1, n, 2)]
+    parts = [0] * n + [1] * (n // 2)
+    colors = list(range(1, n + 1)) + [1] * (n // 2)
+    for _ in range(rng.randint(0, 3)):
+        e = rng.randrange(len(edges))
+        if rng.random() < 0.3:
+            parts[e] = rng.choice([2, 10 ** 6])
+        else:
+            colors[e] += rng.choice([-2, -1, 1, 2, n])
+    g = build_graph(n + 1, edges)
+    d = Decomposition(g, tuple(parts), tuple(colors))
+    assert verify_decomposition(g, d) == reference_verify_decomposition(g, d)
+
+
+def _hub_check_seconds(shape, n):
+    """Best of five process times of verify_decomposition on a star K_{1,n} colored
+    1..n, or on a wheel whose rim is a second part colored 1, 2 alternately."""
+    edges = [(0, v) for v in range(1, n + 1)]
+    parts, colors = [0] * n, list(range(1, n + 1))
+    if shape == "wheel":
+        edges += [(v, v % n + 1) for v in range(1, n + 1)]
+        parts += [1] * n
+        colors += [1 + v % 2 for v in range(n)]
+    g = build_graph(n + 1, edges)
+    d = Decomposition(g, tuple(parts), tuple(colors))
+    g.degrees
+    best = float("inf")
+    for _ in range(5):
+        start = time.process_time()
+        assert verify_decomposition(g, d).interval
+        best = min(best, time.process_time() - start)
+    return best
+
+
+@pytest.mark.parametrize("shape", ["star", "wheel"])
+def test_verify_decomposition_is_linear_on_hubs(shape):
+    # a hub palette kept as a bitmask grown edge by edge took 1.69 s on
+    # K_{1,256000}, against 0.1 s for the list
+    small, large = (_hub_check_seconds(shape, n) for n in (16_000, 64_000))
+    assert large <= 5.5 * small
+
+
+@pytest.mark.parametrize("degree", [2, 80])
+@pytest.mark.parametrize("far_first", [False, True])
+def test_verify_decomposition_reports_a_far_color_promptly(degree, far_first):
+    # colors 1 and 10**9 at one vertex: a bitmask spanning them would take 125 MB
+    colors = [10 ** 9] + list(range(1, degree)) if far_first else [*range(1, degree), 10 ** 9]
+    g = build_graph(degree + 1, [(0, v) for v in range(1, degree + 1)])
+    d = Decomposition(g, (0,) * degree, tuple(colors))
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        rep = verify_decomposition(g, d)
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.offending_vertices == (0,) and rep.offending_edges == ()
+    assert elapsed < 0.1 and peak < 1 << 20

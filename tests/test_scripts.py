@@ -76,10 +76,10 @@ def _digest_module():
 # golden lines of `output_digest.py 101 202`: any change to a decomposition the
 # dispatcher returns, to its trace, or to a timetable built from it changes one
 PINNED_DIGESTS = {
-    (101, "sparse"): (40, 40, "cf42cbf201468670334f2a7ccf5293122d3b361994cc6683f28d44f0b2bf62fe"),
+    (101, "sparse"): (40, 40, "3f2a02a119306a52f9e44766cdfdfb83fc8cee60d6e65113cb35e247536e20c7"),
     (101, "general"): (60, 244, "f3e0d7b3b04b23984ce4ddb9bcc91e0e29a0c525b118d1e77ed734763f73ccbf"),
     (101, "timetable"): (112, 798, "a4fd5b7fdee851aa4d898896dde5d39da9bc090ccf90ee3c7a752a9c0d6aea25"),
-    (202, "sparse"): (40, 40, "b76a6e11148227c34e4a51fac9c0c702ba27854ca7d352055319aca17cddf7e1"),
+    (202, "sparse"): (40, 40, "a517fd04aac515455b3e76fb2e8deaf511f4d96b490550596ae8e154233be7d2"),
     (202, "general"): (60, 244, "b2d595bd5a5d626d1c110201453ef14df6282dd722431bf086b5c62d74ccc6bf"),
     (202, "timetable"): (112, 798, "7e1af4c8b6f854d8650f3ac48186646a179b8dec2e9c740939a14866ab6dcf3c"),
 }
