@@ -437,8 +437,8 @@ class Decomposition:
 
 
 # Above this degree a vertex's colors in a part are kept in a list, not in a
-# bitmask: a mask that wide is no longer a one-word int, and growing it edge by
-# edge would make a hub quadratic.
+# bitmask: a mask would outgrow a 64-bit word, and shifting it edge by edge
+# would make a hub quadratic.
 _MASK_DEGREE = 62
 
 

@@ -1015,6 +1015,17 @@ def test_dispatch_propagates_internal_faults(monkeypatch):
         dispatch_theta_upper(_CACTUS)
 
 
+def test_cactus_row_refuses_a_cycle_by_its_counts(monkeypatch):
+    # Delta <= 2 with E >= V is a cycle: the cactus row refuses it before any walk
+    def must_not_run(g):
+        raise RuntimeError("the cactus kernel walked a cycle")
+
+    monkeypatch.setattr(thickness, "color_cactus", must_not_run)
+    assert [dispatch_theta_upper(cycle_graph(n))[0].part_count for n in (5, 8)] == [2, 1]
+    with pytest.raises(GraphError, match="^a bare cycle is not a cactus instance$"):
+        run_named_method(cycle_graph(6), "cactus")
+
+
 def _disjoint_union(pieces, isolated=0):
     edges, offset = [], 0
     for p in pieces:
@@ -1176,7 +1187,6 @@ def test_batched_componentwise_matches_one_dispatch_per_component(kinds, seed):
     assert repr(trace) == repr(ref_trace)
 
 
-
 # two triangles at one vertex, a theta graph and K_4: near misses that the cactus
 # batch takes in by their counts and the cactus kernel then refuses (K_4 has too
 # many edges and is never taken in)
@@ -1227,6 +1237,7 @@ def test_dispatch_closes_a_union_of_cacti_in_one_run(monkeypatch):
     assert checked == [g.edge_count] and alone == []
     assert d.part_count == 1 and _certified(d)
     assert trace.bound_formula == "max over 7 components: cactus [cactus: 1]"
+
 
 def test_dispatch_disconnected_is_componentwise():
     # K_{7,7} is interval colorable (1 part) and K_3 needs 2: the merge needs 2
