@@ -269,9 +269,9 @@ def equalized_bipartite_color(g: Multigraph, k: int) -> EdgeColoring:
 
     first_copy = [0] * g.vertex_count
     n_h = 0
-    for v, inc in enumerate(g.incidence):
+    for v, d in enumerate(g.degrees):
         first_copy[v] = n_h
-        n_h += max(1, -(-len(inc) // k))
+        n_h += max(1, -(-d // k))
 
     seen = [0] * g.vertex_count
     h_edges: list[tuple[int, int]] = []

@@ -8,8 +8,10 @@ One walk, _factor_walk, alternates two colors along the paths and cycles of
 every factor of an edge labelling at once; the degree-{1,2,2r} kernel and
 thickness.decompose_eulerian_bipartite both color their Petersen factors by it.
 Another, _dfs_tree, is the one depth-first walk behind the cactus kernel, which
-reads its cycles off the tree, and thickness.decompose_forest_peel, which
-colors each forest off it.
+reads its cycles off the tree, and thickness.decompose_forest_peel, which peels
+one forest per walk.  Both color the trees of a walk by _tree_colors, the one
+forest rule off it; color_forest keeps its own fused walk, which is faster on a
+whole forest.
 """
 from __future__ import annotations
 
@@ -106,6 +108,25 @@ def _dfs_tree(g: Multigraph, live: Container[int]) -> tuple[list[int], list[int]
 
 # ---------------------------------------------------------------------------
 # Forests.
+
+def _tree_colors(edges: Sequence[tuple[int, int]], parent: Sequence[int],
+                 order: Sequence[int], colors: list[int]) -> list[int]:
+    """Color the tree edges of a _dfs_tree walk as color_forest colors a forest,
+    in the order the walk reached their vertices: each child's edge one above
+    the last color at its parent, whose count starts from the color of its own
+    entry edge (0 at a root).  Returns the tree edges in that order."""
+    last = [0] * len(parent)    # the last color at each vertex so far
+    tree: list[int] = []
+    for w in order:
+        e = parent[w]
+        if e >= 0:
+            a, b = edges[e]
+            v = a if b == w else b
+            last[v] += 1
+            last[w] = colors[e] = last[v]
+            tree.append(e)
+    return tree
+
 
 def color_forest(g: Multigraph) -> EdgeColoring:
     """Interval coloring of a forest: root edges 1..d, then fan out from the entry color.
@@ -267,42 +288,27 @@ class IncrementalHost:
 
 
 # ---------------------------------------------------------------------------
-# Cacti: connected, cycles pairwise vertex-disjoint.
+# Cacti: cycles pairwise vertex-disjoint.
 
 def color_cactus(g: Multigraph) -> EdgeColoring:
-    """Interval coloring of a connected cactus (vertex-disjoint cycles, Delta >= 3).
+    """Interval coloring of a disjoint union of cacti (vertex-disjoint cycles,
+    Delta >= 3) and trees, each component colored as it would be alone.
 
-    The cycles are the fundamental cycles of the depth-first tree: a graph is
-    such a cactus exactly when those are pairwise vertex-disjoint.  Colors the
-    smallest bridge 1 and grows the host over the bridges from its ends: a
-    vertex's cycle is attached the moment the vertex enters the host (while it
-    is still a leaf), bridge edges are pendant extensions.
-    """
-    parent, order = _dfs_tree(g, range(g.edge_count))
-    roots = parent.count(-1)
-    # every tree of the walk has one root, and an isolated vertex is a tree alone
-    if roots - g.degrees.count(0) > 1:
-        raise GraphError("cactus must be connected")
-    if g.edge_count == g.vertex_count - roots:      # the walk's tree holds every edge
-        return color_forest(g)
-    colors, refused = _cactus_colors(g, parent, order)
-    if refused:
-        raise refused[0][1]
-    return EdgeColoring(g, tuple(colors))
-
-
-def _cactus_colors(g: Multigraph, parent: list[int], order: list[int]
-                   ) -> tuple[list[int], list[tuple[list[int], GraphError]]]:
-    """color_cactus on every component of g at once, from g's _dfs_tree walk.
-
-    Each component with a cycle is colored as color_cactus colors it alone,
-    from 1, since the walk, the bridges and the growth keep the relative order
-    of its vertices and edges; a tree is grown from its smallest edge, where
-    color_cactus hands it to color_forest.  A component color_cactus would
-    refuse keeps color 0 and is returned with its edges, ascending, and the
-    reason, in the order of its smallest vertex.
+    The cycles are the fundamental cycles of the depth-first tree: a component
+    is such a cactus exactly when those are pairwise vertex-disjoint, and the
+    first chord that breaks this is refused.  A tree takes color_forest's
+    colors, read off the walk.  A component with a cycle colors its smallest
+    bridge 1 and grows the host over the bridges from its ends: a vertex's
+    cycle is attached the moment the vertex enters the host (while it is still
+    a leaf), bridge edges are pendant extensions; its colors are then shifted
+    to start at 1.
     """
     edges, degrees = g.edges, g.degrees
+    parent, order = _dfs_tree(g, range(g.edge_count))
+    colors = [0] * g.edge_count
+    bridges = set(_tree_colors(edges, parent, order, colors))
+    if len(bridges) == g.edge_count:    # no chords: a forest
+        return EdgeColoring(g, tuple(colors))
     comp_of = [0] * g.vertex_count
     top: list[int] = []     # the maximum degree of each tree of the walk
     for w in order:
@@ -310,18 +316,13 @@ def _cactus_colors(g: Multigraph, parent: list[int], order: list[int]
             top.append(0)
         comp_of[w] = len(top) - 1
         top[-1] = max(top[-1], degrees[w])
-    tree = set(parent)
     position = dict(zip(order, itertools.count()))
     cycle_at: dict[int, list[int]] = {}
-    bridges = tree - {-1}
-    reasons: dict[int, GraphError] = {}
-    for e in sorted(set(range(g.edge_count)) - tree):
+    cyclic: set[int] = set()
+    for e in sorted(set(range(g.edge_count)) - bridges):
         k = comp_of[edges[e][0]]
-        if k in reasons:
-            continue
         if top[k] <= 2:
-            reasons[k] = GraphError("a bare cycle is not a cactus instance")
-            continue
+            raise GraphError("a bare cycle is not a cactus instance")
         # every chord joins a vertex to its ancestor, which the walk reached first
         anc, v = sorted(edges[e], key=position.__getitem__)
         cycle, verts = [e], [v]
@@ -332,36 +333,30 @@ def _cactus_colors(g: Multigraph, parent: list[int], order: list[int]
             verts.append(v)
         shared = [v for v in verts if v in cycle_at]
         if len({id(cycle_at[v]) for v in shared}) < len(shared):
-            reasons[k] = GraphError("two cycles share an edge or a pair of vertices")
-        elif shared:
-            reasons[k] = GraphError(f"cycles intersect at vertex {shared[0]}")
-        else:
-            cycle_at.update(dict.fromkeys(verts, cycle))
-            bridges.difference_update(cycle)
+            raise GraphError("two cycles share an edge or a pair of vertices")
+        if shared:
+            raise GraphError(f"cycles intersect at vertex {shared[0]}")
+        cycle_at.update(dict.fromkeys(verts, cycle))
+        bridges.difference_update(cycle)
+        cyclic.add(k)
 
     host = IncrementalHost(g)
-    grown: set[int] = set(reasons)
-    for e in sorted(bridges):       # the smallest bridge of each component
+    waiting = set(cyclic)
+    for e in sorted(bridges):       # the smallest bridge of each component with a cycle
         k = comp_of[edges[e][0]]
-        if k not in grown:
-            grown.add(k)
+        if k in waiting:
+            waiting.remove(k)
             host.add_colored(e, 1)
             host.grow(edges[e], bridges, cycle_at)
+    if len(host.color) != sum(comp_of[u] in cyclic for u, _ in edges):
+        raise AssertionError("construction left edges uncolored")
     low = [1] * len(top)
     for e, c in host.color.items():
         k = comp_of[edges[e][0]]
         low[k] = min(low[k], c)
-    colors = [0] * g.edge_count
     for e, c in host.color.items():
         colors[e] = c + 1 - low[comp_of[edges[e][0]]]
-    refused: dict[int, list[int]] = {k: [] for k in sorted(reasons)}
-    if refused:
-        for e, (u, _) in enumerate(edges):
-            if comp_of[u] in refused:
-                refused[comp_of[u]].append(e)
-    if len(host.color) + sum(map(len, refused.values())) != g.edge_count:
-        raise AssertionError("construction left edges uncolored")
-    return colors, [(eids, reasons[k]) for k, eids in refused.items()]
+    return EdgeColoring(g, tuple(colors))
 
 
 # ---------------------------------------------------------------------------

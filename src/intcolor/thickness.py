@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from .edge_coloring import (_KempeState, _coloring_state, _fan_state, _konig_state,
                             equalized_bipartite_color, petersen_two_factorization)
-from .kernels import (IncrementalHost, _cactus_colors, _dfs_tree, _factor_walk,
+from .kernels import (IncrementalHost, _dfs_tree, _factor_walk, _tree_colors,
                       balanced_multipartite_colors, color_cactus, color_forest,
                       color_low_even_bipartite, latin_bipartite_colors,
                       staircase_bipartite_colors)
@@ -429,25 +429,15 @@ def decompose_forest_peel(g: Multigraph) -> Decomposition:
     Each forest meets every vertex that still has an edge, so every round lowers
     all those degrees by one at least; either side of a bipartite graph meets
     every edge, so no edge is left once that side's degrees reach 0.  A forest
-    is colored as color_forest colors it, in the order the walk reached its
-    vertices: each child's edge one above the last color at its parent, whose
-    count starts from the color of its own entry edge (0 at a root)."""
-    edges = g.edges
+    is colored off its walk as color_forest colors it, by kernels._tree_colors."""
     remaining = set(range(g.edge_count))
     parts, colors = [0] * g.edge_count, [0] * g.edge_count
     rounds = 0
     while remaining:
-        parent, order = _dfs_tree(g, remaining)
-        last = [0] * g.vertex_count     # the last color at each vertex so far
-        for w in order:
-            e = parent[w]
-            if e >= 0:
-                a, b = edges[e]
-                v = a if b == w else b
-                last[v] += 1
-                last[w] = colors[e] = last[v]
-                parts[e] = rounds
-                remaining.remove(e)
+        tree = _tree_colors(g.edges, *_dfs_tree(g, remaining), colors)
+        for e in tree:
+            parts[e] = rounds
+        remaining.difference_update(tree)
         rounds += 1
     return _certified(Decomposition(g, tuple(parts), tuple(colors)))
 
@@ -516,34 +506,33 @@ def _dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     """Dispatch g's components on compact subgraphs; part i of every component
     goes into part i of the whole.
 
-    Three families take one part and are closed in batches, each by one run on
-    the union of its members: the tree components (E = V - 1) by the forest
+    Three families take one part and are closed in batches, each by one row run
+    on the union of its members: the tree components (E = V - 1) by the forest
     row, the even-cycle components (bipartite, all degrees 2) by the subcubic
     row, and the components that may be cacti (V <= E <= V - 1 + floor(V/2),
-    Delta >= 3) by the cactus kernel, which colors each as color_cactus colors
-    it alone.  A component the cactus kernel refuses, and every other
-    component, is dispatched alone.  The result is what one dispatch per
-    component gives: color_forest roots each tree at its smallest vertex and
-    colors from 1, the subcubic row alternates 1,2 along each cycle from its
-    smallest vertex, the forest row refuses a cactus and the cactus row (next)
-    refuses a cycle, and a one-part row meets lower = 1 (a cactus with
-    Delta >= 3 is not overfull), so no later row would run on such a component.
-    The trace is the first component's, in component order, with the most
-    parts.  The merge is not re-certified: each batch and each lone component
-    was certified by the run that built it, and components share no vertex."""
+    Delta >= 3) by the cactus row.  Each of these rows colors every component
+    of a union as it colors that component alone.  If the cactus row refuses
+    the union, each of its members is dispatched alone, as is every other
+    component; a refused forest or subcubic batch is a fault and propagates.
+    The result is what one dispatch per component gives: the forest row
+    refuses a cactus and the cactus row (next) refuses a cycle, and a one-part
+    row meets lower = 1 (a cactus with Delta >= 3 is not overfull), so no later
+    row would run on such a component.  The trace is the first component's, in
+    component order, with the most parts.  The merge is not re-certified: each
+    batch and each lone component was certified by the run that built it, and
+    components share no vertex."""
     t = g.traversal
-    trees: list[int] = []
-    cycles: list[int] = []
-    cacti: list[int] = []
+    rows = {"forest": _run_forest, "subcubic": _run_subcubic, "cactus": _run_cactus}
+    batches: dict[str, list[list[int]]] = {method: [] for method in rows}
     alone: list[list[int]] = []
     for comp, verts, odd, side_max in zip(t.components, t.vertices, t.odd_cycles, t.side_max):
         e, v = len(comp), len(verts)
         if e == v - 1:
-            trees.extend(comp)
+            batches["forest"].append(comp)
         elif e == v and odd is None and side_max == (2, 2):
-            cycles.extend(comp)
+            batches["subcubic"].append(comp)
         elif v <= e <= v - 1 + v // 2 and max(side_max) >= 3:
-            cacti.extend(comp)
+            batches["cactus"].append(comp)
         else:
             alone.append(comp)
     parts = [0] * g.edge_count
@@ -557,20 +546,15 @@ def _dispatch_componentwise(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
             colors[eid] = d_sub.colors[pos]
         traces.append((ids[0], t_sub))
 
-    if cacti:
-        sub, ids = g.subgraph(cacti)
-        sub_colors, refused = _cactus_colors(sub, *_dfs_tree(sub, range(sub.edge_count)))
-        alone.extend([ids[e] for e in eids] for eids, _ in refused)
-        if refused:
-            sub, kept = sub.subgraph(e for e, c in enumerate(sub_colors) if c)
-            ids, sub_colors = [ids[e] for e in kept], [sub_colors[e] for e in kept]
-        if ids:
-            merge(ids, _one_part(EdgeColoring(sub, tuple(sub_colors))),
-                  BoundTrace("cactus", "cactus: 1", 1, 1, True))
-    for picked, row in ((trees, ("forest", _run_forest)), (cycles, ("subcubic", _run_subcubic))):
-        if picked:
-            sub, ids = g.subgraph(picked)
-            merge(ids, *_run_row(*row, _Facts(sub)))
+    for method, run in rows.items():
+        if batches[method]:
+            sub, ids = g.subgraph(itertools.chain.from_iterable(batches[method]))
+            try:
+                merge(ids, *_run_row(method, run, _Facts(sub)))
+            except GraphError:
+                if method != "cactus":
+                    raise
+                alone.extend(batches[method])
     for comp in alone:
         sub, ids = g.subgraph(comp)
         merge(ids, *_dispatch_connected(sub))

@@ -154,6 +154,53 @@ def test_bench_fails_a_row_above_its_bound(monkeypatch, capsys):
     assert run(capsys, "bench", "quick")[0] == 1
 
 
+def test_bench_names_an_unknown_suite_and_seeds_every_instance(capsys):
+    assert _exits_2_with_one_error_line(capsys, "bench", "nope") == (
+        "error: unknown suite 'nope'; have ['quick', 'sweep']\n")
+    code, out = run(capsys, "bench", "quick", "--seed", "3")
+    assert code == 0
+    seeded = [generators.generate(dataclasses.replace(generators.FamilySpec.parse(r["instance"]),
+                                                      seed=3)).graph for r in json.loads(out)]
+    assert [(r["vertices"], r["edges"]) for r in json.loads(out)] == [
+        (g.vertex_count, g.edge_count) for g in seeded]
+
+
+def test_color_exact_reports_the_chromatic_index(tmp_path, capsys):
+    gpath = tmp_path / "k3.json"
+    main(["gen", "fixture(name=k3)", "--out", str(gpath)])
+    assert main(["color", str(gpath), "--method", "exact"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "chromatic index: 3\n"
+    assert sorted(json.loads(captured.out)) == [1, 2, 3]
+
+
+def test_decompose_cyclic_coloring_without_t_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "c5.json"
+    cpath = tmp_path / "cyc.json"
+    main(["gen", "fixture(name=c5)", "--out", str(gpath)])
+    cpath.write_text("[1, 2, 3, 4, 5]\n")
+    assert _exits_2_with_one_error_line(
+        capsys, "decompose", str(gpath), "--cyclic-coloring", str(cpath)) == (
+        "error: --cyclic-coloring requires --t\n")
+
+
+def test_timetable_grid_goes_to_stderr(tmp_path, capsys):
+    mpath = tmp_path / "school.csv"
+    mpath.write_text("2,1\n1,2\n")
+    assert main(["timetable", str(mpath), "--grid"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("Day 1\n")
+    assert captured.err.endswith("days: 1  method: subcubic [3-colorable subcubic: 1]\n")
+    assert len(json.loads(captured.out)) == 1
+
+
+def test_oracle_arboricity(tmp_path, capsys):
+    gpath = tmp_path / "k3.json"
+    main(["gen", "fixture(name=k3)", "--out", str(gpath)])
+    code, out = run(capsys, "oracle", str(gpath), "arboricity")
+    assert code == 0 and json.loads(out) == {"arboricity": 2}
+
+
 def test_bad_input_exit_code(tmp_path, capsys):
     gpath = tmp_path / "nope.json"
     gpath.write_text('{"vertex_count": 2, "edges": [[0, 9]]}\n')

@@ -22,6 +22,13 @@ def test_text_rejects_bad_header():
         graphio.graph_from_text("oops\n")
 
 
+def test_text_names_a_non_integer_header_and_a_wrong_edge_line_count():
+    with pytest.raises(GraphError, match=r"^header line must be two integers 'V E', got '3 x'$"):
+        graphio.graph_from_text("3 x\n0 1\n")
+    with pytest.raises(GraphError, match="^expected 2 edge lines, found 1$"):
+        graphio.graph_from_text("3 2\n0 1\n")
+
+
 def test_json_round_trip_with_explicit_ids():
     g = build_graph(3, [(0, 1), (1, 2)])
     obj = graphio.graph_to_json(g)

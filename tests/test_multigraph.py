@@ -123,6 +123,24 @@ def test_decomposition_missing_certificate():
         Decomposition(g, (0, 0, 0), (1, 2))
 
 
+def test_decomposition_rejects_a_negative_part_index():
+    g = complete_graph(3)
+    with pytest.raises(GraphError, match=r"^part indices must lie in \[0, k\)$"):
+        Decomposition(g, (0, -1, 0), (1, 1, 2))
+
+
+def test_verify_rejects_an_unknown_mode():
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        verify(g, EdgeColoring(g, (1, 2, 1, 2)), "bogus")
+
+
+def test_verify_decomposition_rejects_another_graphs_decomposition():
+    d = Decomposition(complete_graph(3), (0, 0, 1), (1, 2, 1))
+    with pytest.raises(GraphError, match="^decomposition belongs to a different graph$"):
+        verify_decomposition(cycle_graph(4), d)
+
+
 @st.composite
 def colored_graph(draw):
     n = draw(st.integers(2, 8))

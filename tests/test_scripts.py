@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end: each exits 0 and prints its headers,
 and stops quietly when its stdout is closed early."""
+import hashlib
 import importlib.util
 import json
 import os
@@ -22,11 +23,18 @@ def _run(name: str, *args: str) -> list[str]:
 
 
 def test_thickness_gap_scan():
-    # drives the interval color sweep through exact_theta on every trial
-    lines = _run("thickness_gap_scan.py", "--trials", "60", "--seed", "0")
+    # drives the interval color sweep through exact_theta on every trial of the
+    # full default scan; its output is pinned (13 gaps: 12 of size 1, 1 of size 2),
+    # so a change to a part count re-pins it, as with the digest pins below
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "thickness_gap_scan.py"), "--seed", "0"],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().splitlines()
     assert lines[0].startswith("trials with edges: ")
     assert lines[1].startswith("  dispatcher gap 0: ")
     assert any(line.startswith("largest exact thickness seen: ") for line in lines)
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "0f86f7dafea16bb7b5e4214d28488422184216adcf6c83b4ba0dd5f21a47308b")
 
 
 def test_timetable_demo():

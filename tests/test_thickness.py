@@ -108,6 +108,12 @@ def test_general_certifies_c5_in_three_classes():
     assert _certified(d) and d.part_count == 2
 
 
+def test_general_rejects_another_graphs_coloring():
+    other = cycle_graph(4)
+    with pytest.raises(GraphError, match="^coloring belongs to a different graph$"):
+        decompose_general(complete_graph(4), EdgeColoring(other, (1, 2, 1, 2)))
+
+
 # Odd-cycle absorption.  With all five classes in a component, the first class
 # split puts 1-2 on side B and 3-5 on the subcubic side A, where an odd cycle
 # needs a borrowed B edge at one of its vertices.
@@ -801,6 +807,12 @@ def test_split_cyclic_rejects_small_t():
         split_cyclic(g, col, 3)
 
 
+def test_split_cyclic_rejects_a_coloring_that_is_not_cyclic():
+    g = cycle_graph(5)
+    with pytest.raises(GraphError, match="^coloring is not a cyclic interval coloring$"):
+        split_cyclic(g, EdgeColoring(g, (1, 3, 1, 3, 2)), 5)
+
+
 # -- dispatcher --------------------------------------------------------------------------------
 
 def test_dispatch_k33():
@@ -1218,6 +1230,34 @@ def test_cactus_batch_matches_one_dispatch_per_component(kinds, seed):
     rng = random.Random(seed)
     g = _shuffled_union([_batch_piece(kind, rng) for kind in kinds], rng)
     d, trace = thickness._dispatch_componentwise(g)
+    ref_d, ref_trace = reference_dispatch_componentwise(g)
+    assert d.parts == ref_d.parts and d.colors == ref_d.colors
+    assert repr(trace) == repr(ref_trace)
+
+
+def test_a_refused_cactus_batch_dispatches_every_member_alone(monkeypatch):
+    refused, alone = [], []
+    cactus_original = thickness.color_cactus
+    connected_original = thickness._dispatch_connected
+
+    def counting_cactus(g):
+        try:
+            return cactus_original(g)
+        except GraphError:
+            refused.append(g.edge_count)
+            raise
+
+    monkeypatch.setattr(thickness, "color_cactus", counting_cactus)
+    monkeypatch.setattr(thickness, "_dispatch_connected",
+                        lambda g: alone.append(g.edge_count) or connected_original(g))
+    k = 5
+    pieces = [random_cactus(blocks, random.Random(blocks)) for blocks in range(1, k + 1)]
+    g = _disjoint_union(pieces + [_NEAR_MISSES["bowtie"]])
+    d, trace = dispatch_theta_upper(g)
+    # the batch of all k + 1 members is refused once, at the bowtie, and then
+    # every member is dispatched alone, where the bowtie is refused again
+    assert refused == [g.edge_count, 6]
+    assert sorted(alone) == sorted([p.edge_count for p in pieces] + [6])
     ref_d, ref_trace = reference_dispatch_componentwise(g)
     assert d.parts == ref_d.parts and d.colors == ref_d.colors
     assert repr(trace) == repr(ref_trace)

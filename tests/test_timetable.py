@@ -92,6 +92,24 @@ def test_wrong_totals_detected():
     assert not rep.proper
 
 
+def test_translating_a_timetable_with_too_many_or_too_few_lectures_names_the_fault():
+    B = RequirementMatrix.from_rows([[2]])
+    with pytest.raises(GraphError, match=r"^timetable schedules more \(0,0\) lectures than required$"):
+        timetable_to_decomposition(B, Timetable((((0, None, 0),), ((0,),))))
+    with pytest.raises(GraphError, match="^timetable misses some required lectures$"):
+        timetable_to_decomposition(B, Timetable((((0,),),)))
+
+
+def test_decomposition_to_timetable_refuses_another_graphs_or_an_uncertified_decomposition():
+    B = RequirementMatrix.from_rows([[1, 1], [1, 1]])
+    other = build_requirement_graph(RequirementMatrix.from_rows([[2]]))
+    with pytest.raises(GraphError, match="^decomposition does not belong to this requirement graph$"):
+        decomposition_to_timetable(B, Decomposition(other, (0, 0), (1, 2)))
+    g = build_requirement_graph(B)
+    with pytest.raises(GraphError, match="^decomposition is not certified$"):
+        decomposition_to_timetable(B, Decomposition(g, (0, 0, 0, 0), (1, 1, 1, 1)))
+
+
 def test_column_clash_detected():
     B = RequirementMatrix.from_rows([[1], [1]])
     clash = Timetable((((0,), (0,)),))
