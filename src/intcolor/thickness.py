@@ -771,8 +771,8 @@ def dispatch_theta_upper(g: Multigraph) -> tuple[Decomposition, BoundTrace]:
     since interval colorability is decided component by component: the tree
     components are closed together by one forest run, the even-cycle
     components together by one subcubic run, the components that may be cacti
-    together by one run of the cactus kernel, and every other component, or
-    one the cactus kernel refuses, alone.
+    together by one cactus run (each of them alone if that run refuses), and
+    every other component alone.
     A graph with isolated vertices is dispatched without them, so they never
     change the answer.  A certification failure inside a candidate, or a
     candidate above its own bound, is a bug and propagates.
